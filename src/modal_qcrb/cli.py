@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .engine import (
+    QfimReport,
     attainability,
     attainability_single_mode,
     build_generators,
@@ -30,7 +31,7 @@ from .engine import (
 )
 from .errors import ConfigError, ModalQcrbError
 from .families import FAMILY_REGISTRY, build_family
-from .modes import gram_schmidt
+from .modes import gram_schmidt, overlap_table
 from .states import state_from_spec
 from . import tolerances
 
@@ -88,10 +89,19 @@ REPORT_SCHEMA = {
         },
         "provenance": {
             "type": "object",
-            "required": ["engine_version", "tolerances", "conventions", "grid", "fock_cutoff", "threads"],
+            "required": ["engine_version", "tolerances", "conventions", "grid", "fock_cutoff"],
         },
     },
 }
+
+
+def _integer(name: str, value) -> int:
+    """A config value that must be a whole number; 2.0 passes, 2.5 does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -107,7 +117,6 @@ class RunConfig:
     fd_step: float | None = None
     derivative_method: str = "analytic"
     repetitions: int = 1
-    threads: int = 0
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -149,6 +158,8 @@ class RunConfig:
                 f"state.kind: unknown '{state['kind']}'; supported: "
                 + ", ".join(_STATE_KINDS)
             )
+        if state["kind"] == "fock" and "n" in state and _integer("state.n", state["n"]) < 0:
+            raise ConfigError("state.n: must be non-negative")
 
         geometry = raw.get("geometry", {})
         if getattr(args, "geometry", None) is not None:
@@ -172,12 +183,12 @@ class RunConfig:
         out = pick("out", "out", "qcrb-report")
         grid_points = pick("grid_points", "grid_points")
         if grid_points is not None:
-            grid_points = int(grid_points)
+            grid_points = _integer("grid_points", grid_points)
             if grid_points < 8:
                 raise ConfigError("grid_points: must be at least 8")
         fock_cutoff = pick("fock_cutoff", "fock_cutoff")
         if fock_cutoff is not None:
-            fock_cutoff = int(fock_cutoff)
+            fock_cutoff = _integer("fock_cutoff", fock_cutoff)
             if fock_cutoff < 1:
                 raise ConfigError("fock_cutoff: must be at least 1")
         fd_step = pick("fd_step", "fd_step")
@@ -190,17 +201,9 @@ class RunConfig:
             method = "finite-difference"
         if method not in ("analytic", "finite-difference"):
             raise ConfigError("derivative_method: 'analytic' or 'finite-difference'")
-        repetitions = int(pick("repetitions", "repetitions", 1))
+        repetitions = _integer("repetitions", pick("repetitions", "repetitions", 1))
         if repetitions < 1:
             raise ConfigError("repetitions: must be at least 1")
-
-        threads_env = os.environ.get("MODAL_QCRB_THREADS", "0")
-        try:
-            threads = int(threads_env)
-        except ValueError:
-            raise ConfigError("MODAL_QCRB_THREADS: must be an integer")
-        if threads < 0:
-            raise ConfigError("MODAL_QCRB_THREADS: must be non-negative")
 
         return cls(
             family=family,
@@ -212,7 +215,6 @@ class RunConfig:
             fd_step=fd_step,
             derivative_method=method,
             repetitions=repetitions,
-            threads=threads,
         )
 
 
@@ -223,6 +225,13 @@ class RunConfig:
 def _fmt(value: float) -> str:
     """17 significant digits: lossless double round-trip, locale-free."""
     return f"{value:.17g}"
+
+
+def _csv_rows(columns: np.ndarray) -> list[str]:
+    """One CSV line per row of a 2-D float array, each value as in :func:`_fmt`."""
+    columns = np.atleast_2d(np.asarray(columns, dtype=float))
+    line = ",".join(["%.17g"] * columns.shape[1])
+    return [line % tuple(row) for row in columns.tolist()]
 
 
 def _matrix_rows(matrix: np.ndarray) -> list[list[float]]:
@@ -241,9 +250,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_matrix_csv(path: Path, labels, matrix: np.ndarray) -> None:
-    lines = [",".join(labels)]
-    for row in np.atleast_2d(matrix):
-        lines.append(",".join(_fmt(float(v)) for v in row))
+    lines = [",".join(labels)] + _csv_rows(matrix)
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -274,15 +281,25 @@ def _build_case(config: RunConfig):
     return family, state
 
 
-def _assemble_report(config: RunConfig) -> tuple[ReportBundle, "np.ndarray", tuple]:
+@dataclass(frozen=True)
+class RunResult:
+    """The serializable report of one run and the bounds it was made from."""
+
+    bundle: ReportBundle
+    bounds: QfimReport
+
+
+def _assemble_report(config: RunConfig) -> RunResult:
     family, state = _build_case(config)
     method = config.derivative_method
     step = config.fd_step
 
-    generators = build_generators(family, method=method, step=step)
-    qfim = qfim_mode_split(state, family, method=method, step=step)
+    # one overlap table per run; every mode quantity below is a slice of it
+    table = overlap_table(family, method=method, step=step)
+    generators = build_generators(family, table=table)
+    qfim = qfim_mode_split(state, family, table=table)
     att = attainability(state, generators)
-    single = attainability_single_mode(family, method=method, step=step)
+    single = attainability_single_mode(family, table=table)
     weights = generators.total_weights()
     report = crb_bounds(
         qfim,
@@ -357,27 +374,26 @@ def _assemble_report(config: RunConfig) -> tuple[ReportBundle, "np.ndarray", tup
             "fock_cutoff": int(state.space.cutoff),
             "derivative_method": method,
             "fd_step": step,
-            "threads": config.threads,
         },
     }
-    return ReportBundle(report=doc), report.qfim, (report, att, single, family)
+    return RunResult(bundle=ReportBundle(report=doc), bounds=report)
 
 
 def run_qfim(config: RunConfig) -> ReportBundle:
     """Compute the information matrix and write report.json plus CSVs."""
-    bundle, qfim, extras = _assemble_report(config)
-    report = extras[0]
+    result = _assemble_report(config)
+    bundle, bounds = result.bundle, result.bounds
     labels = bundle.report["qfim"]["labels"]
     out = config.out
     _write_atomic(out / "report.json", bundle.to_json() + "\n")
-    _write_matrix_csv(out / "qfim.csv", labels, qfim)
-    _write_matrix_csv(out / "qfim_inverse.csv", labels, report.pseudo_inverse)
+    _write_matrix_csv(out / "qfim.csv", labels, bounds.qfim)
+    _write_matrix_csv(out / "qfim_inverse.csv", labels, bounds.pseudo_inverse)
     return bundle
 
 
 def run_attainability(config: RunConfig) -> ReportBundle:
     """Write the per-pair attainability table."""
-    bundle, _, _ = _assemble_report(config)
+    bundle = _assemble_report(config).bundle
     rows = [
         "param_a,param_b,Im_overlap,normalized_Im_overlap,commutator_expectation,attainable_flag"
     ]
@@ -442,15 +458,13 @@ def export_detection_modes_for(family, out: Path, *, method="analytic", step=Non
             readout_flat = (
                 readout.ravel() if readout is not None else np.zeros_like(samples)
             )
-            for i in range(samples.size):
-                row = [_fmt(float(c[i])) for c in flat_coords]
-                row += [
-                    _fmt(samples[i].real),
-                    _fmt(samples[i].imag),
-                    _fmt(readout_flat[i].real),
-                    _fmt(readout_flat[i].imag),
-                ]
-                lines.append(",".join(row))
+            columns = flat_coords + [
+                samples.real,
+                samples.imag,
+                readout_flat.real,
+                readout_flat.imag,
+            ]
+            lines += _csv_rows(np.column_stack(columns))
         _write_atomic(out / f"modes_{det.label}.csv", "\n".join(lines) + "\n")
 
     sidecar = {

@@ -10,7 +10,9 @@ mixed-state information matrix
 and the populated/vacuum split that adds 4 Re (d_a f_j | Pi_vac | d_b f_l)
 <a_j_dagger a_l> for the information leaking into initially empty modes.
 Single-mode and strong-mean-field fast paths are reductions of the same
-formulas and are required to agree with the general route.
+formulas and are required to agree with the general route.  The mode
+inputs of all of them are slices of one overlap table per run
+(:func:`modal_qcrb.modes.overlap_table`).
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .modes import (
     DetectionMode,
     Mode,
     ModeBasis,
+    OverlapTable,
     derivative_mode,
     detection_mode,
     inner_product,
-    mode_norm,
+    overlap_table,
 )
 from .states import (
     DensityState,
@@ -57,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class GeneratorCoefficients:
     """Per-parameter generator data over the populated modes.
 
+    All fields are read from one :class:`~modal_qcrb.modes.OverlapTable`.
     ``matrices[a]`` is the Hermitian coefficient matrix of the generator of
     parameter a (symmetrized; the pre-symmetrization residual is kept in
     ``hermiticity_residuals``).  ``derivative_overlaps[a, b, j, l]`` stores
@@ -84,47 +88,10 @@ class GeneratorCoefficients:
         return np.sqrt(np.sum(self.weights**2, axis=1))
 
 
-def _derivative_table(
-    family: "ParameterFamily",
-    n_modes: int,
-    method: str,
-    step: float | None,
-) -> list[list[Mode]]:
-    return [
-        [derivative_mode(family, k, a, method, step) for k in range(n_modes)]
-        for a in range(family.n_parameters)
-    ]
-
-
-def _generators_from_table(
-    labels: Sequence[str],
-    populated: Sequence[Mode],
-    table: list[list[Mode]],
-) -> GeneratorCoefficients:
-    n_p = len(table)
-    n_m = len(populated)
-    g = np.zeros((n_p, n_m, n_m), dtype=complex)
-    overlaps = np.zeros((n_p, n_p, n_m, n_m), dtype=complex)
-    weights = np.zeros((n_p, n_m))
-    residuals = np.zeros(n_p)
-
-    for a in range(n_p):
-        for j in range(n_m):
-            for k in range(n_m):
-                g[a, j, k] = 1j * inner_product(populated[j], table[a][k])
-        residuals[a] = float(np.max(np.abs(g[a] - g[a].conj().T)))
-        g[a] = (g[a] + g[a].conj().T) / 2.0
-        for k in range(n_m):
-            weights[a, k] = mode_norm(table[a][k])
-
-    for a in range(n_p):
-        for b in range(a, n_p):
-            for j in range(n_m):
-                for l in range(n_m):
-                    overlaps[a, b, j, l] = inner_product(table[a][j], table[b][l])
-            if b != a:
-                overlaps[b, a] = overlaps[a, b].conj().transpose(1, 0)
-
+def _generators_from_table(labels: Sequence[str], table: OverlapTable) -> GeneratorCoefficients:
+    g = 1j * table.generator_overlaps
+    g_h = g.conj().transpose(0, 2, 1)
+    residuals = np.max(np.abs(g - g_h), axis=(1, 2))
     if np.any(residuals > TAU_HERM):
         worst = int(np.argmax(residuals))
         warnings.warn(
@@ -135,9 +102,9 @@ def _generators_from_table(
         )
     return GeneratorCoefficients(
         labels=tuple(labels),
-        matrices=g,
-        derivative_overlaps=overlaps,
-        weights=weights,
+        matrices=(g + g_h) / 2.0,
+        derivative_overlaps=table.derivative_overlaps,
+        weights=table.weights,
         hermiticity_residuals=residuals,
     )
 
@@ -152,11 +119,9 @@ def generators_from_modes(
     ``derivatives[a][k]`` is the derivative of populated mode k with
     respect to parameter a; the populated modes must be orthonormal.
     """
-    ModeBasis(tuple(populated)).validate()
-    table = [list(row) for row in derivatives]
-    if any(len(row) != len(populated) for row in table):
-        raise StructuralError("derivative table shape does not match the basis")
-    return _generators_from_table(labels, populated, table)
+    table = OverlapTable.from_modes(populated, derivatives)
+    table.validate()
+    return _generators_from_table(labels, table)
 
 
 def build_generators(
@@ -165,14 +130,17 @@ def build_generators(
     *,
     method: str = "analytic",
     step: float | None = None,
+    table: OverlapTable | None = None,
 ) -> GeneratorCoefficients:
-    """Generator coefficients G^a_{jk} = i (f_j | d_a f_k) for a family."""
-    if basis is None:
-        basis = family.evaluate()
-    populated = basis.populated_modes()
-    ModeBasis(populated).validate()
-    table = _derivative_table(family, len(populated), method, step)
-    return _generators_from_table(family.parameters, populated, table)
+    """Generator coefficients G^a_{jk} = i (f_j | d_a f_k) for a family.
+
+    A precomputed ``table`` (see :func:`modal_qcrb.modes.overlap_table`)
+    replaces ``basis``, ``method`` and ``step``.
+    """
+    if table is None:
+        table = overlap_table(family, basis, method=method, step=step)
+    table.validate()
+    return _generators_from_table(family.parameters, table)
 
 
 def _coefficient_stack(generators) -> np.ndarray:
@@ -239,39 +207,28 @@ def qfim_mode_split(
     *,
     method: str = "analytic",
     step: float | None = None,
+    table: OverlapTable | None = None,
 ) -> np.ndarray:
     """Full information matrix: populated-mode part plus vacuum leakage.
 
     The vacuum term projects each derivative mode onto the orthogonal
     complement of the populated span and weighs the overlaps with the
-    one-photon correlation matrix.
+    one-photon correlation matrix.  A precomputed ``table`` replaces
+    ``basis``, ``method`` and ``step``.
     """
-    if basis is None:
-        basis = family.evaluate()
-    populated = basis.populated_modes()
-    ModeBasis(populated).validate()
-    table = _derivative_table(family, len(populated), method, step)
-    gens = _generators_from_table(family.parameters, populated, table)
+    if table is None:
+        table = overlap_table(family, basis, method=method, step=step)
+    table.validate()
+    f_pop = qfim_unitary(state, _generators_from_table(family.parameters, table))
 
-    f_pop = qfim_unitary(state, gens)
-
-    n_p = family.n_parameters
-    n_m = len(populated)
-    moments = first_moments(state)
-    # (d_a f_j | f_k) for the projection onto the populated span
-    proj = np.zeros((n_p, n_m, n_m), dtype=complex)
-    for a in range(n_p):
-        for j in range(n_m):
-            for k in range(n_m):
-                proj[a, j, k] = np.conj(inner_product(populated[k], table[a][j]))
-
-    f_vac = np.zeros((n_p, n_p))
-    for a in range(n_p):
-        for b in range(a, n_p):
-            vac = gens.derivative_overlaps[a, b] - proj[a] @ proj[b].conj().T
-            value = 4.0 * float(np.sum(vac * moments).real)
-            f_vac[a, b] = value
-            f_vac[b, a] = value
+    # (d_a f_j | Pi_vac | d_b f_l) over the rows (a, j) and columns (b, l):
+    # the derivative block less its projections (d_a f_j | f_k) onto the
+    # populated span
+    m, n_p = table.n_modes, table.n_parameters
+    proj = table.matrix[m:, :m]
+    vac = table.matrix[m:, m:] - proj @ proj.conj().T
+    f = 4.0 * np.einsum("ajbl,jl->ab", vac.reshape(n_p, m, n_p, m), first_moments(state)).real
+    f_vac = np.triu(f) + np.triu(f, 1).T
     return f_pop + f_vac
 
 
@@ -281,6 +238,7 @@ def qfim_single_mode(
     *,
     method: str = "analytic",
     step: float | None = None,
+    table: OverlapTable | None = None,
 ) -> np.ndarray:
     """Fast path for a single populated mode.
 
@@ -288,27 +246,19 @@ def qfim_single_mode(
     information; second term: 4 Re[(d_a f | d_b f) - (d_a f | f)(f | d_b f)]
     times the mean photon number.  Agrees with :func:`qfim_mode_split` on
     the same inputs; for amplitude-only parameters it reduces to
-    4 Re(d_a f | d_b f) N exactly.
+    4 Re(d_a f | d_b f) N exactly.  A precomputed ``table`` replaces
+    ``method`` and ``step``.
     """
-    basis = family.evaluate()
-    populated = basis.populated_modes()
-    if len(populated) != 1:
+    if table is None:
+        table = overlap_table(family, method=method, step=step)
+    if table.n_modes != 1:
         raise StructuralError(
-            f"single-mode path needs exactly one populated mode, got {len(populated)}"
+            f"single-mode path needs exactly one populated mode, got {table.n_modes}"
         )
     if state.space.n_modes != 1:
         raise StructuralError("state must live on a single-mode Fock space")
-    f0 = populated[0]
-    derivs = [
-        derivative_mode(family, 0, a, method, step) for a in range(family.n_parameters)
-    ]
-    c = np.array([inner_product(f0, d) for d in derivs])
-    n_p = len(derivs)
-    overlaps = np.zeros((n_p, n_p), dtype=complex)
-    for a in range(n_p):
-        for b in range(a, n_p):
-            overlaps[a, b] = inner_product(derivs[a], derivs[b])
-            overlaps[b, a] = np.conj(overlaps[a, b])
+    c = table.generator_overlaps[:, 0, 0]
+    overlaps = table.derivative_overlaps[:, :, 0, 0]
 
     info = number_information(state)
     mean_n, _ = number_moments(state)
@@ -474,28 +424,23 @@ def attainability_single_mode(
     *,
     method: str = "analytic",
     step: float | None = None,
+    table: OverlapTable | None = None,
 ) -> SingleModeAttainability:
     """State-independent compatibility test for a single populated mode.
 
     The bound for a parameter pair is attainable exactly when the
     imaginary part of the derivative-mode overlap vanishes; the normalized
     value Im(d_a f | d_b f) / (w_a w_b) is the commutator of the two
-    detection-mode quadratures over 2i.
+    detection-mode quadratures over 2i.  A precomputed ``table`` replaces
+    ``method`` and ``step``.
     """
-    basis = family.evaluate()
-    populated = basis.populated_modes()
-    if len(populated) != 1:
+    if table is None:
+        table = overlap_table(family, method=method, step=step)
+    if table.n_modes != 1:
         raise StructuralError("single-mode attainability needs one populated mode")
-    derivs = [
-        derivative_mode(family, 0, a, method, step) for a in range(family.n_parameters)
-    ]
-    n_p = len(derivs)
-    w = np.array([mode_norm(d) for d in derivs])
-    im = np.zeros((n_p, n_p))
-    for a in range(n_p):
-        for b in range(a + 1, n_p):
-            im[a, b] = inner_product(derivs[a], derivs[b]).imag
-            im[b, a] = -im[a, b]
+    w = table.weights[:, 0]
+    # exactly antisymmetric with a zero diagonal: the table is Hermitian bitwise
+    im = table.derivative_overlaps[:, :, 0, 0].imag.copy()
     scale = np.outer(w, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.where(scale > 0, im / np.where(scale > 0, scale, 1.0), 0.0)

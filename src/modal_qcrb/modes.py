@@ -170,24 +170,124 @@ class ModeBasis:
         return tuple(m for m, p in zip(self.modes, self.populated) if p)
 
     def gram(self) -> np.ndarray:
-        n = len(self.modes)
-        g = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = inner_product(self.modes[i], self.modes[j])
-                g[j, i] = np.conj(g[i, j])
-        return g
+        return weighted_gram([m.samples for m in self.modes], self.modes[0].grid.weights)
 
     def orthonormality_residual(self) -> float:
-        g = self.gram()
-        return float(np.max(np.abs(g - np.eye(len(self.modes)))))
+        return orthonormality_residual(self.gram())
 
     def validate(self, tol: float = TAU_ORTH) -> None:
-        residual = self.orthonormality_residual()
-        if residual > tol:
-            raise StructuralError(
-                f"mode basis is not orthonormal (Gram residual {residual:.3e})"
-            )
+        _check_orthonormal(self.gram(), tol)
+
+
+def orthonormality_residual(gram: np.ndarray) -> float:
+    """Largest deviation of a Gram matrix from the identity."""
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
+def _check_orthonormal(gram: np.ndarray, tol: float) -> None:
+    residual = orthonormality_residual(gram)
+    if residual > tol:
+        raise StructuralError(
+            f"mode basis is not orthonormal (Gram residual {residual:.3e})"
+        )
+
+
+# Samples per stacked block in :func:`weighted_gram`: the stack of one
+# block stays small next to the rows themselves.
+GRAM_BLOCK = 16384
+
+
+def weighted_gram(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Hermitian matrix G[i, j] = sum(w * conj(rows[i]) * rows[j]).
+
+    The rows (sample arrays shaped like ``weights``) are stacked one block
+    of samples at a time, as real and imaginary parts scaled by sqrt(w),
+    and each block is reduced with one real product S = X X^T; then
+    Re G = S_rr + S_ii and Im G = S_ri - S_ir.  Only the upper triangle is
+    kept: the lower one is its exact conjugate and the diagonal is real, so
+    conjugate symmetry holds bitwise.
+    """
+    root = np.sqrt(weights.ravel())
+    flat = [np.ravel(r) for r in rows]
+    k = len(flat)
+    s = np.zeros((2 * k, 2 * k))
+    stack = np.empty((2 * k, min(GRAM_BLOCK, root.size)))
+    for start in range(0, root.size, GRAM_BLOCK):
+        w = root[start : start + GRAM_BLOCK]
+        x = stack[:, : w.size]
+        for i, r in enumerate(flat):
+            part = r[start : start + GRAM_BLOCK]
+            np.multiply(part.real, w, out=x[i])
+            np.multiply(part.imag, w, out=x[k + i])
+        s += x @ x.T
+    g = s[:k, :k] + s[k:, k:] + 1j * (s[:k, k:] - s[k:, :k])
+    upper = np.triu(g, 1)
+    return upper + upper.conj().T + np.diag(g.diagonal().real)
+
+
+@dataclass(frozen=True, eq=False)
+class OverlapTable:
+    """Overlaps among populated modes f_k and their derivative modes d_a f_k.
+
+    ``matrix`` is the weighted Gram matrix of the rows
+    ``[f_0 .. f_{M-1}, d_0 f_0 .. d_0 f_{M-1}, d_1 f_0, ..]`` (K = M + P M
+    rows), ``matrix[r, s] = (row_r | row_s)``.  Everything a run reports
+    about the modes is a slice of it; the properties name the slices.
+    """
+
+    matrix: np.ndarray
+    n_modes: int
+    n_parameters: int
+
+    def __post_init__(self):
+        # the slices below are views: keep them from writing into the table
+        self.matrix.flags.writeable = False
+
+    @classmethod
+    def from_modes(
+        cls, populated: Sequence[Mode], derivatives: Sequence[Sequence[Mode]]
+    ) -> "OverlapTable":
+        """Table of explicit modes; ``derivatives[a][k]`` is d_a f_k."""
+        populated = list(populated)
+        if not populated:
+            raise StructuralError("an overlap table needs at least one populated mode")
+        if any(len(row) != len(populated) for row in derivatives):
+            raise StructuralError("derivative table shape does not match the basis")
+        modes = populated + [d for row in derivatives for d in row]
+        grid = populated[0].grid
+        if not all(grid.compatible(m.grid) for m in modes[1:]):
+            raise GridMismatchError("modes are sampled on different grids")
+        matrix = weighted_gram([m.samples for m in modes], grid.weights)
+        return cls(matrix, len(populated), len(derivatives))
+
+    @property
+    def populated(self) -> np.ndarray:
+        """(f_j | f_k), shape (M, M)."""
+        m = self.n_modes
+        return self.matrix[:m, :m]
+
+    @property
+    def generator_overlaps(self) -> np.ndarray:
+        """``[a, j, k] = (f_j | d_a f_k)``, shape (P, M, M)."""
+        m, p = self.n_modes, self.n_parameters
+        return self.matrix[:m, m:].reshape(m, p, m).transpose(1, 0, 2)
+
+    @property
+    def derivative_overlaps(self) -> np.ndarray:
+        """``[a, b, j, l] = (d_a f_j | d_b f_l)``, shape (P, P, M, M)."""
+        m, p = self.n_modes, self.n_parameters
+        return self.matrix[m:, m:].reshape(p, m, p, m).transpose(0, 2, 1, 3)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """``[a, k]`` = norm of d_a f_k, shape (P, M)."""
+        m, p = self.n_modes, self.n_parameters
+        norms2 = self.matrix.diagonal()[m:].real.reshape(p, m)
+        return np.sqrt(np.maximum(norms2, 0.0))
+
+    def validate(self, tol: float = TAU_ORTH) -> None:
+        """Raise unless the populated modes are orthonormal."""
+        _check_orthonormal(self.populated, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +394,8 @@ def derivative_mode(
 
     The analytic path returns the family's closed form.  The
     finite-difference path uses a central difference with one Richardson
-    refinement, step ``max(|theta_scale|, 1) * 1e-4`` unless overridden.
+    refinement, step ``|theta_scale| * 1e-4`` unless overridden, so the
+    step follows the parameter's own scale whether it is large or small.
     """
     if method == "analytic":
         d = family.analytic_derivative(mode_index, parameter)
@@ -308,7 +409,7 @@ def derivative_mode(
         raise ValueError("method must be 'analytic' or 'finite-difference'")
 
     scale = float(family.theta_scales[parameter])
-    h = float(step) if step is not None else max(abs(scale), 1.0) * 1e-4
+    h = float(step) if step is not None else abs(scale) * 1e-4
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
 
@@ -329,6 +430,28 @@ def derivative_mode(
             "non-finite samples"
         )
     return Mode(family.grid, samples)
+
+
+def overlap_table(
+    family: "ParameterFamily",
+    basis: ModeBasis | None = None,
+    *,
+    method: str = "analytic",
+    step: float | None = None,
+) -> OverlapTable:
+    """The overlap table of a family's populated modes at theta = 0.
+
+    Evaluates the family once (unless ``basis`` is given) and each
+    derivative mode once.
+    """
+    if basis is None:
+        basis = family.evaluate()
+    populated = basis.populated_modes()
+    derivatives = [
+        [derivative_mode(family, k, a, method, step) for k in range(len(populated))]
+        for a in range(family.n_parameters)
+    ]
+    return OverlapTable.from_modes(populated, derivatives)
 
 
 def detection_mode(

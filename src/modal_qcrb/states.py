@@ -267,6 +267,8 @@ def make_state(
         alpha = math.sqrt(nbar)
         tail_params = {"nbar": nbar}
     elif kind in ("fock", "thermal", "squeezed-vacuum"):
+        if kind == "fock" and float(parameters["n"]) != int(parameters["n"]):
+            raise StructuralError(f"fock n must be a whole number, got {parameters['n']!r}")
         tail_params = dict(parameters)
     else:
         raise ValueError(f"unknown state kind '{kind}'")

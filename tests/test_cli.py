@@ -212,6 +212,51 @@ class TestQfimCommand:
         assert bundle.to_json() + "\n" == text
 
 
+class TestIntegerFields:
+    BASE = {
+        "family": "displaced-beam",
+        "geometry": {"w0": 1.0},
+        "state": {"kind": "coherent", "nbar": 1.0},
+    }
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("repetitions", {"repetitions": 2.5}),
+            ("repetitions", {"repetitions": 1.7}),
+            ("grid_points", {"grid_points": 2048.9}),
+            ("grid_points", {"grid_points": "abc"}),
+            ("fock_cutoff", {"fock_cutoff": 2.5}),
+            ("state.n", {"state": {"kind": "fock", "n": 2.5}}),
+        ],
+    )
+    def test_non_integral_value_is_a_config_error(self, tmp_path, capsys, field, overrides):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.BASE | overrides))
+        code = run_cli(["qfim", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_is_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.BASE | {"repetitions": 4.0, "grid_points": 128.0}))
+        out = tmp_path / "out"
+        assert run_cli(["qfim", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["bounds"]["repetitions"] == 4
+        assert report["family"]["grid"]["shape"] == [128, 128]
+
+    def test_threads_knob_is_gone(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MODAL_QCRB_THREADS", "not-a-number")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.BASE))
+        out = tmp_path / "out"
+        assert run_cli(["qfim", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert "threads" not in report["provenance"]
+
+
 class TestAttainabilityCommand:
     def test_beam_pair_table(self, tmp_path):
         out = tmp_path / "att"
@@ -329,6 +374,42 @@ class TestDetectionModesCommand:
         dropped = sidecar["readout_basis"]["dependent_on_predecessors"]
         assert "tilt_x" in dropped and "tilt_y" in dropped
         assert sidecar["readout_basis"]["pivot_norms"]["tilt_x"] < 1e-6
+
+
+def per_value_mode_rows(family, detections, readout):
+    """The export's former formatter: one f-string call per value."""
+    coords = [c.ravel() for c in family.grid.mesh()]
+    rows = {}
+    for det in detections:
+        samples = det.mode.samples.ravel()
+        other = readout.get(det.label, np.zeros_like(samples)).ravel()
+        rows[det.label] = [
+            ",".join(
+                [f"{float(c[i]):.17g}" for c in coords]
+                + [f"{v:.17g}" for v in (samples[i].real, samples[i].imag, other[i].real, other[i].imag)]
+            )
+            for i in range(samples.size)
+        ]
+    return rows
+
+
+class TestModeExportFormat:
+    @pytest.mark.parametrize("fixture", ["displaced_family", "pulse_family"])
+    def test_rows_match_per_value_formatter(self, request, tmp_path, fixture):
+        from modal_qcrb import detection_modes_for, gram_schmidt
+
+        family = request.getfixturevalue(fixture)
+        bundle = export_detection_modes_for(family, tmp_path)
+        detections = detection_modes_for(family)
+        live = [d for d in detections if not d.degenerate]
+        gs = gram_schmidt([d.mode for d in live], on_dependent="drop")
+        kept = [i for i in range(len(live)) if i not in gs.dependent_indices]
+        readout = {live[i].label: gs.basis.modes[row].samples for row, i in enumerate(kept)}
+        expected = per_value_mode_rows(family, detections, readout)
+        header = "x,y" if family.grid.ndim == 2 else "omega"
+        for label in bundle.report["labels"]:
+            text = "\n".join([f"{header},detection_re,detection_im,readout_re,readout_im"] + expected[label]) + "\n"
+            assert (tmp_path / f"modes_{label}.csv").read_bytes() == text.encode()
 
 
 class TestDeterminism:

@@ -1,0 +1,162 @@
+"""The per-run overlap table and the quantities sliced from it."""
+
+import numpy as np
+import pytest
+
+from modal_qcrb import (
+    BeamGeometry,
+    OverlapTable,
+    ParameterFamily,
+    StructuralError,
+    gaussian_beam_family,
+    inner_product,
+    make_state,
+    overlap_table,
+    qfim_mode_split,
+)
+from modal_qcrb import cli, engine, modes
+from conftest import random_mode_parameter_data
+
+FAMILIES = ["beam_family", "beam_carrier_family", "pulse_family", "displaced_family"]
+
+
+def table_rows(populated, derivatives):
+    return list(populated) + [d for row in derivatives for d in row]
+
+
+def pairwise_table(rows):
+    """Independent reference: one inner product per pair."""
+    return np.array([[inner_product(a, b) for b in rows] for a in rows])
+
+
+def family_rows(family):
+    populated = family.evaluate().populated_modes()
+    derivatives = [
+        [modes.derivative_mode(family, k, a) for k in range(len(populated))]
+        for a in range(family.n_parameters)
+    ]
+    return populated, derivatives
+
+
+def assert_matches_pairwise(table, rows):
+    reference = pairwise_table(rows)
+    scale = np.max(np.abs(table.matrix))
+    assert np.max(np.abs(table.matrix - reference)) <= 1e-12 * scale
+
+
+class TestOverlapTable:
+    @pytest.mark.parametrize("fixture", FAMILIES)
+    def test_family_table_matches_pairwise_products(self, request, fixture):
+        family = request.getfixturevalue(fixture)
+        table = overlap_table(family)
+        assert table.matrix.shape == (1 + family.n_parameters,) * 2
+        assert_matches_pairwise(table, table_rows(*family_rows(family)))
+
+    @pytest.mark.parametrize("n_modes, n_params", [(2, 3), (3, 2)])
+    def test_random_multimode_table_matches_pairwise_products(self, n_modes, n_params):
+        rng = np.random.default_rng(100 + n_modes)
+        populated, derivatives = random_mode_parameter_data(rng, n_params, n_modes)
+        table = OverlapTable.from_modes(populated, derivatives)
+        assert table.matrix.shape == (n_modes * (1 + n_params),) * 2
+        assert_matches_pairwise(table, table_rows(populated, derivatives))
+
+    @pytest.mark.parametrize("fixture", FAMILIES)
+    def test_conjugate_symmetry_is_bitwise(self, request, fixture):
+        table = overlap_table(request.getfixturevalue(fixture))
+        assert np.array_equal(table.matrix, table.matrix.conj().T)
+
+    def test_random_table_conjugate_symmetry_is_bitwise(self):
+        populated, derivatives = random_mode_parameter_data(np.random.default_rng(7), 3, 3)
+        table = OverlapTable.from_modes(populated, derivatives)
+        assert np.array_equal(table.matrix, table.matrix.conj().T)
+
+    def test_slices_name_the_right_overlaps(self):
+        populated, derivatives = random_mode_parameter_data(np.random.default_rng(8), 2, 2)
+        table = OverlapTable.from_modes(populated, derivatives)
+        scale = np.max(np.abs(table.matrix))
+        for a in range(2):
+            for j in range(2):
+                for k in range(2):
+                    f_j, d_ak, d_aj = populated[j], derivatives[a][k], derivatives[a][j]
+                    assert abs(table.generator_overlaps[a, j, k] - inner_product(f_j, d_ak)) < 1e-12 * scale
+                    for b in range(2):
+                        expected = inner_product(d_aj, derivatives[b][k])
+                        assert abs(table.derivative_overlaps[a, b, j, k] - expected) < 1e-12 * scale
+                assert table.weights[a, j] == pytest.approx(
+                    np.sqrt(inner_product(d_aj, d_aj).real), rel=1e-12
+                )
+
+    def test_rejects_mismatched_derivative_table(self):
+        populated, derivatives = random_mode_parameter_data(np.random.default_rng(9), 2, 2)
+        with pytest.raises(StructuralError):
+            OverlapTable.from_modes(populated, [derivatives[0][:1]])
+
+    def test_slices_are_read_only(self, displaced_family):
+        table = overlap_table(displaced_family)
+        with pytest.raises(ValueError):
+            table.derivative_overlaps[0, 0, 0, 0] = 1.0
+
+
+def test_gram_block_boundaries_do_not_matter(monkeypatch):
+    # the blocked reduction must agree with one product over all samples
+    rng = np.random.default_rng(12)
+    rows = [rng.normal(size=(40, 50)) + 1j * rng.normal(size=(40, 50)) for _ in range(4)]
+    weights = rng.uniform(0.5, 1.5, size=(40, 50))
+    whole = modes.weighted_gram(rows, weights)
+    monkeypatch.setattr(modes, "GRAM_BLOCK", 333)
+    blocked = modes.weighted_gram(rows, weights)
+    assert np.max(np.abs(blocked - whole)) < 1e-12 * np.max(np.abs(whole))
+    assert np.array_equal(blocked, blocked.conj().T)
+
+
+class TestEvaluateOnce:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"evaluate": 0, "evaluate_mode": 0, "derivative_mode": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("evaluate", "evaluate_mode"):
+            monkeypatch.setattr(
+                ParameterFamily, name, counting(name, getattr(ParameterFamily, name))
+            )
+        wrapped = counting("derivative_mode", modes.derivative_mode)
+        for module in (modes, engine, cli):
+            if hasattr(module, "derivative_mode"):
+                monkeypatch.setattr(module, "derivative_mode", wrapped)
+        return counts
+
+    def config(self, tmp_path, **extra):
+        return cli.RunConfig(
+            family="gaussian-beam",
+            geometry={"w0": 1.0, "k": 10.0},
+            state={"kind": "coherent", "nbar": 1.0},
+            out=tmp_path,
+            **extra,
+        )
+
+    def test_analytic_run_evaluates_family_and_derivatives_once(self, counts, tmp_path):
+        cli._assemble_report(self.config(tmp_path))
+        # P * M = 6 derivative modes of the one populated beam mode
+        assert counts == {"evaluate": 1, "evaluate_mode": 1, "derivative_mode": 6}
+
+    def test_finite_difference_run_evaluates_each_derivative_once(self, counts, tmp_path):
+        cli._assemble_report(self.config(tmp_path, derivative_method="finite-difference"))
+        # four shifted evaluations per derivative mode, plus the reference
+        assert counts == {"evaluate": 1, "evaluate_mode": 1 + 4 * 6, "derivative_mode": 6}
+
+
+def test_finite_difference_step_follows_small_parameter_scales():
+    # at k = 1e5 the tilt scale is 1e-5: a step floored at 1e-4 would tilt
+    # the phase by tens of radians across the grid
+    family = gaussian_beam_family(BeamGeometry(waist=1.0, wavenumber=1e5))
+    state = make_state("coherent", nbar=1.0)
+    analytic = qfim_mode_split(state, family)
+    fd = qfim_mode_split(state, family, method="finite-difference")
+    scale = np.sqrt(np.outer(np.diag(analytic), np.diag(analytic)))
+    assert np.max(np.abs(fd - analytic) / scale) < 1e-6

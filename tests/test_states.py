@@ -42,6 +42,11 @@ class TestConstructors:
         assert mean == pytest.approx(3.0, abs=1e-12)
         assert second == pytest.approx(9.0, abs=1e-12)  # zero number variance
 
+    def test_fractional_fock_number_rejected(self):
+        with pytest.raises(StructuralError, match="whole number"):
+            make_state("fock", n=2.5)
+        assert number_moments(make_state("fock", n=2.0))[0] == pytest.approx(2.0)
+
     def test_coherent_poisson_variance(self):
         state = make_state("coherent", nbar=4.0)
         mean, second = number_moments(state)
