@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,26 @@ from .modes import gram_schmidt, overlap_table
 from .states import state_from_spec
 from . import tolerances
 
-_STATE_KINDS = ("coherent", "fock", "thermal", "squeezed-vacuum")
+
+class _StateField(NamedTuple):
+    """One numeric field of a state spec."""
+
+    description: str
+    minimum: float | None = None
+    integer: bool = False
+    required: bool = True
+
+
+# state kind -> the fields its spec accepts; every value is a finite JSON number
+_STATE_KINDS: dict[str, dict[str, _StateField]] = {
+    "coherent": {"nbar": _StateField("mean photon number", minimum=0.0)},
+    "fock": {"n": _StateField("photon number", minimum=0, integer=True)},
+    "thermal": {"nbar": _StateField("mean photon number", minimum=0.0)},
+    "squeezed-vacuum": {
+        "r": _StateField("squeezing parameter"),
+        "phi": _StateField("squeezing angle (rad)", required=False),
+    },
+}
 
 _CONVENTIONS = {
     "quadrature": "q = a + a_dagger, vacuum variance 1",
@@ -104,6 +124,38 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _validate_state(state) -> None:
+    """Check a state spec against the field schema of its kind."""
+    if not isinstance(state, dict):
+        raise ConfigError("state: must be an object")
+    if "kind" not in state:
+        raise ConfigError('state: required object with a "kind" field')
+    kind = state["kind"]
+    if not isinstance(kind, str) or kind not in _STATE_KINDS:
+        raise ConfigError(f"state.kind: unknown {kind!r}; supported: " + ", ".join(_STATE_KINDS))
+    fields = _STATE_KINDS[kind]
+    for key in state:
+        if key != "kind" and key not in fields:
+            raise ConfigError(
+                f"state.{key}: unknown field for kind '{kind}'; accepted: " + ", ".join(fields)
+            )
+    for key, spec in fields.items():
+        name = f"state.{key}"
+        if key not in state:
+            if spec.required:
+                raise ConfigError(f"{name}: required for kind '{kind}' ({spec.description})")
+            continue
+        value = state[key]
+        if spec.integer:
+            value = _integer(name, value)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name}: must be a number, got {value!r}")
+        elif not np.isfinite(value):
+            raise ConfigError(f"{name}: must be finite, got {value!r}")
+        if spec.minimum is not None and value < spec.minimum:
+            raise ConfigError(f"{name}: must be at least {spec.minimum:g}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Resolved run configuration (file values merged with flag overrides)."""
@@ -149,17 +201,7 @@ class RunConfig:
                 state = json.loads(args.state)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"state: invalid JSON ({exc})") from exc
-        if not isinstance(state, dict):
-            raise ConfigError("state: must be an object")
-        if "kind" not in state:
-            raise ConfigError('state: required object with a "kind" field')
-        if state["kind"] not in _STATE_KINDS:
-            raise ConfigError(
-                f"state.kind: unknown '{state['kind']}'; supported: "
-                + ", ".join(_STATE_KINDS)
-            )
-        if state["kind"] == "fock" and "n" in state and _integer("state.n", state["n"]) < 0:
-            raise ConfigError("state.n: must be non-negative")
+        _validate_state(state)
 
         geometry = raw.get("geometry", {})
         if getattr(args, "geometry", None) is not None:

@@ -46,6 +46,7 @@ from .tolerances import (
     PINV_RCOND,
     TAU_ATTAIN,
     TAU_HERM,
+    TAU_OVERLAP,
     TAU_PROB,
     TAU_PSD,
     TAU_QUAD,
@@ -200,6 +201,20 @@ def number_information(state: DensityState) -> float:
     return float(qfim_unitary(state, identity[None, ...])[0, 0])
 
 
+def _zero_roundoff_diagonal(f: np.ndarray) -> np.ndarray:
+    """Set to 0 the diagonal entries that are negative by round-off only.
+
+    A diagonal entry is a variance and cannot be negative; a pure phase
+    parameter on a number-diagonal probe leaves two cancelling terms whose
+    round-off takes either sign.  Negatives beyond ``TAU_PSD * max|F|``
+    stay, so :func:`crb_bounds` rejects them.
+    """
+    diag = np.diagonal(f)
+    i = np.flatnonzero((diag < 0) & (diag >= -TAU_PSD * np.max(np.abs(f))))
+    f[i, i] = 0.0
+    return f
+
+
 def qfim_mode_split(
     state: DensityState,
     family: "ParameterFamily",
@@ -229,7 +244,7 @@ def qfim_mode_split(
     vac = table.matrix[m:, m:] - proj @ proj.conj().T
     f = 4.0 * np.einsum("ajbl,jl->ab", vac.reshape(n_p, m, n_p, m), first_moments(state)).real
     f_vac = np.triu(f) + np.triu(f, 1).T
-    return f_pop + f_vac
+    return _zero_roundoff_diagonal(f_pop + f_vac)
 
 
 def qfim_single_mode(
@@ -264,7 +279,7 @@ def qfim_single_mode(
     mean_n, _ = number_moments(state)
     projected = np.conj(c)[:, None] * c[None, :]
     f = projected.real * info + 4.0 * (overlaps - projected).real * mean_n
-    return (f + f.T) / 2.0
+    return _zero_roundoff_diagonal((f + f.T) / 2.0)
 
 
 def qfim_mean_field(
@@ -592,12 +607,12 @@ def readout_means(
         raise PreconditionError("the mean-field photon number must be positive")
     d = complex(overlap)
     mag2 = abs(d) ** 2
-    if mag2 > 1.0 + 1e-12:
+    if mag2 > 1.0 + TAU_OVERLAP:
         raise PreconditionError(
             f"detection-mode overlap magnitude {abs(d):.6f} exceeds 1"
         )
     complement = float(np.sqrt(max(1.0 - mag2, 0.0)))
-    degenerate = complement**2 < 1e-12
+    degenerate = complement**2 < TAU_OVERLAP
     s = 2.0 * float(np.sqrt(mean_photons))
     return ReadoutMeans(
         q_first=s * (signal_a + d.real * signal_b),

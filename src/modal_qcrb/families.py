@@ -158,6 +158,12 @@ def _grid_normalize(grid: SampleGrid, samples: np.ndarray) -> np.ndarray:
 def _beam_samples(
     geometry: BeamGeometry, carrier: bool, grid: SampleGrid, theta: np.ndarray
 ) -> np.ndarray:
+    """Beam profile as the outer product of one complex factor per axis.
+
+    Every parameter leaves the profile separable: each axis carries its
+    Gaussian envelope, curvature phase and tilt phase, and the amplitude,
+    Gouy phase and carrier phase form one constant.
+    """
     x0, y0, z0, dw, tilt_x, tilt_y = theta
     waist = geometry.waist + dw
     if waist <= 0:
@@ -165,18 +171,25 @@ def _beam_samples(
     k = geometry.wavenumber
     zr = k * waist**2 / 2.0
     zeta = -z0  # observation plane sits at the origin; the waist moved to z0
-    xg, yg = grid.mesh()
-    xs = xg - x0
-    ys = yg - y0
-    r2 = xs**2 + ys**2
     w = waist * np.sqrt(1.0 + (zeta / zr) ** 2)
     inv_radius = zeta / (zeta**2 + zr**2)
-    gouy = np.arctan2(zeta, zr)
-    amplitude = np.sqrt(2.0 / np.pi) / w * np.exp(-r2 / w**2)
-    phase = k * (0.5 * inv_radius * r2 + xg * tilt_x + yg * tilt_y)
-    if carrier:
-        phase = phase + k * zeta
-    return _grid_normalize(grid, amplitude * np.exp(1j * (phase - gouy)))
+    exponent = -1.0 / w**2 + 0.5j * k * inv_radius
+    x, y = grid.axes
+    factor_x = np.exp(exponent * (x - x0) ** 2 + 1j * k * tilt_x * x)
+    factor_y = np.exp(exponent * (y - y0) ** 2 + 1j * k * tilt_y * y)
+    phase = (k * zeta if carrier else 0.0) - np.arctan2(zeta, zr)
+    constant = np.sqrt(2.0 / np.pi) / w * np.exp(1j * phase)
+    return _grid_normalize(grid, np.multiply.outer(constant * factor_x, factor_y))
+
+
+def _gaussian_spot(
+    grid: SampleGrid, waist: float, x0: float = 0.0, y0: float = 0.0
+) -> np.ndarray:
+    """Real Gaussian exp(-((x - x0)^2 + (y - y0)^2) / waist^2) as an outer product."""
+    x, y = grid.axes
+    return np.multiply.outer(
+        np.exp(-((x - x0) ** 2) / waist**2), np.exp(-((y - y0) ** 2) / waist**2)
+    )
 
 
 def _beam_derivatives(
@@ -185,9 +198,9 @@ def _beam_derivatives(
     w0 = geometry.waist
     k = geometry.wavenumber
     zr = geometry.rayleigh_range
-    xg, yg = grid.mesh()
+    xg, yg = np.ix_(*grid.axes)
     r2 = xg**2 + yg**2
-    base = _grid_normalize(grid, np.exp(-r2 / w0**2))
+    base = _grid_normalize(grid, _gaussian_spot(grid, w0))
 
     def derivative(mode_index: int, parameter: int) -> np.ndarray:
         if parameter == 0:
@@ -254,10 +267,7 @@ def gaussian_beam_family(
             1.0 / (geometry.wavenumber * geometry.waist),
         ]
     )
-    xg, yg = grid.mesh()
-    raw = np.sqrt(2.0 / np.pi) / geometry.waist * np.exp(
-        -(xg**2 + yg**2) / geometry.waist**2
-    )
+    raw = np.sqrt(2.0 / np.pi) / geometry.waist * _gaussian_spot(grid, geometry.waist)
     _check_resolution(name, grid, raw)
     return ParameterFamily(
         name=name,
@@ -339,6 +349,13 @@ def gaussian_pulse_family(
     """
     if grid is None:
         grid = spectral_grid(spectrum.center_frequency, spectrum.variance, points, halfwidth_sigmas)
+    lowest = float(grid.axes[0][0])
+    if lowest <= 0:
+        raise GridResolutionError(
+            f"grid for family 'gaussian-pulse' reaches non-positive frequency {lowest:.6g}: "
+            f"omega0={spectrum.center_frequency:g} lies too few spectral widths above 0 "
+            f"for variance={spectrum.variance:g}"
+        )
     sigma = float(np.sqrt(spectrum.variance))
     scales = np.array(
         [
@@ -385,14 +402,12 @@ def displaced_beam_family(
         raise StructuralError("waist must be positive")
     if grid is None:
         grid = transverse_grid(waist, points, halfwidth_waists)
-    xg, yg = grid.mesh()
-    r2 = xg**2 + yg**2
-    base = _grid_normalize(grid, np.exp(-r2 / waist**2))
+    spot = _gaussian_spot(grid, waist)
+    base = _grid_normalize(grid, spot)
+    xg, yg = np.ix_(*grid.axes)
 
     def mode_fn(mode_index: int, theta: np.ndarray) -> np.ndarray:
-        xs = xg - theta[0]
-        ys = yg - theta[1]
-        return _grid_normalize(grid, np.exp(-(xs**2 + ys**2) / waist**2))
+        return _grid_normalize(grid, _gaussian_spot(grid, waist, theta[0], theta[1]))
 
     def derivative(mode_index: int, parameter: int) -> np.ndarray:
         coord = xg if parameter == 0 else yg
@@ -402,9 +417,7 @@ def displaced_beam_family(
         entry = 4.0 * mean_photons / waist**2
         return np.diag([entry, entry])
 
-    _check_resolution(
-        "displaced-beam", grid, np.sqrt(2.0 / np.pi) / waist * np.exp(-r2 / waist**2)
-    )
+    _check_resolution("displaced-beam", grid, np.sqrt(2.0 / np.pi) / waist * spot)
     return ParameterFamily(
         name="displaced-beam",
         parameters=("x0", "y0"),

@@ -19,7 +19,15 @@ import scipy.sparse as sp
 
 from .errors import CutoffError, StructuralError
 from .modes import DetectionMode, Mode, ModeBasis, inner_product
-from .tolerances import MAX_CUTOFF, TAU_CUTOFF, TAU_ORTH, TAU_PROB
+from .tolerances import (
+    MAX_CUTOFF,
+    TAU_COV,
+    TAU_CUTOFF,
+    TAU_ORTH,
+    TAU_PROB,
+    TAU_STATE_ORTH,
+    TAU_STATE_PROB,
+)
 
 
 @dataclass(frozen=True)
@@ -128,15 +136,15 @@ class DensityState:
             raise StructuralError(
                 "eigenvalues and eigenvector columns do not match the space dimension"
             )
-        if np.any(p < -1e-12):
+        if np.any(p < -TAU_STATE_PROB):
             raise StructuralError("negative probability in the eigendecomposition")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if abs(p.sum() - 1.0) > TAU_STATE_PROB:
             raise StructuralError(
-                f"probabilities sum to {p.sum():.15f}, expected 1 within 1e-12"
+                f"probabilities sum to {p.sum():.15f}, expected 1 within {TAU_STATE_PROB:g}"
             )
         gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(p.size))) > 1e-10:
-            raise StructuralError("eigenvectors are not orthonormal within 1e-10")
+        if np.max(np.abs(gram - np.eye(p.size))) > TAU_STATE_ORTH:
+            raise StructuralError(f"eigenvectors are not orthonormal within {TAU_STATE_ORTH:g}")
         boundary = _boundary_mask(self.space)
         leakage = float(np.sum(p[None, :] * np.abs(v[boundary, :]) ** 2))
         if leakage > TAU_CUTOFF:
@@ -430,11 +438,11 @@ class GaussianState:
         d = mean.size
         if cov.shape != (d, d):
             raise StructuralError("covariance shape does not match the mean vector")
-        if np.max(np.abs(cov - cov.T)) > 1e-10:
+        if np.max(np.abs(cov - cov.T)) > TAU_COV:
             raise StructuralError("covariance matrix is not symmetric")
         omega = _symplectic_form(d // 2)
         eigvals = np.linalg.eigvalsh(cov + 1j * omega)
-        if eigvals.min() < -1e-10:
+        if eigvals.min() < -TAU_COV:
             raise StructuralError(
                 "covariance violates the uncertainty relation "
                 f"(min eigenvalue of sigma + i Omega is {eigvals.min():.3e})"

@@ -36,6 +36,21 @@ TAU_CUTOFF = 1e-10
 # Eigenvalue floor for density-operator eigenvectors entering double sums.
 TAU_PROB = 1e-14
 
+# Slack on the eigenvalues of a density operator: how far below 0 one may
+# fall, and how far from 1 their sum may be.
+TAU_STATE_PROB = 1e-12
+
+# Orthonormality of density-operator eigenvectors (max deviation of their
+# Gram matrix from identity).
+TAU_STATE_ORTH = 1e-10
+
+# Symmetry and uncertainty-relation slack of Gaussian covariance matrices.
+TAU_COV = 1e-10
+
+# Slack of a detection-mode overlap magnitude above 1; the squared readout
+# complement below this marks proportional detection modes.
+TAU_OVERLAP = 1e-12
+
 # Relative eigenvalue cutoff for the information-matrix pseudo-inverse.
 PINV_RCOND = 1e-12
 

@@ -212,6 +212,62 @@ class TestQfimCommand:
         assert bundle.to_json() + "\n" == text
 
 
+class TestPulseQfimInputs:
+    def run_state(self, tmp_path, state: str, geometry=None):
+        return run_cli(
+            [
+                "qfim",
+                "--family",
+                "gaussian-pulse",
+                "--geometry",
+                json.dumps(geometry or {"omega0": OMEGA0, "variance": VARIANCE}),
+                "--state",
+                state,
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "state, field",
+        [
+            ('{"kind": "coherent"}', "state.nbar:"),
+            ('{"kind": "coherent", "nbar": "x"}', "state.nbar:"),
+            ('{"kind": "coherent", "nbar": NaN}', "state.nbar:"),
+            ('{"kind": "thermal", "nbar": 1, "bogus": 3}', "state.bogus:"),
+            ('{"kind": "thermal", "nbar": -1}', "state.nbar:"),
+            ('{"kind": "coherent", "nbar": -0.5}', "state.nbar:"),
+        ],
+        ids=["missing", "non-numeric", "nan", "unknown-key", "negative-thermal", "negative-coherent"],
+    )
+    def test_bad_field_is_a_config_error(self, tmp_path, capsys, state, field):
+        assert self.run_state(tmp_path, state) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_squeezed_phi_is_optional(self, tmp_path):
+        assert self.run_state(tmp_path, '{"kind": "squeezed-vacuum", "r": 0.3}') == 0
+        assert self.run_state(tmp_path, '{"kind": "squeezed-vacuum", "r": 0.3, "phi": 0.5}') == 0
+
+    def test_phase_information_of_fock_probe_is_not_negative(self, tmp_path):
+        # both terms of F[t_phase, t_phase] cancel to round-off; it is 0 exactly
+        code = self.run_state(
+            tmp_path, '{"kind":"fock","n":2}', geometry={"omega0": 100, "variance": 1}
+        )
+        assert code == 0
+        _, matrix = read_matrix_csv(tmp_path / "out" / "qfim.csv")
+        assert matrix[0, 0] >= 0.0
+
+    def test_pulse_grid_below_zero_frequency_exits_1(self, tmp_path, capsys):
+        code = self.run_state(
+            tmp_path, '{"kind": "coherent", "nbar": 1}', geometry={"omega0": 1, "variance": 25}
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "GridResolutionError" in err and "omega0" in err and "variance" in err
+
+
 class TestIntegerFields:
     BASE = {
         "family": "displaced-beam",

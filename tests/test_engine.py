@@ -268,6 +268,22 @@ class TestQfimSingleMode:
         b = qfim_mode_split(state, family)
         assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-6
 
+    def test_roundoff_negative_diagonal_is_zeroed(self):
+        from modal_qcrb import PulseSpectrum, gaussian_pulse_family
+
+        family = gaussian_pulse_family(PulseSpectrum(100.0, 1.0))
+        state = make_state("fock", n=2)
+        for f in (qfim_single_mode(state, family), qfim_mode_split(state, family)):
+            assert 0.0 <= f[0, 0] < 1e-9 * np.max(np.abs(f))
+
+    def test_large_negative_diagonal_is_kept(self):
+        from modal_qcrb.engine import _zero_roundoff_diagonal
+
+        f = _zero_roundoff_diagonal(np.diag([-1e-12, -1e-3, 1.0]))
+        assert f[0, 0] == 0.0 and f[1, 1] == -1e-3
+        with pytest.raises(PreconditionError):
+            crb_bounds(f)
+
     def test_multimode_state_rejected(self, pulse_family):
         space = FockSpace(n_modes=2, cutoff=4)
         state = make_state("fock", space, n=1)

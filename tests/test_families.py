@@ -3,8 +3,10 @@ import pytest
 
 from modal_qcrb import (
     BeamGeometry,
+    EvaluationError,
     GridResolutionError,
     PulseSpectrum,
+    SampleGrid,
     StructuralError,
     build_family,
     derivative_mode,
@@ -170,3 +172,92 @@ class TestRegistry:
         theta[3] = -2.0 * W0
         with pytest.raises(EvaluationError):
             beam_family.evaluate_mode(0, theta)
+
+    def test_pulse_grid_below_zero_frequency_rejected(self):
+        with pytest.raises(GridResolutionError) as err:
+            gaussian_pulse_family(PulseSpectrum(1.0, 25.0))
+        assert "omega0=1" in str(err.value) and "variance=25" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Separable evaluation against the closed form on the full mesh
+
+
+def _mesh_normalize(grid, samples):
+    return samples / np.sqrt(np.sum(grid.weights * np.abs(samples) ** 2))
+
+
+def mesh_beam_samples(geometry, carrier, grid, theta):
+    """Focused Gaussian beam evaluated sample by sample on the 2-D mesh."""
+    x0, y0, z0, dw, tilt_x, tilt_y = theta
+    waist = geometry.waist + dw
+    k = geometry.wavenumber
+    zr = k * waist**2 / 2.0
+    zeta = -z0
+    xg, yg = grid.mesh()
+    r2 = (xg - x0) ** 2 + (yg - y0) ** 2
+    w = waist * np.sqrt(1.0 + (zeta / zr) ** 2)
+    inv_radius = zeta / (zeta**2 + zr**2)
+    gouy = np.arctan2(zeta, zr)
+    amplitude = np.sqrt(2.0 / np.pi) / w * np.exp(-r2 / w**2)
+    phase = k * (0.5 * inv_radius * r2 + xg * tilt_x + yg * tilt_y)
+    if carrier:
+        phase = phase + k * zeta
+    return _mesh_normalize(grid, amplitude * np.exp(1j * (phase - gouy)))
+
+
+def mesh_spot(grid, waist, x0=0.0, y0=0.0):
+    xg, yg = grid.mesh()
+    return _mesh_normalize(grid, np.exp(-((xg - x0) ** 2 + (yg - y0) ** 2) / waist**2))
+
+
+def assert_samples_close(samples, expected):
+    scale = np.max(np.abs(expected))
+    assert samples.shape == expected.shape
+    assert np.max(np.abs(samples - expected)) <= 1e-13 * scale
+
+
+NON_SQUARE = SampleGrid.uniform(np.linspace(-4.0, 4.0, 96), np.linspace(-5.0, 3.5, 130))
+
+
+class TestSeparableEvaluation:
+    @pytest.mark.parametrize("grid", [None, NON_SQUARE], ids=["default", "non-square"])
+    @pytest.mark.parametrize("carrier", [False, True], ids=["beam", "carrier"])
+    def test_beam_matches_mesh_formula(self, carrier, grid):
+        geometry = BeamGeometry(W0, K)
+        family = gaussian_beam_family(geometry, carrier_phase=carrier, grid=grid)
+        rng = np.random.default_rng(7)
+        scales = family.theta_scales
+        for _ in range(4):
+            theta = scales * rng.uniform(0.05, 0.3, size=6) * rng.choice([-1.0, 1.0], size=6)
+            assert np.all(theta != 0)
+            samples = family.evaluate_mode(0, theta).samples
+            assert_samples_close(samples, mesh_beam_samples(geometry, carrier, family.grid, theta))
+
+    @pytest.mark.parametrize("grid", [None, NON_SQUARE], ids=["default", "non-square"])
+    def test_beam_reference_profile_matches_mesh(self, grid):
+        family = gaussian_beam_family(BeamGeometry(W0, K), grid=grid)
+        xg, yg = family.grid.mesh()
+        base = mesh_spot(family.grid, W0)
+        assert_samples_close(family.analytic_derivative(0, 0).samples, 2.0 * xg / W0**2 * base)
+        assert_samples_close(family.analytic_derivative(0, 5).samples, 1j * K * yg * base)
+
+    @pytest.mark.parametrize("grid", [None, NON_SQUARE], ids=["default", "non-square"])
+    def test_displaced_beam_matches_mesh_formula(self, grid):
+        family = displaced_beam_family(W0, grid=grid)
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            theta = W0 * rng.uniform(-0.5, 0.5, size=2)
+            samples = family.evaluate_mode(0, theta).samples
+            assert_samples_close(samples, mesh_spot(family.grid, W0, *theta))
+        xg, _ = family.grid.mesh()
+        expected = 2.0 * xg / W0**2 * mesh_spot(family.grid, W0)
+        assert_samples_close(family.analytic_derivative(0, 0).samples, expected)
+
+    @pytest.mark.parametrize("carrier", [False, True], ids=["beam", "carrier"])
+    def test_waist_collapsing_to_zero_raises(self, carrier):
+        family = gaussian_beam_family(BeamGeometry(W0, K), carrier_phase=carrier)
+        theta = np.zeros(6)
+        theta[3] = -W0
+        with pytest.raises(EvaluationError):
+            family.evaluate_mode(0, theta)
