@@ -27,7 +27,6 @@ from .errors import PreconditionError, StructuralError
 from .modes import (
     DetectionMode,
     Mode,
-    ModeBasis,
     OverlapTable,
     derivative_mode,
     detection_mode,
@@ -37,10 +36,10 @@ from .modes import (
 from .states import (
     DensityState,
     GaussianState,
+    apply_quadratic,
     first_moments,
     number_moments,
     operator_matrix_elements,
-    quadratic_operator,
 )
 from .tolerances import (
     PINV_RCOND,
@@ -127,7 +126,6 @@ def generators_from_modes(
 
 def build_generators(
     family: "ParameterFamily",
-    basis: ModeBasis | None = None,
     *,
     method: str = "analytic",
     step: float | None = None,
@@ -136,10 +134,10 @@ def build_generators(
     """Generator coefficients G^a_{jk} = i (f_j | d_a f_k) for a family.
 
     A precomputed ``table`` (see :func:`modal_qcrb.modes.overlap_table`)
-    replaces ``basis``, ``method`` and ``step``.
+    replaces ``method`` and ``step``.
     """
     if table is None:
-        table = overlap_table(family, basis, method=method, step=step)
+        table = overlap_table(family, method=method, step=step)
     table.validate()
     return _generators_from_table(family.parameters, table)
 
@@ -166,10 +164,8 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
         )
     p, v = state.kept(TAU_PROB)
 
-    applied = []  # H_a acting on each kept eigenvector
-    for a in range(n_p):
-        op = quadratic_operator(state.space, stack[a])
-        applied.append(op @ v)
+    # H_a acting on each kept eigenvector
+    applied = [apply_quadratic(state.space, c, v) for c in stack]
 
     weight = np.add.outer(p, p)
     pairs = p[:, None] * p[None, :]
@@ -218,7 +214,6 @@ def _zero_roundoff_diagonal(f: np.ndarray) -> np.ndarray:
 def qfim_mode_split(
     state: DensityState,
     family: "ParameterFamily",
-    basis: ModeBasis | None = None,
     *,
     method: str = "analytic",
     step: float | None = None,
@@ -229,10 +224,10 @@ def qfim_mode_split(
     The vacuum term projects each derivative mode onto the orthogonal
     complement of the populated span and weighs the overlaps with the
     one-photon correlation matrix.  A precomputed ``table`` replaces
-    ``basis``, ``method`` and ``step``.
+    ``method`` and ``step``.
     """
     if table is None:
-        table = overlap_table(family, basis, method=method, step=step)
+        table = overlap_table(family, method=method, step=step)
     table.validate()
     f_pop = qfim_unitary(state, _generators_from_table(family.parameters, table))
 
@@ -402,24 +397,6 @@ def attainability(state: DensityState, generators: GeneratorCoefficients) -> Att
         real_residual=residual,
         scale=scale,
     )
-
-
-def commutator_from_overlaps(
-    derivative_overlaps: np.ndarray, moments: np.ndarray
-) -> np.ndarray:
-    """Pure-state commutator expectation from derivative-mode overlaps.
-
-    Returns 2 Im sum_{jl} (d_a f_j | d_b f_l) <a_j_dagger a_l> for every
-    parameter pair; equals the mixed-state matrix for rank-one states.
-    """
-    n_p = derivative_overlaps.shape[0]
-    u = np.zeros((n_p, n_p))
-    for a in range(n_p):
-        for b in range(a + 1, n_p):
-            s = complex(np.sum(derivative_overlaps[a, b] * moments))
-            u[a, b] = 2.0 * s.imag
-            u[b, a] = -u[a, b]
-    return u
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,13 +99,18 @@ class SampleGrid:
 
 @dataclass(frozen=True, eq=False)
 class Mode:
-    """A complex mode profile sampled on a grid."""
+    """A mode profile sampled on a grid.
+
+    Samples are complex, or float64 when the profile is real.
+    """
 
     grid: SampleGrid
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
+        samples = np.asarray(self.samples)
+        if samples.dtype != np.float64:  # real profiles stay real, without a copy
+            samples = samples.astype(complex, copy=False)
         object.__setattr__(self, "samples", samples)
         if samples.shape != self.grid.shape:
             raise StructuralError(
@@ -434,19 +439,15 @@ def derivative_mode(
 
 def overlap_table(
     family: "ParameterFamily",
-    basis: ModeBasis | None = None,
     *,
     method: str = "analytic",
     step: float | None = None,
 ) -> OverlapTable:
     """The overlap table of a family's populated modes at theta = 0.
 
-    Evaluates the family once (unless ``basis`` is given) and each
-    derivative mode once.
+    Evaluates the family once and each derivative mode once.
     """
-    if basis is None:
-        basis = family.evaluate()
-    populated = basis.populated_modes()
+    populated = family.evaluate().populated_modes()
     derivatives = [
         [derivative_mode(family, k, a, method, step) for k in range(len(populated))]
         for a in range(family.n_parameters)
@@ -472,24 +473,3 @@ def detection_mode(
         return DetectionMode(mode=zero, weight=0.0, degenerate=True, label=label)
     rotated = Mode(derivative.grid, 1j * derivative.samples / w)
     return DetectionMode(mode=rotated, weight=w, degenerate=False, label=label)
-
-
-def vacuum_overlap(
-    f_alpha: Mode,
-    f_beta: Mode,
-    populated: ModeBasis,
-    *,
-    validate_basis: bool = True,
-) -> complex:
-    """Overlap of two modes through the projector onto the vacuum-mode span.
-
-    Returns ``(fa|fb) - sum_k (fa|f_k)(f_k|fb)`` over the populated modes
-    f_k; Hermitian under exchanging (fa, fb) with conjugation.
-    """
-    if validate_basis:
-        pop = ModeBasis(populated.populated_modes())
-        pop.validate()
-    value = inner_product(f_alpha, f_beta)
-    for mode in populated.populated_modes():
-        value -= inner_product(f_alpha, mode) * inner_product(mode, f_beta)
-    return value

@@ -2,9 +2,11 @@
 
 Density operators are stored eigen-decomposed (probabilities and
 eigenvectors over the truncated number basis), which is the form every
-information-matrix sum consumes.  Gaussian states carry mean quadratures
-and a covariance matrix with the convention q = a + a_dagger, vacuum
-variance 1.
+information-matrix sum consumes.  Operators act on blocks of eigenvectors
+viewed as the (L,)*M occupation tensor: a ladder operator is a shift by
+one level along one mode's axis, so no operator matrix is built.  Gaussian
+states carry mean quadratures and a covariance matrix with the convention
+q = a + a_dagger, vacuum variance 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CutoffError, StructuralError
 from .modes import DetectionMode, Mode, ModeBasis, inner_product
@@ -57,62 +58,54 @@ class FockSpace:
 
 
 @lru_cache(maxsize=None)
-def _destroy(levels: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, levels)), 1, format="csr", dtype=complex)
+def _occupations(space: FockSpace) -> np.ndarray:
+    """Photon number of every mode in every basis state, shape (M, D)."""
+    dims = (space.levels,) * space.n_modes
+    occupations = np.array(np.unravel_index(np.arange(space.dimension), dims))
+    occupations.flags.writeable = False  # shared by every caller through the cache
+    return occupations
 
 
-@lru_cache(maxsize=None)
-def hop_operator(space: FockSpace, j: int, l: int) -> sp.csr_matrix:
-    """Sparse matrix of a_j_dagger a_l on the truncated space.
+def _boundary_mask(space: FockSpace) -> np.ndarray:
+    """Boolean mask of basis states with any mode at the cutoff level."""
+    return np.any(_occupations(space) == space.cutoff, axis=0)
 
-    Mode 0 is the most significant factor in the tensor-product index.
+
+def _ladder(
+    space: FockSpace, vectors: np.ndarray, mode: int, raising: bool = False
+) -> np.ndarray:
+    """a_mode (or a_mode_dagger) applied to the columns of a (D, r) block.
+
+    The columns are viewed as the (L,)*M occupation tensor, mode 0 the most
+    significant index, and shifted by one level along the mode's axis with
+    the factor sqrt(n) of the higher level.  Raising drops the amplitude
+    pushed past the cutoff, as the truncated operator does.
     """
-    a = _destroy(space.levels)
-    adag = a.conj().T.tocsr()
-    eye = sp.identity(space.levels, format="csr", dtype=complex)
-    factors = []
-    for m in range(space.n_modes):
-        if j == l and m == j:
-            factors.append(adag @ a)
-        elif m == j:
-            factors.append(adag)
-        elif m == l:
-            factors.append(a)
-        else:
-            factors.append(eye)
-    return reduce(lambda x, y: sp.kron(x, y, format="csr"), factors)
+    levels = space.levels
+    tensor = vectors.reshape(levels**mode, levels, -1)
+    out = np.zeros_like(tensor)
+    root = np.sqrt(np.arange(1.0, levels))[:, None]
+    if raising:
+        out[:, 1:] = root * tensor[:, :-1]
+    else:
+        out[:, :-1] = root * tensor[:, 1:]
+    return out.reshape(vectors.shape)
 
 
-def quadratic_operator(space: FockSpace, coefficients: np.ndarray) -> sp.csr_matrix:
-    """Operator sum_{jk} C_{jk} a_j_dagger a_k for an (M, M) coefficient matrix."""
+def apply_quadratic(space: FockSpace, coefficients, vectors: np.ndarray) -> np.ndarray:
+    """sum_{jk} C_{jk} a_j_dagger a_k applied to the columns of a (D, r) block."""
     coefficients = np.asarray(coefficients, dtype=complex)
     m = space.n_modes
     if coefficients.shape != (m, m):
         raise StructuralError(
             f"coefficient shape {coefficients.shape} does not match {m} modes"
         )
-    out = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
+    lowered = [_ladder(space, vectors, k) for k in range(m)]
+    out = np.zeros(vectors.shape, dtype=complex)
     for j in range(m):
-        for k in range(m):
-            c = coefficients[j, k]
-            if c != 0:
-                out = out + c * hop_operator(space, j, k)
+        mixed = sum(c * w for c, w in zip(coefficients[j], lowered))
+        out += _ladder(space, mixed, j, raising=True)
     return out
-
-
-def number_operator(space: FockSpace) -> sp.csr_matrix:
-    return quadratic_operator(space, np.eye(space.n_modes))
-
-
-@lru_cache(maxsize=None)
-def _boundary_mask(space: FockSpace) -> np.ndarray:
-    """Boolean mask of basis states with any mode at the cutoff level."""
-    dims = (space.levels,) * space.n_modes
-    occupations = np.unravel_index(np.arange(space.dimension), dims)
-    mask = np.zeros(space.dimension, dtype=bool)
-    for occ in occupations:
-        mask |= occ == space.cutoff
-    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,14 +350,17 @@ def state_from_spec(
 
 
 def first_moments(state: DensityState) -> np.ndarray:
-    """One-photon correlation matrix <a_j_dagger a_l>; Hermitian, trace <N>."""
+    """One-photon correlation matrix <a_j_dagger a_l>; Hermitian, trace <N>.
+
+    Sums p_m <a_j v_m | a_l v_m> over the eigenvectors v_m.
+    """
     m = state.space.n_modes
     p, v = state.probabilities, state.vectors
+    lowered = [_ladder(state.space, v, j) for j in range(m)]
     out = np.zeros((m, m), dtype=complex)
     for j in range(m):
         for l in range(j, m):
-            hv = hop_operator(state.space, j, l) @ v
-            vals = np.einsum("da,da->a", np.conj(v), hv)
+            vals = np.einsum("da,da->a", np.conj(lowered[j]), lowered[l])
             out[j, l] = np.sum(p * vals)
             out[l, j] = np.conj(out[j, l])
     return out
@@ -388,22 +384,15 @@ def operator_matrix_elements(
     single = coefficients.ndim == 2
     stack = coefficients[None, ...] if single else coefficients
     _, v = state.kept(floor)
-    blocks = []
-    for c in stack:
-        op = quadratic_operator(state.space, c)
-        blocks.append(v.conj().T @ (op @ v))
-    out = np.stack(blocks)
+    out = np.stack([v.conj().T @ apply_quadratic(state.space, c, v) for c in stack])
     return out[0] if single else out
 
 
 def number_moments(state: DensityState) -> tuple[float, float]:
     """Mean photon number and the second moment trace(rho N^2)."""
-    nop = number_operator(state.space)
-    p, v = state.probabilities, state.vectors
-    nv = nop @ v
-    mean = float(np.sum(p * np.einsum("da,da->a", np.conj(v), nv).real))
-    second = float(np.sum(p * np.einsum("da,da->a", np.conj(nv), nv).real))
-    return mean, second
+    total = _occupations(state.space).sum(axis=0).astype(float)
+    density = np.sum(np.abs(state.vectors) ** 2 * state.probabilities, axis=1)
+    return float(np.sum(density * total)), float(np.sum(density * total**2))
 
 
 # ---------------------------------------------------------------------------

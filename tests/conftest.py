@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from modal_qcrb import (
     BeamGeometry,
     FockSpace,
     Mode,
+    ModeBasis,
     PulseSpectrum,
     SampleGrid,
     displaced_beam_family,
@@ -141,3 +143,60 @@ def random_density_state(rng, space: FockSpace, rank: int):
         probs = rng.uniform(0.1, 1.0, size=rank)
         probs /= probs.sum()
     return make_state("custom", space, probabilities=probs, vectors=q[:, :rank])
+
+
+def dense_ladder(levels: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
+
+
+def dense_quadratic(space: FockSpace, coeff: np.ndarray) -> np.ndarray:
+    """Independent dense construction of sum C_jk a_j^dag a_k."""
+    a = dense_ladder(space.levels)
+    eye = np.eye(space.levels, dtype=complex)
+    out = np.zeros((space.dimension, space.dimension), dtype=complex)
+    for j in range(space.n_modes):
+        for k in range(space.n_modes):
+            factors = []
+            for m in range(space.n_modes):
+                if m == j == k:
+                    factors.append(a.conj().T @ a)
+                elif m == j:
+                    factors.append(a.conj().T)
+                elif m == k:
+                    factors.append(a)
+                else:
+                    factors.append(eye)
+            out += coeff[j, k] * reduce(np.kron, factors)
+    return out
+
+
+def vacuum_overlap(f_alpha: Mode, f_beta: Mode, populated: ModeBasis) -> complex:
+    """Overlap of two modes through the projector onto the vacuum-mode span.
+
+    Returns ``(fa|fb) - sum_k (fa|f_k)(f_k|fb)`` over the populated modes
+    f_k, which must be orthonormal; a per-pair oracle for the slices of the
+    overlap table.
+    """
+    ModeBasis(populated.populated_modes()).validate()
+    value = inner_product(f_alpha, f_beta)
+    for mode in populated.populated_modes():
+        value -= inner_product(f_alpha, mode) * inner_product(mode, f_beta)
+    return value
+
+
+def commutator_from_overlaps(
+    derivative_overlaps: np.ndarray, moments: np.ndarray
+) -> np.ndarray:
+    """Pure-state commutator expectation from derivative-mode overlaps.
+
+    Returns 2 Im sum_{jl} (d_a f_j | d_b f_l) <a_j_dagger a_l> for every
+    parameter pair; equals the mixed-state matrix for rank-one states.
+    """
+    n_p = derivative_overlaps.shape[0]
+    u = np.zeros((n_p, n_p))
+    for a in range(n_p):
+        for b in range(a + 1, n_p):
+            s = complex(np.sum(derivative_overlaps[a, b] * moments))
+            u[a, b] = 2.0 * s.imag
+            u[b, a] = -u[a, b]
+    return u

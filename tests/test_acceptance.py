@@ -22,7 +22,6 @@ from modal_qcrb import (
     attainability,
     attainability_single_mode,
     build_generators,
-    commutator_from_overlaps,
     crb_bounds,
     detection_modes_for,
     gaussian_beam_family,
@@ -46,11 +45,13 @@ from conftest import (
     OMEGA0,
     VARIANCE,
     W0,
+    commutator_from_overlaps,
+    dense_quadratic,
     hermite_gaussian_samples,
     random_density_state,
     random_mode_parameter_data,
 )
-from test_engine import brute_force_qfim, dense_quadratic
+from test_engine import brute_force_qfim
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:

@@ -1,5 +1,4 @@
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from modal_qcrb import (
     attainability,
     attainability_single_mode,
     build_generators,
-    commutator_from_overlaps,
     crb_bounds,
     detection_modes_for,
     generators_from_modes,
@@ -28,7 +26,6 @@ from modal_qcrb import (
     qfim_single_mode,
     qfim_unitary,
     readout_means,
-    vacuum_overlap,
 )
 from modal_qcrb.states import first_moments, number_moments, quadrature_covariance
 from conftest import (
@@ -36,35 +33,13 @@ from conftest import (
     OMEGA0,
     VARIANCE,
     W0,
+    commutator_from_overlaps,
+    dense_quadratic,
     hermite_gaussian_samples,
     random_density_state,
     random_mode_parameter_data,
+    vacuum_overlap,
 )
-
-
-def dense_ladder(levels: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
-
-
-def dense_quadratic(space: FockSpace, coeff: np.ndarray) -> np.ndarray:
-    """Independent dense construction of sum C_jk a_j^dag a_k."""
-    a = dense_ladder(space.levels)
-    eye = np.eye(space.levels, dtype=complex)
-    out = np.zeros((space.dimension, space.dimension), dtype=complex)
-    for j in range(space.n_modes):
-        for k in range(space.n_modes):
-            factors = []
-            for m in range(space.n_modes):
-                if m == j == k:
-                    factors.append(a.conj().T @ a)
-                elif m == j:
-                    factors.append(a.conj().T)
-                elif m == k:
-                    factors.append(a)
-                else:
-                    factors.append(eye)
-            out += coeff[j, k] * reduce(np.kron, factors)
-    return out
 
 
 def brute_force_qfim(state, coeff_a: np.ndarray, coeff_b: np.ndarray) -> float:

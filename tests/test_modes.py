@@ -17,9 +17,8 @@ from modal_qcrb import (
     inner_product,
     mode_norm,
     transverse_grid,
-    vacuum_overlap,
 )
-from conftest import K, OMEGA0, W0, hermite_gaussian_samples
+from conftest import K, OMEGA0, W0, hermite_gaussian_samples, vacuum_overlap
 
 
 def gaussian_mode(grid, waist=W0, x_shift=0.0):

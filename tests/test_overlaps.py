@@ -91,6 +91,19 @@ class TestOverlapTable:
         with pytest.raises(StructuralError):
             OverlapTable.from_modes(populated, [derivatives[0][:1]])
 
+    def test_real_derivative_modes_stay_float64(self, beam_family):
+        # the x0, y0 and w0 derivatives of the beam are real: they keep
+        # their float64 samples, and the table matches complex copies bitwise
+        populated, derivatives = family_rows(beam_family)
+        real = [beam_family.parameters.index(name) for name in ("x0", "y0", "w0")]
+        assert all(derivatives[a][0].samples.dtype == np.float64 for a in real)
+        as_complex = [
+            [modes.Mode(d.grid, d.samples.astype(complex)) for d in row] for row in derivatives
+        ]
+        table = OverlapTable.from_modes(populated, derivatives)
+        reference = OverlapTable.from_modes(populated, as_complex)
+        assert np.array_equal(table.matrix, reference.matrix)
+
     def test_slices_are_read_only(self, displaced_family):
         table = overlap_table(displaced_family)
         with pytest.raises(ValueError):

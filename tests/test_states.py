@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,14 +17,21 @@ from modal_qcrb import (
     make_state,
     state_from_spec,
 )
+import modal_qcrb
 from modal_qcrb.states import (
+    apply_quadratic,
     first_moments,
-    hop_operator,
     number_moments,
     operator_matrix_elements,
     quadrature_covariance,
 )
-from conftest import W0, hermite_gaussian_samples
+from conftest import (
+    W0,
+    dense_ladder,
+    dense_quadratic,
+    hermite_gaussian_samples,
+    random_density_state,
+)
 
 
 def thermal_series_moment(nbar: float, power: int, terms: int) -> float:
@@ -78,10 +88,7 @@ class TestConstructors:
         # Fock-space check of Var(q) = exp(-2r) for the squeezed quadrature
         r = 0.4
         state = make_state("squeezed-vacuum", r=r)
-        a = hop_operator(state.space, 0, 0)  # placeholder to warm cache
-        from modal_qcrb.states import _destroy
-
-        lower = _destroy(state.space.levels).toarray()
+        lower = dense_ladder(state.space.levels)
         q = lower + lower.conj().T
         vec = state.vectors[:, 0]
         mean_q = float(np.real(vec.conj() @ (q @ vec)))
@@ -220,6 +227,48 @@ class TestOperatorMatrixElements:
         assert np.max(np.abs(block - block.conj().T)) < 1e-12
 
 
+class TestApplyQuadratic:
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 6), (2, 4), (3, 3)])
+    def test_matches_dense_operator(self, n_modes, cutoff):
+        # random columns carry amplitude at the cutoff level, so the raised
+        # amplitude the truncated operator drops is exercised
+        rng = np.random.default_rng(40 + n_modes)
+        space = FockSpace(n_modes=n_modes, cutoff=cutoff)
+        vectors = rng.normal(size=(space.dimension, 3)) + 1j * rng.normal(size=(space.dimension, 3))
+        for _ in range(3):
+            coeff = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
+            expected = dense_quadratic(space, coeff) @ vectors
+            got = apply_quadratic(space, coeff, vectors)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_rejects_coefficient_shape(self):
+        space = FockSpace(n_modes=2, cutoff=2)
+        with pytest.raises(StructuralError, match="coefficient shape"):
+            apply_quadratic(space, np.eye(3), np.zeros((space.dimension, 1)))
+
+    def test_number_moments_of_random_multimode_state(self):
+        rng = np.random.default_rng(12)
+        space = FockSpace(n_modes=3, cutoff=3)
+        state = random_density_state(rng, space, rank=3)
+        mean, second = number_moments(state)
+        assert mean == pytest.approx(np.trace(first_moments(state)).real, rel=1e-12)
+        n_op = dense_quadratic(space, np.eye(3))
+        dense = sum(
+            p * np.real(v.conj() @ (n_op @ (n_op @ v)))
+            for p, v in zip(state.probabilities, state.vectors.T)
+        )
+        assert second == pytest.approx(dense, rel=1e-12)
+
+
+def test_package_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(modal_qcrb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, modal_qcrb; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 class TestGaussianStates:
     def test_uncertainty_violation_rejected(self):
         with pytest.raises(StructuralError):
@@ -268,10 +317,7 @@ class TestGaussianStates:
         from modal_qcrb import DetectionMode
 
         state = make_state("coherent", nbar=1.5)
-        lowering = hop_operator(state.space, 0, 0)  # warm cache
-        from modal_qcrb.states import _destroy
-
-        a = _destroy(state.space.levels).toarray()
+        a = dense_ladder(state.space.levels)
         q = a + a.conj().T
         vec = state.vectors[:, 0]
         mean_q = float(np.real(vec.conj() @ (q @ vec)))
@@ -307,11 +353,10 @@ class TestGaussianStates:
         vacuum = np.zeros(space2.levels, dtype=complex)
         vacuum[0] = 1.0
         vec = np.kron(column, vacuum)
-        from modal_qcrb.states import _destroy
-        import scipy.sparse as sp
-
-        a0 = sp.kron(_destroy(space2.levels), sp.identity(space2.levels))
-        a1 = sp.kron(sp.identity(space2.levels), _destroy(space2.levels))
+        lower = dense_ladder(space2.levels)
+        eye = np.eye(space2.levels)
+        a0 = np.kron(lower, eye)
+        a1 = np.kron(eye, lower)
         qop = (a0 + a0.conj().T + a1 + a1.conj().T) / math.sqrt(2)
         mean_q = float(np.real(vec.conj() @ (qop @ vec)))
         var_fock = float(np.real(vec.conj() @ (qop @ (qop @ vec)))) - mean_q**2
