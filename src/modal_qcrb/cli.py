@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .engine import (
     QfimReport,
+    _weight_floors,
     attainability,
     attainability_single_mode,
     build_generators,
@@ -32,7 +33,7 @@ from .engine import (
 )
 from .errors import ConfigError, ModalQcrbError
 from .families import FAMILY_REGISTRY, build_family
-from .modes import gram_schmidt, overlap_table
+from .modes import finite_difference_family, gram_schmidt
 from .states import state_from_spec
 from . import tolerances
 
@@ -319,6 +320,8 @@ def _build_case(config: RunConfig):
     if config.grid_points is not None:
         grid_options["points"] = config.grid_points
     family = build_family(config.family, config.geometry, **grid_options)
+    if config.derivative_method == "finite-difference":
+        family = finite_difference_family(family, config.fd_step)
     state = state_from_spec(config.state, cutoff=config.fock_cutoff)
     return family, state
 
@@ -333,15 +336,11 @@ class RunResult:
 
 def _assemble_report(config: RunConfig) -> RunResult:
     family, state = _build_case(config)
-    method = config.derivative_method
-    step = config.fd_step
-
-    # one overlap table per run; every mode quantity below is a slice of it
-    table = overlap_table(family, method=method, step=step)
-    generators = build_generators(family, table=table)
-    qfim = qfim_mode_split(state, family, table=table)
+    # every mode quantity below is a slice of the family's one overlap table
+    generators = build_generators(family)
+    qfim = qfim_mode_split(state, family)
     att = attainability(state, generators)
-    single = attainability_single_mode(family, table=table)
+    single = attainability_single_mode(family)
     weights = generators.total_weights()
     report = crb_bounds(
         qfim,
@@ -371,7 +370,7 @@ def _assemble_report(config: RunConfig) -> RunResult:
         "shape": list(family.grid.shape),
         "axis_ranges": [[float(ax[0]), float(ax[-1])] for ax in family.grid.axes],
     }
-    degenerate_flags = [bool(w == 0.0) for w in weights]
+    degenerate_flags = [bool(d) for d in weights < _weight_floors(family)]
     doc = {
         "family": {
             "name": family.name,
@@ -414,8 +413,8 @@ def _assemble_report(config: RunConfig) -> RunResult:
             "conventions": dict(_CONVENTIONS),
             "grid": grid_meta,
             "fock_cutoff": int(state.space.cutoff),
-            "derivative_method": method,
-            "fd_step": step,
+            "derivative_method": config.derivative_method,
+            "fd_step": config.fd_step,
         },
     }
     return RunResult(bundle=ReportBundle(report=doc), bounds=report)
@@ -459,16 +458,11 @@ def run_attainability(config: RunConfig) -> ReportBundle:
 def export_detection_modes(config: RunConfig) -> ReportBundle:
     """Write per-parameter detection-mode samples and the readout basis."""
     family, _ = _build_case(config)
-    return export_detection_modes_for(
-        family,
-        config.out,
-        method=config.derivative_method,
-        step=config.fd_step,
-    )
+    return export_detection_modes_for(family, config.out)
 
 
-def export_detection_modes_for(family, out: Path, *, method="analytic", step=None) -> ReportBundle:
-    detections = detection_modes_for(family, method=method, step=step)
+def export_detection_modes_for(family, out: Path) -> ReportBundle:
+    detections = detection_modes_for(family)
     live = [d for d in detections if not d.degenerate]
     gs = None
     if live:

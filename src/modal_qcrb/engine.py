@@ -11,8 +11,8 @@ and the populated/vacuum split that adds 4 Re (d_a f_j | Pi_vac | d_b f_l)
 <a_j_dagger a_l> for the information leaking into initially empty modes.
 Single-mode and strong-mean-field fast paths are reductions of the same
 formulas and are required to agree with the general route.  The mode
-inputs of all of them are slices of one overlap table per run
-(:func:`modal_qcrb.modes.overlap_table`).
+inputs of all of them are slices of the family's one overlap table
+(``ParameterFamily.overlap_table``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .modes import (
     derivative_mode,
     detection_mode,
     inner_product,
-    overlap_table,
 )
 from .states import (
     DensityState,
@@ -124,20 +123,9 @@ def generators_from_modes(
     return _generators_from_table(labels, table)
 
 
-def build_generators(
-    family: "ParameterFamily",
-    *,
-    method: str = "analytic",
-    step: float | None = None,
-    table: OverlapTable | None = None,
-) -> GeneratorCoefficients:
-    """Generator coefficients G^a_{jk} = i (f_j | d_a f_k) for a family.
-
-    A precomputed ``table`` (see :func:`modal_qcrb.modes.overlap_table`)
-    replaces ``method`` and ``step``.
-    """
-    if table is None:
-        table = overlap_table(family, method=method, step=step)
+def build_generators(family: "ParameterFamily") -> GeneratorCoefficients:
+    """Generator coefficients G^a_{jk} = i (f_j | d_a f_k) for a family."""
+    table = family.overlap_table
     table.validate()
     return _generators_from_table(family.parameters, table)
 
@@ -162,7 +150,7 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
         raise StructuralError(
             "generator mode count does not match the state's Fock space"
         )
-    p, v = state.kept(TAU_PROB)
+    p, v = state.kept()
 
     # H_a acting on each kept eigenvector
     applied = [apply_quadratic(state.space, c, v) for c in stack]
@@ -211,23 +199,14 @@ def _zero_roundoff_diagonal(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def qfim_mode_split(
-    state: DensityState,
-    family: "ParameterFamily",
-    *,
-    method: str = "analytic",
-    step: float | None = None,
-    table: OverlapTable | None = None,
-) -> np.ndarray:
+def qfim_mode_split(state: DensityState, family: "ParameterFamily") -> np.ndarray:
     """Full information matrix: populated-mode part plus vacuum leakage.
 
     The vacuum term projects each derivative mode onto the orthogonal
     complement of the populated span and weighs the overlaps with the
-    one-photon correlation matrix.  A precomputed ``table`` replaces
-    ``method`` and ``step``.
+    one-photon correlation matrix.
     """
-    if table is None:
-        table = overlap_table(family, method=method, step=step)
+    table = family.overlap_table
     table.validate()
     f_pop = qfim_unitary(state, _generators_from_table(family.parameters, table))
 
@@ -242,25 +221,16 @@ def qfim_mode_split(
     return _zero_roundoff_diagonal(f_pop + f_vac)
 
 
-def qfim_single_mode(
-    state: DensityState,
-    family: "ParameterFamily",
-    *,
-    method: str = "analytic",
-    step: float | None = None,
-    table: OverlapTable | None = None,
-) -> np.ndarray:
+def qfim_single_mode(state: DensityState, family: "ParameterFamily") -> np.ndarray:
     """Fast path for a single populated mode.
 
     First term: (d_a f | f)(f | d_b f) times the number-operator
     information; second term: 4 Re[(d_a f | d_b f) - (d_a f | f)(f | d_b f)]
     times the mean photon number.  Agrees with :func:`qfim_mode_split` on
     the same inputs; for amplitude-only parameters it reduces to
-    4 Re(d_a f | d_b f) N exactly.  A precomputed ``table`` replaces
-    ``method`` and ``step``.
+    4 Re(d_a f | d_b f) N exactly.
     """
-    if table is None:
-        table = overlap_table(family, method=method, step=step)
+    table = family.overlap_table
     if table.n_modes != 1:
         raise StructuralError(
             f"single-mode path needs exactly one populated mode, got {table.n_modes}"
@@ -360,7 +330,7 @@ def attainability(state: DensityState, generators: GeneratorCoefficients) -> Att
     overlaps = generators.derivative_overlaps
     n_p = generators.n_parameters
     moments = first_moments(state)
-    p, _ = state.kept(TAU_PROB)
+    p, _ = state.kept()
     elements = operator_matrix_elements(state, generators.matrices)
 
     weight = np.add.outer(p, p)
@@ -411,23 +381,15 @@ class SingleModeAttainability:
     weights: np.ndarray
 
 
-def attainability_single_mode(
-    family: "ParameterFamily",
-    *,
-    method: str = "analytic",
-    step: float | None = None,
-    table: OverlapTable | None = None,
-) -> SingleModeAttainability:
+def attainability_single_mode(family: "ParameterFamily") -> SingleModeAttainability:
     """State-independent compatibility test for a single populated mode.
 
     The bound for a parameter pair is attainable exactly when the
     imaginary part of the derivative-mode overlap vanishes; the normalized
     value Im(d_a f | d_b f) / (w_a w_b) is the commutator of the two
-    detection-mode quadratures over 2i.  A precomputed ``table`` replaces
-    ``method`` and ``step``.
+    detection-mode quadratures over 2i.
     """
-    if table is None:
-        table = overlap_table(family, method=method, step=step)
+    table = family.overlap_table
     if table.n_modes != 1:
         raise StructuralError("single-mode attainability needs one populated mode")
     w = table.weights[:, 0]
@@ -618,19 +580,31 @@ def gram_schmidt_readout(
     )
 
 
-def detection_modes_for(
-    family: "ParameterFamily",
-    *,
-    method: str = "analytic",
-    step: float | None = None,
-) -> list[DetectionMode]:
-    """Detection modes for every parameter of a single-populated-mode family."""
-    basis = family.evaluate()
-    if len(basis.populated_modes()) != 1:
+def _weight_floors(family: "ParameterFamily") -> np.ndarray:
+    """Per-parameter weight below which a parameter leaves the modes unchanged.
+
+    ``TAU_ZERO`` over the parameter's scale: the one rule by which both the
+    report and the detection-mode export mark a parameter degenerate.
+    """
+    return TAU_ZERO / np.maximum(np.abs(family.theta_scales), TAU_ZERO)
+
+
+def detection_modes_for(family: "ParameterFamily") -> list[DetectionMode]:
+    """Detection modes for every parameter of a single-populated-mode family.
+
+    The weights are read from the family's overlap table, so they equal
+    the report's bitwise; the derivative samples are evaluated here.
+    """
+    table = family.overlap_table
+    if table.n_modes != 1:
         raise StructuralError("detection modes are defined per populated mode")
-    out = []
-    for a, label in enumerate(family.parameters):
-        deriv = derivative_mode(family, 0, a, method, step)
-        floor = TAU_ZERO / max(abs(float(family.theta_scales[a])), TAU_ZERO)
-        out.append(detection_mode(deriv, weight_floor=floor, label=label))
-    return out
+    floors = _weight_floors(family)
+    return [
+        detection_mode(
+            derivative_mode(family, 0, a),
+            float(table.weights[a, 0]),
+            weight_floor=float(floors[a]),
+            label=label,
+        )
+        for a, label in enumerate(family.parameters)
+    ]

@@ -12,12 +12,13 @@ to commonly quoted closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import EvaluationError, GridResolutionError, StructuralError
-from .modes import Mode, ModeBasis, SampleGrid
+from .modes import Mode, ModeBasis, OverlapTable, SampleGrid, derivative_mode
 from .tolerances import TAU_QUAD
 
 
@@ -73,11 +74,13 @@ class ParameterFamily:
 
     ``mode_fn(k, theta)`` returns the samples of populated mode k at the
     parameter vector theta (theta = 0 is the reference point);
-    ``derivative_fn(k, a)``, when present, returns the closed-form
-    derivative samples at theta = 0.  ``oracle_fn(mean_photons, info)``
-    returns the closed-form information matrix given the probe's mean
-    photon number and number-operator information.  Families are immutable
-    closures over their geometry; evaluation is pure.
+    ``derivative_fn(k, a)`` returns the derivative samples at theta = 0,
+    in closed form for the built-in families or by finite differences
+    (:func:`modal_qcrb.modes.finite_difference_family`).
+    ``oracle_fn(mean_photons, info)`` returns the closed-form information
+    matrix given the probe's mean photon number and number-operator
+    information.  Families are immutable closures over their geometry;
+    evaluation is pure, so the overlap table is built once and kept.
     """
 
     name: str
@@ -110,13 +113,20 @@ class ParameterFamily:
         modes = tuple(self.evaluate_mode(k, theta) for k in range(self.n_modes))
         return ModeBasis(modes)
 
-    def analytic_derivative(self, mode_index: int, parameter: int) -> Mode | None:
-        if self.derivative_fn is None:
-            return None
-        if not 0 <= parameter < self.n_parameters:
-            raise StructuralError(f"parameter index {parameter} outside the family")
-        samples = self.derivative_fn(mode_index, parameter)
-        return Mode(self.grid, samples)
+    @cached_property
+    def overlap_table(self) -> OverlapTable:
+        """Overlaps of the modes at theta = 0 and their derivative modes.
+
+        Built on first use from one evaluation of the family and one
+        evaluation of each derivative mode; every engine quantity about
+        the modes is a slice of it.
+        """
+        populated = self.evaluate().modes
+        derivatives = [
+            [derivative_mode(self, k, a) for k in range(self.n_modes)]
+            for a in range(self.n_parameters)
+        ]
+        return OverlapTable.from_modes(populated, derivatives)
 
     def oracle_qfim(self, mean_photons: float, info: float) -> np.ndarray | None:
         if self.oracle_fn is None:

@@ -8,6 +8,7 @@ quadrature weights so inner products stay bilinear sums.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -139,30 +140,17 @@ def mode_norm(mode: Mode) -> float:
     return float(np.sqrt(max(value, 0.0)))
 
 
-def normalized(mode: Mode) -> Mode:
-    """Unit-norm copy of a mode."""
-    n = mode_norm(mode)
-    if n == 0.0:
-        raise StructuralError("cannot normalize a zero mode")
-    return Mode(mode.grid, mode.samples / n)
-
-
 @dataclass(frozen=True, eq=False)
 class ModeBasis:
-    """An ordered mode list with flags marking the populated (non-vacuum) set."""
+    """An ordered list of modes sampled on one grid."""
 
     modes: tuple[Mode, ...]
-    populated: tuple[bool, ...] = ()
 
     def __post_init__(self):
         modes = tuple(self.modes)
         object.__setattr__(self, "modes", modes)
         if not modes:
             raise StructuralError("a mode basis needs at least one mode")
-        populated = tuple(self.populated) or tuple(True for _ in modes)
-        if len(populated) != len(modes):
-            raise StructuralError("populated flags must match the mode count")
-        object.__setattr__(self, "populated", populated)
         grid = modes[0].grid
         for m in modes[1:]:
             if not grid.compatible(m.grid):
@@ -171,27 +159,16 @@ class ModeBasis:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def populated_modes(self) -> tuple[Mode, ...]:
-        return tuple(m for m, p in zip(self.modes, self.populated) if p)
-
     def gram(self) -> np.ndarray:
         return weighted_gram([m.samples for m in self.modes], self.modes[0].grid.weights)
 
-    def orthonormality_residual(self) -> float:
-        return orthonormality_residual(self.gram())
-
-    def validate(self, tol: float = TAU_ORTH) -> None:
-        _check_orthonormal(self.gram(), tol)
+    def validate(self) -> None:
+        _check_orthonormal(self.gram())
 
 
-def orthonormality_residual(gram: np.ndarray) -> float:
-    """Largest deviation of a Gram matrix from the identity."""
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-
-
-def _check_orthonormal(gram: np.ndarray, tol: float) -> None:
-    residual = orthonormality_residual(gram)
-    if residual > tol:
+def _check_orthonormal(gram: np.ndarray) -> None:
+    residual = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    if not residual <= TAU_ORTH:
         raise StructuralError(
             f"mode basis is not orthonormal (Gram residual {residual:.3e})"
         )
@@ -237,7 +214,8 @@ class OverlapTable:
     ``matrix`` is the weighted Gram matrix of the rows
     ``[f_0 .. f_{M-1}, d_0 f_0 .. d_0 f_{M-1}, d_1 f_0, ..]`` (K = M + P M
     rows), ``matrix[r, s] = (row_r | row_s)``.  Everything a run reports
-    about the modes is a slice of it; the properties name the slices.
+    about the modes is a slice of it; the properties name the slices.  A
+    family builds its table once (``ParameterFamily.overlap_table``).
     """
 
     matrix: np.ndarray
@@ -245,6 +223,10 @@ class OverlapTable:
     n_parameters: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.matrix)):
+            raise EvaluationError(
+                "mode overlaps overflow: the derivative modes are too large for double precision"
+            )
         # the slices below are views: keep them from writing into the table
         self.matrix.flags.writeable = False
 
@@ -290,9 +272,9 @@ class OverlapTable:
         norms2 = self.matrix.diagonal()[m:].real.reshape(p, m)
         return np.sqrt(np.maximum(norms2, 0.0))
 
-    def validate(self, tol: float = TAU_ORTH) -> None:
+    def validate(self) -> None:
         """Raise unless the populated modes are orthonormal."""
-        _check_orthonormal(self.populated, tol)
+        _check_orthonormal(self.populated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,17 +310,12 @@ class GramSchmidtResult:
     dependent_indices: tuple[int, ...] = ()
 
 
-def gram_schmidt(
-    modes: Sequence[Mode],
-    *,
-    on_dependent: str = "error",
-    rank_tol: float = TAU_RANK,
-) -> GramSchmidtResult:
+def gram_schmidt(modes: Sequence[Mode], *, on_dependent: str = "error") -> GramSchmidtResult:
     """Orthonormalize a mode list, tracking the input-to-output triangle.
 
     Uses modified Gram-Schmidt with a re-orthogonalization pass, so the
     output Gram matrix stays at machine-precision identity.  A pivot norm
-    below ``rank_tol`` (relative to the input norm) raises
+    below ``TAU_RANK`` (relative to the input norm) raises
     :class:`RankDeficiencyError` naming the dependent index, or drops the
     mode when ``on_dependent="drop"``.
     """
@@ -369,7 +346,7 @@ def gram_schmidt(
         pivot = float(np.sqrt(max(np.sum(grid.weights * np.abs(v) ** 2).real, 0.0)))
         pivots[i] = pivot
         ref = float(np.sqrt(max(np.sum(grid.weights * np.abs(m.samples) ** 2).real, 0.0)))
-        if pivot < rank_tol * max(ref, 1.0):
+        if pivot < TAU_RANK * max(ref, 1.0):
             if on_dependent == "error":
                 raise RankDeficiencyError(i, pivot)
             dependent.append(i)
@@ -388,88 +365,78 @@ def gram_schmidt(
     )
 
 
-def derivative_mode(
-    family: "ParameterFamily",
-    mode_index: int,
-    parameter: int,
-    method: str = "analytic",
-    step: float | None = None,
-) -> Mode:
+def derivative_mode(family: "ParameterFamily", mode_index: int, parameter: int) -> Mode:
     """Unnormalized derivative of a family mode with respect to one parameter.
 
-    The analytic path returns the family's closed form.  The
-    finite-difference path uses a central difference with one Richardson
-    refinement, step ``|theta_scale| * 1e-4`` unless overridden, so the
-    step follows the parameter's own scale whether it is large or small.
+    The family's ``derivative_fn`` decides how it is taken: a closed form,
+    or the finite difference of :func:`finite_difference_family`.
     """
-    if method == "analytic":
-        d = family.analytic_derivative(mode_index, parameter)
-        if d is None:
-            raise StructuralError(
-                f"family '{family.name}' has no closed-form derivative for "
-                f"parameter {parameter}; use method='finite-difference'"
-            )
-        return d
-    if method != "finite-difference":
-        raise ValueError("method must be 'analytic' or 'finite-difference'")
+    if family.derivative_fn is None:
+        raise StructuralError(
+            f"family '{family.name}' has no derivative rule; "
+            "use finite_difference_family(family)"
+        )
+    if not 0 <= parameter < family.n_parameters:
+        raise StructuralError(f"parameter index {parameter} outside the family")
+    return Mode(family.grid, family.derivative_fn(mode_index, parameter))
 
-    scale = float(family.theta_scales[parameter])
-    h = float(step) if step is not None else abs(scale) * 1e-4
-    if h <= 0:
+
+def finite_difference_family(
+    family: "ParameterFamily", step: float | None = None
+) -> "ParameterFamily":
+    """The family with its derivatives taken by finite differences.
+
+    A central difference with one Richardson refinement, step
+    ``|theta_scale| * 1e-4`` unless given, so the step follows each
+    parameter's own scale whether it is large or small.  Each derivative
+    mode costs four shifted evaluations of the family.
+    """
+    steps = [
+        float(step) if step is not None else abs(float(scale)) * 1e-4
+        for scale in family.theta_scales
+    ]
+    if not all(h > 0 for h in steps):
         raise ValueError("finite-difference step must be positive")
 
-    def central(hh: float) -> np.ndarray:
-        theta = np.zeros(family.n_parameters)
-        theta[parameter] = hh
-        plus = family.evaluate_mode(mode_index, theta).samples
-        theta[parameter] = -hh
-        minus = family.evaluate_mode(mode_index, theta).samples
-        return (plus - minus) / (2.0 * hh)
+    def derivative(mode_index: int, parameter: int) -> np.ndarray:
+        def central(h: float) -> np.ndarray:
+            theta = np.zeros(family.n_parameters)
+            theta[parameter] = h
+            plus = family.evaluate_mode(mode_index, theta).samples
+            theta[parameter] = -h
+            minus = family.evaluate_mode(mode_index, theta).samples
+            return (plus - minus) / (2.0 * h)
 
-    coarse = central(h)
-    fine = central(h / 2.0)
-    samples = (4.0 * fine - coarse) / 3.0
-    if not np.all(np.isfinite(samples)):
-        raise EvaluationError(
-            f"finite-difference evaluation of parameter {parameter} produced "
-            "non-finite samples"
-        )
-    return Mode(family.grid, samples)
+        h = steps[parameter]
+        coarse = central(h)
+        fine = central(h / 2.0)
+        samples = (4.0 * fine - coarse) / 3.0
+        if not np.all(np.isfinite(samples)):
+            raise EvaluationError(
+                f"finite-difference evaluation of parameter "
+                f"'{family.parameters[parameter]}' produced non-finite samples"
+            )
+        return samples
 
-
-def overlap_table(
-    family: "ParameterFamily",
-    *,
-    method: str = "analytic",
-    step: float | None = None,
-) -> OverlapTable:
-    """The overlap table of a family's populated modes at theta = 0.
-
-    Evaluates the family once and each derivative mode once.
-    """
-    populated = family.evaluate().populated_modes()
-    derivatives = [
-        [derivative_mode(family, k, a, method, step) for k in range(len(populated))]
-        for a in range(family.n_parameters)
-    ]
-    return OverlapTable.from_modes(populated, derivatives)
+    return dataclasses.replace(family, derivative_fn=derivative)
 
 
 def detection_mode(
     derivative: Mode,
+    weight: float,
     *,
     weight_floor: float = TAU_ZERO,
     label: str = "",
 ) -> DetectionMode:
     """Normalized, i-rotated detection mode and sensitivity weight.
 
-    A derivative mode f_a maps to (i / w_a) f_a with w_a its norm.  A
-    weight below ``weight_floor`` returns a flagged degenerate mode with
-    weight zero instead of raising.
+    A derivative mode f_a maps to (i / w_a) f_a, where ``weight`` is its
+    norm w_a (a family reads it from its overlap table).  A weight below
+    ``weight_floor`` returns a flagged degenerate mode with weight zero
+    instead of raising.
     """
-    w = mode_norm(derivative)
-    if w < weight_floor:
+    if weight < weight_floor:
         zero = Mode(derivative.grid, np.zeros_like(derivative.samples))
         return DetectionMode(mode=zero, weight=0.0, degenerate=True, label=label)
-    rotated = Mode(derivative.grid, 1j * derivative.samples / w)
-    return DetectionMode(mode=rotated, weight=w, degenerate=False, label=label)
+    rotated = Mode(derivative.grid, 1j * derivative.samples / weight)
+    return DetectionMode(mode=rotated, weight=weight, degenerate=False, label=label)

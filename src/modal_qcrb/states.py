@@ -24,7 +24,6 @@ from .tolerances import (
     MAX_CUTOFF,
     TAU_COV,
     TAU_CUTOFF,
-    TAU_ORTH,
     TAU_PROB,
     TAU_STATE_ORTH,
     TAU_STATE_PROB,
@@ -150,9 +149,9 @@ class DensityState:
     def rank(self) -> int:
         return int(self.probabilities.size)
 
-    def kept(self, floor: float = TAU_PROB) -> tuple[np.ndarray, np.ndarray]:
-        """Probabilities and eigenvector columns above the probability floor."""
-        mask = self.probabilities > floor
+    def kept(self) -> tuple[np.ndarray, np.ndarray]:
+        """Probabilities and eigenvector columns above ``TAU_PROB``."""
+        mask = self.probabilities > TAU_PROB
         if not np.any(mask):
             mask = self.probabilities == self.probabilities.max()
         return self.probabilities[mask], self.vectors[:, mask]
@@ -366,24 +365,19 @@ def first_moments(state: DensityState) -> np.ndarray:
     return out
 
 
-def operator_matrix_elements(
-    state: DensityState,
-    coefficients,
-    *,
-    floor: float = TAU_PROB,
-) -> np.ndarray:
+def operator_matrix_elements(state: DensityState, coefficients) -> np.ndarray:
     """Eigenvector matrix elements <a|H|b> of H = sum C_{jk} a_j_dagger a_k.
 
     Accepts a single (M, M) coefficient matrix, a stack (P, M, M), or a
-    generator-coefficient object exposing ``matrices``; eigenvectors with
-    probability below ``floor`` are dropped, matching the double sums that
+    generator-coefficient object exposing ``matrices``; only the eigenvectors
+    of :meth:`DensityState.kept` enter, matching the double sums that
     consume these elements.
     """
     coefficients = getattr(coefficients, "matrices", coefficients)
     coefficients = np.asarray(coefficients, dtype=complex)
     single = coefficients.ndim == 2
     stack = coefficients[None, ...] if single else coefficients
-    _, v = state.kept(floor)
+    _, v = state.kept()
     out = np.stack([v.conj().T @ apply_quadratic(state.space, c, v) for c in stack])
     return out[0] if single else out
 
@@ -472,13 +466,13 @@ def quadrature_covariance(
     remainder is assigned vacuum fluctuations, so for an all-vacuum state
     the result is Re of the target Gram matrix.
     """
-    ref_modes = reference.populated_modes()
+    ref_modes = reference.modes
     if len(ref_modes) != state.n_modes:
         raise StructuralError(
             "reference basis size does not match the Gaussian state"
         )
     try:
-        ModeBasis(ref_modes).validate(TAU_ORTH)
+        reference.validate()
     except StructuralError as exc:
         raise StructuralError(f"reference basis must be orthonormal: {exc}") from exc
 

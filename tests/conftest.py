@@ -177,9 +177,9 @@ def vacuum_overlap(f_alpha: Mode, f_beta: Mode, populated: ModeBasis) -> complex
     f_k, which must be orthonormal; a per-pair oracle for the slices of the
     overlap table.
     """
-    ModeBasis(populated.populated_modes()).validate()
+    populated.validate()
     value = inner_product(f_alpha, f_beta)
-    for mode in populated.populated_modes():
+    for mode in populated.modes:
         value -= inner_product(f_alpha, mode) * inner_product(mode, f_beta)
     return value
 

@@ -38,7 +38,7 @@ from modal_qcrb import (
     readout_means,
     state_from_spec,
 )
-from modal_qcrb.modes import derivative_mode, mode_norm
+from modal_qcrb.modes import derivative_mode, finite_difference_family, mode_norm
 from modal_qcrb.states import first_moments, quadrature_covariance
 from conftest import (
     K,
@@ -266,8 +266,8 @@ def test_criterion_07_finite_difference_derivatives(families):
     for name, n_params in (("gaussian-beam", 6), ("gaussian-pulse", 3)):
         family = families[name]
         for a in range(n_params):
-            analytic = derivative_mode(family, 0, a, "analytic")
-            fd = derivative_mode(family, 0, a, "finite-difference")
+            analytic = derivative_mode(family, 0, a)
+            fd = derivative_mode(finite_difference_family(family), 0, a)
             diff = Mode(family.grid, analytic.samples - fd.samples)
             worst = max(worst, mode_norm(diff) / mode_norm(analytic))
     report(

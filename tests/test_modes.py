@@ -13,6 +13,7 @@ from modal_qcrb import (
     StructuralError,
     derivative_mode,
     detection_mode,
+    finite_difference_family,
     gram_schmidt,
     inner_product,
     mode_norm,
@@ -185,7 +186,7 @@ class TestGramSchmidt:
 class TestDerivativeModes:
     def test_beam_displacement_derivative(self, beam_family):
         # d/dx0 of the Gaussian is (2x / w0^2) f; norm from <x^2> = w0^2/4
-        d = derivative_mode(beam_family, 0, 0, "analytic")
+        d = derivative_mode(beam_family, 0, 0)
         f = beam_family.evaluate_mode(0)
         xg, _ = beam_family.grid.mesh()
         assert np.allclose(d.samples, (2.0 * xg / W0**2) * f.samples, atol=1e-12)
@@ -193,21 +194,21 @@ class TestDerivativeModes:
 
     def test_tilt_derivative_norm(self, beam_family):
         # norm of i k x f is k w0 / 2
-        d = derivative_mode(beam_family, 0, 4, "analytic")
+        d = derivative_mode(beam_family, 0, 4)
         assert mode_norm(d) == pytest.approx(K * W0 / 2.0, rel=1e-10)
 
     @pytest.mark.parametrize("parameter", range(6))
     def test_beam_finite_difference_matches_analytic(self, beam_family, parameter):
-        analytic = derivative_mode(beam_family, 0, parameter, "analytic")
-        fd = derivative_mode(beam_family, 0, parameter, "finite-difference")
+        analytic = derivative_mode(beam_family, 0, parameter)
+        fd = derivative_mode(finite_difference_family(beam_family), 0, parameter)
         scale = mode_norm(analytic)
         diff = Mode(beam_family.grid, analytic.samples - fd.samples)
         assert mode_norm(diff) / scale < 1e-6
 
     @pytest.mark.parametrize("parameter", range(3))
     def test_pulse_finite_difference_matches_analytic(self, pulse_family, parameter):
-        analytic = derivative_mode(pulse_family, 0, parameter, "analytic")
-        fd = derivative_mode(pulse_family, 0, parameter, "finite-difference")
+        analytic = derivative_mode(pulse_family, 0, parameter)
+        fd = derivative_mode(finite_difference_family(pulse_family), 0, parameter)
         scale = mode_norm(analytic)
         diff = Mode(pulse_family.grid, analytic.samples - fd.samples)
         assert mode_norm(diff) / scale < 1e-6
@@ -218,8 +219,8 @@ class TestDerivativeModes:
         family = request.getfixturevalue(f"{family_name}_family")
         f = family.evaluate_mode(0)
         for a in range(family.n_parameters):
-            for method in ("analytic", "finite-difference"):
-                d = derivative_mode(family, 0, a, method)
+            for rule in (family, finite_difference_family(family)):
+                d = derivative_mode(rule, 0, a)
                 assert abs(inner_product(f, d).real) < 1e-6
 
 
@@ -227,21 +228,21 @@ class TestDetectionMode:
     def test_weight_and_unit_norm(self):
         grid = transverse_grid(W0)
         f = Mode(grid, 2.0 * hermite_gaussian_samples(grid, 1, 0, W0))
-        det = detection_mode(f)
+        det = detection_mode(f, mode_norm(f))
         assert det.weight == pytest.approx(2.0, rel=1e-12)
         assert mode_norm(det.mode) == pytest.approx(1.0, rel=1e-12)
         assert not det.degenerate
 
     def test_zero_derivative_flagged(self):
         grid = transverse_grid(W0, points=32)
-        det = detection_mode(Mode(grid, np.zeros(grid.shape, dtype=complex)))
+        det = detection_mode(Mode(grid, np.zeros(grid.shape, dtype=complex)), 0.0)
         assert det.degenerate
         assert det.weight == 0.0
 
     def test_pulse_phase_detection_mode(self, pulse_family):
         # derivative i omega0 u has weight omega0; rotating by i gives -u
-        d = derivative_mode(pulse_family, 0, 0, "analytic")
-        det = detection_mode(d)
+        d = derivative_mode(pulse_family, 0, 0)
+        det = detection_mode(d, mode_norm(d))
         u = pulse_family.evaluate_mode(0)
         assert det.weight == pytest.approx(OMEGA0, rel=1e-10)
         assert np.allclose(det.mode.samples, -u.samples, atol=1e-12)
@@ -263,15 +264,15 @@ class TestVacuumOverlap:
         # (f^x0 | f^x0) = 1/w0^2 and (f | f^x0) = 0 by odd symmetry
         f = beam_family.evaluate_mode(0)
         basis = ModeBasis((f,))
-        d = derivative_mode(beam_family, 0, 0, "analytic")
+        d = derivative_mode(beam_family, 0, 0)
         value = vacuum_overlap(d, d, basis)
         assert value.real == pytest.approx(1.0 / W0**2, rel=1e-10)
 
     def test_hermitian_in_mode_pair(self, beam_family):
         f = beam_family.evaluate_mode(0)
         basis = ModeBasis((f,))
-        da = derivative_mode(beam_family, 0, 0, "analytic")
-        db = derivative_mode(beam_family, 0, 2, "analytic")
+        da = derivative_mode(beam_family, 0, 0)
+        db = derivative_mode(beam_family, 0, 2)
         assert vacuum_overlap(da, db, basis) == pytest.approx(
             np.conj(vacuum_overlap(db, da, basis)), abs=1e-14
         )

@@ -10,11 +10,11 @@ from modal_qcrb import (
     StructuralError,
     gaussian_beam_family,
     inner_product,
+    finite_difference_family,
     make_state,
-    overlap_table,
     qfim_mode_split,
 )
-from modal_qcrb import cli, engine, modes
+from modal_qcrb import cli, engine, families, modes
 from conftest import random_mode_parameter_data
 
 FAMILIES = ["beam_family", "beam_carrier_family", "pulse_family", "displaced_family"]
@@ -30,7 +30,7 @@ def pairwise_table(rows):
 
 
 def family_rows(family):
-    populated = family.evaluate().populated_modes()
+    populated = family.evaluate().modes
     derivatives = [
         [modes.derivative_mode(family, k, a) for k in range(len(populated))]
         for a in range(family.n_parameters)
@@ -48,7 +48,7 @@ class TestOverlapTable:
     @pytest.mark.parametrize("fixture", FAMILIES)
     def test_family_table_matches_pairwise_products(self, request, fixture):
         family = request.getfixturevalue(fixture)
-        table = overlap_table(family)
+        table = family.overlap_table
         assert table.matrix.shape == (1 + family.n_parameters,) * 2
         assert_matches_pairwise(table, table_rows(*family_rows(family)))
 
@@ -62,7 +62,7 @@ class TestOverlapTable:
 
     @pytest.mark.parametrize("fixture", FAMILIES)
     def test_conjugate_symmetry_is_bitwise(self, request, fixture):
-        table = overlap_table(request.getfixturevalue(fixture))
+        table = request.getfixturevalue(fixture).overlap_table
         assert np.array_equal(table.matrix, table.matrix.conj().T)
 
     def test_random_table_conjugate_symmetry_is_bitwise(self):
@@ -105,7 +105,7 @@ class TestOverlapTable:
         assert np.array_equal(table.matrix, reference.matrix)
 
     def test_slices_are_read_only(self, displaced_family):
-        table = overlap_table(displaced_family)
+        table = displaced_family.overlap_table
         with pytest.raises(ValueError):
             table.derivative_overlaps[0, 0, 0, 0] = 1.0
 
@@ -139,7 +139,7 @@ class TestEvaluateOnce:
                 ParameterFamily, name, counting(name, getattr(ParameterFamily, name))
             )
         wrapped = counting("derivative_mode", modes.derivative_mode)
-        for module in (modes, engine, cli):
+        for module in (modes, families, engine, cli):
             if hasattr(module, "derivative_mode"):
                 monkeypatch.setattr(module, "derivative_mode", wrapped)
         return counts
@@ -170,6 +170,6 @@ def test_finite_difference_step_follows_small_parameter_scales():
     family = gaussian_beam_family(BeamGeometry(waist=1.0, wavenumber=1e5))
     state = make_state("coherent", nbar=1.0)
     analytic = qfim_mode_split(state, family)
-    fd = qfim_mode_split(state, family, method="finite-difference")
+    fd = qfim_mode_split(state, finite_difference_family(family))
     scale = np.sqrt(np.outer(np.diag(analytic), np.diag(analytic)))
     assert np.max(np.abs(fd - analytic) / scale) < 1e-6
