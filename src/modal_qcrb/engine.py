@@ -45,7 +45,6 @@ from .tolerances import (
     TAU_ATTAIN,
     TAU_HERM,
     TAU_OVERLAP,
-    TAU_PROB,
     TAU_PSD,
     TAU_QUAD,
     TAU_ZERO,
@@ -141,8 +140,15 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     """Information matrix of unitary parameter generators on a mixed state.
 
     Accepts :class:`GeneratorCoefficients` or a coefficient stack
-    (P, M, M); eigenvectors below the probability floor are dropped, where
-    the p_m + p_n denominator is singular and the term weight vanishes.
+    (P, M, M).  Over the kept eigenvectors V (probabilities p),
+
+        F_ab = 4 sum_m p_m Re <r_am|r_bm>
+               + 2 sum_mn (p_m - p_n)^2 / (p_m + p_n) Re E_a,mn E_b,nm,
+
+    with E_a = V^dagger H_a V and r_am = H_a v_m - V E_a[:, m] the part of
+    H_a v_m outside the kept span.  Every term is a sum of non-negative
+    parts, so no two large terms cancel: a generator that maps each kept
+    eigenvector onto itself gives exactly 0.
     """
     stack = _coefficient_stack(generators)
     n_p = stack.shape[0]
@@ -151,26 +157,19 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
             "generator mode count does not match the state's Fock space"
         )
     p, v = state.kept()
-
-    # H_a acting on each kept eigenvector
     applied = [apply_quadratic(state.space, c, v) for c in stack]
-
-    weight = np.add.outer(p, p)
-    pairs = p[:, None] * p[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(weight > TAU_PROB, pairs / np.where(weight > 0, weight, 1.0), 0.0)
+    elements = [v.conj().T @ w for w in applied]
+    outside = [w - v @ e for w, e in zip(applied, elements)]
+    ratio = np.subtract.outer(p, p) ** 2 / np.add.outer(p, p)
 
     f = np.zeros((n_p, n_p))
-    elements = [v.conj().T @ w for w in applied]
     for a in range(n_p):
         for b in range(a, n_p):
             t1 = 4.0 * float(
-                np.sum(p * np.einsum("da,da->a", np.conj(applied[a]), applied[b]).real)
+                np.sum(p * np.einsum("da,da->a", np.conj(outside[a]), outside[b]).real)
             )
-            t2 = 8.0 * float(
-                np.sum(ratio * (elements[a] * np.conj(elements[b])).real)
-            )
-            f[a, b] = t1 - t2
+            t2 = 2.0 * float(np.sum(ratio * (elements[a] * elements[b].T).real))
+            f[a, b] = t1 + t2
             f[b, a] = f[a, b]
     return f
 
@@ -333,13 +332,8 @@ def attainability(state: DensityState, generators: GeneratorCoefficients) -> Att
     p, _ = state.kept()
     elements = operator_matrix_elements(state, generators.matrices)
 
-    weight = np.add.outer(p, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w2 = np.where(
-            weight > TAU_PROB,
-            (p[:, None] ** 2 * p[None, :]) / np.where(weight > 0, weight, 1.0) ** 2,
-            0.0,
-        )
+    # kept probabilities exceed TAU_PROB, so no denominator vanishes
+    w2 = (p[:, None] ** 2 * p[None, :]) / np.add.outer(p, p) ** 2
 
     u = np.zeros((n_p, n_p))
     residual = 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modal_qcrb import (
+    BeamGeometry,
     DetectionMode,
     FockSpace,
     GaussianState,
@@ -16,6 +17,7 @@ from modal_qcrb import (
     build_generators,
     crb_bounds,
     detection_modes_for,
+    gaussian_beam_family,
     generators_from_modes,
     gram_schmidt_readout,
     inner_product,
@@ -121,6 +123,14 @@ class TestQfimUnitary:
         state = make_state("fock", n=2)
         f = qfim_unitary(state, np.eye(1, dtype=complex)[None])
         assert abs(f[0, 0]) < 1e-12
+
+    def test_number_diagonal_probe_leaves_no_roundoff(self):
+        # a thermal probe and each one-mode generator are diagonal in the
+        # number basis: no term of the populated part is left to round off
+        family = gaussian_beam_family(BeamGeometry(1.3, 25.0), carrier_phase=True, points=512)
+        state = make_state("thermal", nbar=1.0)
+        f = qfim_unitary(state, build_generators(family))
+        assert np.all(f == 0.0)
 
     def test_matches_brute_force_on_random_mixed_state(self):
         rng = np.random.default_rng(21)

@@ -1,18 +1,28 @@
 """The per-run overlap table and the quantities sliced from it."""
 
+import dataclasses
+import inspect
+import json
+
 import numpy as np
 import pytest
 
 from modal_qcrb import (
     BeamGeometry,
+    EvaluationError,
+    FockSpace,
     OverlapTable,
     ParameterFamily,
     StructuralError,
+    attainability_single_mode,
+    build_generators,
+    detection_modes_for,
+    finite_difference_family,
     gaussian_beam_family,
     inner_product,
-    finite_difference_family,
     make_state,
     qfim_mode_split,
+    qfim_single_mode,
 )
 from modal_qcrb import cli, engine, families, modes
 from conftest import random_mode_parameter_data
@@ -173,3 +183,131 @@ def test_finite_difference_step_follows_small_parameter_scales():
     fd = qfim_mode_split(state, finite_difference_family(family))
     scale = np.sqrt(np.outer(np.diag(analytic), np.diag(analytic)))
     assert np.max(np.abs(fd - analytic) / scale) < 1e-6
+
+
+class TestFamilyDerivativeRule:
+    def counted(self, family):
+        calls = []
+
+        def derivative_fn(k, a):
+            calls.append((k, a))
+            return family.derivative_fn(k, a)
+
+        return dataclasses.replace(family, derivative_fn=derivative_fn), calls
+
+    def test_engine_takes_each_derivative_once(self, pulse_family):
+        family, calls = self.counted(pulse_family)
+        state = make_state("coherent", nbar=1.0)
+        build_generators(family)
+        qfim_mode_split(state, family)
+        qfim_single_mode(state, family)
+        attainability_single_mode(family)
+        # P * M derivative modes in all, not P * M per call
+        assert sorted(calls) == [(0, a) for a in range(family.n_parameters)]
+
+    def test_multimode_family_takes_each_derivative_once(self):
+        populated, derivatives = random_mode_parameter_data(np.random.default_rng(31), 3, 2)
+        family = ParameterFamily(
+            name="random",
+            parameters=("a", "b", "c"),
+            units=("1",) * 3,
+            grid=populated[0].grid,
+            theta_scales=np.ones(3),
+            mode_fn=lambda k, theta: populated[k].samples,
+            derivative_fn=lambda k, a: derivatives[a][k].samples,
+            n_modes=2,
+        )
+        family, calls = self.counted(family)
+        state = make_state("coherent", FockSpace(2, 14), nbar=1.0)
+        build_generators(family)
+        qfim_mode_split(state, family)
+        assert sorted(calls) == [(k, a) for k in range(2) for a in range(3)]
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            build_generators,
+            qfim_mode_split,
+            qfim_single_mode,
+            attainability_single_mode,
+            detection_modes_for,
+            modes.derivative_mode,
+            cli.export_detection_modes_for,
+        ],
+    )
+    def test_no_derivative_knobs_left(self, function):
+        assert not {"method", "step", "table"} & set(inspect.signature(function).parameters)
+
+    def test_family_without_derivatives_names_the_remedy(self, pulse_family):
+        bare = dataclasses.replace(pulse_family, derivative_fn=None)
+        with pytest.raises(StructuralError, match="finite_difference_family"):
+            modes.derivative_mode(bare, 0, 0)
+        fd = finite_difference_family(bare)
+        reference = modes.derivative_mode(pulse_family, 0, 1)
+        assert np.max(np.abs(modes.derivative_mode(fd, 0, 1).samples - reference.samples)) < 1e-6
+
+    def test_finite_difference_family_is_a_new_family(self, pulse_family):
+        fd = finite_difference_family(pulse_family)
+        assert fd is not pulse_family
+        assert fd.derivative_fn is not pulse_family.derivative_fn
+        assert fd.overlap_table is not pulse_family.overlap_table
+        assert fd.overlap_table is fd.overlap_table  # built once
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan")])
+    def test_step_must_be_positive(self, pulse_family, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            finite_difference_family(pulse_family, step)
+
+    def test_non_finite_difference_names_the_parameter(self):
+        grid = modes.SampleGrid.uniform(np.linspace(-1.0, 1.0, 9))
+
+        def mode_fn(k, theta):
+            # finite at each shift, but the difference overflows
+            return np.full(grid.shape, 1.7e308 * np.sign(theta[1]))
+
+        family = ParameterFamily(
+            name="overflowing",
+            parameters=("a", "b"),
+            units=("1", "1"),
+            grid=grid,
+            theta_scales=np.ones(2),
+            mode_fn=mode_fn,
+        )
+        with pytest.raises(EvaluationError, match="parameter 'b'"), np.errstate(all="ignore"):
+            modes.derivative_mode(finite_difference_family(family), 0, 1)
+
+
+def test_detection_mode_weights_equal_report_weights_bitwise(tmp_path):
+    args = [
+        "--family", "gaussian-beam",
+        "--geometry", '{"w0": 1.0, "k": 10.0}',
+        "--state", '{"kind": "coherent", "nbar": 1.0}',
+        "--grid-points", "128",
+    ]  # fmt: skip
+    assert cli.main(["qfim", *args, "--out", str(tmp_path / "q")]) == 0
+    assert cli.main(["detection-modes", *args, "--out", str(tmp_path / "d")]) == 0
+    report = json.loads((tmp_path / "q" / "report.json").read_text())["detection_modes"]
+    sidecar = json.loads((tmp_path / "d" / "detection_modes.json").read_text())
+    assert sidecar["weights"] == report["weights"]
+    assert sidecar["degenerate"] == report["degenerate"] == [False] * 6
+
+
+def test_one_degeneracy_rule_for_report_and_export(tmp_path, monkeypatch, displaced_family):
+    # a y0 derivative of 1e-15 of its natural size: the weight is far below
+    # TAU_ZERO / scale yet not zero, and both outputs call it degenerate
+    def derivative_fn(k, a):
+        d = displaced_family.derivative_fn(k, a)
+        return d if a == 0 else 1e-15 * d
+
+    family = dataclasses.replace(displaced_family, derivative_fn=derivative_fn)
+    monkeypatch.setattr(cli, "build_family", lambda *args, **kwargs: family)
+    config = cli.RunConfig(
+        family="displaced-beam",
+        geometry={"w0": 1.0},
+        state={"kind": "coherent", "nbar": 1.0},
+        out=tmp_path,
+    )
+    report = cli._assemble_report(config).bundle.report["detection_modes"]
+    sidecar = cli.export_detection_modes_for(family, tmp_path).report
+    assert 0.0 < report["weights"][1] < 1e-12
+    assert report["degenerate"] == sidecar["degenerate"] == [False, True]
