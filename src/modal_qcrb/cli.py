@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -57,6 +58,9 @@ _STATE_KINDS: dict[str, dict[str, _StateField]] = {
         "phi": _StateField("squeezing angle (rad)", required=False),
     },
 }
+
+# Largest grid_points: a 4096^2 beam grid already holds 16.8M samples per mode.
+_MAX_GRID_POINTS = 4096
 
 _CONVENTIONS = {
     "quadrature": "q = a + a_dagger, vacuum variance 1",
@@ -116,11 +120,20 @@ REPORT_SCHEMA = {
 }
 
 
+def _number(name: str, value) -> float:
+    """A config value that must be a finite JSON number; true and false are not."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+
+
 def _integer(name: str, value) -> int:
     """A config value that must be a whole number; 2.0 passes, 2.5 does not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+    if not _number(name, value).is_integer():
         raise ConfigError(f"{name}: must be an integer, got {value!r}")
     return int(value)
 
@@ -146,13 +159,7 @@ def _validate_state(state) -> None:
             if spec.required:
                 raise ConfigError(f"{name}: required for kind '{kind}' ({spec.description})")
             continue
-        value = state[key]
-        if spec.integer:
-            value = _integer(name, value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name}: must be a number, got {value!r}")
-        elif not np.isfinite(value):
-            raise ConfigError(f"{name}: must be finite, got {value!r}")
+        value = _integer(name, state[key]) if spec.integer else _number(name, state[key])
         if spec.minimum is not None and value < spec.minimum:
             raise ConfigError(f"{name}: must be at least {spec.minimum:g}, got {value!r}")
 
@@ -192,6 +199,8 @@ class RunConfig:
         family = pick("family", "family")
         if not family:
             raise ConfigError("family: required (flag --family or config key)")
+        if not isinstance(family, str):
+            raise ConfigError(f"family: must be a family name, got {family!r}")
         if family not in FAMILY_REGISTRY:
             known = ", ".join(sorted(FAMILY_REGISTRY))
             raise ConfigError(f"family: unknown '{family}'; known families: {known}")
@@ -216,28 +225,31 @@ class RunConfig:
         for key in schema:
             if key not in geometry:
                 raise ConfigError(f"geometry.{key}: required for family '{family}'")
-            try:
-                value = float(geometry[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"geometry.{key}: must be a number")
-            if not np.isfinite(value) or value <= 0:
+        for key, value in geometry.items():
+            if _number(f"geometry.{key}", value) <= 0 and key in schema:
                 raise ConfigError(f"geometry.{key}: must be finite and positive")
 
         out = pick("out", "out", "qcrb-report")
+        if not isinstance(out, str):
+            raise ConfigError(f"out: must be a directory path, got {out!r}")
         grid_points = pick("grid_points", "grid_points")
         if grid_points is not None:
             grid_points = _integer("grid_points", grid_points)
-            if grid_points < 8:
-                raise ConfigError("grid_points: must be at least 8")
+            if not 8 <= grid_points <= _MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"grid_points: must be between 8 and {_MAX_GRID_POINTS}, got {grid_points}"
+                )
         fock_cutoff = pick("fock_cutoff", "fock_cutoff")
         if fock_cutoff is not None:
             fock_cutoff = _integer("fock_cutoff", fock_cutoff)
-            if fock_cutoff < 1:
-                raise ConfigError("fock_cutoff: must be at least 1")
+            if not 1 <= fock_cutoff <= tolerances.MAX_CUTOFF:
+                raise ConfigError(
+                    f"fock_cutoff: must be between 1 and {tolerances.MAX_CUTOFF}, got {fock_cutoff}"
+                )
         fd_step = pick("fd_step", "fd_step")
         if fd_step is not None:
-            fd_step = float(fd_step)
-            if not np.isfinite(fd_step) or fd_step <= 0:
+            fd_step = _number("fd_step", fd_step)
+            if fd_step <= 0:
                 raise ConfigError("fd_step: must be finite and positive")
         method = raw.get("derivative_method", "analytic")
         if fd_step is not None:

@@ -476,9 +476,15 @@ def crb_bounds(
 
     keep = eigvals > PINV_RCOND * scale if scale > 0 else np.zeros(n_p, dtype=bool)
     inv_vals = np.zeros(n_p)
-    inv_vals[keep] = 1.0 / eigvals[keep]
-    pinv = (eigvecs * inv_vals) @ eigvecs.T
-    pinv = (pinv + pinv.T) / 2.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv_vals[keep] = 1.0 / eigvals[keep]
+        pinv = (eigvecs * inv_vals) @ eigvecs.T
+        pinv = (pinv + pinv.T) / 2.0
+    if not np.all(np.isfinite(pinv)):
+        raise PreconditionError(
+            f"information matrix eigenvalue {eigvals[keep].min():.3e} is too small "
+            "to invert in double precision"
+        )
     null_combinations = eigvecs[:, ~keep].T.copy()
 
     diag = np.diag(f)

@@ -142,7 +142,7 @@ def _check_resolution(name: str, grid: SampleGrid, raw_reference: np.ndarray) ->
     """
     norm = float(np.sum(grid.weights * np.abs(raw_reference) ** 2).real)
     err = abs(norm - 1.0)
-    if err > 10.0 * TAU_QUAD:
+    if not err <= 10.0 * TAU_QUAD:  # a non-finite norm fails too
         raise GridResolutionError(
             f"grid too coarse for family '{name}': reference-mode norm error {err:.3e}"
         )

@@ -63,8 +63,8 @@ class SampleGrid:
             raise StructuralError(
                 f"weight shape {self.weights.shape} does not match axes {expected}"
             )
-        if np.any(self.weights <= 0):
-            raise StructuralError("quadrature weights must be strictly positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise StructuralError("quadrature weights must be finite and strictly positive")
 
     @classmethod
     def uniform(cls, *axes: np.ndarray) -> "SampleGrid":

@@ -181,15 +181,17 @@ def _suggest_cutoff(kind: str, **params) -> int:
         nbar = float(params["nbar"])
         if nbar == 0.0:
             return 1
-        ratio = nbar / (1.0 + nbar)
-        n = int(math.ceil(math.log(TAU_CUTOFF) / math.log(ratio))) + 1
-        return n
+        # log(nbar / (1 + nbar)), which stays below 0 for the largest nbar;
+        # the suggestion saturates as the other kinds' searches do
+        levels = math.log(TAU_CUTOFF) / -math.log1p(1.0 / nbar)
+        return int(math.ceil(min(levels, 4 * MAX_CUTOFF))) + 1
     if kind == "squeezed-vacuum":
         r = abs(float(params["r"]))
         if r == 0.0:
             return 1
         t2 = math.tanh(r) ** 2
-        prob = 1.0 / math.cosh(r)  # |<0|state>|^2 = 1/cosh r
+        # |<0|state>|^2 = 1/cosh r, written so that no large r overflows
+        prob = 2.0 * math.exp(-r) / (1.0 + math.exp(-2.0 * r))
         cumulative = prob
         m = 0
         while 1.0 - cumulative > TAU_CUTOFF and m < 4 * MAX_CUTOFF:
@@ -276,13 +278,13 @@ def make_state(
     needed = _suggest_cutoff(kind, **tail_params)
     if space is None:
         chosen = cutoff if cutoff is not None else needed
-        if chosen > MAX_CUTOFF:
+        if max(chosen, needed) > MAX_CUTOFF:
             raise CutoffError(
-                f"state '{kind}' needs a cutoff beyond the hard cap",
+                f"state '{kind}' needs a cutoff beyond the hard cap {MAX_CUTOFF}",
                 suggested_cutoff=needed,
             )
         space = FockSpace(n_modes=1, cutoff=max(chosen, 1))
-    elif space.cutoff < needed:
+    if space.cutoff < needed:
         raise CutoffError(
             f"cutoff {space.cutoff} leaks more than the truncation budget "
             f"for state '{kind}'",

@@ -505,3 +505,79 @@ class TestListFamilies:
             "gaussian-pulse",
         }
         assert "build" not in listing["gaussian-beam"]
+
+
+class TestConfigErrors:
+    """Each bad config exits 2 naming its field, or 1 with a message; none raises."""
+
+    BASE = {
+        "family": "gaussian-beam",
+        "geometry": {"w0": 1.0, "k": 10.0},
+        "state": {"kind": "coherent", "nbar": 1.0},
+        "grid_points": 64,
+    }
+
+    def run(self, tmp_path, config, *flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return run_cli(["qfim", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+
+    @pytest.mark.parametrize(
+        "overrides, flags, field",
+        [
+            ({"geometry": {"w0": 1.0, "k": 10.0, "extra": "abc"}}, [], "geometry.extra:"),
+            ({"geometry": {"w0": True, "k": 10.0}}, [], "geometry.w0:"),
+            ({"geometry": {"w0": "1.0", "k": 10.0}}, [], "geometry.w0:"),
+            ({"fd_step": "abc"}, [], "fd_step:"),
+            ({"fd_step": True}, [], "fd_step:"),
+            ({"family": ["gaussian-beam"]}, [], "family:"),
+            ({}, ["--fock-cutoff", "1000"], "fock_cutoff:"),
+            ({"grid_points": 100000}, [], "grid_points:"),
+            ({"repetitions": 10**400}, [], "repetitions:"),
+            ({"state": {"kind": "coherent", "nbar": 10**400}}, [], "state.nbar:"),
+        ],
+        ids=[
+            "extra-geometry-text",
+            "bool-w0",
+            "string-w0",
+            "text-fd-step",
+            "bool-fd-step",
+            "list-family",
+            "cutoff-above-cap",
+            "grid-above-cap",
+            "integer-beyond-float",
+            "nbar-beyond-float",
+        ],
+    )
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, overrides, flags, field):
+        assert self.run(tmp_path, self.BASE | overrides, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, flags, error",
+        [
+            ({"state": {"kind": "squeezed-vacuum", "r": 800}}, [], "CutoffError"),
+            ({"state": {"kind": "squeezed-vacuum", "r": 800}}, ["--fock-cutoff", "64"], "CutoffError"),
+            ({"geometry": {"w0": 1e200, "k": 10.0}}, [], "StructuralError"),
+            ({"geometry": {"w0": 1.0, "k": 1e300}}, [], "EvaluationError"),
+            ({"state": {"kind": "thermal", "nbar": 1e300}}, [], "CutoffError"),
+            ({"state": {"kind": "fock", "n": 2}}, ["--fock-cutoff", "1"], "CutoffError"),
+            ({"state": {"kind": "coherent", "nbar": 5e-324}}, [], "PreconditionError"),
+        ],
+        ids=[
+            "squeezing-overflow",
+            "squeezing-overflow-cutoff",
+            "huge-waist",
+            "huge-wavenumber",
+            "huge-thermal",
+            "fock-above-cutoff",
+            "denormal-photon-number",
+        ],
+    )
+    def test_out_of_range_exits_1_with_a_message(self, tmp_path, capsys, overrides, flags, error):
+        assert self.run(tmp_path, self.BASE | overrides, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qfim failed in {error}: ")
+        assert not (tmp_path / "out" / "report.json").exists()

@@ -1,0 +1,114 @@
+"""Property: no run configuration makes the CLI raise.
+
+Every generated config, valid or not, must end in exit code 0 (success),
+1 (engine or numerical failure) or 2 (config error); a bad field must
+never surface as a traceback.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from modal_qcrb import cli
+from modal_qcrb.families import FAMILY_REGISTRY
+
+# a valid value for every field a config may carry, by family and state kind
+GEOMETRY = {
+    "gaussian-beam": {"w0": st.floats(0.5, 2.0), "k": st.floats(2.0, 20.0)},
+    "gaussian-beam-carrier": {"w0": st.floats(0.5, 2.0), "k": st.floats(2.0, 20.0)},
+    "gaussian-pulse": {"omega0": st.floats(60.0, 200.0), "variance": st.floats(1.0, 25.0)},
+    "displaced-beam": {"w0": st.floats(0.5, 2.0)},
+}
+STATES = {
+    "coherent": {"nbar": st.floats(0.0, 3.0)},
+    "fock": {"n": st.integers(0, 4)},
+    "thermal": {"nbar": st.floats(0.0, 1.0)},
+    "squeezed-vacuum": {"r": st.floats(-0.5, 0.5), "phi": st.floats(-3.0, 3.0)},
+}
+assert set(GEOMETRY) == set(FAMILY_REGISTRY)
+
+
+
+def affordable(value) -> bool:
+    """Leave out numbers that would be accepted as grids of millions of samples."""
+    return not (isinstance(value, (int, float)) and 64 < abs(value) <= cli._MAX_GRID_POINTS)
+
+
+# anything JSON can carry: numbers at the edges of double precision,
+# integers beyond it, and values of the wrong type
+ANY_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -1, 1e-300, 1e200, 1e300, 2.5, 10**400, 10**5]),
+    st.integers(-50, 50),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+).filter(affordable)
+# (section, key) of the entries a corruption may replace; key None is the
+# whole section
+TARGETS = [
+    ("family", None),
+    ("geometry", None),
+    ("geometry", "w0"),
+    ("geometry", "k"),
+    ("geometry", "omega0"),
+    ("geometry", "variance"),
+    ("geometry", "extra"),
+    ("state", None),
+    ("state", "kind"),
+    ("state", "nbar"),
+    ("state", "n"),
+    ("state", "r"),
+    ("grid_points", None),
+    ("fock_cutoff", None),
+    ("fd_step", None),
+    ("repetitions", None),
+    ("derivative_method", None),
+]
+
+
+@st.composite
+def configs(draw):
+    family = draw(st.sampled_from(sorted(GEOMETRY)))
+    kind = draw(st.sampled_from(sorted(STATES)))
+    config = {
+        "family": family,
+        "geometry": {key: draw(value) for key, value in GEOMETRY[family].items()},
+        "state": {"kind": kind} | {key: draw(value) for key, value in STATES[kind].items()},
+        "grid_points": draw(st.integers(8, 40)),
+    }
+    if draw(st.booleans()):
+        config["fd_step"] = draw(st.floats(1e-6, 1e-2))
+    if draw(st.booleans()):
+        config["repetitions"] = draw(st.integers(1, 100))
+    for section, key in draw(st.lists(st.sampled_from(TARGETS), max_size=3)):
+        value = draw(ANY_VALUE)
+        if key is None:
+            config[section] = value
+        elif isinstance(config.get(section), dict):
+            config[section][key] = value
+    return config
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    config=configs(),
+    command=st.sampled_from(["qfim", "attainability", "detection-modes"]),
+)
+def test_every_config_exits_0_1_or_2(config, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
