@@ -226,8 +226,9 @@ class RunConfig:
             if key not in geometry:
                 raise ConfigError(f"geometry.{key}: required for family '{family}'")
         for key, value in geometry.items():
-            if _number(f"geometry.{key}", value) <= 0 and key in schema:
-                raise ConfigError(f"geometry.{key}: must be finite and positive")
+            value = _number(f"geometry.{key}", value)
+            if key in schema and value <= 0:
+                raise ConfigError(f"geometry.{key}: must be positive, got {value!r}")
 
         out = pick("out", "out", "qcrb-report")
         if not isinstance(out, str):

@@ -146,9 +146,9 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
                + 2 sum_mn (p_m - p_n)^2 / (p_m + p_n) Re E_a,mn E_b,nm,
 
     with E_a = V^dagger H_a V and r_am = H_a v_m - V E_a[:, m] the part of
-    H_a v_m outside the kept span.  Every term is a sum of non-negative
-    parts, so no two large terms cancel: a generator that maps each kept
-    eigenvector onto itself gives exactly 0.
+    H_a v_m outside the kept span.  A diagonal entry is a sum of
+    non-negative terms, so no two large terms cancel: a generator that maps
+    each kept eigenvector onto itself gives exactly 0.
     """
     stack = _coefficient_stack(generators)
     n_p = stack.shape[0]
