@@ -328,15 +328,17 @@ class ReportBundle:
 # Pipeline
 
 
-def _build_case(config: RunConfig):
+def _build_family(config: RunConfig):
     grid_options = {}
     if config.grid_points is not None:
         grid_options["points"] = config.grid_points
     family = build_family(config.family, config.geometry, **grid_options)
     if config.derivative_method == "finite-difference":
-        family = finite_difference_family(family, config.fd_step)
-    state = state_from_spec(config.state, cutoff=config.fock_cutoff)
-    return family, state
+        try:
+            family = finite_difference_family(family, config.fd_step)
+        except ValueError as exc:  # the step is checked against each parameter's scale
+            raise ConfigError(f"fd_step: {exc}") from exc
+    return family
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,8 @@ class RunResult:
 
 
 def _assemble_report(config: RunConfig) -> RunResult:
-    family, state = _build_case(config)
+    family = _build_family(config)
+    state = state_from_spec(config.state, cutoff=config.fock_cutoff)
     # every mode quantity below is a slice of the family's one overlap table
     generators = build_generators(family)
     qfim = qfim_mode_split(state, family)
@@ -470,8 +473,7 @@ def run_attainability(config: RunConfig) -> ReportBundle:
 
 def export_detection_modes(config: RunConfig) -> ReportBundle:
     """Write per-parameter detection-mode samples and the readout basis."""
-    family, _ = _build_case(config)
-    return export_detection_modes_for(family, config.out)
+    return export_detection_modes_for(_build_family(config), config.out)
 
 
 def export_detection_modes_for(family, out: Path) -> ReportBundle:

@@ -123,10 +123,11 @@ def generators_from_modes(
 
 
 def build_generators(family: "ParameterFamily") -> GeneratorCoefficients:
-    """Generator coefficients G^a_{jk} = i (f_j | d_a f_k) for a family."""
-    table = family.overlap_table
-    table.validate()
-    return _generators_from_table(family.parameters, table)
+    """Generator coefficients G^a_{jk} = i (f_j | d_a f_k) for a family.
+
+    Formed once per family (``ParameterFamily.generators``).
+    """
+    return family.generators
 
 
 def _coefficient_stack(generators) -> np.ndarray:
@@ -206,8 +207,7 @@ def qfim_mode_split(state: DensityState, family: "ParameterFamily") -> np.ndarra
     one-photon correlation matrix.
     """
     table = family.overlap_table
-    table.validate()
-    f_pop = qfim_unitary(state, _generators_from_table(family.parameters, table))
+    f_pop = qfim_unitary(state, family.generators)
 
     # (d_a f_j | Pi_vac | d_b f_l) over the rows (a, j) and columns (b, l):
     # the derivative block less its projections (d_a f_j | f_k) onto the

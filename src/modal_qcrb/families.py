@@ -18,7 +18,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, GridResolutionError, StructuralError
-from .modes import Mode, ModeBasis, OverlapTable, SampleGrid, derivative_mode
+from .engine import GeneratorCoefficients, _generators_from_table
+from .modes import (
+    Mode,
+    ModeBasis,
+    OverlapTable,
+    ProductSum,
+    SampleGrid,
+    derivative_mode,
+    grid_gram,
+)
 from .tolerances import TAU_QUAD
 
 
@@ -76,7 +85,9 @@ class ParameterFamily:
     parameter vector theta (theta = 0 is the reference point);
     ``derivative_fn(k, a)`` returns the derivative samples at theta = 0,
     in closed form for the built-in families or by finite differences
-    (:func:`modal_qcrb.modes.finite_difference_family`).
+    (:func:`modal_qcrb.modes.finite_difference_family`).  Either may return
+    a :class:`~modal_qcrb.modes.ProductSum` instead of an array; the beam
+    families do, and their overlap table is then built from 1-D factors.
     ``oracle_fn(mean_photons, info)`` returns the closed-form information
     matrix given the probe's mean photon number and number-operator
     information.  Families are immutable closures over their geometry;
@@ -128,19 +139,39 @@ class ParameterFamily:
         ]
         return OverlapTable.from_modes(populated, derivatives)
 
+    @cached_property
+    def generators(self) -> GeneratorCoefficients:
+        """Generator coefficients sliced from the overlap table, formed once.
+
+        Raises unless the populated modes are orthonormal, and warns once
+        when a generator is not Hermitian.
+        """
+        table = self.overlap_table
+        table.validate()
+        return _generators_from_table(self.parameters, table)
+
     def oracle_qfim(self, mean_photons: float, info: float) -> np.ndarray | None:
         if self.oracle_fn is None:
             return None
         return self.oracle_fn(float(mean_photons), float(info))
 
 
-def _check_resolution(name: str, grid: SampleGrid, raw_reference: np.ndarray) -> None:
+def _norm2(grid: SampleGrid, samples: np.ndarray | ProductSum) -> float:
+    """Squared quadrature norm; a product sum takes the route of its overlap table."""
+    if isinstance(samples, ProductSum):
+        return float(grid_gram(grid, [samples])[0, 0].real)
+    return float(np.sum(grid.weights * np.abs(samples) ** 2).real)
+
+
+def _check_resolution(
+    name: str, grid: SampleGrid, raw_reference: np.ndarray | ProductSum
+) -> None:
     """The raw closed-form profile must integrate to 1 on the grid.
 
     Grid renormalization would mask coarse grids, so the check runs on the
     profile before normalization.
     """
-    norm = float(np.sum(grid.weights * np.abs(raw_reference) ** 2).real)
+    norm = _norm2(grid, raw_reference)
     err = abs(norm - 1.0)
     if not err <= 10.0 * TAU_QUAD:  # a non-finite norm fails too
         raise GridResolutionError(
@@ -152,14 +183,16 @@ def _check_resolution(name: str, grid: SampleGrid, raw_reference: np.ndarray) ->
 # Gaussian transverse beam
 
 
-def _grid_normalize(grid: SampleGrid, samples: np.ndarray) -> np.ndarray:
+def _grid_normalize(
+    grid: SampleGrid, samples: np.ndarray | ProductSum
+) -> np.ndarray | ProductSum:
     """Scale to unit norm under the grid quadrature.
 
     Keeps mode bases orthonormal at round-off even where the grid truncates
     a small tail of the continuum profile; the scale factor is invariant
     under the built-in parameters to well below the derivative tolerances.
     """
-    norm = np.sqrt(np.sum(grid.weights * np.abs(samples) ** 2).real)
+    norm = np.sqrt(_norm2(grid, samples))
     if norm == 0.0:
         raise EvaluationError("mode profile vanishes on the grid")
     return samples / norm
@@ -167,7 +200,7 @@ def _grid_normalize(grid: SampleGrid, samples: np.ndarray) -> np.ndarray:
 
 def _beam_samples(
     geometry: BeamGeometry, carrier: bool, grid: SampleGrid, theta: np.ndarray
-) -> np.ndarray:
+) -> ProductSum:
     """Beam profile as the outer product of one complex factor per axis.
 
     Every parameter leaves the profile separable: each axis carries its
@@ -189,44 +222,50 @@ def _beam_samples(
     factor_y = np.exp(exponent * (y - y0) ** 2 + 1j * k * tilt_y * y)
     phase = (k * zeta if carrier else 0.0) - np.arctan2(zeta, zr)
     constant = np.sqrt(2.0 / np.pi) / w * np.exp(1j * phase)
-    return _grid_normalize(grid, np.multiply.outer(constant * factor_x, factor_y))
+    return _grid_normalize(grid, ProductSum.outer(constant * factor_x, factor_y))
 
 
 def _gaussian_spot(
     grid: SampleGrid, waist: float, x0: float = 0.0, y0: float = 0.0
-) -> np.ndarray:
+) -> ProductSum:
     """Real Gaussian exp(-((x - x0)^2 + (y - y0)^2) / waist^2) as an outer product."""
     x, y = grid.axes
-    return np.multiply.outer(
+    return ProductSum.outer(
         np.exp(-((x - x0) ** 2) / waist**2), np.exp(-((y - y0) ** 2) / waist**2)
     )
 
 
 def _beam_derivatives(
     geometry: BeamGeometry, carrier: bool, grid: SampleGrid
-) -> Callable[[int, int], np.ndarray]:
+) -> Callable[[int, int], ProductSum]:
+    """Closed-form derivatives, each at most two outer products.
+
+    A profile in r^2 = x^2 + y^2 times the spot splits into one term per
+    axis; the carrier's constant joins the x term.
+    """
     w0 = geometry.waist
     k = geometry.wavenumber
     zr = geometry.rayleigh_range
-    xg, yg = np.ix_(*grid.axes)
-    r2 = xg**2 + yg**2
+    x, y = grid.axes
     base = _grid_normalize(grid, _gaussian_spot(grid, w0))
 
-    def derivative(mode_index: int, parameter: int) -> np.ndarray:
+    def derivative(mode_index: int, parameter: int) -> ProductSum:
         if parameter == 0:
-            return (2.0 * xg / w0**2) * base
+            return base.along(0, 2.0 * x / w0**2)
         if parameter == 1:
-            return (2.0 * yg / w0**2) * base
+            return base.along(1, 2.0 * y / w0**2)
         if parameter == 2:
-            d = (1j / zr) * (1.0 - r2 / w0**2) * base
+            axial = (1j / zr) * (1.0 - x**2 / w0**2)
             if carrier:
-                d = d - 1j * k * base
-            return d
+                axial = axial - 1j * k
+            return base.along(0, axial) + base.along(1, (-1j / zr) * y**2 / w0**2)
         if parameter == 3:
-            return (1.0 / w0) * (2.0 * r2 / w0**2 - 1.0) * base
+            return base.along(0, (2.0 * x**2 / w0**2 - 1.0) / w0) + base.along(
+                1, 2.0 * y**2 / w0**3
+            )
         if parameter == 4:
-            return 1j * k * xg * base
-        return 1j * k * yg * base
+            return base.along(0, 1j * k * x)
+        return base.along(1, 1j * k * y)
 
     return derivative
 
@@ -414,14 +453,12 @@ def displaced_beam_family(
         grid = transverse_grid(waist, points, halfwidth_waists)
     spot = _gaussian_spot(grid, waist)
     base = _grid_normalize(grid, spot)
-    xg, yg = np.ix_(*grid.axes)
 
-    def mode_fn(mode_index: int, theta: np.ndarray) -> np.ndarray:
+    def mode_fn(mode_index: int, theta: np.ndarray) -> ProductSum:
         return _grid_normalize(grid, _gaussian_spot(grid, waist, theta[0], theta[1]))
 
-    def derivative(mode_index: int, parameter: int) -> np.ndarray:
-        coord = xg if parameter == 0 else yg
-        return (2.0 * coord / waist**2) * base
+    def derivative(mode_index: int, parameter: int) -> ProductSum:
+        return base.along(parameter, 2.0 * grid.axes[parameter] / waist**2)
 
     def oracle(mean_photons: float, info: float) -> np.ndarray:
         entry = 4.0 * mean_photons / waist**2

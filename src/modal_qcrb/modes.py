@@ -9,6 +9,7 @@ quadrature weights so inner products stay bilinear sums.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -20,7 +21,7 @@ from .errors import (
     RankDeficiencyError,
     StructuralError,
 )
-from .tolerances import TAU_ORTH, TAU_RANK, TAU_ZERO
+from .tolerances import TAU_FD, TAU_ORTH, TAU_RANK, TAU_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import ParameterFamily
@@ -39,42 +40,75 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Sample coordinates and positive quadrature weights (1-D or 2-D).
 
     ``weights`` has one entry per sample point, shaped like the sample
-    array; on uniform grids it is the outer product of per-axis trapezoid
-    weights.  Instances are immutable and compared by identity or by
-    :meth:`compatible`.
+    array.  A grid built from per-axis weights (``axis_weights``, as
+    :meth:`uniform` does with trapezoid weights) keeps them and forms the
+    full ``weights`` only when it is first read; overlaps of modes given as
+    :class:`ProductSum` then reduce to per-axis sums.  A grid given explicit
+    2-D weights has ``axis_weights`` None.  Instances are treated as
+    immutable and compared by identity or by :meth:`compatible`.
     """
 
-    axes: tuple[np.ndarray, ...]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= len(self.axes) <= 2:
+    def __init__(
+        self,
+        axes: Sequence[np.ndarray],
+        weights: np.ndarray | None = None,
+        *,
+        axis_weights: Sequence[np.ndarray] | None = None,
+    ):
+        axes = tuple(axes)
+        if not 1 <= len(axes) <= 2:
             raise StructuralError("only 1-D and 2-D sample grids are supported")
-        for ax in self.axes:
+        for ax in axes:
             if ax.ndim != 1 or np.any(np.diff(ax) <= 0):
                 raise StructuralError("grid axes must be 1-D and strictly increasing")
-        expected = tuple(ax.size for ax in self.axes)
-        if self.weights.shape != expected:
-            raise StructuralError(
-                f"weight shape {self.weights.shape} does not match axes {expected}"
-            )
-        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
-            raise StructuralError("quadrature weights must be finite and strictly positive")
+        self._axes = axes
+        if (weights is None) == (axis_weights is None):
+            raise StructuralError("a grid takes either 2-D weights or per-axis weights")
+        if axis_weights is not None:
+            axis_weights = tuple(np.asarray(w, dtype=float) for w in axis_weights)
+            if tuple(w.shape for w in axis_weights) != tuple((n,) for n in self.shape):
+                raise StructuralError(f"per-axis weights do not match axes {self.shape}")
+            # rounding is monotone, so every product of positive weights lies
+            # between the products of the per-axis extremes
+            positive = all(np.all((w > 0) & np.isfinite(w)) for w in axis_weights)
+            low = np.prod([np.min(w) for w in axis_weights])
+            high = np.prod([np.max(w) for w in axis_weights])
+            if not (positive and low > 0 and np.isfinite(high)):
+                raise StructuralError("quadrature weights must be finite and strictly positive")
+        else:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != self.shape:
+                raise StructuralError(
+                    f"weight shape {weights.shape} does not match axes {self.shape}"
+                )
+            if not np.all((weights > 0) & np.isfinite(weights)):
+                raise StructuralError("quadrature weights must be finite and strictly positive")
+        self._weights = weights
+        self._axis_weights = axis_weights
 
     @classmethod
     def uniform(cls, *axes: np.ndarray) -> "SampleGrid":
         """Build a grid with trapezoid weights from coordinate axes."""
         axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-        per_axis = [_trapezoid_weights(ax) for ax in axes]
-        weights = per_axis[0]
-        for w in per_axis[1:]:
-            weights = np.multiply.outer(weights, w)
-        return cls(axes=axes, weights=weights)
+        return cls(axes, axis_weights=[_trapezoid_weights(ax) for ax in axes])
+
+    @property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        return self._axes
+
+    @property
+    def axis_weights(self) -> tuple[np.ndarray, ...] | None:
+        return self._axis_weights
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            self._weights = functools.reduce(np.multiply.outer, self._axis_weights)
+        return self._weights
 
     @property
     def ndim(self) -> int:
@@ -99,26 +133,136 @@ class SampleGrid:
 
 
 @dataclass(frozen=True, eq=False)
+class ProductSum:
+    """Samples given as a short sum of outer products of per-axis factors.
+
+    ``terms[t][i]`` is the 1-D factor of term t along axis i; the samples
+    are ``sum_t outer(terms[t][0], terms[t][1], ..)``.  A scalar multiplies
+    the first factor of every term.  Subtraction pairs the terms and
+    telescopes each pair one axis at a time,
+    ``a(x) b(y) - c(x) d(y) = (a - c)(x) b(y) + c(x) (b - d)(y)``, so the
+    difference of two nearby products is a sum of small terms and keeps
+    the precision a difference of the full samples would have.
+    """
+
+    terms: tuple[tuple[np.ndarray, ...], ...]
+
+    # numpy scalars defer to the operators below instead of broadcasting
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        terms = tuple(tuple(np.asarray(f) for f in term) for term in self.terms)
+        if not terms:
+            raise StructuralError("a product sum needs at least one term")
+        shape = tuple(f.shape for f in terms[0])
+        if any(f.ndim != 1 for f in terms[0]) or any(
+            tuple(f.shape for f in term) != shape for term in terms
+        ):
+            raise StructuralError(
+                "product-sum terms need one 1-D factor per axis, of equal sizes"
+            )
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def outer(cls, *factors: np.ndarray) -> "ProductSum":
+        """One outer product ``factors[0] x factors[1] x ..``."""
+        return cls((factors,))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(f.size for f in self.terms[0])
+
+    def finite(self) -> bool:
+        return all(np.all(np.isfinite(f)) for term in self.terms for f in term)
+
+    def expand(self) -> np.ndarray:
+        """The samples on the full grid."""
+        products = [functools.reduce(np.multiply.outer, term) for term in self.terms]
+        return functools.reduce(np.add, products)
+
+    def along(self, axis: int, profile: np.ndarray) -> "ProductSum":
+        """The samples times a profile that varies along one axis only."""
+        return ProductSum(
+            tuple((*t[:axis], profile * t[axis], *t[axis + 1 :]) for t in self.terms)
+        )
+
+    def __mul__(self, scalar) -> "ProductSum":
+        return ProductSum(tuple((scalar * t[0], *t[1:]) for t in self.terms))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "ProductSum":
+        return ProductSum(tuple((t[0] / scalar, *t[1:]) for t in self.terms))
+
+    def __add__(self, other: "ProductSum") -> "ProductSum":
+        if not isinstance(other, ProductSum):
+            return NotImplemented
+        return ProductSum(self.terms + other.terms)
+
+    def __sub__(self, other: "ProductSum") -> "ProductSum":
+        if not isinstance(other, ProductSum):
+            return NotImplemented
+        terms = []
+        for a, c in zip(self.terms, other.terms):
+            for axis in range(len(a)):
+                terms.append((*c[:axis], a[axis] - c[axis], *a[axis + 1 :]))
+        paired = min(len(self.terms), len(other.terms))
+        terms += self.terms[paired:] + (-1.0 * other).terms[paired:]
+        return ProductSum(tuple(terms))
+
+
+def _all_finite(samples: np.ndarray | ProductSum) -> bool:
+    if isinstance(samples, ProductSum):
+        return samples.finite()
+    return bool(np.all(np.isfinite(samples)))
+
+
+def _real_or_complex(samples: np.ndarray) -> np.ndarray:
+    # real profiles stay real, without a copy
+    samples = np.asarray(samples)
+    return samples if samples.dtype == np.float64 else samples.astype(complex, copy=False)
+
+
 class Mode:
     """A mode profile sampled on a grid.
 
-    Samples are complex, or float64 when the profile is real.
+    Samples are complex, or float64 when the profile is real.  A mode given
+    as a :class:`ProductSum` keeps it and forms the full ``samples`` only
+    when they are first read; ``data`` is the product sum or the samples,
+    whichever the mode was given as.
     """
 
-    grid: SampleGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples)
-        if samples.dtype != np.float64:  # real profiles stay real, without a copy
-            samples = samples.astype(complex, copy=False)
-        object.__setattr__(self, "samples", samples)
-        if samples.shape != self.grid.shape:
+    def __init__(self, grid: SampleGrid, samples: np.ndarray | ProductSum):
+        factored = isinstance(samples, ProductSum)
+        if not factored:
+            samples = _real_or_complex(samples)
+        if samples.shape != grid.shape:
             raise StructuralError(
-                f"sample shape {samples.shape} does not match grid {self.grid.shape}"
+                f"sample shape {samples.shape} does not match grid {grid.shape}"
             )
-        if not np.all(np.isfinite(samples)):
+        if not _all_finite(samples):
             raise EvaluationError("mode samples contain non-finite values")
+        self._grid = grid
+        self._data = samples
+        self._samples = None if factored else samples
+
+    @property
+    def grid(self) -> SampleGrid:
+        return self._grid
+
+    @property
+    def data(self) -> np.ndarray | ProductSum:
+        return self._data
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            samples = _real_or_complex(self._data.expand())
+            # finite factors can still overflow in their products
+            if not np.all(np.isfinite(samples)):
+                raise EvaluationError("mode samples contain non-finite values")
+            self._samples = samples
+        return self._samples
 
 
 def inner_product(a: Mode, b: Mode) -> complex:
@@ -160,7 +304,7 @@ class ModeBasis:
         return len(self.modes)
 
     def gram(self) -> np.ndarray:
-        return weighted_gram([m.samples for m in self.modes], self.modes[0].grid.weights)
+        return grid_gram(self.modes[0].grid, [m.data for m in self.modes])
 
     def validate(self) -> None:
         _check_orthonormal(self.gram())
@@ -202,9 +346,44 @@ def weighted_gram(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray
             np.multiply(part.real, w, out=x[i])
             np.multiply(part.imag, w, out=x[k + i])
         s += x @ x.T
-    g = s[:k, :k] + s[k:, k:] + 1j * (s[:k, k:] - s[k:, :k])
+    return _hermitian(s[:k, :k] + s[k:, k:] + 1j * (s[:k, k:] - s[k:, :k]))
+
+
+def _hermitian(g: np.ndarray) -> np.ndarray:
+    """The upper triangle of g with its exact conjugate below a real diagonal."""
     upper = np.triu(g, 1)
     return upper + upper.conj().T + np.diag(g.diagonal().real)
+
+
+def _factored_gram(rows: Sequence[ProductSum], axis_weights: Sequence[np.ndarray]) -> np.ndarray:
+    """Gram matrix of product-sum rows from one 1-D Gram matrix per axis.
+
+    With the weights a product w(x) w(y) too, the overlap of two terms is
+    the product of their per-axis overlaps; a row's entry sums those of
+    its terms.
+    """
+    terms = [term for row in rows for term in row.terms]
+    g = 1.0
+    for axis, w in enumerate(axis_weights):
+        f = np.array([term[axis] for term in terms])
+        g = g * ((f.conj() * w) @ f.T)
+    starts = np.cumsum([0] + [len(row.terms) for row in rows[:-1]])
+    return _hermitian(np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1))
+
+
+def grid_gram(grid: SampleGrid, rows: Sequence[np.ndarray | ProductSum]) -> np.ndarray:
+    """Hermitian matrix G[i, j] = sum(w * conj(rows[i]) * rows[j]) on a grid.
+
+    When every row is a :class:`ProductSum` and the grid keeps per-axis
+    weights, G is formed from per-axis 1-D Gram matrices at a cost linear
+    in the points per axis; otherwise the rows are expanded and reduced
+    with :func:`weighted_gram`.  Either way G is Hermitian bitwise.
+    """
+    if grid.axis_weights is not None and all(isinstance(r, ProductSum) for r in rows):
+        return _factored_gram(rows, grid.axis_weights)
+    return weighted_gram(
+        [r.expand() if isinstance(r, ProductSum) else r for r in rows], grid.weights
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +423,7 @@ class OverlapTable:
         grid = populated[0].grid
         if not all(grid.compatible(m.grid) for m in modes[1:]):
             raise GridMismatchError("modes are sampled on different grids")
-        matrix = weighted_gram([m.samples for m in modes], grid.weights)
+        matrix = grid_gram(grid, [m.data for m in modes])
         return cls(matrix, len(populated), len(derivatives))
 
     @property
@@ -389,7 +568,11 @@ def finite_difference_family(
     A central difference with one Richardson refinement, step
     ``|theta_scale| * 1e-4`` unless given, so the step follows each
     parameter's own scale whether it is large or small.  Each derivative
-    mode costs four shifted evaluations of the family.
+    mode costs four shifted evaluations of the family.  A step below
+    ``eps / TAU_FD * |theta_scale|`` is rejected: there the shifted modes
+    round to the reference and the difference to zero.  Modes given as
+    :class:`ProductSum` are differenced per axis and stay product sums (at
+    most four terms for one-term modes).
     """
     steps = [
         float(step) if step is not None else abs(float(scale)) * 1e-4
@@ -397,21 +580,28 @@ def finite_difference_family(
     ]
     if not all(h > 0 for h in steps):
         raise ValueError("finite-difference step must be positive")
+    for name, h, scale in zip(family.parameters, steps, family.theta_scales):
+        floor = np.finfo(float).eps / TAU_FD * abs(float(scale))
+        if h < floor:
+            raise ValueError(
+                f"finite-difference step {h:.3g} for parameter '{name}' is below "
+                f"{floor:.3g}, eps / TAU_FD times its scale {abs(float(scale)):.3g}"
+            )
 
-    def derivative(mode_index: int, parameter: int) -> np.ndarray:
-        def central(h: float) -> np.ndarray:
+    def derivative(mode_index: int, parameter: int) -> np.ndarray | ProductSum:
+        def central(h: float) -> np.ndarray | ProductSum:
             theta = np.zeros(family.n_parameters)
             theta[parameter] = h
-            plus = family.evaluate_mode(mode_index, theta).samples
+            plus = family.evaluate_mode(mode_index, theta).data
             theta[parameter] = -h
-            minus = family.evaluate_mode(mode_index, theta).samples
+            minus = family.evaluate_mode(mode_index, theta).data
             return (plus - minus) / (2.0 * h)
 
         h = steps[parameter]
         coarse = central(h)
         fine = central(h / 2.0)
         samples = (4.0 * fine - coarse) / 3.0
-        if not np.all(np.isfinite(samples)):
+        if not _all_finite(samples):
             raise EvaluationError(
                 f"finite-difference evaluation of parameter "
                 f"'{family.parameters[parameter]}' produced non-finite samples"

@@ -408,6 +408,27 @@ class TestDetectionModesCommand:
         lines = (tmp_path / "deg" / "modes_idle.csv").read_text().strip().splitlines()
         assert len(lines) == 1  # header only
 
+    def test_probe_state_is_not_built(self, tmp_path):
+        # the export does not read the state: one beyond the Fock cap passes
+        out = tmp_path / "modes"
+        code = run_cli(
+            [
+                "detection-modes",
+                "--family",
+                "displaced-beam",
+                "--geometry",
+                '{"w0": 1.0}',
+                "--grid-points",
+                "32",
+                "--state",
+                '{"kind": "squeezed-vacuum", "r": 800}',
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        assert (out / "detection_modes.json").exists()
+
     def test_proportional_modes_documented(self, tmp_path):
         # x0 and tilt_x detection modes are proportional: the second is
         # dropped from the readout basis and its pivot norm recorded
@@ -535,6 +556,7 @@ class TestConfigErrors:
             ({"grid_points": 100000}, [], "grid_points:"),
             ({"repetitions": 10**400}, [], "repetitions:"),
             ({"state": {"kind": "coherent", "nbar": 10**400}}, [], "state.nbar:"),
+            ({"fd_step": 1e-300}, [], "fd_step:"),
         ],
         ids=[
             "extra-geometry-text",
@@ -547,6 +569,7 @@ class TestConfigErrors:
             "grid-above-cap",
             "integer-beyond-float",
             "nbar-beyond-float",
+            "fd-step-below-floor",
         ],
     )
     def test_exits_2_naming_the_field(self, tmp_path, capsys, overrides, flags, field):

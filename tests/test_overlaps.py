@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -103,16 +104,15 @@ class TestOverlapTable:
 
     def test_real_derivative_modes_stay_float64(self, beam_family):
         # the x0, y0 and w0 derivatives of the beam are real: they keep
-        # their float64 samples, and the table matches complex copies bitwise
+        # their float64 samples, and their weighted Gram matrix matches that
+        # of complex copies bitwise
         populated, derivatives = family_rows(beam_family)
         real = [beam_family.parameters.index(name) for name in ("x0", "y0", "w0")]
         assert all(derivatives[a][0].samples.dtype == np.float64 for a in real)
-        as_complex = [
-            [modes.Mode(d.grid, d.samples.astype(complex)) for d in row] for row in derivatives
-        ]
-        table = OverlapTable.from_modes(populated, derivatives)
-        reference = OverlapTable.from_modes(populated, as_complex)
-        assert np.array_equal(table.matrix, reference.matrix)
+        rows = [m.samples for m in table_rows(populated, derivatives)]
+        weights = beam_family.grid.weights
+        reference = modes.weighted_gram([r.astype(complex) for r in rows], weights)
+        assert np.array_equal(modes.weighted_gram(rows, weights), reference)
 
     def test_slices_are_read_only(self, displaced_family):
         table = displaced_family.overlap_table
@@ -258,6 +258,11 @@ class TestFamilyDerivativeRule:
         with pytest.raises(ValueError, match="step must be positive"):
             finite_difference_family(pulse_family, step)
 
+    def test_step_below_the_floor_names_the_parameter(self, beam_family):
+        # every shifted mode would round to the reference: an all-zero table
+        with pytest.raises(ValueError, match="parameter 'x0'"):
+            finite_difference_family(beam_family, 1e-300)
+
     def test_non_finite_difference_names_the_parameter(self):
         grid = modes.SampleGrid.uniform(np.linspace(-1.0, 1.0, 9))
 
@@ -311,3 +316,26 @@ def test_one_degeneracy_rule_for_report_and_export(tmp_path, monkeypatch, displa
     sidecar = cli.export_detection_modes_for(family, tmp_path).report
     assert 0.0 < report["weights"][1] < 1e-12
     assert report["degenerate"] == sidecar["degenerate"] == [False, True]
+
+
+def test_drifting_family_warns_once_per_report(tmp_path, monkeypatch, displaced_family):
+    # a derivative with a real overlap onto its mode: the generator is not
+    # Hermitian, and the run's generators are formed once
+    reference = displaced_family.mode_fn(0, np.zeros(2))
+
+    def derivative_fn(k, a):
+        return displaced_family.derivative_fn(k, a) + 0.5 * reference
+
+    family = dataclasses.replace(displaced_family, derivative_fn=derivative_fn)
+    monkeypatch.setattr(cli, "build_family", lambda *args, **kwargs: family)
+    config = cli.RunConfig(
+        family="displaced-beam",
+        geometry={"w0": 1.0},
+        state={"kind": "coherent", "nbar": 1.0},
+        out=tmp_path,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli._assemble_report(config)
+    drift = [w for w in caught if "Hermiticity" in str(w.message)]
+    assert len(drift) == 1
