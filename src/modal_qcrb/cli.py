@@ -11,11 +11,13 @@ Exit codes: 0 success, 1 engine/numerical failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,18 +26,17 @@ import numpy as np
 from . import __version__
 from .engine import (
     QfimReport,
+    SingleModeAttainability,
     _weight_floors,
-    attainability,
     attainability_single_mode,
-    build_generators,
     crb_bounds,
     detection_modes_for,
-    qfim_mode_split,
+    qfim_single_mode,
 )
 from .errors import ConfigError, ModalQcrbError
 from .families import FAMILY_REGISTRY, build_family
 from .modes import finite_difference_family, gram_schmidt
-from .states import state_from_spec
+from .states import photon_statistics
 from . import tolerances
 
 
@@ -114,7 +115,7 @@ REPORT_SCHEMA = {
         },
         "provenance": {
             "type": "object",
-            "required": ["engine_version", "tolerances", "conventions", "grid", "fock_cutoff"],
+            "required": ["engine_version", "tolerances", "conventions", "grid"],
         },
     },
 }
@@ -173,7 +174,6 @@ class RunConfig:
     state: dict
     out: Path
     grid_points: int | None = None
-    fock_cutoff: int | None = None
     fd_step: float | None = None
     derivative_method: str = "analytic"
     repetitions: int = 1
@@ -191,6 +191,10 @@ class RunConfig:
                 raise ConfigError(f"config: invalid JSON ({exc})") from exc
             if not isinstance(raw, dict):
                 raise ConfigError("config: top level must be a JSON object")
+        accepted = [f.name for f in fields(cls)]
+        for key in raw:
+            if key not in accepted:
+                raise ConfigError(f"{key}: unknown config key; accepted: " + ", ".join(accepted))
 
         def pick(flag, key, default=None):
             value = getattr(args, flag, None)
@@ -240,13 +244,6 @@ class RunConfig:
                 raise ConfigError(
                     f"grid_points: must be between 8 and {_MAX_GRID_POINTS}, got {grid_points}"
                 )
-        fock_cutoff = pick("fock_cutoff", "fock_cutoff")
-        if fock_cutoff is not None:
-            fock_cutoff = _integer("fock_cutoff", fock_cutoff)
-            if not 1 <= fock_cutoff <= tolerances.MAX_CUTOFF:
-                raise ConfigError(
-                    f"fock_cutoff: must be between 1 and {tolerances.MAX_CUTOFF}, got {fock_cutoff}"
-                )
         fd_step = pick("fd_step", "fd_step")
         if fd_step is not None:
             fd_step = _number("fd_step", fd_step)
@@ -267,7 +264,6 @@ class RunConfig:
             state=dict(state),
             out=Path(out),
             grid_points=grid_points,
-            fock_cutoff=fock_cutoff,
             fd_step=fd_step,
             derivative_method=method,
             repetitions=repetitions,
@@ -349,44 +345,36 @@ class RunResult:
     bounds: QfimReport
 
 
+def _attainability_pairs(att: SingleModeAttainability) -> list[dict]:
+    labels = att.labels
+    return [
+        {
+            "param_a": labels[a],
+            "param_b": labels[b],
+            "im_overlap": float(att.imaginary_overlaps[a, b]),
+            "normalized_im_overlap": float(att.normalized[a, b]),
+            "commutator_expectation": float(att.matrix[a, b]),
+            "attainable": bool(att.pair_attainable[a, b]),
+        }
+        for a, b in itertools.combinations(range(len(labels)), 2)
+    ]
+
+
 def _assemble_report(config: RunConfig) -> RunResult:
     family = _build_family(config)
-    state = state_from_spec(config.state, cutoff=config.fock_cutoff)
-    # every mode quantity below is a slice of the family's one overlap table
-    generators = build_generators(family)
-    qfim = qfim_mode_split(state, family)
-    att = attainability(state, generators)
-    single = attainability_single_mode(family)
-    weights = generators.total_weights()
+    # a one-mode probe enters only through <N> and the number information
+    statistics = photon_statistics(config.state)
     report = crb_bounds(
-        qfim,
-        config.repetitions,
-        family.parameters,
-        attainability_result=att,
-        single_mode_result=single,
-        weights=weights,
+        qfim_single_mode(statistics, family), config.repetitions, family.parameters
     )
+    att = attainability_single_mode(family, statistics)
 
     labels = list(family.parameters)
-    pairs = []
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            pairs.append(
-                {
-                    "param_a": labels[a],
-                    "param_b": labels[b],
-                    "im_overlap": float(single.imaginary_overlaps[a, b]),
-                    "normalized_im_overlap": float(single.normalized[a, b]),
-                    "commutator_expectation": float(att.matrix[a, b]),
-                    "attainable": bool(att.pair_attainable[a, b]),
-                }
-            )
-
     grid_meta = {
         "shape": list(family.grid.shape),
         "axis_ranges": [[float(ax[0]), float(ax[-1])] for ax in family.grid.axes],
     }
-    degenerate_flags = [bool(d) for d in weights < _weight_floors(family)]
+    degenerate_flags = [bool(d) for d in att.weights < _weight_floors(family)]
     doc = {
         "family": {
             "name": family.name,
@@ -395,7 +383,8 @@ def _assemble_report(config: RunConfig) -> RunResult:
             "geometry": {k: float(v) for k, v in config.geometry.items()},
             "grid": grid_meta,
         },
-        "state": dict(config.state) | {"fock_cutoff": int(state.space.cutoff)},
+        "state": dict(config.state)
+        | {"mean_photons": statistics.mean, "number_information": statistics.number_information},
         "qfim": {
             "labels": labels,
             "matrix": _matrix_rows(report.qfim),
@@ -412,15 +401,15 @@ def _assemble_report(config: RunConfig) -> RunResult:
             "attainable": att.attainable,
             "commutator_matrix": _matrix_rows(att.matrix),
             "real_residual": float(att.real_residual),
-            "pairs": pairs,
+            "pairs": _attainability_pairs(att),
             "single_mode": {
-                "imaginary_overlaps": _matrix_rows(single.imaginary_overlaps),
-                "normalized": _matrix_rows(single.normalized),
+                "imaginary_overlaps": _matrix_rows(att.imaginary_overlaps),
+                "normalized": _matrix_rows(att.normalized),
             },
         },
         "detection_modes": {
             "labels": labels,
-            "weights": _vector(weights),
+            "weights": _vector(att.weights),
             "degenerate": degenerate_flags,
         },
         "provenance": {
@@ -428,7 +417,6 @@ def _assemble_report(config: RunConfig) -> RunResult:
             "tolerances": tolerances.as_dict(),
             "conventions": dict(_CONVENTIONS),
             "grid": grid_meta,
-            "fock_cutoff": int(state.space.cutoff),
             "derivative_method": config.derivative_method,
             "fd_step": config.fd_step,
         },
@@ -448,13 +436,13 @@ def run_qfim(config: RunConfig) -> ReportBundle:
     return bundle
 
 
-def run_attainability(config: RunConfig) -> ReportBundle:
-    """Write the per-pair attainability table."""
-    bundle = _assemble_report(config).bundle
+def run_attainability(config: RunConfig) -> None:
+    """Write the per-pair attainability table, and compute nothing else."""
+    att = attainability_single_mode(_build_family(config), photon_statistics(config.state))
     rows = [
         "param_a,param_b,Im_overlap,normalized_Im_overlap,commutator_expectation,attainable_flag"
     ]
-    for pair in bundle.report["attainability"]["pairs"]:
+    for pair in _attainability_pairs(att):
         rows.append(
             ",".join(
                 [
@@ -468,7 +456,6 @@ def run_attainability(config: RunConfig) -> ReportBundle:
             )
         )
     _write_atomic(config.out / "attainability.csv", "\n".join(rows) + "\n")
-    return bundle
 
 
 def export_detection_modes(config: RunConfig) -> ReportBundle:
@@ -547,7 +534,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--state", help='state spec JSON, e.g. {"kind":"thermal","nbar":1.0}')
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--grid-points", dest="grid_points", type=int, help="grid points per axis")
-    parser.add_argument("--fock-cutoff", dest="fock_cutoff", type=int, help="per-mode photon cutoff")
     parser.add_argument(
         "--fd-step",
         dest="fd_step",
@@ -557,6 +543,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--repetitions", type=int, help="measurement repetitions M")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modal-qcrb",

@@ -35,6 +35,7 @@ from .modes import (
 from .states import (
     DensityState,
     GaussianState,
+    PhotonStatistics,
     apply_quadratic,
     first_moments,
     number_moments,
@@ -220,29 +221,30 @@ def qfim_mode_split(state: DensityState, family: "ParameterFamily") -> np.ndarra
     return _zero_roundoff_diagonal(f_pop + f_vac)
 
 
-def qfim_single_mode(state: DensityState, family: "ParameterFamily") -> np.ndarray:
-    """Fast path for a single populated mode.
-
-    First term: (d_a f | f)(f | d_b f) times the number-operator
-    information; second term: 4 Re[(d_a f | d_b f) - (d_a f | f)(f | d_b f)]
-    times the mean photon number.  Agrees with :func:`qfim_mode_split` on
-    the same inputs; for amplitude-only parameters it reduces to
-    4 Re(d_a f | d_b f) N exactly.
-    """
+def _one_mode_table(family: "ParameterFamily") -> OverlapTable:
     table = family.overlap_table
     if table.n_modes != 1:
         raise StructuralError(
             f"single-mode path needs exactly one populated mode, got {table.n_modes}"
         )
-    if state.space.n_modes != 1:
-        raise StructuralError("state must live on a single-mode Fock space")
-    c = table.generator_overlaps[:, 0, 0]
-    overlaps = table.derivative_overlaps[:, :, 0, 0]
+    return table
 
-    info = number_information(state)
-    mean_n, _ = number_moments(state)
-    projected = np.conj(c)[:, None] * c[None, :]
-    f = projected.real * info + 4.0 * (overlaps - projected).real * mean_n
+
+def qfim_single_mode(statistics: PhotonStatistics, family: "ParameterFamily") -> np.ndarray:
+    """Information matrix of a one-populated-mode family.
+
+    The populated term is h_a h_b times the number information, with h_a
+    the (symmetrized, 1 x 1) generator; the vacuum term is
+    4 Re[(d_a f | d_b f) - (d_a f | f)(f | d_b f)] times the mean photon
+    number.  These are the two terms of :func:`qfim_mode_split` for any
+    one-mode state with these statistics; for amplitude-only parameters
+    the matrix reduces to 4 Re(d_a f | d_b f) N exactly.
+    """
+    table = _one_mode_table(family)
+    h = family.generators.matrices[:, 0, 0].real
+    c = table.generator_overlaps[:, 0, 0]
+    vac = (table.derivative_overlaps[:, :, 0, 0] - np.conj(c)[:, None] * c[None, :]).real
+    f = np.outer(h, h) * statistics.number_information + 4.0 * vac * statistics.mean
     return _zero_roundoff_diagonal((f + f.T) / 2.0)
 
 
@@ -364,42 +366,56 @@ def attainability(state: DensityState, generators: GeneratorCoefficients) -> Att
 
 
 @dataclass(frozen=True, eq=False)
-class SingleModeAttainability:
-    """Imaginary parts of derivative-mode overlaps for one populated mode."""
+class SingleModeAttainability(AttainabilityResult):
+    """Attainability for one populated mode, with the overlaps that decide it.
 
-    labels: tuple[str, ...]
+    ``imaginary_overlaps[a, b]`` is Im(d_a f | d_b f); ``normalized``
+    divides it by w_a w_b, the norms of the derivative modes in
+    ``weights``.
+    """
+
     imaginary_overlaps: np.ndarray
     normalized: np.ndarray
-    pair_attainable: np.ndarray
-    attainable: bool
     weights: np.ndarray
 
 
-def attainability_single_mode(family: "ParameterFamily") -> SingleModeAttainability:
-    """State-independent compatibility test for a single populated mode.
+def attainability_single_mode(
+    family: "ParameterFamily", statistics: PhotonStatistics
+) -> SingleModeAttainability:
+    """Attainability for one populated mode from the overlap table and <N>.
 
-    The bound for a parameter pair is attainable exactly when the
-    imaginary part of the derivative-mode overlap vanishes; the normalized
-    value Im(d_a f | d_b f) / (w_a w_b) is the commutator of the two
+    The commutator matrix is u_ab = 2 <N> Im(d_a f | d_b f): a 1 x 1
+    generator is a real number, so the mixed-state double sum of
+    :func:`attainability` vanishes and the real residual is 0 for every
+    probe.  A pair is attainable under the rule of :func:`attainability`,
+    |u_ab| <= TAU_ATTAIN w_a w_b <N>.  The normalized value
+    Im(d_a f | d_b f) / (w_a w_b) is the commutator of the two
     detection-mode quadratures over 2i.
     """
-    table = family.overlap_table
-    if table.n_modes != 1:
-        raise StructuralError("single-mode attainability needs one populated mode")
+    table = _one_mode_table(family)
     w = table.weights[:, 0]
     # exactly antisymmetric with a zero diagonal: the table is Hermitian bitwise
     im = table.derivative_overlaps[:, :, 0, 0].imag.copy()
     scale = np.outer(w, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.where(scale > 0, im / np.where(scale > 0, scale, 1.0), 0.0)
-    pair_ok = np.abs(im) <= TAU_ATTAIN * scale
+    u = 2.0 * statistics.mean * im
+    pair_scale = scale * statistics.mean
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(pair_scale))):
+        raise PreconditionError(
+            f"commutator matrix at <N> = {statistics.mean:.3e} overflows double precision"
+        )
+    pair_ok = np.abs(u) <= TAU_ATTAIN * pair_scale
     np.fill_diagonal(pair_ok, True)
     return SingleModeAttainability(
         labels=family.parameters,
-        imaginary_overlaps=im,
-        normalized=normalized,
+        matrix=u,
         pair_attainable=pair_ok,
         attainable=bool(np.all(pair_ok)),
+        real_residual=0.0,
+        scale=pair_scale,
+        imaginary_overlaps=im,
+        normalized=normalized,
         weights=w,
     )
 
@@ -430,7 +446,6 @@ class QfimReport:
     degenerate_parameters: tuple[str, ...]
     null_combinations: np.ndarray
     attainability: AttainabilityResult | None = None
-    single_mode_attainability: SingleModeAttainability | None = None
     weights: np.ndarray | None = None
 
 
@@ -440,7 +455,6 @@ def crb_bounds(
     labels: Sequence[str] | None = None,
     *,
     attainability_result: AttainabilityResult | None = None,
-    single_mode_result: SingleModeAttainability | None = None,
     weights: np.ndarray | None = None,
 ) -> QfimReport:
     """Variance bounds from an information matrix.
@@ -452,6 +466,8 @@ def crb_bounds(
     f = np.asarray(qfim, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise StructuralError("information matrix must be square")
+    if not np.all(np.isfinite(f)):
+        raise PreconditionError("information matrix has non-finite entries")
     n_p = f.shape[0]
     if labels is None:
         labels = tuple(f"theta_{i}" for i in range(n_p))
@@ -507,7 +523,6 @@ def crb_bounds(
         degenerate_parameters=degenerate,
         null_combinations=null_combinations,
         attainability=attainability_result,
-        single_mode_attainability=single_mode_result,
         weights=None if weights is None else np.asarray(weights, dtype=float),
     )
 
@@ -595,9 +610,7 @@ def detection_modes_for(family: "ParameterFamily") -> list[DetectionMode]:
     The weights are read from the family's overlap table, so they equal
     the report's bitwise; the derivative samples are evaluated here.
     """
-    table = family.overlap_table
-    if table.n_modes != 1:
-        raise StructuralError("detection modes are defined per populated mode")
+    table = _one_mode_table(family)
     floors = _weight_floors(family)
     return [
         detection_mode(

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CutoffError, StructuralError
+from .errors import CutoffError, PreconditionError, StructuralError
 from .modes import DetectionMode, Mode, ModeBasis, inner_product
 from .tolerances import (
     MAX_CUTOFF,
@@ -239,13 +239,12 @@ def make_state(
     kind: str,
     space: FockSpace | None = None,
     *,
-    cutoff: int | None = None,
     mode: int = 0,
     **parameters,
 ) -> DensityState:
     """Build a probe state: coherent, fock, thermal, squeezed-vacuum or custom.
 
-    Without an explicit ``space`` (or ``cutoff``), the smallest per-mode
+    Without an explicit ``space``, the smallest per-mode
     cutoff with truncation tail below the cutoff budget is chosen, capped
     at the hard maximum.  Coherent and Fock states are rank one; thermal
     eigenvalues follow nbar^n / (1 + nbar)^(n + 1).
@@ -277,13 +276,12 @@ def make_state(
 
     needed = _suggest_cutoff(kind, **tail_params)
     if space is None:
-        chosen = cutoff if cutoff is not None else needed
-        if max(chosen, needed) > MAX_CUTOFF:
+        if needed > MAX_CUTOFF:
             raise CutoffError(
                 f"state '{kind}' needs a cutoff beyond the hard cap {MAX_CUTOFF}",
                 suggested_cutoff=needed,
             )
-        space = FockSpace(n_modes=1, cutoff=max(chosen, 1))
+        space = FockSpace(n_modes=1, cutoff=max(needed, 1))
     if space.cutoff < needed:
         raise CutoffError(
             f"cutoff {space.cutoff} leaks more than the truncation budget "
@@ -333,17 +331,47 @@ def make_state(
     return DensityState(space, probs, vectors)
 
 
-def state_from_spec(
-    spec: dict,
-    space: FockSpace | None = None,
-    cutoff: int | None = None,
-) -> DensityState:
-    """Build a state from a plain ``{"kind": ..., parameters...}`` mapping."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if not isinstance(kind, str):
-        raise StructuralError("state spec needs a string 'kind' field")
-    return make_state(kind, space, cutoff=cutoff, **spec)
+@dataclass(frozen=True)
+class PhotonStatistics:
+    """The two numbers through which a one-mode probe enters every quantity.
+
+    ``mean`` is <N>; ``number_information`` is the information of the
+    phase generated by N: 4 Var N for a pure state, 0 for a state diagonal
+    in the number basis.
+    """
+
+    mean: float
+    number_information: float
+
+
+# state kind -> (spec field, closed-form (<N>, number information))
+_CLOSED_FORMS = {
+    "coherent": ("nbar", lambda nbar: (nbar, 4.0 * nbar)),
+    "fock": ("n", lambda n: (n, 0.0)),
+    "thermal": ("nbar", lambda nbar: (nbar, 0.0)),
+    "squeezed-vacuum": ("r", lambda r: (math.sinh(r) ** 2, 2.0 * math.sinh(2.0 * r) ** 2)),
+}
+
+
+def photon_statistics(spec: dict) -> PhotonStatistics:
+    """Closed-form statistics of a ``{"kind": ..., parameters...}`` probe.
+
+    Exact for every photon number, with no Fock-space truncation; the
+    squeezing angle ``phi`` does not enter.  A value beyond the double
+    range raises :class:`PreconditionError` naming the spec field.
+    """
+    if spec.get("kind") not in _CLOSED_FORMS:
+        raise ValueError(f"unknown state kind {spec.get('kind')!r}")
+    field, closed_form = _CLOSED_FORMS[spec["kind"]]
+    try:
+        mean, info = closed_form(float(spec[field]))
+    except OverflowError:
+        mean = info = math.inf
+    if not (math.isfinite(mean) and math.isfinite(info)):
+        raise PreconditionError(
+            f"state.{field}: photon statistics of {spec[field]!r} overflow double precision"
+        )
+    return PhotonStatistics(mean, info)
 
 
 # ---------------------------------------------------------------------------

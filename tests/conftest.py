@@ -24,6 +24,24 @@ K = 10.0
 OMEGA0 = 100.0
 VARIANCE = 25.0
 
+# one-mode probes of every CLI kind that the truncated Fock space still
+# holds within its cap: the reference for the closed-form statistics
+FOCK_ROUTE_PROBES = (
+    {"kind": "coherent", "nbar": 0.0},
+    {"kind": "coherent", "nbar": 0.5},
+    {"kind": "coherent", "nbar": 5.0},
+    {"kind": "fock", "n": 0},
+    {"kind": "fock", "n": 1},
+    {"kind": "fock", "n": 5},
+    {"kind": "thermal", "nbar": 0.0},
+    {"kind": "thermal", "nbar": 0.5},
+    {"kind": "thermal", "nbar": 2.0},
+    {"kind": "squeezed-vacuum", "r": 0.0},
+    {"kind": "squeezed-vacuum", "r": 0.3, "phi": 0.7},
+    {"kind": "squeezed-vacuum", "r": -0.7},
+    {"kind": "squeezed-vacuum", "r": 0.9, "phi": 2.0},
+)
+
 
 @pytest.fixture(scope="session")
 def beam_family():

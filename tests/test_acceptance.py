@@ -31,12 +31,12 @@ from modal_qcrb import (
     inner_product,
     make_state,
     number_information,
+    photon_statistics,
     qfim_mean_field,
     qfim_mode_split,
     qfim_single_mode,
     qfim_unitary,
     readout_means,
-    state_from_spec,
 )
 from modal_qcrb.modes import derivative_mode, finite_difference_family, mode_norm
 from modal_qcrb.states import first_moments, quadrature_covariance
@@ -121,12 +121,13 @@ def test_criterion_02_pulse_structure(families):
 
 
 def test_criterion_03_attainability_flags(families):
-    beam = attainability_single_mode(families["gaussian-beam"])
+    coherent = photon_statistics({"kind": "coherent", "nbar": 1.0})
+    beam = attainability_single_mode(families["gaussian-beam"], coherent)
     x0_tilt = beam.normalized[0, 4]
     beam_pair_ok = abs(x0_tilt - 1.0) < 1e-6 and not beam.pair_attainable[0, 4]
     xy_ok = beam.pair_attainable[0, 1] and abs(beam.imaginary_overlaps[0, 1]) < 1e-10
 
-    pulse = attainability_single_mode(families["gaussian-pulse"])
+    pulse = attainability_single_mode(families["gaussian-pulse"], coherent)
     pulse_ok = pulse.attainable and np.max(np.abs(pulse.imaginary_overlaps)) < 1e-10
     report(
         3,
@@ -142,9 +143,9 @@ def test_criterion_04_engine_self_consistency(families):
     for name in ("displaced-beam", "gaussian-pulse"):
         family = families[name]
         for spec in PROBE_GRID:
-            state = state_from_spec(spec)
+            state = make_state(**spec)
             split = qfim_mode_split(state, family)
-            single = qfim_single_mode(state, family)
+            single = qfim_single_mode(photon_statistics(spec), family)
             scale = max(np.max(np.abs(split)), 1e-30)
             worst = max(worst, np.max(np.abs(split - single)) / scale)
 
@@ -284,7 +285,7 @@ def test_criterion_08_matrix_properties(families):
     worst_chain = np.inf
     for family in families.values():
         for spec in PROBE_GRID:
-            state = state_from_spec(spec)
+            state = make_state(**spec)
             f = qfim_mode_split(state, family)
             scale = max(np.max(np.abs(f)), 1e-30)
             worst_sym = max(worst_sym, np.max(np.abs(f - f.T)) / scale)

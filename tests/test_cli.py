@@ -104,7 +104,7 @@ class TestQfimCommand:
         assert code == 2
 
     def test_engine_error_exit_code(self, tmp_path):
-        # thermal nbar=8 needs a cutoff beyond the hard cap
+        # squeezing r=800 has photon statistics beyond the double range
         code = run_cli(
             [
                 "qfim",
@@ -113,7 +113,7 @@ class TestQfimCommand:
                 "--geometry",
                 '{"w0": 1.0}',
                 "--state",
-                '{"kind": "thermal", "nbar": 8.0}',
+                '{"kind": "squeezed-vacuum", "r": 800}',
                 "--out",
                 str(tmp_path),
             ]
@@ -538,25 +538,26 @@ class TestConfigErrors:
         "grid_points": 64,
     }
 
-    def run(self, tmp_path, config, *flags):
+    def run(self, tmp_path, config, command="qfim"):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        return run_cli(["qfim", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+        return run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize(
-        "overrides, flags, field",
+        "overrides, field",
         [
-            ({"geometry": {"w0": 1.0, "k": 10.0, "extra": "abc"}}, [], "geometry.extra:"),
-            ({"geometry": {"w0": True, "k": 10.0}}, [], "geometry.w0:"),
-            ({"geometry": {"w0": "1.0", "k": 10.0}}, [], "geometry.w0:"),
-            ({"fd_step": "abc"}, [], "fd_step:"),
-            ({"fd_step": True}, [], "fd_step:"),
-            ({"family": ["gaussian-beam"]}, [], "family:"),
-            ({}, ["--fock-cutoff", "1000"], "fock_cutoff:"),
-            ({"grid_points": 100000}, [], "grid_points:"),
-            ({"repetitions": 10**400}, [], "repetitions:"),
-            ({"state": {"kind": "coherent", "nbar": 10**400}}, [], "state.nbar:"),
-            ({"fd_step": 1e-300}, [], "fd_step:"),
+            ({"geometry": {"w0": 1.0, "k": 10.0, "extra": "abc"}}, "geometry.extra:"),
+            ({"geometry": {"w0": True, "k": 10.0}}, "geometry.w0:"),
+            ({"geometry": {"w0": "1.0", "k": 10.0}}, "geometry.w0:"),
+            ({"fd_step": "abc"}, "fd_step:"),
+            ({"fd_step": True}, "fd_step:"),
+            ({"family": ["gaussian-beam"]}, "family:"),
+            ({"fock_cutoff": 32}, "fock_cutoff:"),
+            ({"grid_point": 64}, "grid_point:"),
+            ({"grid_points": 100000}, "grid_points:"),
+            ({"repetitions": 10**400}, "repetitions:"),
+            ({"state": {"kind": "coherent", "nbar": 10**400}}, "state.nbar:"),
+            ({"fd_step": 1e-300}, "fd_step:"),
         ],
         ids=[
             "extra-geometry-text",
@@ -565,42 +566,145 @@ class TestConfigErrors:
             "text-fd-step",
             "bool-fd-step",
             "list-family",
-            "cutoff-above-cap",
+            "stale-cutoff-key",
+            "misspelt-key",
             "grid-above-cap",
             "integer-beyond-float",
             "nbar-beyond-float",
             "fd-step-below-floor",
         ],
     )
-    def test_exits_2_naming_the_field(self, tmp_path, capsys, overrides, flags, field):
-        assert self.run(tmp_path, self.BASE | overrides, *flags) == 2
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, overrides, field):
+        assert self.run(tmp_path, self.BASE | overrides) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err
         assert not (tmp_path / "out").exists()
 
+    def test_removed_cutoff_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["qfim", "--family", "displaced-beam", "--fock-cutoff", "32"])
+        assert exit_info.value.code == 2
+        assert "--fock-cutoff" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "overrides, flags, error",
+        "overrides, error",
         [
-            ({"state": {"kind": "squeezed-vacuum", "r": 800}}, [], "CutoffError"),
-            ({"state": {"kind": "squeezed-vacuum", "r": 800}}, ["--fock-cutoff", "64"], "CutoffError"),
-            ({"geometry": {"w0": 1e200, "k": 10.0}}, [], "StructuralError"),
-            ({"geometry": {"w0": 1.0, "k": 1e300}}, [], "EvaluationError"),
-            ({"state": {"kind": "thermal", "nbar": 1e300}}, [], "CutoffError"),
-            ({"state": {"kind": "fock", "n": 2}}, ["--fock-cutoff", "1"], "CutoffError"),
-            ({"state": {"kind": "coherent", "nbar": 5e-324}}, [], "PreconditionError"),
+            ({"state": {"kind": "squeezed-vacuum", "r": 800}}, "PreconditionError: state.r:"),
+            ({"state": {"kind": "squeezed-vacuum", "r": 400}}, "PreconditionError: state.r:"),
+            ({"geometry": {"w0": 1e200, "k": 10.0}}, "StructuralError"),
+            ({"geometry": {"w0": 1.0, "k": 1e300}}, "EvaluationError"),
+            ({"state": {"kind": "thermal", "nbar": 1.7e308}}, "PreconditionError"),
+            ({"state": {"kind": "coherent", "nbar": 1e306}}, "PreconditionError"),
+            ({"state": {"kind": "coherent", "nbar": 5e-324}}, "PreconditionError"),
         ],
         ids=[
             "squeezing-overflow",
-            "squeezing-overflow-cutoff",
+            "squeezing-square-overflow",
             "huge-waist",
             "huge-wavenumber",
             "huge-thermal",
-            "fock-above-cutoff",
+            "information-overflow",
             "denormal-photon-number",
         ],
     )
-    def test_out_of_range_exits_1_with_a_message(self, tmp_path, capsys, overrides, flags, error):
-        assert self.run(tmp_path, self.BASE | overrides, *flags) == 1
+    def test_out_of_range_exits_1_with_a_message(self, tmp_path, capsys, overrides, error):
+        assert self.run(tmp_path, self.BASE | overrides) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"qfim failed in {error}: ")
+        assert err.startswith(f"qfim failed in {error}")
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_attainability_skips_the_bounds(self, tmp_path, capsys):
+        # the pseudo-inverse of this probe's information matrix fails, but
+        # the attainability table does not need it
+        config = self.BASE | {"state": {"kind": "coherent", "nbar": 5e-324}}
+        assert self.run(tmp_path, config, "attainability") == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["attainability.csv"]
+
+
+class TestBrightProbes:
+    """CLI probes enter through closed-form photon statistics, with no Fock cap."""
+
+    SPECS = (
+        {"kind": "coherent", "nbar": 40.0},
+        {"kind": "thermal", "nbar": 5.0},
+        {"kind": "squeezed-vacuum", "r": 2.0},
+        {"kind": "coherent", "nbar": 1e6},
+        {"kind": "fock", "n": 100},
+    )
+    GEOMETRY = {
+        "displaced-beam": {"w0": 1.0},
+        "gaussian-beam": {"w0": 1.0, "k": 10.0},
+        "gaussian-beam-carrier": {"w0": 1.0, "k": 10.0},
+        "gaussian-pulse": {"omega0": OMEGA0, "variance": VARIANCE},
+    }
+
+    @pytest.mark.parametrize("command", ["qfim", "attainability"])
+    @pytest.mark.parametrize("family", sorted(GEOMETRY))
+    def test_no_fock_state_is_built(self, tmp_path, monkeypatch, family, command):
+        from modal_qcrb import states
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built on the one-mode path")
+
+        monkeypatch.setattr(states.FockSpace, "__post_init__", refuse)
+        monkeypatch.setattr(states.DensityState, "__post_init__", refuse)
+        for i, spec in enumerate(self.SPECS):
+            argv = [
+                command,
+                "--family",
+                family,
+                "--geometry",
+                json.dumps(self.GEOMETRY[family]),
+                "--grid-points",
+                "128",
+                "--state",
+                json.dumps(spec),
+                "--out",
+                str(tmp_path / str(i)),
+            ]
+            assert run_cli(argv) == 0, spec
+
+    def test_report_carries_the_photon_statistics(self, tmp_path):
+        code = run_cli(
+            [
+                "qfim",
+                "--family",
+                "displaced-beam",
+                "--geometry",
+                '{"w0": 1.0}',
+                "--state",
+                '{"kind": "squeezed-vacuum", "r": 2.0, "phi": 0.3}',
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["state"]["mean_photons"] == pytest.approx(np.sinh(2.0) ** 2, rel=1e-15)
+        assert report["state"]["number_information"] == pytest.approx(2.0 * np.sinh(4.0) ** 2, rel=1e-15)
+        assert "fock_cutoff" not in report["state"]
+        assert "fock_cutoff" not in report["provenance"]
+        # amplitude-only parameters: 4 (d_a f | d_a f) <N>
+        _, matrix = read_matrix_csv(tmp_path / "qfim.csv")
+        assert np.allclose(np.diag(matrix), 4.0 * np.sinh(2.0) ** 2, rtol=1e-6)
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    import argparse
+
+    from modal_qcrb import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert run_cli(["list-families"]) == 0
+    first = len(built)
+    assert run_cli(["list-families"]) == 0
+    assert first > 0 and len(built) == first

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from modal_qcrb import (
     inner_product,
     make_state,
     number_information,
+    photon_statistics,
     qfim_mean_field,
     qfim_mode_split,
     qfim_single_mode,
@@ -31,6 +33,7 @@ from modal_qcrb import (
 )
 from modal_qcrb.states import first_moments, number_moments, quadrature_covariance
 from conftest import (
+    FOCK_ROUTE_PROBES,
     K,
     OMEGA0,
     VARIANCE,
@@ -211,54 +214,51 @@ class TestQfimModeSplit:
 
 
 class TestQfimSingleMode:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            {"kind": "coherent", "nbar": 1.0},
-            {"kind": "thermal", "nbar": 0.5},
-            {"kind": "fock", "n": 2},
-        ],
-    )
-    def test_agrees_with_mode_split(self, pulse_family, spec):
-        from modal_qcrb import state_from_spec
-
-        state = state_from_spec(spec)
-        a = qfim_single_mode(state, pulse_family)
-        b = qfim_mode_split(state, pulse_family)
-        scale = max(np.max(np.abs(b)), 1e-30)
-        assert np.max(np.abs(a - b)) / scale < 1e-6
+    @pytest.mark.parametrize("spec", FOCK_ROUTE_PROBES)
+    def test_agrees_with_mode_split(self, request, spec):
+        # same matrix and attainability flags as the truncated-Fock route,
+        # within its truncation budget
+        state = make_state(**spec)
+        statistics = photon_statistics(spec)
+        for fixture in ("beam_family", "beam_carrier_family", "pulse_family", "displaced_family"):
+            family = request.getfixturevalue(fixture)
+            split = qfim_mode_split(state, family)
+            single = qfim_single_mode(statistics, family)
+            scale = max(np.max(np.abs(split)), 1e-300)
+            assert np.max(np.abs(single - split)) <= 1e-6 * scale, fixture
+            mixed = attainability(state, build_generators(family))
+            one_mode = attainability_single_mode(family, statistics)
+            assert np.array_equal(one_mode.pair_attainable, mixed.pair_attainable), fixture
+            assert one_mode.real_residual == 0.0
 
     def test_amplitude_only_diagonal(self, displaced_family):
         # orthogonal real derivative modes: diagonal 4 (d_a f | d_a f) N
-        state = make_state("coherent", nbar=3.0)
-        f = qfim_single_mode(state, displaced_family)
+        f = qfim_single_mode(photon_statistics({"kind": "coherent", "nbar": 3.0}), displaced_family)
         assert np.allclose(np.diag(f), 4.0 * 3.0 / W0**2, rtol=1e-8)
         assert abs(f[0, 1]) < 1e-12
 
     def test_pulse_group_delay_entry(self, pulse_family):
-        state = make_state("coherent", nbar=1.0)
-        f = qfim_single_mode(state, pulse_family)
+        f = qfim_single_mode(photon_statistics({"kind": "coherent", "nbar": 1.0}), pulse_family)
         assert f[1, 1] == pytest.approx(4.0 * VARIANCE, rel=1e-6)
 
     def test_pulse_phase_entry_vanishes_for_fock(self, pulse_family):
-        state = make_state("fock", n=2)
-        f = qfim_single_mode(state, pulse_family)
+        f = qfim_single_mode(photon_statistics({"kind": "fock", "n": 2}), pulse_family)
         assert abs(f[0, 0]) < 1e-8 * np.max(np.abs(f))
 
     @pytest.mark.parametrize("fixture", ["beam_family", "beam_carrier_family"])
     def test_beam_variants_agree_with_mode_split(self, request, fixture):
         family = request.getfixturevalue(fixture)
-        state = make_state("coherent", nbar=1.0)
-        a = qfim_single_mode(state, family)
-        b = qfim_mode_split(state, family)
+        spec = {"kind": "coherent", "nbar": 1.0}
+        a = qfim_single_mode(photon_statistics(spec), family)
+        b = qfim_mode_split(make_state(**spec), family)
         assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-6
 
     def test_roundoff_negative_diagonal_is_zeroed(self):
         from modal_qcrb import PulseSpectrum, gaussian_pulse_family
 
         family = gaussian_pulse_family(PulseSpectrum(100.0, 1.0))
-        state = make_state("fock", n=2)
-        for f in (qfim_single_mode(state, family), qfim_mode_split(state, family)):
+        spec = {"kind": "fock", "n": 2}
+        for f in (qfim_single_mode(photon_statistics(spec), family), qfim_mode_split(make_state(**spec), family)):
             assert 0.0 <= f[0, 0] < 1e-9 * np.max(np.abs(f))
 
     def test_large_negative_diagonal_is_kept(self):
@@ -269,11 +269,25 @@ class TestQfimSingleMode:
         with pytest.raises(PreconditionError):
             crb_bounds(f)
 
-    def test_multimode_state_rejected(self, pulse_family):
-        space = FockSpace(n_modes=2, cutoff=4)
-        state = make_state("fock", space, n=1)
+    def test_multimode_family_rejected(self):
+        from modal_qcrb import ParameterFamily
+
+        populated, derivatives = random_mode_parameter_data(np.random.default_rng(5), 2, 2)
+        family = ParameterFamily(
+            name="two-mode",
+            parameters=("a", "b"),
+            units=("1",) * 2,
+            grid=populated[0].grid,
+            theta_scales=np.ones(2),
+            mode_fn=lambda k, theta: populated[k].samples,
+            derivative_fn=lambda k, a: derivatives[a][k].samples,
+            n_modes=2,
+        )
+        statistics = photon_statistics({"kind": "fock", "n": 1})
         with pytest.raises(StructuralError):
-            qfim_single_mode(state, pulse_family)
+            qfim_single_mode(statistics, family)
+        with pytest.raises(StructuralError):
+            attainability_single_mode(family, statistics)
 
 
 class TestQfimMeanField:
@@ -283,7 +297,7 @@ class TestQfimMeanField:
         basis = displaced_family.evaluate()
         cov = quadrature_covariance(GaussianState.vacuum(1), dets, basis)
         f = qfim_mean_field(n0, dets, cov, mean_mode=basis.modes[0])
-        reference = qfim_single_mode(make_state("coherent", nbar=n0), displaced_family)
+        reference = qfim_single_mode(photon_statistics({"kind": "coherent", "nbar": n0}), displaced_family)
         assert np.max(np.abs(f - reference)) / np.max(np.abs(reference)) < 1e-6
 
     def test_overlapping_detection_modes(self, displaced_family):
@@ -393,16 +407,16 @@ class TestAttainability:
         # U equals 2 Im(d_a f | d_b f) <N> for a single populated mode,
         # whatever the probe statistics
         gens = build_generators(beam_family)
-        single = attainability_single_mode(beam_family)
         for spec in ({"kind": "coherent", "nbar": 1.5}, {"kind": "thermal", "nbar": 0.8}):
-            from modal_qcrb import state_from_spec
-
-            state = state_from_spec(spec)
+            state = make_state(**spec)
             mean_n, _ = number_moments(state)
-            u = attainability(state, gens).matrix
+            mixed = attainability(state, gens)
+            single = attainability_single_mode(beam_family, photon_statistics(spec))
             expected = 2.0 * single.imaginary_overlaps * mean_n
             scale = max(np.max(np.abs(expected)), 1.0)
-            assert np.max(np.abs(u - expected)) / scale < 1e-7
+            assert np.max(np.abs(mixed.matrix - expected)) / scale < 1e-7
+            assert np.max(np.abs(mixed.matrix - single.matrix)) / scale < 1e-7
+            assert np.array_equal(mixed.pair_attainable, single.pair_attainable)
 
 
 class TestDegenerateParameter:
@@ -423,26 +437,29 @@ class TestDegenerateParameter:
         assert np.max(np.abs(result.matrix[2, :])) == 0.0
 
 
+COHERENT = photon_statistics({"kind": "coherent", "nbar": 1.0})
+
+
 class TestAttainabilitySingleMode:
     def test_beam_quadrature_pair(self, beam_family):
-        result = attainability_single_mode(beam_family)
+        result = attainability_single_mode(beam_family, COHERENT)
         assert result.normalized[0, 4] == pytest.approx(1.0, rel=1e-6)
         assert not result.pair_attainable[0, 4]
         assert not result.attainable
 
     def test_orthogonal_displacements_compatible(self, beam_family):
-        result = attainability_single_mode(beam_family)
+        result = attainability_single_mode(beam_family, COHERENT)
         assert result.pair_attainable[0, 1]
         assert abs(result.imaginary_overlaps[0, 1]) < 1e-12
 
     def test_pulse_fully_compatible(self, pulse_family):
-        result = attainability_single_mode(pulse_family)
+        result = attainability_single_mode(pulse_family, COHERENT)
         assert result.attainable
         assert np.max(np.abs(result.imaginary_overlaps)) < 1e-10
 
     def test_waist_axial_pair_incompatible(self, beam_family):
         # numerically computed value: |Im| / (w_a w_b) = 1/sqrt(2)
-        result = attainability_single_mode(beam_family)
+        result = attainability_single_mode(beam_family, COHERENT)
         assert abs(result.normalized[3, 2]) == pytest.approx(1.0 / math.sqrt(2), rel=1e-8)
         assert not result.pair_attainable[3, 2]
 
@@ -485,6 +502,12 @@ class TestCrbBounds:
         with pytest.raises(StructuralError):
             crb_bounds(f)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, bad):
+        # an overflowed entry would otherwise leave an all-zero pseudo-inverse
+        with pytest.raises(PreconditionError, match="non-finite"):
+            crb_bounds(np.diag([bad, 1.0]))
+
     def test_bound_chain(self, beam_family):
         state = make_state("coherent", nbar=1.0)
         f = qfim_mode_split(state, beam_family)
@@ -494,6 +517,51 @@ class TestCrbBounds:
                 report.multiparameter_bounds[a]
                 >= report.single_parameter_bounds[a] - 1e-12
             )
+
+
+class TestReadoutAttainsTheBound:
+    """The classical information of the detection-mode homodyne readout.
+
+    For a coherent probe the Gram-Schmidt readout quadratures (q_first,
+    q_second) have means linear in theta and unit vacuum variance, so their
+    Fisher information is J^T J with J from :func:`readout_means`.  It must
+    equal the engine's matrix on every pair flagged attainable and fall
+    strictly below it where Im(d_a f | d_b f) != 0.
+    """
+
+    # detection modes orthogonal to the beam mode
+    PARAMETERS = ("x0", "y0", "w0", "tilt_x", "tilt_y")
+
+    def test_readout_information_against_flags(self, beam_family):
+        nbar = 2.0
+        statistics = photon_statistics({"kind": "coherent", "nbar": nbar})
+        f = qfim_single_mode(statistics, beam_family)
+        flags = attainability_single_mode(beam_family, statistics).pair_attainable
+        dets = detection_modes_for(beam_family)
+        index = {label: i for i, label in enumerate(beam_family.parameters)}
+        seen = set()
+        for name_a, name_b in itertools.combinations(self.PARAMETERS, 2):
+            a, b = index[name_a], index[name_b]
+            overlap = inner_product(dets[a].mode, dets[b].mode)
+            columns = []
+            for theta_a, theta_b in ((1.0, 0.0), (0.0, 1.0)):
+                r = readout_means(theta_a * dets[a].weight, theta_b * dets[b].weight, overlap, nbar)
+                columns.append([r.q_first, r.q_second])
+            jacobian = np.array(columns).T
+            f_c = jacobian.T @ jacobian
+            block = f[np.ix_([a, b], [a, b])]
+            scale = np.max(np.abs(block))
+            if flags[a, b]:
+                assert np.max(np.abs(f_c - block)) < 1e-8 * scale, (name_a, name_b)
+            else:
+                gap = np.linalg.eigvalsh(block - f_c)
+                assert gap.min() > -1e-8 * scale and gap.max() > 1e-3 * scale, (name_a, name_b)
+            if (name_a, name_b) == ("x0", "tilt_x"):
+                # normalized Im overlap 1: the tilt signal is all in p_first
+                assert not flags[a, b]
+                assert f_c[1, 1] < 1e-12 * scale
+            seen.add(bool(flags[a, b]))
+        assert seen == {True, False}
 
 
 class TestReadout:

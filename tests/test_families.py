@@ -17,8 +17,9 @@ from modal_qcrb import (
     make_state,
     mode_norm,
     number_information,
+    photon_statistics,
     qfim_mode_split,
-    state_from_spec,
+    qfim_single_mode,
 )
 from modal_qcrb.families import FAMILY_REGISTRY
 from modal_qcrb.states import number_moments
@@ -47,13 +48,27 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("name", sorted(FAMILY_REGISTRY))
     def test_engine_matches_closed_form(self, request, name, spec):
         family = all_families()[name]
-        state = state_from_spec(spec)
+        state = make_state(**spec)
         mean_n, _ = number_moments(state)
         info = number_information(state)
         oracle = family.oracle_qfim(mean_n, info)
         engine = qfim_mode_split(state, family)
         scale = max(np.max(np.abs(oracle)), 1e-30)
         assert np.max(np.abs(engine - oracle)) / scale < 1e-4
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": kind, "nbar": nbar} for kind in ("coherent", "thermal") for nbar in (1e3, 1e6)],
+        ids=str,
+    )
+    def test_bright_probe_matches_closed_form(self, spec):
+        # far beyond any Fock truncation: the one-mode route reads <N> and I_N
+        statistics = photon_statistics(spec)
+        for name, family in all_families().items():
+            oracle = family.oracle_qfim(statistics.mean, statistics.number_information)
+            engine = qfim_single_mode(statistics, family)
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(engine - oracle)) / scale < 1e-4, name
 
 
 class TestDerivativeNorms:

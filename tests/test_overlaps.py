@@ -22,6 +22,7 @@ from modal_qcrb import (
     gaussian_beam_family,
     inner_product,
     make_state,
+    photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
 )
@@ -197,11 +198,11 @@ class TestFamilyDerivativeRule:
 
     def test_engine_takes_each_derivative_once(self, pulse_family):
         family, calls = self.counted(pulse_family)
-        state = make_state("coherent", nbar=1.0)
+        spec = {"kind": "coherent", "nbar": 1.0}
         build_generators(family)
-        qfim_mode_split(state, family)
-        qfim_single_mode(state, family)
-        attainability_single_mode(family)
+        qfim_mode_split(make_state(**spec), family)
+        qfim_single_mode(photon_statistics(spec), family)
+        attainability_single_mode(family, photon_statistics(spec))
         # P * M derivative modes in all, not P * M per call
         assert sorted(calls) == [(0, a) for a in range(family.n_parameters)]
 

@@ -12,10 +12,12 @@ from modal_qcrb import (
     GaussianState,
     Mode,
     ModeBasis,
+    PreconditionError,
     StructuralError,
     detection_modes_for,
     make_state,
-    state_from_spec,
+    number_information,
+    photon_statistics,
 )
 import modal_qcrb
 from modal_qcrb.states import (
@@ -26,6 +28,7 @@ from modal_qcrb.states import (
     quadrature_covariance,
 )
 from conftest import (
+    FOCK_ROUTE_PROBES,
     W0,
     dense_ladder,
     dense_quadratic,
@@ -102,7 +105,7 @@ class TestConstructors:
             {"kind": "fock", "n": 4},
             {"kind": "squeezed-vacuum", "r": 0.3, "phi": 0.7},
         ):
-            state = state_from_spec(spec)
+            state = make_state(**spec)
             assert state.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
             gram = state.vectors.conj().T @ state.vectors
             assert np.max(np.abs(gram - np.eye(state.rank))) < 1e-10
@@ -125,8 +128,8 @@ class TestConstructors:
             {"kind": "coherent", "nbar": 2.0},
             {"kind": "thermal", "nbar": 1.0},
         ):
-            base = state_from_spec(spec)
-            bigger = state_from_spec(spec, cutoff=base.space.cutoff + 4)
+            base = make_state(**spec)
+            bigger = make_state(**spec, space=FockSpace(1, base.space.cutoff + 4))
             m1 = np.array(number_moments(base))
             m2 = np.array(number_moments(bigger))
             assert np.max(np.abs(m1 - m2) / np.abs(m2)) < 1e-7
@@ -140,6 +143,27 @@ class TestConstructors:
         assert state.rank == 2
         mean, _ = number_moments(state)
         assert mean == pytest.approx(0.25, abs=1e-12)
+
+
+class TestPhotonStatistics:
+    @pytest.mark.parametrize("spec", FOCK_ROUTE_PROBES, ids=str)
+    def test_matches_truncated_fock_route(self, spec):
+        state = make_state(**spec)
+        mean, _ = number_moments(state)
+        statistics = photon_statistics(spec)
+        assert statistics.mean == pytest.approx(mean, rel=1e-8, abs=1e-12)
+        assert statistics.number_information == pytest.approx(
+            number_information(state), rel=1e-6, abs=1e-12
+        )
+
+    def test_squeezing_angle_does_not_enter(self):
+        spec = {"kind": "squeezed-vacuum", "r": 0.8}
+        assert photon_statistics(spec | {"phi": 1.3}) == photon_statistics(spec)
+
+    @pytest.mark.parametrize("r", [400.0, -400.0, 800.0])
+    def test_overflow_names_the_field(self, r):
+        with pytest.raises(PreconditionError, match=r"^state\.r: "):
+            photon_statistics({"kind": "squeezed-vacuum", "r": r})
 
 
 def two_mode_superposition() -> tuple[FockSpace, np.ndarray]:
@@ -179,7 +203,7 @@ class TestMoments:
 
     def test_second_moment_bound(self):
         for spec in ({"kind": "coherent", "nbar": 1.3}, {"kind": "thermal", "nbar": 0.9}):
-            mean, second = number_moments(state_from_spec(spec))
+            mean, second = number_moments(make_state(**spec))
             assert second >= mean**2 - 1e-12
 
 
