@@ -11,22 +11,16 @@ from .engine import (
     AttainabilityResult,
     GeneratorCoefficients,
     QfimReport,
-    ReadoutMeans,
     SingleModeAttainability,
     attainability,
     attainability_single_mode,
     build_generators,
     crb_bounds,
     detection_modes_for,
-    generators_from_modes,
-    gram_schmidt_readout,
-    mean_field_fluctuation_check,
     number_information,
-    qfim_mean_field,
     qfim_mode_split,
     qfim_single_mode,
     qfim_unitary,
-    readout_means,
 )
 from .errors import (
     ConfigError,
@@ -70,14 +64,12 @@ from .modes import (
 from .states import (
     DensityState,
     FockSpace,
-    GaussianState,
     PhotonStatistics,
     first_moments,
     make_state,
     number_moments,
     operator_matrix_elements,
     photon_statistics,
-    quadrature_covariance,
 )
 
 __all__ = [
@@ -100,33 +92,25 @@ __all__ = [
     # states
     "FockSpace",
     "DensityState",
-    "GaussianState",
     "PhotonStatistics",
     "make_state",
     "photon_statistics",
     "first_moments",
     "operator_matrix_elements",
     "number_moments",
-    "quadrature_covariance",
     # engine
     "GeneratorCoefficients",
     "QfimReport",
     "AttainabilityResult",
     "SingleModeAttainability",
-    "ReadoutMeans",
     "build_generators",
-    "generators_from_modes",
     "qfim_unitary",
     "qfim_mode_split",
     "qfim_single_mode",
-    "qfim_mean_field",
-    "mean_field_fluctuation_check",
     "number_information",
     "attainability",
     "attainability_single_mode",
     "crb_bounds",
-    "gram_schmidt_readout",
-    "readout_means",
     "detection_modes_for",
     # families
     "ParameterFamily",

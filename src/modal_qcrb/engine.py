@@ -9,9 +9,9 @@ mixed-state information matrix
 
 and the populated/vacuum split that adds 4 Re (d_a f_j | Pi_vac | d_b f_l)
 <a_j_dagger a_l> for the information leaking into initially empty modes.
-Single-mode and strong-mean-field fast paths are reductions of the same
-formulas and are required to agree with the general route.  The mode
-inputs of all of them are slices of the family's one overlap table
+The one-mode route is the reduction of the same formulas to a single
+populated mode and is required to agree with the general route.  The
+mode inputs of both are slices of the family's one overlap table
 (``ParameterFamily.overlap_table``).
 """
 
@@ -24,32 +24,16 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
-from .modes import (
-    DetectionMode,
-    Mode,
-    OverlapTable,
-    derivative_mode,
-    detection_mode,
-    inner_product,
-)
+from .modes import DetectionMode, OverlapTable, derivative_mode, detection_mode
 from .states import (
     DensityState,
-    GaussianState,
     PhotonStatistics,
     apply_quadratic,
     first_moments,
     number_moments,
     operator_matrix_elements,
 )
-from .tolerances import (
-    PINV_RCOND,
-    TAU_ATTAIN,
-    TAU_HERM,
-    TAU_OVERLAP,
-    TAU_PSD,
-    TAU_QUAD,
-    TAU_ZERO,
-)
+from .tolerances import PINV_RCOND, TAU_ATTAIN, TAU_HERM, TAU_PSD, TAU_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import ParameterFamily
@@ -106,21 +90,6 @@ def _generators_from_table(labels: Sequence[str], table: OverlapTable) -> Genera
         weights=table.weights,
         hermiticity_residuals=residuals,
     )
-
-
-def generators_from_modes(
-    labels: Sequence[str],
-    populated: Sequence[Mode],
-    derivatives: Sequence[Sequence[Mode]],
-) -> GeneratorCoefficients:
-    """Generator coefficients from explicit modes.
-
-    ``derivatives[a][k]`` is the derivative of populated mode k with
-    respect to parameter a; the populated modes must be orthonormal.
-    """
-    table = OverlapTable.from_modes(populated, derivatives)
-    table.validate()
-    return _generators_from_table(labels, table)
 
 
 def build_generators(family: "ParameterFamily") -> GeneratorCoefficients:
@@ -244,57 +213,10 @@ def qfim_single_mode(statistics: PhotonStatistics, family: "ParameterFamily") ->
     h = family.generators.matrices[:, 0, 0].real
     c = table.generator_overlaps[:, 0, 0]
     vac = (table.derivative_overlaps[:, :, 0, 0] - np.conj(c)[:, None] * c[None, :]).real
-    f = np.outer(h, h) * statistics.number_information + 4.0 * vac * statistics.mean
-    return _zero_roundoff_diagonal((f + f.T) / 2.0)
-
-
-def qfim_mean_field(
-    mean_photons: float,
-    detections: Sequence[DetectionMode],
-    covariance: np.ndarray,
-    *,
-    mean_mode: Mode | None = None,
-) -> np.ndarray:
-    """Strong-mean-field information matrix 4 N0 w_a w_b Cov(q_a, q_b).
-
-    ``covariance`` is the symmetrized quadrature covariance of the
-    detection modes (see :func:`modal_qcrb.states.quadrature_covariance`).
-    When ``mean_mode`` is given, each detection mode is checked to be
-    orthogonal to it, which is the condition for the mean-field generator
-    to reduce to a quadrature.
-    """
-    if mean_photons <= 0:
-        raise PreconditionError("the mean-field photon number must be positive")
-    covariance = np.asarray(covariance, dtype=float)
-    n_p = len(detections)
-    if covariance.shape != (n_p, n_p):
-        raise StructuralError("covariance shape does not match the detection modes")
-    if mean_mode is not None:
-        for det in detections:
-            if det.degenerate:
-                continue
-            overlap = abs(inner_product(mean_mode, det.mode))
-            if overlap > TAU_QUAD:
-                raise PreconditionError(
-                    f"parameter '{det.label or '?'}' is not encoded purely in "
-                    f"the mode amplitude: |(f0|detection)| = {overlap:.3e}"
-                )
-    w = np.array([det.weight for det in detections])
-    f = 4.0 * mean_photons * np.outer(w, w) * covariance
-    return (f + f.T) / 2.0
-
-
-def mean_field_fluctuation_check(state: GaussianState, mean_photons: float) -> None:
-    """Warn when fluctuation photons are large enough to strain the
-    linearized mean-field treatment."""
-    fluct = float(np.trace(state.covariance) - 2 * state.n_modes) / 4.0
-    fluct += float(np.sum(state.mean**2)) / 4.0
-    if fluct > np.sqrt(mean_photons):
-        warnings.warn(
-            f"fluctuation photon number {fluct:.3g} exceeds sqrt(N0); the "
-            "linearized mean-field information matrix degrades here",
-            stacklevel=2,
-        )
+    # an overflow leaves inf or nan entries, which crb_bounds rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.outer(h, h) * statistics.number_information + 4.0 * vac * statistics.mean
+        return _zero_roundoff_diagonal((f + f.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +240,6 @@ class AttainabilityResult:
     pair_attainable: np.ndarray
     attainable: bool
     real_residual: float
-    scale: np.ndarray
 
 
 def attainability(state: DensityState, generators: GeneratorCoefficients) -> AttainabilityResult:
@@ -361,7 +282,6 @@ def attainability(state: DensityState, generators: GeneratorCoefficients) -> Att
         pair_attainable=pair_ok,
         attainable=bool(np.all(pair_ok)),
         real_residual=residual,
-        scale=scale,
     )
 
 
@@ -397,10 +317,10 @@ def attainability_single_mode(
     # exactly antisymmetric with a zero diagonal: the table is Hermitian bitwise
     im = table.derivative_overlaps[:, :, 0, 0].imag.copy()
     scale = np.outer(w, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         normalized = np.where(scale > 0, im / np.where(scale > 0, scale, 1.0), 0.0)
-    u = 2.0 * statistics.mean * im
-    pair_scale = scale * statistics.mean
+        u = 2.0 * statistics.mean * im
+        pair_scale = scale * statistics.mean
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(pair_scale))):
         raise PreconditionError(
             f"commutator matrix at <N> = {statistics.mean:.3e} overflows double precision"
@@ -413,7 +333,6 @@ def attainability_single_mode(
         pair_attainable=pair_ok,
         attainable=bool(np.all(pair_ok)),
         real_residual=0.0,
-        scale=pair_scale,
         imaginary_overlaps=im,
         normalized=normalized,
         weights=w,
@@ -524,74 +443,6 @@ def crb_bounds(
         null_combinations=null_combinations,
         attainability=attainability_result,
         weights=None if weights is None else np.asarray(weights, dtype=float),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Mean-field readout forward model
-
-
-@dataclass(frozen=True)
-class ReadoutMeans:
-    """Mean quadratures seen by the orthogonalized two-mode readout."""
-
-    q_first: float
-    p_first: float
-    q_second: float
-    degenerate_pair: bool
-
-
-def readout_means(
-    signal_a: float,
-    signal_b: float,
-    overlap: complex,
-    mean_photons: float,
-) -> ReadoutMeans:
-    """Forward model of the Gram-Schmidt homodyne readout.
-
-    ``signal_a``/``signal_b`` are the products theta * weight for the two
-    parameters; ``overlap`` is the detection-mode overlap.  The first
-    readout mode carries signal_a + Re(overlap) signal_b in its amplitude
-    quadrature and Im(overlap) signal_b in the conjugate quadrature; the
-    second mode keeps sqrt(1 - |overlap|^2) signal_b.  Proportional
-    detection modes (|overlap| = 1) are flagged: the second readout mode
-    degenerates and its signal vanishes.
-    """
-    if mean_photons <= 0:
-        raise PreconditionError("the mean-field photon number must be positive")
-    d = complex(overlap)
-    mag2 = abs(d) ** 2
-    if mag2 > 1.0 + TAU_OVERLAP:
-        raise PreconditionError(
-            f"detection-mode overlap magnitude {abs(d):.6f} exceeds 1"
-        )
-    complement = float(np.sqrt(max(1.0 - mag2, 0.0)))
-    degenerate = complement**2 < TAU_OVERLAP
-    s = 2.0 * float(np.sqrt(mean_photons))
-    return ReadoutMeans(
-        q_first=s * (signal_a + d.real * signal_b),
-        p_first=s * d.imag * signal_b,
-        # proportional detection modes leave no second readout direction;
-        # the noise-amplified sqrt residue is zeroed with the flag
-        q_second=0.0 if degenerate else s * complement * signal_b,
-        degenerate_pair=degenerate,
-    )
-
-
-def gram_schmidt_readout(
-    theta_a: float,
-    theta_b: float,
-    detection_a: DetectionMode,
-    detection_b: DetectionMode,
-    mean_photons: float,
-) -> ReadoutMeans:
-    """Readout means for two detection modes at given parameter values."""
-    overlap = inner_product(detection_a.mode, detection_b.mode)
-    return readout_means(
-        theta_a * detection_a.weight,
-        theta_b * detection_b.weight,
-        overlap,
-        mean_photons,
     )
 
 

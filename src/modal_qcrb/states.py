@@ -1,12 +1,13 @@
-"""Probe states on a truncated multimode Fock space, plus Gaussian states.
+"""Probe states on a truncated multimode Fock space, and one-mode photon statistics.
 
 Density operators are stored eigen-decomposed (probabilities and
 eigenvectors over the truncated number basis), which is the form every
 information-matrix sum consumes.  Operators act on blocks of eigenvectors
 viewed as the (L,)*M occupation tensor: a ladder operator is a shift by
-one level along one mode's axis, so no operator matrix is built.  Gaussian
-states carry mean quadratures and a covariance matrix with the convention
-q = a + a_dagger, vacuum variance 1.
+one level along one mode's axis, so no operator matrix is built.  A
+one-mode probe enters every quantity only through its mean photon number
+and number information, which :func:`photon_statistics` gives in closed
+form with no truncation.
 """
 
 from __future__ import annotations
@@ -14,15 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CutoffError, PreconditionError, StructuralError
-from .modes import DetectionMode, Mode, ModeBasis, inner_product
 from .tolerances import (
     MAX_CUTOFF,
-    TAU_COV,
     TAU_CUTOFF,
     TAU_PROB,
     TAU_STATE_ORTH,
@@ -417,114 +415,3 @@ def number_moments(state: DensityState) -> tuple[float, float]:
     total = _occupations(state.space).sum(axis=0).astype(float)
     density = np.sum(np.abs(state.vectors) ** 2 * state.probabilities, axis=1)
     return float(np.sum(density * total)), float(np.sum(density * total**2))
-
-
-# ---------------------------------------------------------------------------
-# Gaussian states
-
-
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    eye = np.eye(n_modes)
-    zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianState:
-    """Mean quadratures and covariance over an orthonormal mode list.
-
-    Ordering is (q_1..q_M, p_1..p_M) with q = a + a_dagger, so the vacuum
-    covariance is the identity.  The covariance is the symmetrized second
-    moment about the mean.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        if mean.ndim != 1 or mean.size % 2 != 0:
-            raise StructuralError("mean quadrature vector must have even length")
-        d = mean.size
-        if cov.shape != (d, d):
-            raise StructuralError("covariance shape does not match the mean vector")
-        if np.max(np.abs(cov - cov.T)) > TAU_COV:
-            raise StructuralError("covariance matrix is not symmetric")
-        omega = _symplectic_form(d // 2)
-        eigvals = np.linalg.eigvalsh(cov + 1j * omega)
-        if eigvals.min() < -TAU_COV:
-            raise StructuralError(
-                "covariance violates the uncertainty relation "
-                f"(min eigenvalue of sigma + i Omega is {eigvals.min():.3e})"
-            )
-
-    @property
-    def n_modes(self) -> int:
-        return self.mean.size // 2
-
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "GaussianState":
-        return cls(np.zeros(2 * n_modes), np.eye(2 * n_modes))
-
-    @classmethod
-    def squeezed(cls, q_variances: Sequence[float]) -> "GaussianState":
-        """Product state with given q variances and minimum-uncertainty p."""
-        v = np.asarray(q_variances, dtype=float)
-        if np.any(v <= 0):
-            raise StructuralError("quadrature variances must be positive")
-        return cls(np.zeros(2 * v.size), np.diag(np.concatenate([v, 1.0 / v])))
-
-    @classmethod
-    def coherent(cls, amplitudes: Sequence[complex]) -> "GaussianState":
-        """Vacuum fluctuations displaced to <a_k> = amplitudes[k]."""
-        a = np.asarray(amplitudes, dtype=complex)
-        mean = np.concatenate([2.0 * a.real, 2.0 * a.imag])
-        return cls(mean, np.eye(2 * a.size))
-
-
-def quadrature_covariance(
-    state: GaussianState,
-    targets: Sequence[DetectionMode],
-    reference: ModeBasis,
-) -> np.ndarray:
-    """Symmetrized covariance of the target-mode amplitude quadratures.
-
-    Each target is expanded over the reference basis; the out-of-span
-    remainder is assigned vacuum fluctuations, so for an all-vacuum state
-    the result is Re of the target Gram matrix.
-    """
-    ref_modes = reference.modes
-    if len(ref_modes) != state.n_modes:
-        raise StructuralError(
-            "reference basis size does not match the Gaussian state"
-        )
-    try:
-        reference.validate()
-    except StructuralError as exc:
-        raise StructuralError(f"reference basis must be orthonormal: {exc}") from exc
-
-    n_ref = len(ref_modes)
-    n_t = len(targets)
-    coeff = np.zeros((n_t, n_ref), dtype=complex)
-    remainders: list[Mode] = []
-    for i, det in enumerate(targets):
-        for k, ref in enumerate(ref_modes):
-            coeff[i, k] = inner_product(ref, det.mode)
-        residual = det.mode.samples - sum(
-            coeff[i, k] * ref_modes[k].samples for k in range(n_ref)
-        )
-        remainders.append(Mode(det.mode.grid, residual))
-
-    # q of the target splits into Re(c) q_k + Im(c) p_k plus the remainder.
-    vectors = np.hstack([coeff.real, coeff.imag])
-    cov = vectors @ state.covariance @ vectors.T
-    for i in range(n_t):
-        for j in range(i, n_t):
-            extra = inner_product(remainders[i], remainders[j]).real
-            cov[i, j] += extra
-            if j != i:
-                cov[j, i] += extra
-    return (cov + cov.T) / 2.0

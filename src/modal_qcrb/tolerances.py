@@ -44,13 +44,6 @@ TAU_STATE_PROB = 1e-12
 # Gram matrix from identity).
 TAU_STATE_ORTH = 1e-10
 
-# Symmetry and uncertainty-relation slack of Gaussian covariance matrices.
-TAU_COV = 1e-10
-
-# Slack of a detection-mode overlap magnitude above 1; the squared readout
-# complement below this marks proportional detection modes.
-TAU_OVERLAP = 1e-12
-
 # Relative eigenvalue cutoff for the information-matrix pseudo-inverse.
 PINV_RCOND = 1e-12
 
@@ -59,7 +52,11 @@ MAX_CUTOFF = 64
 
 
 def as_dict() -> dict:
-    """All tolerances as a plain dict, for report provenance blocks."""
+    """The tolerances of the CLI's one-mode route, for report provenance blocks.
+
+    The Fock-space truncation constants are left out: no CLI command builds
+    a Fock state.
+    """
     return {
         "tau_orth": TAU_ORTH,
         "tau_rank": TAU_RANK,
@@ -69,8 +66,5 @@ def as_dict() -> dict:
         "tau_herm": TAU_HERM,
         "tau_attain": TAU_ATTAIN,
         "tau_psd": TAU_PSD,
-        "tau_cutoff": TAU_CUTOFF,
-        "tau_prob": TAU_PROB,
         "pinv_rcond": PINV_RCOND,
-        "max_cutoff": MAX_CUTOFF,
     }

@@ -1,16 +1,22 @@
 import math
+from dataclasses import dataclass
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from modal_qcrb import (
     BeamGeometry,
+    DetectionMode,
     FockSpace,
     Mode,
     ModeBasis,
+    ParameterFamily,
+    PreconditionError,
     PulseSpectrum,
     SampleGrid,
+    StructuralError,
     displaced_beam_family,
     gaussian_beam_family,
     gaussian_pulse_family,
@@ -18,6 +24,7 @@ from modal_qcrb import (
     inner_product,
     make_state,
 )
+from modal_qcrb.tolerances import TAU_QUAD
 
 W0 = 1.0
 K = 10.0
@@ -218,3 +225,241 @@ def commutator_from_overlaps(
             u[a, b] = 2.0 * s.imag
             u[b, a] = -u[a, b]
     return u
+
+
+def family_from_modes(populated, derivatives, labels) -> ParameterFamily:
+    """Family over explicit modes; ``derivatives[a][k]`` is d_a f_k.
+
+    Its ``generators`` are the coefficients of these modes, read from the
+    same overlap table as for any built-in family.
+    """
+    n_p = len(derivatives)
+    return ParameterFamily(
+        name="explicit-modes",
+        parameters=tuple(labels),
+        units=("1",) * n_p,
+        grid=populated[0].grid,
+        theta_scales=np.ones(n_p),
+        mode_fn=lambda k, theta: populated[k].samples,
+        derivative_fn=lambda k, a: derivatives[a][k].samples,
+        n_modes=len(populated),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Strong-mean-field route and the homodyne readout forward model: independent
+# oracles for the information matrix and for its attainability
+
+# Symmetry and uncertainty-relation slack of Gaussian covariance matrices.
+TAU_COV = 1e-10
+
+# Slack of a detection-mode overlap magnitude above 1; the squared readout
+# complement below this marks proportional detection modes.
+TAU_OVERLAP = 1e-12
+
+
+def _symplectic_form(n_modes: int) -> np.ndarray:
+    eye = np.eye(n_modes)
+    zero = np.zeros((n_modes, n_modes))
+    return np.block([[zero, eye], [-eye, zero]])
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianState:
+    """Mean quadratures and covariance over an orthonormal mode list.
+
+    Ordering is (q_1..q_M, p_1..p_M) with q = a + a_dagger, so the vacuum
+    covariance is the identity.  The covariance is the symmetrized second
+    moment about the mean.
+    """
+
+    mean: np.ndarray
+    covariance: np.ndarray
+
+    def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=float)
+        cov = np.asarray(self.covariance, dtype=float)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
+        if mean.ndim != 1 or mean.size % 2 != 0:
+            raise StructuralError("mean quadrature vector must have even length")
+        d = mean.size
+        if cov.shape != (d, d):
+            raise StructuralError("covariance shape does not match the mean vector")
+        if np.max(np.abs(cov - cov.T)) > TAU_COV:
+            raise StructuralError("covariance matrix is not symmetric")
+        omega = _symplectic_form(d // 2)
+        eigvals = np.linalg.eigvalsh(cov + 1j * omega)
+        if eigvals.min() < -TAU_COV:
+            raise StructuralError(
+                "covariance violates the uncertainty relation "
+                f"(min eigenvalue of sigma + i Omega is {eigvals.min():.3e})"
+            )
+
+    @property
+    def n_modes(self) -> int:
+        return self.mean.size // 2
+
+    @classmethod
+    def vacuum(cls, n_modes: int) -> "GaussianState":
+        return cls(np.zeros(2 * n_modes), np.eye(2 * n_modes))
+
+    @classmethod
+    def squeezed(cls, q_variances: Sequence[float]) -> "GaussianState":
+        """Product state with given q variances and minimum-uncertainty p."""
+        v = np.asarray(q_variances, dtype=float)
+        if np.any(v <= 0):
+            raise StructuralError("quadrature variances must be positive")
+        return cls(np.zeros(2 * v.size), np.diag(np.concatenate([v, 1.0 / v])))
+
+    @classmethod
+    def coherent(cls, amplitudes: Sequence[complex]) -> "GaussianState":
+        """Vacuum fluctuations displaced to <a_k> = amplitudes[k]."""
+        a = np.asarray(amplitudes, dtype=complex)
+        mean = np.concatenate([2.0 * a.real, 2.0 * a.imag])
+        return cls(mean, np.eye(2 * a.size))
+
+
+def quadrature_covariance(
+    state: GaussianState,
+    targets: Sequence[DetectionMode],
+    reference: ModeBasis,
+) -> np.ndarray:
+    """Symmetrized covariance of the target-mode amplitude quadratures.
+
+    Each target is expanded over the reference basis; the out-of-span
+    remainder is assigned vacuum fluctuations, so for an all-vacuum state
+    the result is Re of the target Gram matrix.
+    """
+    ref_modes = reference.modes
+    if len(ref_modes) != state.n_modes:
+        raise StructuralError(
+            "reference basis size does not match the Gaussian state"
+        )
+    try:
+        reference.validate()
+    except StructuralError as exc:
+        raise StructuralError(f"reference basis must be orthonormal: {exc}") from exc
+
+    n_ref = len(ref_modes)
+    n_t = len(targets)
+    coeff = np.zeros((n_t, n_ref), dtype=complex)
+    remainders: list[Mode] = []
+    for i, det in enumerate(targets):
+        for k, ref in enumerate(ref_modes):
+            coeff[i, k] = inner_product(ref, det.mode)
+        residual = det.mode.samples - sum(
+            coeff[i, k] * ref_modes[k].samples for k in range(n_ref)
+        )
+        remainders.append(Mode(det.mode.grid, residual))
+
+    # q of the target splits into Re(c) q_k + Im(c) p_k plus the remainder.
+    vectors = np.hstack([coeff.real, coeff.imag])
+    cov = vectors @ state.covariance @ vectors.T
+    for i in range(n_t):
+        for j in range(i, n_t):
+            extra = inner_product(remainders[i], remainders[j]).real
+            cov[i, j] += extra
+            if j != i:
+                cov[j, i] += extra
+    return (cov + cov.T) / 2.0
+
+
+def qfim_mean_field(
+    mean_photons: float,
+    detections: Sequence[DetectionMode],
+    covariance: np.ndarray,
+    *,
+    mean_mode: Mode | None = None,
+) -> np.ndarray:
+    """Strong-mean-field information matrix 4 N0 w_a w_b Cov(q_a, q_b).
+
+    ``covariance`` is the symmetrized quadrature covariance of the
+    detection modes (see :func:`quadrature_covariance`).  When
+    ``mean_mode`` is given, each detection mode is checked to be
+    orthogonal to it, which is the condition for the mean-field generator
+    to reduce to a quadrature.
+    """
+    if mean_photons <= 0:
+        raise PreconditionError("the mean-field photon number must be positive")
+    covariance = np.asarray(covariance, dtype=float)
+    n_p = len(detections)
+    if covariance.shape != (n_p, n_p):
+        raise StructuralError("covariance shape does not match the detection modes")
+    if mean_mode is not None:
+        for det in detections:
+            if det.degenerate:
+                continue
+            overlap = abs(inner_product(mean_mode, det.mode))
+            if overlap > TAU_QUAD:
+                raise PreconditionError(
+                    f"parameter '{det.label or '?'}' is not encoded purely in "
+                    f"the mode amplitude: |(f0|detection)| = {overlap:.3e}"
+                )
+    w = np.array([det.weight for det in detections])
+    f = 4.0 * mean_photons * np.outer(w, w) * covariance
+    return (f + f.T) / 2.0
+
+
+@dataclass(frozen=True)
+class ReadoutMeans:
+    """Mean quadratures seen by the orthogonalized two-mode readout."""
+
+    q_first: float
+    p_first: float
+    q_second: float
+    degenerate_pair: bool
+
+
+def readout_means(
+    signal_a: float,
+    signal_b: float,
+    overlap: complex,
+    mean_photons: float,
+) -> ReadoutMeans:
+    """Forward model of the Gram-Schmidt homodyne readout.
+
+    ``signal_a``/``signal_b`` are the products theta * weight for the two
+    parameters; ``overlap`` is the detection-mode overlap.  The first
+    readout mode carries signal_a + Re(overlap) signal_b in its amplitude
+    quadrature and Im(overlap) signal_b in the conjugate quadrature; the
+    second mode keeps sqrt(1 - |overlap|^2) signal_b.  Proportional
+    detection modes (|overlap| = 1) are flagged: the second readout mode
+    degenerates and its signal vanishes.
+    """
+    if mean_photons <= 0:
+        raise PreconditionError("the mean-field photon number must be positive")
+    d = complex(overlap)
+    mag2 = abs(d) ** 2
+    if mag2 > 1.0 + TAU_OVERLAP:
+        raise PreconditionError(
+            f"detection-mode overlap magnitude {abs(d):.6f} exceeds 1"
+        )
+    complement = float(np.sqrt(max(1.0 - mag2, 0.0)))
+    degenerate = complement**2 < TAU_OVERLAP
+    s = 2.0 * float(np.sqrt(mean_photons))
+    return ReadoutMeans(
+        q_first=s * (signal_a + d.real * signal_b),
+        p_first=s * d.imag * signal_b,
+        # proportional detection modes leave no second readout direction;
+        # the noise-amplified sqrt residue is zeroed with the flag
+        q_second=0.0 if degenerate else s * complement * signal_b,
+        degenerate_pair=degenerate,
+    )
+
+
+def gram_schmidt_readout(
+    theta_a: float,
+    theta_b: float,
+    detection_a: DetectionMode,
+    detection_b: DetectionMode,
+    mean_photons: float,
+) -> ReadoutMeans:
+    """Readout means for two detection modes at given parameter values."""
+    overlap = inner_product(detection_a.mode, detection_b.mode)
+    return readout_means(
+        theta_a * detection_a.weight,
+        theta_b * detection_b.weight,
+        overlap,
+        mean_photons,
+    )

@@ -16,7 +16,6 @@ from modal_qcrb import (
     BeamGeometry,
     DetectionMode,
     FockSpace,
-    GaussianState,
     Mode,
     PulseSpectrum,
     attainability,
@@ -26,30 +25,32 @@ from modal_qcrb import (
     detection_modes_for,
     gaussian_beam_family,
     gaussian_pulse_family,
-    generators_from_modes,
-    gram_schmidt_readout,
     inner_product,
     make_state,
     number_information,
     photon_statistics,
-    qfim_mean_field,
     qfim_mode_split,
     qfim_single_mode,
     qfim_unitary,
-    readout_means,
 )
 from modal_qcrb.modes import derivative_mode, finite_difference_family, mode_norm
-from modal_qcrb.states import first_moments, quadrature_covariance
+from modal_qcrb.states import first_moments
 from conftest import (
     K,
     OMEGA0,
     VARIANCE,
     W0,
+    GaussianState,
     commutator_from_overlaps,
     dense_quadratic,
+    family_from_modes,
+    gram_schmidt_readout,
     hermite_gaussian_samples,
+    qfim_mean_field,
+    quadrature_covariance,
     random_density_state,
     random_mode_parameter_data,
+    readout_means,
 )
 from test_engine import brute_force_qfim
 
@@ -231,7 +232,7 @@ def test_criterion_06_pure_state_reductions():
     worst_att = 0.0
     for _ in range(50):
         populated, derivatives = random_mode_parameter_data(rng, 2, 2)
-        gens = generators_from_modes(["a", "b"], populated, derivatives)
+        gens = family_from_modes(populated, derivatives, ["a", "b"]).generators
         state = random_density_state(rng, space, rank=1)
         vec = state.vectors[:, 0]
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,36 @@ class TestQfimCommand:
         assert report["provenance"]["fd_step"] == pytest.approx(1e-4)
         labels, matrix = read_matrix_csv(out / "qfim.csv")
         assert np.allclose(np.diag(matrix), 4.0, rtol=1e-5)
+
+    def test_provenance_lists_the_tolerances_a_run_reads(self, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli(
+            [
+                "qfim",
+                "--family",
+                "displaced-beam",
+                "--geometry",
+                '{"w0": 1.0}',
+                "--state",
+                '{"kind": "coherent", "nbar": 1.0}',
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        # no CLI command builds a Fock state, so no truncation constant is listed
+        assert set(report["provenance"]["tolerances"]) == {
+            "tau_orth",
+            "tau_rank",
+            "tau_zero",
+            "tau_quad",
+            "tau_fd",
+            "tau_herm",
+            "tau_attain",
+            "tau_psd",
+            "pinv_rcond",
+        }
 
     def test_bundle_round_trip(self, tmp_path):
         out = tmp_path / "run"
@@ -612,6 +643,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"qfim failed in {error}")
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, state",
+        [
+            ("qfim", {"kind": "coherent", "nbar": 1e306}),
+            ("attainability", {"kind": "thermal", "nbar": 1.7e308}),
+        ],
+        ids=["information-overflow", "commutator-overflow"],
+    )
+    def test_overflow_raises_no_numpy_warning(self, tmp_path, capsys, command, state):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.run(tmp_path, self.BASE | {"state": state}, command) == 1
+        assert capsys.readouterr().err.startswith(f"{command} failed in PreconditionError")
 
     def test_attainability_skips_the_bounds(self, tmp_path, capsys):
         # the pseudo-inverse of this probe's information matrix fails, but

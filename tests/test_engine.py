@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 
 from modal_qcrb import (
+    AttainabilityResult,
     BeamGeometry,
     DetectionMode,
     FockSpace,
-    GaussianState,
     Mode,
     ModeBasis,
     PreconditionError,
+    SingleModeAttainability,
     StructuralError,
     attainability,
     attainability_single_mode,
@@ -19,30 +21,32 @@ from modal_qcrb import (
     crb_bounds,
     detection_modes_for,
     gaussian_beam_family,
-    generators_from_modes,
-    gram_schmidt_readout,
     inner_product,
     make_state,
     number_information,
     photon_statistics,
-    qfim_mean_field,
     qfim_mode_split,
     qfim_single_mode,
     qfim_unitary,
-    readout_means,
 )
-from modal_qcrb.states import first_moments, number_moments, quadrature_covariance
+from modal_qcrb.states import first_moments, number_moments
 from conftest import (
     FOCK_ROUTE_PROBES,
     K,
     OMEGA0,
     VARIANCE,
     W0,
+    GaussianState,
     commutator_from_overlaps,
     dense_quadratic,
+    family_from_modes,
+    gram_schmidt_readout,
     hermite_gaussian_samples,
+    qfim_mean_field,
+    quadrature_covariance,
     random_density_state,
     random_mode_parameter_data,
+    readout_means,
     vacuum_overlap,
 )
 
@@ -77,7 +81,7 @@ class TestBuildGenerators:
         f = populated[0]
         c = 0.8
         deriv = Mode(f.grid, -1j * c * f.samples)
-        gens = generators_from_modes(["phi"], populated, [[deriv]])
+        gens = family_from_modes(populated, [[deriv]], ["phi"]).generators
         assert gens.matrices[0, 0, 0] == pytest.approx(c, abs=1e-12)
 
     def test_displacement_generator_vanishes(self, displaced_family):
@@ -105,7 +109,7 @@ class TestBuildGenerators:
         f = populated[0]
         drifting = Mode(f.grid, 0.5 * f.samples)
         with pytest.warns(UserWarning, match="normalization"):
-            gens = generators_from_modes(["bad"], populated, [[drifting]])
+            gens = family_from_modes(populated, [[drifting]], ["bad"]).generators
         assert gens.hermiticity_residuals[0] == pytest.approx(1.0, rel=1e-10)
 
 
@@ -342,15 +346,13 @@ class TestQfimMeanField:
             qfim_mean_field(1.0, dets, np.eye(3), mean_mode=mean_mode)
         assert "t_phase" in str(err.value)
 
-    def test_fluctuation_photons_warn_when_large(self):
-        from modal_qcrb import mean_field_fluctuation_check
-
-        strained = GaussianState.squeezed([math.exp(-6.0)])  # ~100 photons
-        with pytest.warns(UserWarning, match="mean-field"):
-            mean_field_fluctuation_check(strained, mean_photons=4.0)
-
 
 class TestAttainability:
+    def test_results_carry_no_scale_field(self):
+        # the per-pair tolerance scale is a local of the pair rule
+        for result_type in (AttainabilityResult, SingleModeAttainability):
+            assert "scale" not in {field.name for field in dataclasses.fields(result_type)}
+
     def test_single_parameter_always_attainable(self, displaced_family):
         gens = build_generators(displaced_family)
 
@@ -389,7 +391,7 @@ class TestAttainability:
         rng = np.random.default_rng(33)
         for trial in range(10):
             populated, derivatives = random_mode_parameter_data(rng, 2, 2)
-            gens = generators_from_modes(["a", "b"], populated, derivatives)
+            gens = family_from_modes(populated, derivatives, ["a", "b"]).generators
             space = FockSpace(n_modes=2, cutoff=3)
             state = random_density_state(rng, space, rank=1)
             mixed = attainability(state, gens).matrix

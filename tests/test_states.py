@@ -9,7 +9,6 @@ import pytest
 from modal_qcrb import (
     CutoffError,
     FockSpace,
-    GaussianState,
     Mode,
     ModeBasis,
     PreconditionError,
@@ -25,14 +24,15 @@ from modal_qcrb.states import (
     first_moments,
     number_moments,
     operator_matrix_elements,
-    quadrature_covariance,
 )
 from conftest import (
     FOCK_ROUTE_PROBES,
     W0,
+    GaussianState,
     dense_ladder,
     dense_quadratic,
     hermite_gaussian_samples,
+    quadrature_covariance,
     random_density_state,
 )
 
