@@ -28,9 +28,8 @@ from .modes import DetectionMode, OverlapTable, derivative_mode, detection_mode
 from .states import (
     DensityState,
     PhotonStatistics,
-    apply_quadratic,
+    _raise_sum,
     first_moments,
-    number_moments,
     operator_matrix_elements,
 )
 from .tolerances import PINV_RCOND, TAU_ATTAIN, TAU_HERM, TAU_PSD, TAU_ZERO
@@ -119,7 +118,8 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     with E_a = V^dagger H_a V and r_am = H_a v_m - V E_a[:, m] the part of
     H_a v_m outside the kept span.  A diagonal entry is a sum of
     non-negative terms, so no two large terms cancel: a generator that maps
-    each kept eigenvector onto itself gives exactly 0.
+    each kept eigenvector onto itself gives exactly 0.  H_a V raises the
+    columns of the state's lowered table, one shift per mode and parameter.
     """
     stack = _coefficient_stack(generators)
     n_p = stack.shape[0]
@@ -128,21 +128,29 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
             "generator mode count does not match the state's Fock space"
         )
     p, v = state.kept()
-    applied = [apply_quadratic(state.space, c, v) for c in stack]
-    elements = [v.conj().T @ w for w in applied]
-    outside = [w - v @ e for w, e in zip(applied, elements)]
-    ratio = np.subtract.outer(p, p) ** 2 / np.add.outer(p, p)
+    lowered = state.lowered_table.lowered[:, :, state.kept_columns]
 
-    f = np.zeros((n_p, n_p))
-    for a in range(n_p):
-        for b in range(a, n_p):
-            t1 = 4.0 * float(
-                np.sum(p * np.einsum("da,da->a", np.conj(outside[a]), outside[b]).real)
-            )
-            t2 = 2.0 * float(np.sum(ratio * (elements[a] * elements[b].T).real))
-            f[a, b] = t1 + t2
-            f[b, a] = f[a, b]
-    return f
+    # sqrt(p)-weighted outside parts, one (D, r) block per parameter; E_a
+    # is read off H_a V itself, so r_am is exactly 0 wherever H_a V is
+    # exactly a combination of the kept columns
+    outside = np.empty((n_p,) + v.shape, dtype=complex)
+    elements = np.empty((n_p, p.size, p.size), dtype=complex)
+    v_dagger = v.conj().T
+    for a, c in enumerate(stack):
+        outside[a] = _raise_sum(state.space, c, lowered)
+        elements[a] = v_dagger @ outside[a]
+        outside[a] -= v @ elements[a]
+    outside *= np.sqrt(p)
+    # Re <x|y> is the dot product of x and y viewed as reals
+    flat = outside.reshape(n_p, -1).view(np.float64)
+    t1 = 4.0 * (flat @ flat.T)
+
+    ratio = np.subtract.outer(p, p) ** 2 / np.add.outer(p, p)
+    transposed = elements.transpose(0, 2, 1).reshape(n_p, -1)
+    t2 = 2.0 * ((ratio * elements).reshape(n_p, -1) @ transposed.T).real
+
+    f = np.triu(t1 + t2)
+    return f + np.triu(f, 1).T
 
 
 def number_information(state: DensityState) -> float:
@@ -250,28 +258,24 @@ def attainability(state: DensityState, generators: GeneratorCoefficients) -> Att
     the double-sum correction that only mixed states contribute.
     """
     overlaps = generators.derivative_overlaps
-    n_p = generators.n_parameters
     moments = first_moments(state)
     p, _ = state.kept()
     elements = operator_matrix_elements(state, generators.matrices)
+    n_p, n_e = elements.shape[0], p.size**2
 
-    # kept probabilities exceed TAU_PROB, so no denominator vanishes
+    # term1[a, b] = 4 sum_jl [(d_a f_j|d_b f_l) - (d_b f_j|d_a f_l)] <a_j^dag a_l>
+    kernel = overlaps - overlaps.transpose(1, 0, 2, 3)
+    term1 = 4.0 * np.einsum("abjl,jl->ab", kernel, moments)
+    # term2[a, b] = 32i sum_mn w2_mn Im(E_a,mn conj(E_b,mn)); kept
+    # probabilities exceed TAU_PROB, so no denominator vanishes
     w2 = (p[:, None] ** 2 * p[None, :]) / np.add.outer(p, p) ** 2
+    cross = (w2 * elements).reshape(n_p, n_e) @ elements.reshape(n_p, n_e).conj().T
+    trace_comm = np.triu(term1 - 32.0j * cross.imag, 1)
+    u = trace_comm.imag / 4.0
+    u = u - u.T
+    residual = float(np.max(np.abs(trace_comm.real), initial=0.0)) / 4.0
 
-    u = np.zeros((n_p, n_p))
-    residual = 0.0
-    for a in range(n_p):
-        for b in range(a + 1, n_p):
-            kernel = overlaps[a, b] - overlaps[b, a]
-            term1 = 4.0 * complex(np.sum(kernel * moments))
-            cross = elements[a] * np.conj(elements[b])
-            term2 = 32.0j * float(np.sum(w2 * cross.imag))
-            trace_comm = term1 - term2
-            u[a, b] = trace_comm.imag / 4.0
-            u[b, a] = -u[a, b]
-            residual = max(residual, abs(trace_comm.real) / 4.0)
-
-    mean_n, _ = number_moments(state)
+    mean_n = float(np.trace(moments).real)
     totals = generators.total_weights()
     scale = np.outer(totals, totals) * mean_n
     pair_ok = np.abs(u) <= TAU_ATTAIN * scale

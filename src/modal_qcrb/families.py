@@ -11,13 +11,14 @@ to commonly quoted closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, GridResolutionError, StructuralError
+from .errors import EvaluationError, GridResolutionError, PreconditionError, StructuralError
 from .engine import GeneratorCoefficients, _generators_from_table
 from .modes import (
     Mode,
@@ -59,6 +60,18 @@ class BeamGeometry:
     def __post_init__(self):
         if self.waist <= 0 or self.wavenumber <= 0:
             raise StructuralError("waist and wavenumber must be positive")
+        # the closed forms divide by w0^3 and by the Rayleigh range k w0^2 / 2
+        w0, k = float(self.waist), float(self.wavenumber)
+        try:
+            scales = (w0**3, k * w0**2 / 2.0, k * w0)
+            in_range = all(0.0 < s < math.inf and 1.0 / s < math.inf for s in scales)
+        except OverflowError:  # raised by a Python float power
+            in_range = False
+        if not in_range:
+            raise PreconditionError(
+                f"geometry w0={self.waist:g}, k={self.wavenumber:g}: w0^3, the Rayleigh "
+                "range k w0^2 / 2 or k w0 is out of double-precision range"
+            )
 
     @property
     def rayleigh_range(self) -> float:
@@ -132,12 +145,15 @@ class ParameterFamily:
         evaluation of each derivative mode; every engine quantity about
         the modes is a slice of it.
         """
-        populated = self.evaluate().modes
-        derivatives = [
-            [derivative_mode(self, k, a) for k in range(self.n_modes)]
-            for a in range(self.n_parameters)
-        ]
-        return OverlapTable.from_modes(populated, derivatives)
+        # an overflow leaves non-finite samples or overlaps, which the modes
+        # and the table reject with a message of their own
+        with np.errstate(over="ignore", invalid="ignore"):
+            populated = self.evaluate().modes
+            derivatives = [
+                [derivative_mode(self, k, a) for k in range(self.n_modes)]
+                for a in range(self.n_parameters)
+            ]
+            return OverlapTable.from_modes(populated, derivatives)
 
     @cached_property
     def generators(self) -> GeneratorCoefficients:

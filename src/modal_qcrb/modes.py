@@ -75,8 +75,9 @@ class SampleGrid:
             # rounding is monotone, so every product of positive weights lies
             # between the products of the per-axis extremes
             positive = all(np.all((w > 0) & np.isfinite(w)) for w in axis_weights)
-            low = np.prod([np.min(w) for w in axis_weights])
-            high = np.prod([np.max(w) for w in axis_weights])
+            with np.errstate(over="ignore", under="ignore"):  # checked just below
+                low = np.prod([np.min(w) for w in axis_weights])
+                high = np.prod([np.max(w) for w in axis_weights])
             if not (positive and low > 0 and np.isfinite(high)):
                 raise StructuralError("quadrature weights must be finite and strictly positive")
         else:

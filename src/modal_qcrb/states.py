@@ -4,8 +4,18 @@ Density operators are stored eigen-decomposed (probabilities and
 eigenvectors over the truncated number basis), which is the form every
 information-matrix sum consumes.  Operators act on blocks of eigenvectors
 viewed as the (L,)*M occupation tensor: a ladder operator is a shift by
-one level along one mode's axis, so no operator matrix is built.  A
-one-mode probe enters every quantity only through its mean photon number
+one level along one mode's axis, so no operator matrix is built.
+
+Each state keeps one table (:attr:`DensityState.lowered_table`): its
+eigenvectors lowered by every a_j, and the overlaps
+<a_j v_m | a_l v_n> of those columns.  The one-photon correlations and the
+eigenvector matrix elements of every quadratic generator are sums over that
+table, and a generator applied to the eigenvectors raises the table's
+columns, so the lowering is done once per state.  Like the family's
+overlap table, the table is built on first use and kept: it assumes that
+the state's arrays are not mutated afterwards.
+
+A one-mode probe enters every quantity only through its mean photon number
 and number information, which :func:`photon_statistics` gives in closed
 form with no truncation.
 """
@@ -14,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .errors import CutoffError, PreconditionError, StructuralError
+from .modes import _hermitian
 from .tolerances import (
     MAX_CUTOFF,
     TAU_CUTOFF,
@@ -63,9 +74,12 @@ def _occupations(space: FockSpace) -> np.ndarray:
     return occupations
 
 
+@lru_cache(maxsize=None)
 def _boundary_mask(space: FockSpace) -> np.ndarray:
     """Boolean mask of basis states with any mode at the cutoff level."""
-    return np.any(_occupations(space) == space.cutoff, axis=0)
+    mask = np.any(_occupations(space) == space.cutoff, axis=0)
+    mask.flags.writeable = False  # shared by every caller through the cache
+    return mask
 
 
 def _ladder(
@@ -83,26 +97,73 @@ def _ladder(
     out = np.zeros_like(tensor)
     root = np.sqrt(np.arange(1.0, levels))[:, None]
     if raising:
-        out[:, 1:] = root * tensor[:, :-1]
+        np.multiply(root, tensor[:, :-1], out=out[:, 1:])
     else:
-        out[:, :-1] = root * tensor[:, 1:]
+        np.multiply(root, tensor[:, 1:], out=out[:, :-1])
     return out.reshape(vectors.shape)
+
+
+def _check_coefficients(space: FockSpace, coefficients) -> np.ndarray:
+    coefficients = np.asarray(coefficients, dtype=complex)
+    m = space.n_modes
+    if coefficients.shape[-2:] != (m, m):
+        raise StructuralError(
+            f"coefficient shape {coefficients.shape} does not match {m} modes"
+        )
+    return coefficients
+
+
+def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) -> np.ndarray:
+    """sum_j a_j_dagger (sum_k C_{jk} lowered[k]) for an (M, D, r) lowered stack.
+
+    With ``lowered[k] = a_k V`` this is sum_{jk} C_{jk} a_j_dagger a_k V:
+    one raising shift per mode, of one mixed (D, r) block at a time.
+    """
+    block = lowered.shape[1:]
+    flat = lowered.reshape(space.n_modes, -1)
+    out = _ladder(space, (coefficients[0] @ flat).reshape(block), 0, raising=True)
+    for j in range(1, space.n_modes):
+        out += _ladder(space, (coefficients[j] @ flat).reshape(block), j, raising=True)
+    return out
 
 
 def apply_quadratic(space: FockSpace, coefficients, vectors: np.ndarray) -> np.ndarray:
     """sum_{jk} C_{jk} a_j_dagger a_k applied to the columns of a (D, r) block."""
-    coefficients = np.asarray(coefficients, dtype=complex)
-    m = space.n_modes
-    if coefficients.shape != (m, m):
-        raise StructuralError(
-            f"coefficient shape {coefficients.shape} does not match {m} modes"
-        )
-    lowered = [_ladder(space, vectors, k) for k in range(m)]
-    out = np.zeros(vectors.shape, dtype=complex)
-    for j in range(m):
-        mixed = sum(c * w for c, w in zip(coefficients[j], lowered))
-        out += _ladder(space, mixed, j, raising=True)
-    return out
+    coefficients = _check_coefficients(space, coefficients)
+    if coefficients.ndim != 2:
+        raise StructuralError(f"coefficient shape {coefficients.shape} is not one matrix")
+    lowered = np.stack([_ladder(space, vectors, k) for k in range(space.n_modes)])
+    return _raise_sum(space, coefficients, lowered)
+
+
+@dataclass(frozen=True, eq=False)
+class LoweredTable:
+    """A state's eigenvectors lowered by each ladder operator, and their overlaps.
+
+    ``lowered[j, :, m]`` is a_j v_m, shape (M, D, r); ``gram[j, m, l, n]``
+    is <a_j v_m | a_l v_n>, shape (M, r, M, r), Hermitian bitwise over the
+    pairs (j, m) and (l, n).  Both arrays are read-only.
+    """
+
+    lowered: np.ndarray
+    gram: np.ndarray
+
+    @classmethod
+    def of(cls, space: FockSpace, vectors: np.ndarray) -> "LoweredTable":
+        """M lowering shifts of the columns and one Gram product over them."""
+        m, r = space.n_modes, vectors.shape[1]
+        lowered = np.stack([_ladder(space, vectors, j) for j in range(m)])
+        # columns (j, m) as reals: each interleaves its real and imaginary
+        # parts, so S = X^T X holds every product of parts and
+        # Re G = S_rr + S_ii, Im G = S_ri - S_ir
+        columns = lowered.transpose(1, 0, 2).reshape(space.dimension, m * r)
+        x = np.ascontiguousarray(columns).view(np.float64)
+        s = x.T @ x
+        gram = s[::2, ::2] + s[1::2, 1::2] + 1j * (s[::2, 1::2] - s[1::2, ::2])
+        gram = _hermitian(gram).reshape(m, r, m, r)
+        lowered.flags.writeable = False
+        gram.flags.writeable = False
+        return cls(lowered, gram)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +208,33 @@ class DensityState:
     def rank(self) -> int:
         return int(self.probabilities.size)
 
-    def kept(self) -> tuple[np.ndarray, np.ndarray]:
-        """Probabilities and eigenvector columns above ``TAU_PROB``."""
-        mask = self.probabilities > TAU_PROB
+    @cached_property
+    def kept_columns(self) -> np.ndarray | slice:
+        """The eigenvalues above ``TAU_PROB``, else the largest, as a column index.
+
+        The one rule by which every mixed-state double sum drops columns.
+        When every column is kept the index is ``slice(None)``, so the
+        slices it takes are views rather than copies.
+        """
+        p = self.probabilities
+        mask = p > TAU_PROB
         if not np.any(mask):
-            mask = self.probabilities == self.probabilities.max()
-        return self.probabilities[mask], self.vectors[:, mask]
+            mask = p == p.max()
+        return slice(None) if np.all(mask) else np.flatnonzero(mask)
+
+    def kept(self) -> tuple[np.ndarray, np.ndarray]:
+        """Probabilities and eigenvector columns of :attr:`kept_columns`."""
+        idx = self.kept_columns
+        return self.probabilities[idx], self.vectors[:, idx]
+
+    @cached_property
+    def lowered_table(self) -> LoweredTable:
+        """The eigenvectors lowered by each a_j and their overlaps, built once.
+
+        Every column enters, kept or not; the double sums slice the kept
+        ones.  Cached on first use, so the arrays must not change after.
+        """
+        return LoweredTable.of(self.space, self.vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +461,11 @@ def photon_statistics(spec: dict) -> PhotonStatistics:
 def first_moments(state: DensityState) -> np.ndarray:
     """One-photon correlation matrix <a_j_dagger a_l>; Hermitian, trace <N>.
 
-    Sums p_m <a_j v_m | a_l v_m> over the eigenvectors v_m.
+    Sums p_m <a_j v_m | a_l v_m> over the eigenvectors v_m, read from the
+    state's lowered table.
     """
-    m = state.space.n_modes
-    p, v = state.probabilities, state.vectors
-    lowered = [_ladder(state.space, v, j) for j in range(m)]
-    out = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        for l in range(j, m):
-            vals = np.einsum("da,da->a", np.conj(lowered[j]), lowered[l])
-            out[j, l] = np.sum(p * vals)
-            out[l, j] = np.conj(out[j, l])
-    return out
+    gram = state.lowered_table.gram
+    return _hermitian(np.einsum("m,jmlm->jl", state.probabilities, gram))
 
 
 def operator_matrix_elements(state: DensityState, coefficients) -> np.ndarray:
@@ -399,15 +474,15 @@ def operator_matrix_elements(state: DensityState, coefficients) -> np.ndarray:
     Accepts a single (M, M) coefficient matrix, a stack (P, M, M), or a
     generator-coefficient object exposing ``matrices``; only the eigenvectors
     of :meth:`DensityState.kept` enter, matching the double sums that
-    consume these elements.
+    consume these elements.  Since <a|a_j_dagger a_k|b> = <a_j a|a_k b>,
+    the elements are sum_{jk} C_{jk} gram[j, a, k, b] of the lowered table
+    and no operator is applied.
     """
     coefficients = getattr(coefficients, "matrices", coefficients)
-    coefficients = np.asarray(coefficients, dtype=complex)
-    single = coefficients.ndim == 2
-    stack = coefficients[None, ...] if single else coefficients
-    _, v = state.kept()
-    out = np.stack([v.conj().T @ apply_quadratic(state.space, c, v) for c in stack])
-    return out[0] if single else out
+    coefficients = _check_coefficients(state.space, coefficients)
+    idx = state.kept_columns
+    gram = state.lowered_table.gram[:, idx][:, :, :, idx]
+    return np.einsum("...jk,jakb->...ab", coefficients, gram)
 
 
 def number_moments(state: DensityState) -> tuple[float, float]:

@@ -622,7 +622,8 @@ class TestConfigErrors:
         [
             ({"state": {"kind": "squeezed-vacuum", "r": 800}}, "PreconditionError: state.r:"),
             ({"state": {"kind": "squeezed-vacuum", "r": 400}}, "PreconditionError: state.r:"),
-            ({"geometry": {"w0": 1e200, "k": 10.0}}, "StructuralError"),
+            ({"geometry": {"w0": 1e200, "k": 10.0}}, "PreconditionError: geometry w0=1e+200, k=10:"),
+            ({"geometry": {"w0": 1e150, "k": 1e-150}}, "PreconditionError: geometry w0=1e+150, k=1e-150:"),
             ({"geometry": {"w0": 1.0, "k": 1e300}}, "EvaluationError"),
             ({"state": {"kind": "thermal", "nbar": 1.7e308}}, "PreconditionError"),
             ({"state": {"kind": "coherent", "nbar": 1e306}}, "PreconditionError"),
@@ -632,6 +633,7 @@ class TestConfigErrors:
             "squeezing-overflow",
             "squeezing-square-overflow",
             "huge-waist",
+            "waist-cube-overflow",
             "huge-wavenumber",
             "huge-thermal",
             "information-overflow",
@@ -657,6 +659,21 @@ class TestConfigErrors:
             warnings.simplefilter("error", RuntimeWarning)
             assert self.run(tmp_path, self.BASE | {"state": state}, command) == 1
         assert capsys.readouterr().err.startswith(f"{command} failed in PreconditionError")
+
+    @pytest.mark.parametrize(
+        "geometry",
+        ['{"w0": 1e150, "k": 1e-150}', '{"w0": 1.0, "k": 1e300}', '{"w0": 1e200, "k": 1.0}'],
+        ids=["waist-cube-overflow", "huge-wavenumber", "huge-waist"],
+    )
+    def test_overflowing_geometry_prints_only_the_message(self, geometry):
+        # a subprocess, so that numpy warnings reach stderr as they would
+        argv = [sys.executable, "-m", "modal_qcrb", "qfim", "--family", "gaussian-beam"]
+        argv += ["--geometry", geometry, "--grid-points", "64"]
+        argv += ["--state", '{"kind": "coherent", "nbar": 1}', "--out", "unused"]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qfim failed in "), result.stderr
 
     def test_attainability_skips_the_bounds(self, tmp_path, capsys):
         # the pseudo-inverse of this probe's information matrix fails, but

@@ -29,7 +29,9 @@ from modal_qcrb import (
     qfim_single_mode,
     qfim_unitary,
 )
-from modal_qcrb.states import first_moments, number_moments
+from modal_qcrb import states
+from modal_qcrb.states import first_moments, number_moments, operator_matrix_elements
+from modal_qcrb.tolerances import TAU_PROB
 from conftest import (
     FOCK_ROUTE_PROBES,
     K,
@@ -419,6 +421,127 @@ class TestAttainability:
             assert np.max(np.abs(mixed.matrix - expected)) / scale < 1e-7
             assert np.max(np.abs(mixed.matrix - single.matrix)) / scale < 1e-7
             assert np.array_equal(mixed.pair_attainable, single.pair_attainable)
+
+
+def table_probe_state(rng, n_modes: int, cutoff: int, rank: int = 4):
+    """Mixed state whose smallest eigenvalue is below TAU_PROB and whose
+    kept eigenvectors carry amplitude at the cutoff level.
+
+    The amplitude at the cutoff is what a truncated raising operator drops,
+    and the small eigenvalue is what ``DensityState.kept`` drops.
+    """
+    space = FockSpace(n_modes=n_modes, cutoff=cutoff)
+    levels = np.array(np.unravel_index(np.arange(space.dimension), (space.levels,) * n_modes))
+    boundary = np.any(levels == cutoff, axis=0)
+    raw = rng.normal(size=(space.dimension, rank)) + 1j * rng.normal(size=(space.dimension, rank))
+    raw[boundary] *= 3e-6  # inside the truncation budget TAU_CUTOFF
+    q, _ = np.linalg.qr(raw)
+    probs = rng.uniform(0.1, 1.0, size=rank)
+    probs[-1] = 0.0
+    probs /= probs.sum()
+    probs[-1] = TAU_PROB / 10.0
+    state = make_state("custom", space, probabilities=probs, vectors=q)
+    assert state.kept()[0].size == rank - 1
+    assert np.max(np.abs(q[boundary, :-1])) > 1e-7
+    return state
+
+
+def dense_first_moments(state) -> np.ndarray:
+    """Tr(rho a_j^dag a_l) with dense operators."""
+    m = state.space.n_modes
+    rho = (state.vectors * state.probabilities) @ state.vectors.conj().T
+    out = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        for l in range(m):
+            unit = np.zeros((m, m))
+            unit[j, l] = 1.0
+            out[j, l] = np.trace(rho @ dense_quadratic(state.space, unit))
+    return out
+
+
+def dense_elements(state, coefficients) -> np.ndarray:
+    _, v = state.kept()
+    return np.array([v.conj().T @ dense_quadratic(state.space, c) @ v for c in coefficients])
+
+
+def dense_commutator(state, gens) -> np.ndarray:
+    """The mixed-state commutator matrix of ``attainability`` on dense inputs."""
+    p, _ = state.kept()
+    moments = dense_first_moments(state)
+    elements = dense_elements(state, gens.matrices)
+    overlaps = gens.derivative_overlaps
+    n_p = gens.n_parameters
+    u = np.zeros((n_p, n_p))
+    for a in range(n_p):
+        for b in range(a + 1, n_p):
+            term1 = 4.0 * np.sum((overlaps[a, b] - overlaps[b, a]) * moments)
+            term2 = 0.0
+            for m in range(p.size):
+                for n in range(p.size):
+                    weight = 32.0 * p[m] ** 2 * p[n] / (p[m] + p[n]) ** 2
+                    term2 += weight * (elements[a, m, n] * np.conj(elements[b, m, n])).imag
+            u[a, b] = (term1.imag - term2) / 4.0
+            u[b, a] = -u[a, b]
+    return u
+
+
+def assert_close_to_largest(got, expected, rtol=1e-13):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(got - expected)) <= rtol * scale, np.max(np.abs(got - expected)) / scale
+
+
+class TestStateTableAgainstDenseOperators:
+    """Every state-side quantity read from the lowered table, against dense operators."""
+
+    CASES = [(2, 4, 3), (3, 3, 4)]  # (modes, cutoff, parameters)
+
+    @pytest.fixture(params=CASES, ids=["m2", "m3"])
+    def case(self, request):
+        n_modes, cutoff, n_params = request.param
+        rng = np.random.default_rng(100 + n_modes)
+        populated, derivatives = random_mode_parameter_data(rng, n_params, n_modes)
+        family = family_from_modes(populated, derivatives, [f"t{a}" for a in range(n_params)])
+        return table_probe_state(rng, n_modes, cutoff), family
+
+    def test_first_moments(self, case):
+        state, _ = case
+        assert_close_to_largest(first_moments(state), dense_first_moments(state))
+
+    def test_operator_matrix_elements(self, case):
+        state, family = case
+        matrices = family.generators.matrices
+        assert_close_to_largest(
+            operator_matrix_elements(state, matrices), dense_elements(state, matrices)
+        )
+
+    def test_qfim_unitary(self, case):
+        state, family = case
+        matrices = family.generators.matrices
+        expected = np.array(
+            [[brute_force_qfim(state, ca, cb) for cb in matrices] for ca in matrices]
+        )
+        assert_close_to_largest(qfim_unitary(state, matrices), expected)
+
+    def test_attainability(self, case):
+        state, family = case
+        gens = family.generators
+        assert_close_to_largest(attainability(state, gens).matrix, dense_commutator(state, gens))
+
+    def test_one_lowering_per_mode_and_one_raising_per_mode_and_parameter(self, case, monkeypatch):
+        state, family = case
+        calls = []
+        ladder = states._ladder
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("raising", False))
+            return ladder(*args, **kwargs)
+
+        monkeypatch.setattr(states, "_ladder", counted)
+        qfim_mode_split(state, family)
+        attainability(state, family.generators)
+        m, n_p = family.n_modes, family.n_parameters
+        assert len(calls) == m + n_p * m
+        assert calls.count(True) == n_p * m
 
 
 class TestDegenerateParameter:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from modal_qcrb import (
     BeamGeometry,
     EvaluationError,
     GridResolutionError,
+    PreconditionError,
     PulseSpectrum,
     SampleGrid,
     StructuralError,
@@ -187,6 +190,14 @@ class TestRegistry:
         theta[3] = -2.0 * W0
         with pytest.raises(EvaluationError):
             beam_family.evaluate_mode(0, theta)
+
+    @pytest.mark.parametrize("waist, wavenumber", [(1e150, 1e-150), (1e-120, 1.0), (1.0, 1e-320)])
+    def test_geometry_beyond_double_range_names_the_geometry(self, waist, wavenumber):
+        # w0^3 or the Rayleigh range leaves the double range, which the
+        # closed-form derivatives divide by
+        message = re.escape(f"geometry w0={waist:g}, k={wavenumber:g}:")
+        with pytest.raises(PreconditionError, match=message):
+            BeamGeometry(waist, wavenumber)
 
     def test_pulse_grid_below_zero_frequency_rejected(self):
         with pytest.raises(GridResolutionError) as err:
