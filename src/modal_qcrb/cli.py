@@ -14,12 +14,10 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,32 +31,12 @@ from .engine import (
     detection_modes_for,
     qfim_single_mode,
 )
-from .errors import ConfigError, ModalQcrbError
+from .errors import ConfigError, ModalQcrbError, finite_number, whole_number
 from .families import FAMILY_REGISTRY, build_family
 from .modes import finite_difference_family, gram_schmidt
-from .states import photon_statistics
+from .states import parse_probe, photon_statistics
 from . import tolerances
 
-
-class _StateField(NamedTuple):
-    """One numeric field of a state spec."""
-
-    description: str
-    minimum: float | None = None
-    integer: bool = False
-    required: bool = True
-
-
-# state kind -> the fields its spec accepts; every value is a finite JSON number
-_STATE_KINDS: dict[str, dict[str, _StateField]] = {
-    "coherent": {"nbar": _StateField("mean photon number", minimum=0.0)},
-    "fock": {"n": _StateField("photon number", minimum=0, integer=True)},
-    "thermal": {"nbar": _StateField("mean photon number", minimum=0.0)},
-    "squeezed-vacuum": {
-        "r": _StateField("squeezing parameter"),
-        "phi": _StateField("squeezing angle (rad)", required=False),
-    },
-}
 
 # Largest grid_points: a 4096^2 beam grid already holds 16.8M samples per mode.
 _MAX_GRID_POINTS = 4096
@@ -121,50 +99,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _number(name: str, value) -> float:
-    """A config value that must be a finite JSON number; true and false are not."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ConfigError(f"{name}: must be a finite number, got {value!r}")
-
-
-def _integer(name: str, value) -> int:
-    """A config value that must be a whole number; 2.0 passes, 2.5 does not."""
-    if not _number(name, value).is_integer():
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    return int(value)
-
-
-def _validate_state(state) -> None:
-    """Check a state spec against the field schema of its kind."""
-    if not isinstance(state, dict):
-        raise ConfigError("state: must be an object")
-    if "kind" not in state:
-        raise ConfigError('state: required object with a "kind" field')
-    kind = state["kind"]
-    if not isinstance(kind, str) or kind not in _STATE_KINDS:
-        raise ConfigError(f"state.kind: unknown {kind!r}; supported: " + ", ".join(_STATE_KINDS))
-    fields = _STATE_KINDS[kind]
-    for key in state:
-        if key != "kind" and key not in fields:
-            raise ConfigError(
-                f"state.{key}: unknown field for kind '{kind}'; accepted: " + ", ".join(fields)
-            )
-    for key, spec in fields.items():
-        name = f"state.{key}"
-        if key not in state:
-            if spec.required:
-                raise ConfigError(f"{name}: required for kind '{kind}' ({spec.description})")
-            continue
-        value = _integer(name, state[key]) if spec.integer else _number(name, state[key])
-        if spec.minimum is not None and value < spec.minimum:
-            raise ConfigError(f"{name}: must be at least {spec.minimum:g}, got {value!r}")
-
-
 @dataclass
 class RunConfig:
     """Resolved run configuration (file values merged with flag overrides)."""
@@ -215,7 +149,7 @@ class RunConfig:
                 state = json.loads(args.state)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"state: invalid JSON ({exc})") from exc
-        _validate_state(state)
+        parse_probe(state)
 
         geometry = raw.get("geometry", {})
         if getattr(args, "geometry", None) is not None:
@@ -230,7 +164,7 @@ class RunConfig:
             if key not in geometry:
                 raise ConfigError(f"geometry.{key}: required for family '{family}'")
         for key, value in geometry.items():
-            value = _number(f"geometry.{key}", value)
+            value = finite_number(f"geometry.{key}", value)
             if key in schema and value <= 0:
                 raise ConfigError(f"geometry.{key}: must be positive, got {value!r}")
 
@@ -239,14 +173,14 @@ class RunConfig:
             raise ConfigError(f"out: must be a directory path, got {out!r}")
         grid_points = pick("grid_points", "grid_points")
         if grid_points is not None:
-            grid_points = _integer("grid_points", grid_points)
+            grid_points = whole_number("grid_points", grid_points)
             if not 8 <= grid_points <= _MAX_GRID_POINTS:
                 raise ConfigError(
                     f"grid_points: must be between 8 and {_MAX_GRID_POINTS}, got {grid_points}"
                 )
         fd_step = pick("fd_step", "fd_step")
         if fd_step is not None:
-            fd_step = _number("fd_step", fd_step)
+            fd_step = finite_number("fd_step", fd_step)
             if fd_step <= 0:
                 raise ConfigError("fd_step: must be finite and positive")
         method = raw.get("derivative_method", "analytic")
@@ -254,7 +188,7 @@ class RunConfig:
             method = "finite-difference"
         if method not in ("analytic", "finite-difference"):
             raise ConfigError("derivative_method: 'analytic' or 'finite-difference'")
-        repetitions = _integer("repetitions", pick("repetitions", "repetitions", 1))
+        repetitions = whole_number("repetitions", pick("repetitions", "repetitions", 1))
         if repetitions < 1:
             raise ConfigError("repetitions: must be at least 1")
 

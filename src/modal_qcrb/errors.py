@@ -1,4 +1,6 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the check of config numbers."""
+
+import math
 
 
 class ModalQcrbError(Exception):
@@ -47,5 +49,23 @@ class PreconditionError(ModalQcrbError):
     """An operation's physical precondition is violated."""
 
 
-class ConfigError(ModalQcrbError):
-    """A run configuration is invalid; the message names the field."""
+class ConfigError(StructuralError):
+    """A run configuration or probe spec is invalid; the message names the field."""
+
+
+def finite_number(name: str, value) -> float:
+    """A config value that must be a finite JSON number; true and false are not."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+
+
+def whole_number(name: str, value) -> int:
+    """A config value that must be a whole number; 2.0 passes, 2.5 does not."""
+    if not finite_number(name, value).is_integer():
+        raise ConfigError(f"{name}: must be a whole number, got {value!r}")
+    return int(value)

@@ -60,17 +60,18 @@ class BeamGeometry:
     def __post_init__(self):
         if self.waist <= 0 or self.wavenumber <= 0:
             raise StructuralError("waist and wavenumber must be positive")
-        # the closed forms divide by w0^3 and by the Rayleigh range k w0^2 / 2
+        # the closed forms divide by w0^3 and by the Rayleigh range k w0^2 / 2,
+        # and the tilt information scales as (k w0)^2
         w0, k = float(self.waist), float(self.wavenumber)
         try:
-            scales = (w0**3, k * w0**2 / 2.0, k * w0)
+            scales = (w0**3, k * w0**2 / 2.0, k * w0, (k * w0) ** 2)
             in_range = all(0.0 < s < math.inf and 1.0 / s < math.inf for s in scales)
         except OverflowError:  # raised by a Python float power
             in_range = False
         if not in_range:
             raise PreconditionError(
                 f"geometry w0={self.waist:g}, k={self.wavenumber:g}: w0^3, the Rayleigh "
-                "range k w0^2 / 2 or k w0 is out of double-precision range"
+                "range k w0^2 / 2, k w0 or (k w0)^2 is out of double-precision range"
             )
 
     @property

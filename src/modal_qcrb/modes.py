@@ -178,8 +178,10 @@ class ProductSum:
 
     def expand(self) -> np.ndarray:
         """The samples on the full grid."""
-        products = [functools.reduce(np.multiply.outer, term) for term in self.terms]
-        return functools.reduce(np.add, products)
+        # finite factors can overflow in their products; the callers check the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = [functools.reduce(np.multiply.outer, term) for term in self.terms]
+            return functools.reduce(np.add, products)
 
     def along(self, axis: int, profile: np.ndarray) -> "ProductSum":
         """The samples times a profile that varies along one axis only."""
@@ -364,12 +366,14 @@ def _factored_gram(rows: Sequence[ProductSum], axis_weights: Sequence[np.ndarray
     its terms.
     """
     terms = [term for row in rows for term in row.terms]
-    g = 1.0
-    for axis, w in enumerate(axis_weights):
-        f = np.array([term[axis] for term in terms])
-        g = g * ((f.conj() * w) @ f.T)
     starts = np.cumsum([0] + [len(row.terms) for row in rows[:-1]])
-    return _hermitian(np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1))
+    g = 1.0
+    # an overflow leaves non-finite entries; the callers check the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, w in enumerate(axis_weights):
+            f = np.array([term[axis] for term in terms])
+            g = g * ((f.conj() * w) @ f.T)
+        return _hermitian(np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1))
 
 
 def grid_gram(grid: SampleGrid, rows: Sequence[np.ndarray | ProductSum]) -> np.ndarray:

@@ -15,9 +15,11 @@ columns, so the lowering is done once per state.  Like the family's
 overlap table, the table is built on first use and kept: it assumes that
 the state's arrays are not mutated afterwards.
 
-A one-mode probe enters every quantity only through its mean photon number
-and number information, which :func:`photon_statistics` gives in closed
-form with no truncation.
+Each probe kind is described once, in :data:`PROBE_KINDS`: its spec
+fields, the closed form of its mean photon number and number information
+(through which alone a one-mode probe enters every quantity, read by
+:func:`photon_statistics` with no truncation), and its one-mode Fock form
+(read by :func:`make_state`).
 """
 
 from __future__ import annotations
@@ -25,10 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CutoffError, PreconditionError, StructuralError
+from .errors import (
+    ConfigError,
+    CutoffError,
+    PreconditionError,
+    StructuralError,
+    finite_number,
+    whole_number,
+)
 from .modes import _hermitian
 from .tolerances import (
     MAX_CUTOFF,
@@ -238,73 +248,142 @@ class DensityState:
 
 
 # ---------------------------------------------------------------------------
+# Probe kinds
+
+
+class SpecField(NamedTuple):
+    """One field of a probe spec; every value is a finite JSON number."""
+
+    description: str
+    minimum: float | None = None
+    integer: bool = False
+    required: bool = True
+
+
+class ProbeKind(NamedTuple):
+    """A probe kind: its spec fields, closed form and one-mode Fock form.
+
+    ``statistics(value)`` gives the mean photon number and the number
+    information from the value of the first field, the only one they
+    depend on.  ``fock(levels, **values)`` gives the first ``levels``
+    number-basis amplitudes of the untruncated state, or for a
+    ``diagonal`` kind its number-basis probabilities.
+    """
+
+    fields: dict[str, SpecField]
+    statistics: Callable[[float], tuple[float, float]]
+    fock: Callable[..., np.ndarray]
+    diagonal: bool = False
+
+
+def _coherent_amplitudes(levels: int, nbar: float) -> np.ndarray:
+    # e^(-nbar/2) nbar^(n/2) / sqrt(n!) as a running product from the
+    # vacuum term, which can only underflow, whatever nbar
+    ratios = np.sqrt(nbar / np.arange(1.0, levels))
+    return np.cumprod(np.concatenate(([math.exp(-nbar / 2.0)], ratios)))
+
+
+def _fock_amplitudes(levels: int, n: int) -> np.ndarray:
+    return (np.arange(levels) == n).astype(float)
+
+
+def _thermal_probabilities(levels: int, nbar: float) -> np.ndarray:
+    # nbar^n / (1 + nbar)^(n + 1), as powers of a ratio below 1 so that no
+    # nbar overflows
+    return (nbar / (1.0 + nbar)) ** np.arange(levels) / (1.0 + nbar)
+
+
+def _squeezed_amplitudes(levels: int, r: float, phi: float = 0.0) -> np.ndarray:
+    # even levels only: <0|state> = 1 / sqrt(cosh r), written so that no
+    # large r overflows, then the ratios -e^(i phi) tanh r sqrt((2m-1) / 2m)
+    m = np.arange(1.0, (levels + 1) // 2)
+    ratios = -np.exp(1j * phi) * math.tanh(r) * np.sqrt((2.0 * m - 1.0) / (2.0 * m))
+    vacuum = math.sqrt(2.0 * math.exp(-abs(r)) / (1.0 + math.exp(-2.0 * abs(r))))
+    amplitudes = np.zeros(levels, dtype=complex)
+    amplitudes[::2] = np.cumprod(np.concatenate(([vacuum], ratios)))
+    return amplitudes
+
+
+# The probe kinds a spec may name, in the order error messages list them.
+PROBE_KINDS: dict[str, ProbeKind] = {
+    "coherent": ProbeKind(
+        {"nbar": SpecField("mean photon number", minimum=0.0)},
+        lambda nbar: (nbar, 4.0 * nbar),
+        _coherent_amplitudes,
+    ),
+    "fock": ProbeKind(
+        {"n": SpecField("photon number", minimum=0, integer=True)},
+        lambda n: (float(n), 0.0),
+        _fock_amplitudes,
+    ),
+    "thermal": ProbeKind(
+        {"nbar": SpecField("mean photon number", minimum=0.0)},
+        lambda nbar: (nbar, 0.0),
+        _thermal_probabilities,
+        diagonal=True,
+    ),
+    "squeezed-vacuum": ProbeKind(
+        {
+            "r": SpecField("squeezing parameter"),
+            "phi": SpecField("squeezing angle (rad)", required=False),
+        },
+        lambda r: (math.sinh(r) ** 2, 2.0 * math.sinh(2.0 * r) ** 2),
+        _squeezed_amplitudes,
+    ),
+}
+
+
+def parse_probe(spec) -> tuple[ProbeKind, dict]:
+    """The kind and the field values of a ``{"kind": ..., fields...}`` spec.
+
+    The one check of a probe spec, for the CLI and the library alike: a
+    missing kind or field, an unknown field, and a value that is not a
+    finite number, not whole where it must be, or below its minimum raise
+    :class:`ConfigError` naming ``state.<field>``.  Whole-number fields
+    come back as ints, the others as floats; an optional field that the
+    spec omits has no value.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError("state: must be an object")
+    if "kind" not in spec:
+        raise ConfigError('state: required object with a "kind" field')
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in PROBE_KINDS:
+        raise ConfigError(f"state.kind: unknown {kind!r}; supported: " + ", ".join(PROBE_KINDS))
+    fields = PROBE_KINDS[kind].fields
+    for key in spec:
+        if key != "kind" and key not in fields:
+            raise ConfigError(
+                f"state.{key}: unknown field for kind '{kind}'; accepted: " + ", ".join(fields)
+            )
+    values = {}
+    for key, field in fields.items():
+        name = f"state.{key}"
+        if key not in spec:
+            if field.required:
+                raise ConfigError(f"{name}: required for kind '{kind}' ({field.description})")
+            continue
+        check = whole_number if field.integer else finite_number
+        value = check(name, spec[key])
+        if field.minimum is not None and value < field.minimum:
+            raise ConfigError(f"{name}: must be at least {field.minimum:g}, got {value!r}")
+        values[key] = value
+    return PROBE_KINDS[kind], values
+
+
+# ---------------------------------------------------------------------------
 # Constructors
 
-
-def _suggest_cutoff(kind: str, **params) -> int:
-    """Smallest cutoff whose tail probability is below the truncation budget."""
-    if kind == "fock":
-        return int(params["n"]) + 1  # one empty level keeps the boundary clean
-    if kind == "coherent":
-        nbar = float(params["nbar"])
-        if nbar == 0.0:
-            return 1
-        term = math.exp(-nbar)
-        cumulative = term
-        n = 0
-        while 1.0 - cumulative > TAU_CUTOFF and n < 4 * MAX_CUTOFF:
-            n += 1
-            term *= nbar / n
-            cumulative += term
-        return n + 1
-    if kind == "thermal":
-        nbar = float(params["nbar"])
-        if nbar == 0.0:
-            return 1
-        # log(nbar / (1 + nbar)), which stays below 0 for the largest nbar;
-        # the suggestion saturates as the other kinds' searches do
-        levels = math.log(TAU_CUTOFF) / -math.log1p(1.0 / nbar)
-        return int(math.ceil(min(levels, 4 * MAX_CUTOFF))) + 1
-    if kind == "squeezed-vacuum":
-        r = abs(float(params["r"]))
-        if r == 0.0:
-            return 1
-        t2 = math.tanh(r) ** 2
-        # |<0|state>|^2 = 1/cosh r, written so that no large r overflows
-        prob = 2.0 * math.exp(-r) / (1.0 + math.exp(-2.0 * r))
-        cumulative = prob
-        m = 0
-        while 1.0 - cumulative > TAU_CUTOFF and m < 4 * MAX_CUTOFF:
-            m += 1
-            prob *= t2 * (2 * m - 1) / (2 * m)
-            cumulative += prob
-        return 2 * m + 1
-    raise ValueError(f"unknown state kind '{kind}'")
+# Levels of the number distribution searched for a cutoff; a state that
+# needs more is suggested this many, which is beyond the hard cap.
+_SEARCH_LEVELS = 4 * MAX_CUTOFF + 1
 
 
-def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, cutoff + 1):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    amps *= math.exp(-abs(alpha) ** 2 / 2.0)
-    return amps / np.linalg.norm(amps)
-
-
-def _squeezed_amplitudes(r: float, phi: float, cutoff: int) -> np.ndarray:
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = 1.0 / math.sqrt(math.cosh(r))
-    factor = -np.exp(1j * phi) * math.tanh(r)
-    m = 1
-    while 2 * m <= cutoff:
-        amps[2 * m] = (
-            amps[2 * (m - 1)]
-            * factor
-            * math.sqrt((2 * m - 1) * (2 * m))
-            / (2 * m)
-        )
-        m += 1
-    return amps / np.linalg.norm(amps)
+def _suggest_cutoff(distribution: np.ndarray) -> int:
+    """Smallest cutoff c with P(N >= c) within the truncation budget."""
+    tail = 1.0 - np.cumsum(distribution)  # tail[c - 1] = P(N >= c)
+    within = np.flatnonzero(tail <= TAU_CUTOFF)
+    return int(within[0]) + 1 if within.size else distribution.size
 
 
 def _embed(space: FockSpace, column: np.ndarray, mode: int) -> np.ndarray:
@@ -322,12 +401,15 @@ def make_state(
     mode: int = 0,
     **parameters,
 ) -> DensityState:
-    """Build a probe state: coherent, fock, thermal, squeezed-vacuum or custom.
+    """Build a probe state of a kind in :data:`PROBE_KINDS`, or a custom one.
 
-    Without an explicit ``space``, the smallest per-mode
-    cutoff with truncation tail below the cutoff budget is chosen, capped
-    at the hard maximum.  Coherent and Fock states are rank one; thermal
-    eigenvalues follow nbar^n / (1 + nbar)^(n + 1).
+    The fields are checked by :func:`parse_probe`.  Without an explicit
+    ``space``, the smallest per-mode cutoff with truncation tail below the
+    cutoff budget is chosen, capped at the hard maximum.  The populated
+    mode ``mode`` holds the kind's Fock form, renormalized on the kept
+    levels, and every other mode is in vacuum.  A ``custom`` state takes
+    an explicit ``space``, ``probabilities`` and eigenvector columns
+    ``vectors``.
     """
     if kind == "custom":
         if space is None:
@@ -338,30 +420,16 @@ def make_state(
             vectors=np.asarray(parameters["vectors"], dtype=complex),
         )
 
-    if kind == "coherent" and "alpha" in parameters:
-        alpha = complex(parameters["alpha"])
-        tail_params = {"nbar": abs(alpha) ** 2}
-    elif kind == "coherent":
-        nbar = float(parameters["nbar"])
-        if nbar < 0:
-            raise StructuralError("coherent nbar must be non-negative")
-        alpha = math.sqrt(nbar)
-        tail_params = {"nbar": nbar}
-    elif kind in ("fock", "thermal", "squeezed-vacuum"):
-        if kind == "fock" and float(parameters["n"]) != int(parameters["n"]):
-            raise StructuralError(f"fock n must be a whole number, got {parameters['n']!r}")
-        tail_params = dict(parameters)
-    else:
-        raise ValueError(f"unknown state kind '{kind}'")
-
-    needed = _suggest_cutoff(kind, **tail_params)
+    probe, values = parse_probe({"kind": kind, **parameters})
+    column = probe.fock(_SEARCH_LEVELS, **values)
+    needed = _suggest_cutoff(column if probe.diagonal else np.abs(column) ** 2)
     if space is None:
         if needed > MAX_CUTOFF:
             raise CutoffError(
                 f"state '{kind}' needs a cutoff beyond the hard cap {MAX_CUTOFF}",
                 suggested_cutoff=needed,
             )
-        space = FockSpace(n_modes=1, cutoff=max(needed, 1))
+        space = FockSpace(n_modes=1, cutoff=needed)
     if space.cutoff < needed:
         raise CutoffError(
             f"cutoff {space.cutoff} leaks more than the truncation budget "
@@ -371,44 +439,12 @@ def make_state(
     if not 0 <= mode < space.n_modes:
         raise StructuralError(f"mode index {mode} outside 0..{space.n_modes - 1}")
 
-    if kind == "fock":
-        n = int(parameters["n"])
-        if n < 0:
-            raise StructuralError("fock n must be non-negative")
-        column = np.zeros(space.levels, dtype=complex)
-        column[n] = 1.0
-        vec = _embed(space, column, mode)
-        return DensityState(space, np.array([1.0]), vec[:, None])
-
-    if kind == "coherent":
-        column = _coherent_amplitudes(alpha, space.cutoff)
-        vec = _embed(space, column, mode)
-        return DensityState(space, np.array([1.0]), vec[:, None])
-
-    if kind == "squeezed-vacuum":
-        r = float(parameters["r"])
-        phi = float(parameters.get("phi", 0.0))
-        column = _squeezed_amplitudes(r, phi, space.cutoff)
-        vec = _embed(space, column, mode)
-        return DensityState(space, np.array([1.0]), vec[:, None])
-
-    # thermal: diagonal in the number basis of the populated mode
-    nbar = float(parameters["nbar"])
-    if nbar < 0:
-        raise StructuralError("thermal nbar must be non-negative")
-    n = np.arange(space.levels)
-    if nbar == 0.0:
-        probs = np.zeros(space.levels)
-        probs[0] = 1.0
-    else:
-        probs = nbar**n / (1.0 + nbar) ** (n + 1)
-        probs /= probs.sum()
-    vectors = np.zeros((space.dimension, space.levels), dtype=complex)
-    for level in range(space.levels):
-        column = np.zeros(space.levels, dtype=complex)
-        column[level] = 1.0
-        vectors[:, level] = _embed(space, column, mode)
-    return DensityState(space, probs, vectors)
+    column = column[: space.levels]
+    if probe.diagonal:
+        vectors = np.stack([_embed(space, level, mode) for level in np.eye(space.levels)], axis=1)
+        return DensityState(space, column / column.sum(), vectors)
+    vector = _embed(space, column / np.linalg.norm(column), mode)
+    return DensityState(space, np.array([1.0]), vector[:, None])
 
 
 @dataclass(frozen=True)
@@ -424,27 +460,18 @@ class PhotonStatistics:
     number_information: float
 
 
-# state kind -> (spec field, closed-form (<N>, number information))
-_CLOSED_FORMS = {
-    "coherent": ("nbar", lambda nbar: (nbar, 4.0 * nbar)),
-    "fock": ("n", lambda n: (n, 0.0)),
-    "thermal": ("nbar", lambda nbar: (nbar, 0.0)),
-    "squeezed-vacuum": ("r", lambda r: (math.sinh(r) ** 2, 2.0 * math.sinh(2.0 * r) ** 2)),
-}
-
-
 def photon_statistics(spec: dict) -> PhotonStatistics:
-    """Closed-form statistics of a ``{"kind": ..., parameters...}`` probe.
+    """Closed-form statistics of a ``{"kind": ..., fields...}`` probe.
 
     Exact for every photon number, with no Fock-space truncation; the
-    squeezing angle ``phi`` does not enter.  A value beyond the double
-    range raises :class:`PreconditionError` naming the spec field.
+    squeezing angle ``phi`` does not enter.  The spec is checked by
+    :func:`parse_probe`; a value whose statistics leave the double range
+    raises :class:`PreconditionError` naming the field.
     """
-    if spec.get("kind") not in _CLOSED_FORMS:
-        raise ValueError(f"unknown state kind {spec.get('kind')!r}")
-    field, closed_form = _CLOSED_FORMS[spec["kind"]]
+    probe, values = parse_probe(spec)
+    field = next(iter(probe.fields))
     try:
-        mean, info = closed_form(float(spec[field]))
+        mean, info = probe.statistics(values[field])
     except OverflowError:
         mean = info = math.inf
     if not (math.isfinite(mean) and math.isfinite(info)):

@@ -624,7 +624,7 @@ class TestConfigErrors:
             ({"state": {"kind": "squeezed-vacuum", "r": 400}}, "PreconditionError: state.r:"),
             ({"geometry": {"w0": 1e200, "k": 10.0}}, "PreconditionError: geometry w0=1e+200, k=10:"),
             ({"geometry": {"w0": 1e150, "k": 1e-150}}, "PreconditionError: geometry w0=1e+150, k=1e-150:"),
-            ({"geometry": {"w0": 1.0, "k": 1e300}}, "EvaluationError"),
+            ({"geometry": {"w0": 1.0, "k": 1e300}}, "PreconditionError: geometry w0=1, k=1e+300:"),
             ({"state": {"kind": "thermal", "nbar": 1.7e308}}, "PreconditionError"),
             ({"state": {"kind": "coherent", "nbar": 1e306}}, "PreconditionError"),
             ({"state": {"kind": "coherent", "nbar": 5e-324}}, "PreconditionError"),

@@ -2,9 +2,12 @@
 
 Every generated config, valid or not, must end in exit code 0 (success),
 1 (engine or numerical failure) or 2 (config error); a bad field must
-never surface as a traceback.
+never surface as a traceback.  A state spec is a config error on the CLI
+exactly when the library rejects it, with the same message.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -12,8 +15,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from modal_qcrb import cli
+from modal_qcrb import ConfigError, PreconditionError, cli
 from modal_qcrb.families import FAMILY_REGISTRY
+from modal_qcrb.states import PROBE_KINDS, photon_statistics
 
 # a valid value for every field a config may carry, by family and state kind
 GEOMETRY = {
@@ -29,7 +33,7 @@ STATES = {
     "squeezed-vacuum": {"r": st.floats(-0.5, 0.5), "phi": st.floats(-3.0, 3.0)},
 }
 assert set(GEOMETRY) == set(FAMILY_REGISTRY)
-
+assert set(STATES) == set(PROBE_KINDS)
 
 
 def affordable(value) -> bool:
@@ -112,3 +116,42 @@ def test_every_config_exits_0_1_or_2(config, command):
         path.write_text(json.dumps(config))
         code = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
+
+
+@st.composite
+def corrupted_states(draw):
+    """A valid state spec with up to two fields replaced or removed, or no object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(ANY_VALUE)
+    kind = draw(st.sampled_from(sorted(STATES)))
+    state = {"kind": kind} | {key: draw(value) for key, value in STATES[kind].items()}
+    for key in draw(st.lists(st.sampled_from(["kind", "nbar", "n", "r", "phi", "extra"]), max_size=2)):
+        if draw(st.booleans()):
+            state.pop(key, None)
+        else:
+            state[key] = draw(ANY_VALUE)
+    return state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(state=corrupted_states())
+def test_cli_rejects_a_state_exactly_as_the_library_does(state):
+    try:
+        photon_statistics(state)
+        rejected = None
+    except ConfigError as exc:
+        rejected = str(exc)
+    except PreconditionError:  # an accepted spec whose statistics overflow
+        rejected = None
+    config = {"family": "displaced-beam", "geometry": {"w0": 1.0}, "state": state}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["attainability", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    if rejected is None:
+        assert code in (0, 1)
+    else:
+        assert rejected.startswith("state")
+        assert code == 2 and err.getvalue() == f"config error: {rejected}\n"

@@ -191,10 +191,13 @@ class TestRegistry:
         with pytest.raises(EvaluationError):
             beam_family.evaluate_mode(0, theta)
 
-    @pytest.mark.parametrize("waist, wavenumber", [(1e150, 1e-150), (1e-120, 1.0), (1.0, 1e-320)])
+    @pytest.mark.parametrize(
+        "waist, wavenumber", [(1e150, 1e-150), (1e-120, 1.0), (1.0, 1e-320), (1.0, 1e300)]
+    )
     def test_geometry_beyond_double_range_names_the_geometry(self, waist, wavenumber):
-        # w0^3 or the Rayleigh range leaves the double range, which the
-        # closed-form derivatives divide by
+        # w0^3 or the Rayleigh range, which the closed-form derivatives
+        # divide by, or the tilt information scale (k w0)^2 leaves the
+        # double range
         message = re.escape(f"geometry w0={waist:g}, k={wavenumber:g}:")
         with pytest.raises(PreconditionError, match=message):
             BeamGeometry(waist, wavenumber)

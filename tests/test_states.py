@@ -1,12 +1,16 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modal_qcrb import (
+    ConfigError,
     CutoffError,
     FockSpace,
     Mode,
@@ -20,11 +24,13 @@ from modal_qcrb import (
 )
 import modal_qcrb
 from modal_qcrb.states import (
+    PROBE_KINDS,
     apply_quadratic,
     first_moments,
     number_moments,
     operator_matrix_elements,
 )
+from modal_qcrb.tolerances import TAU_CUTOFF
 from conftest import (
     FOCK_ROUTE_PROBES,
     W0,
@@ -164,6 +170,110 @@ class TestPhotonStatistics:
     def test_overflow_names_the_field(self, r):
         with pytest.raises(PreconditionError, match=r"^state\.r: "):
             photon_statistics({"kind": "squeezed-vacuum", "r": r})
+
+
+def suggested_cutoff(spec: dict) -> int:
+    """The cutoff make_state picks for a spec, or suggests beyond the cap."""
+    try:
+        return make_state(**spec).space.cutoff
+    except CutoffError as err:
+        return err.suggested_cutoff
+
+
+class TestProbeSpecs:
+    """make_state and photon_statistics check a spec as the CLI does."""
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "coherent", "nbar": -1.0}, "state.nbar"),
+            ({"kind": "fock", "n": 2.5}, "state.n"),
+            ({"kind": "coherent", "nbar": math.nan}, "state.nbar"),
+            ({"kind": "thermal", "nbar": 1.0, "bogus": 3}, "state.bogus"),
+            ({"kind": "coherent", "nbar": 1.0, "alpha": 1.0}, "state.alpha"),
+            ({"kind": "squeezed-vacuum", "phi": 0.5}, "state.r"),
+            ({"kind": "fock", "n": True}, "state.n"),
+            ({"kind": "cat"}, "state.kind"),
+        ],
+        ids=["negative", "fractional", "nan", "unknown", "alpha", "missing", "boolean", "kind"],
+    )
+    def test_bad_field_is_named(self, spec, field):
+        pattern = f"^{re.escape(field)}: "
+        with pytest.raises(ConfigError, match=pattern):
+            photon_statistics(spec)
+        with pytest.raises(ConfigError, match=pattern):
+            make_state(**spec)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(sorted(PROBE_KINDS)),
+        values=st.dictionaries(
+            st.sampled_from(["nbar", "n", "r", "phi"]),
+            st.one_of(st.floats(), st.integers(-5, 10**6), st.sampled_from([-0.0, 1e308, 10**400])),
+        ),
+    )
+    def test_accepted_specs_have_non_negative_statistics(self, kind, values):
+        try:
+            statistics = photon_statistics({"kind": kind} | values)
+        except (ConfigError, PreconditionError):
+            return
+        assert statistics.mean >= 0.0 and statistics.number_information >= 0.0
+
+    @pytest.mark.parametrize(
+        "spec, cutoff",
+        [
+            ({"kind": "coherent", "nbar": 0.0}, 1),
+            ({"kind": "coherent", "nbar": 1e-12}, 1),
+            ({"kind": "coherent", "nbar": 1e-6}, 2),
+            ({"kind": "coherent", "nbar": 0.1}, 7),
+            ({"kind": "coherent", "nbar": 1.0}, 13),
+            ({"kind": "coherent", "nbar": 4.0}, 23),
+            ({"kind": "coherent", "nbar": 25.0}, 64),
+            ({"kind": "coherent", "nbar": 30.0}, 72),
+            ({"kind": "coherent", "nbar": 100.0}, 171),
+            ({"kind": "coherent", "nbar": 1e6}, 257),
+            ({"kind": "fock", "n": 0}, 1),
+            ({"kind": "fock", "n": 5}, 6),
+            ({"kind": "fock", "n": 63}, 64),
+            ({"kind": "fock", "n": 200}, 201),
+            ({"kind": "squeezed-vacuum", "r": 0.0}, 1),
+            ({"kind": "squeezed-vacuum", "r": 1e-6}, 1),
+            ({"kind": "squeezed-vacuum", "r": 0.1}, 9),
+            ({"kind": "squeezed-vacuum", "r": -0.3, "phi": 0.7}, 17),
+            ({"kind": "squeezed-vacuum", "r": 1.0}, 77),
+            ({"kind": "squeezed-vacuum", "r": 1.5}, 211),
+            ({"kind": "squeezed-vacuum", "r": 2.0}, 257),
+        ],
+        ids=str,
+    )
+    def test_pinned_cutoffs(self, spec, cutoff):
+        assert suggested_cutoff(spec) == cutoff
+
+    def test_thermal_cutoff_is_the_smallest_within_budget(self):
+        # P(N >= c) = q^c; every state that fits passes the boundary check
+        for nbar in np.linspace(0.01, 2.3, 230):
+            q = nbar / (1.0 + nbar)
+            c = suggested_cutoff({"kind": "thermal", "nbar": nbar})
+            assert q**c <= TAU_CUTOFF * (1 + 1e-5) and q ** (c - 1) > TAU_CUTOFF * (1 - 1e-5)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.3, 2.0, 20.0])
+    def test_coherent_amplitudes_match_the_poisson_form(self, nbar):
+        state = make_state("coherent", nbar=nbar)
+        n = np.arange(state.space.levels)
+        expected = np.array([math.sqrt(nbar**k / math.factorial(k)) for k in n])
+        expected /= np.linalg.norm(expected)
+        assert np.max(np.abs(state.vectors[:, 0] - expected)) < 1e-15
+
+    @pytest.mark.parametrize("r, phi", [(0.3, 0.0), (-0.7, 1.1), (0.5, -2.0)])
+    def test_squeezed_amplitudes_match_the_closed_form(self, r, phi):
+        state = make_state("squeezed-vacuum", r=r, phi=phi)
+        expected = np.zeros(state.space.levels, dtype=complex)
+        for m in range((state.space.levels + 1) // 2):
+            expected[2 * m] = (-np.exp(1j * phi) * math.tanh(r)) ** m * math.sqrt(
+                math.factorial(2 * m)
+            ) / (2**m * math.factorial(m))
+        expected /= np.linalg.norm(expected)
+        assert np.max(np.abs(state.vectors[:, 0] - expected)) < 1e-15
 
 
 def two_mode_superposition() -> tuple[FockSpace, np.ndarray]:
