@@ -133,6 +133,13 @@ class SampleGrid:
         return all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))
 
 
+def _check_scalar(scalar) -> None:
+    if not isinstance(scalar, (int, float, complex, np.generic)) and np.ndim(scalar) != 0:
+        raise StructuralError(
+            "a product sum scales by a scalar only; a profile goes through along()"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ProductSum:
     """Samples given as a short sum of outer products of per-axis factors.
@@ -169,12 +176,20 @@ class ProductSum:
         """One outer product ``factors[0] x factors[1] x ..``."""
         return cls((factors,))
 
+    @classmethod
+    def _of(cls, terms: tuple[tuple[np.ndarray, ...], ...]) -> "ProductSum":
+        # terms formed from checked factors by a shape-preserving operation
+        # are valid as they stand; skip the check of __post_init__
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "terms", terms)
+        return ps
+
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.size for f in self.terms[0])
 
     def finite(self) -> bool:
-        return all(np.all(np.isfinite(f)) for term in self.terms for f in term)
+        return all(np.isfinite(f).all() for term in self.terms for f in term)
 
     def expand(self) -> np.ndarray:
         """The samples on the full grid."""
@@ -190,28 +205,38 @@ class ProductSum:
         )
 
     def __mul__(self, scalar) -> "ProductSum":
-        return ProductSum(tuple((scalar * t[0], *t[1:]) for t in self.terms))
+        _check_scalar(scalar)
+        return ProductSum._of(tuple((scalar * t[0], *t[1:]) for t in self.terms))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "ProductSum":
-        return ProductSum(tuple((t[0] / scalar, *t[1:]) for t in self.terms))
+        _check_scalar(scalar)
+        return ProductSum._of(tuple((t[0] / scalar, *t[1:]) for t in self.terms))
+
+    def _same_shape(self, other: "ProductSum") -> None:
+        if self.shape != other.shape:
+            raise StructuralError(
+                f"product sums of shapes {self.shape} and {other.shape} do not combine"
+            )
 
     def __add__(self, other: "ProductSum") -> "ProductSum":
         if not isinstance(other, ProductSum):
             return NotImplemented
-        return ProductSum(self.terms + other.terms)
+        self._same_shape(other)
+        return ProductSum._of(self.terms + other.terms)
 
     def __sub__(self, other: "ProductSum") -> "ProductSum":
         if not isinstance(other, ProductSum):
             return NotImplemented
+        self._same_shape(other)
         terms = []
         for a, c in zip(self.terms, other.terms):
             for axis in range(len(a)):
                 terms.append((*c[:axis], a[axis] - c[axis], *a[axis + 1 :]))
         paired = min(len(self.terms), len(other.terms))
         terms += self.terms[paired:] + (-1.0 * other).terms[paired:]
-        return ProductSum(tuple(terms))
+        return ProductSum._of(tuple(terms))
 
 
 def _all_finite(samples: np.ndarray | ProductSum) -> bool:
@@ -354,6 +379,8 @@ def weighted_gram(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray
 
 def _hermitian(g: np.ndarray) -> np.ndarray:
     """The upper triangle of g with its exact conjugate below a real diagonal."""
+    if g.shape == (1, 1):  # a squared norm: the same real diagonal, 0 added alike
+        return g.real + 0j
     upper = np.triu(g, 1)
     return upper + upper.conj().T + np.diag(g.diagonal().real)
 
@@ -366,14 +393,16 @@ def _factored_gram(rows: Sequence[ProductSum], axis_weights: Sequence[np.ndarray
     its terms.
     """
     terms = [term for row in rows for term in row.terms]
-    starts = np.cumsum([0] + [len(row.terms) for row in rows[:-1]])
     g = 1.0
     # an overflow leaves non-finite entries; the callers check the result
     with np.errstate(over="ignore", invalid="ignore"):
         for axis, w in enumerate(axis_weights):
             f = np.array([term[axis] for term in terms])
             g = g * ((f.conj() * w) @ f.T)
-        return _hermitian(np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1))
+        if len(terms) > len(rows):  # some row sums several terms
+            starts = np.cumsum([0] + [len(row.terms) for row in rows[:-1]])
+            g = np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
+    return _hermitian(g)
 
 
 def grid_gram(grid: SampleGrid, rows: Sequence[np.ndarray | ProductSum]) -> np.ndarray:
@@ -560,6 +589,8 @@ def derivative_mode(family: "ParameterFamily", mode_index: int, parameter: int) 
             f"family '{family.name}' has no derivative rule; "
             "use finite_difference_family(family)"
         )
+    if not 0 <= mode_index < family.n_modes:
+        raise StructuralError(f"mode index {mode_index} outside the family")
     if not 0 <= parameter < family.n_parameters:
         raise StructuralError(f"parameter index {parameter} outside the family")
     return Mode(family.grid, family.derivative_fn(mode_index, parameter))
@@ -573,7 +604,9 @@ def finite_difference_family(
     A central difference with one Richardson refinement, step
     ``|theta_scale| * 1e-4`` unless given, so the step follows each
     parameter's own scale whether it is large or small.  Each derivative
-    mode costs four shifted evaluations of the family.  A step below
+    mode costs four shifted evaluations of the family's ``mode_fn``; a
+    non-finite sample in any of them stays non-finite in their difference,
+    which is checked once and names the parameter.  A step below
     ``eps / TAU_FD * |theta_scale|`` is rejected: there the shifted modes
     round to the reference and the difference to zero.  Modes given as
     :class:`ProductSum` are differenced per axis and stay product sums (at
@@ -594,13 +627,14 @@ def finite_difference_family(
             )
 
     def derivative(mode_index: int, parameter: int) -> np.ndarray | ProductSum:
-        def central(h: float) -> np.ndarray | ProductSum:
+        def shifted(h: float) -> np.ndarray | ProductSum:
             theta = np.zeros(family.n_parameters)
             theta[parameter] = h
-            plus = family.evaluate_mode(mode_index, theta).data
-            theta[parameter] = -h
-            minus = family.evaluate_mode(mode_index, theta).data
-            return (plus - minus) / (2.0 * h)
+            samples = family.mode_fn(mode_index, theta)
+            return samples if isinstance(samples, ProductSum) else _real_or_complex(samples)
+
+        def central(h: float) -> np.ndarray | ProductSum:
+            return (shifted(h) - shifted(-h)) / (2.0 * h)
 
         h = steps[parameter]
         coarse = central(h)

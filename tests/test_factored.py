@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modal_qcrb import (
     BeamGeometry,
@@ -25,7 +27,7 @@ from modal_qcrb import (
     inner_product,
     weighted_gram,
 )
-from modal_qcrb.modes import ProductSum
+from modal_qcrb.modes import ProductSum, _hermitian, grid_gram
 from modal_qcrb.tolerances import TAU_QUAD
 
 
@@ -175,3 +177,107 @@ class TestFactoredChecks:
         expected = a.expand() + b.expand() - c.expand()
         assert np.allclose(difference.expand(), expected, rtol=0, atol=1e-14)
         assert np.allclose((c - (a + b)).expand(), -expected, rtol=0, atol=1e-14)
+
+
+def stacked_gram(rows, axis_weights):
+    """The general factored route: every term stacked, summed per row."""
+    terms = [term for row in rows for term in row.terms]
+    starts = np.cumsum([0] + [len(row.terms) for row in rows[:-1]])
+    g = 1.0
+    for axis, w in enumerate(axis_weights):
+        f = np.array([term[axis] for term in terms])
+        g = g * ((f.conj() * w) @ f.T)
+    return _hermitian(np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1))
+
+
+def random_rows(seed, shape, terms_per_row):
+    rng = np.random.default_rng(seed)
+
+    def factor(n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    return [
+        ProductSum(tuple(tuple(factor(n) for n in shape) for _ in range(t)))
+        for t in terms_per_row
+    ]
+
+
+class TestOneTermRows:
+    # 1-D, square and non-square grids
+    SHAPES = [(37,), (24, 24), (17, 40)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(SHAPES),
+        terms_per_row=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    )
+    def test_bitwise_equal_to_the_stacked_route(self, seed, shape, terms_per_row):
+        # a lone one-term row, rows of one term each and mixed rows skip
+        # the per-row sums where they add nothing, not a bit of the result
+        grid = SampleGrid.uniform(*[np.linspace(-2.0, 1.5, n) for n in shape])
+        for counts in (terms_per_row, [1], [1] * len(terms_per_row)):
+            rows = random_rows(seed, shape, counts)
+            expected = stacked_gram(rows, grid.axis_weights)
+            got = grid_gram(grid, rows)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestProductSumArithmetic:
+    def operands(self):
+        rng = np.random.default_rng(8)
+        a = ProductSum.outer(rng.normal(size=5) + 1j * rng.normal(size=5), rng.normal(size=6))
+        return a, ProductSum.outer(rng.normal(size=5), rng.normal(size=7))
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_mismatched_shapes_rejected(self, op):
+        a, b = self.operands()
+        one_axis = ProductSum.outer(np.ones(5))
+        for other in (b, one_axis):
+            for left, right in ((a, other), (other, a)):
+                with pytest.raises(StructuralError, match="do not combine"):
+                    getattr(left, f"__{op}__")(right)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            lambda a, s: a * s,
+            lambda a, s: s * a,
+            lambda a, s: a / s,
+        ],
+        ids=["mul", "rmul", "div"],
+    )
+    @pytest.mark.parametrize(
+        "scalar", [np.ones(5), np.ones((5, 6)), np.ones(1)], ids=["5", "5x6", "1"]
+    )
+    def test_array_scalars_rejected(self, scale, scalar):
+        a, _ = self.operands()
+        with pytest.raises(StructuralError, match="scalar only"):
+            scale(a, scalar)
+
+    @pytest.mark.parametrize("scalar", [2, 0.5, 1j, np.float64(3.0), np.array(2.0)])
+    def test_zero_dimensional_scalars_scale_the_first_factor(self, scalar):
+        a, _ = self.operands()
+        for scaled, expected in (
+            (a * scalar, scalar * a.expand()),
+            (scalar * a, scalar * a.expand()),
+            (a / scalar, a.expand() / scalar),
+        ):
+            assert scaled.terms[0][1] is a.terms[0][1]
+            assert np.allclose(scaled.expand(), expected, rtol=1e-15, atol=0)
+
+    def test_along_rejects_a_profile_of_another_shape(self):
+        a, _ = self.operands()
+        with pytest.raises(StructuralError):
+            a.along(0, np.ones((5, 5)))
+        with pytest.raises(ValueError):
+            a.along(1, np.ones(5))
+
+    def test_sums_and_differences_keep_valid_terms(self):
+        a, _ = self.operands()
+        for combined in (a + a, a - 2.0 * a, (a + a) - a, a - (a + a)):
+            assert combined.shape == a.shape
+            assert all(f.ndim == 1 for term in combined.terms for f in term)
+            rebuilt = ProductSum(combined.terms)  # the checked constructor agrees
+            assert rebuilt.shape == combined.shape

@@ -136,7 +136,7 @@ def test_gram_block_boundaries_do_not_matter(monkeypatch):
 class TestEvaluateOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"evaluate": 0, "evaluate_mode": 0, "derivative_mode": 0}
+        counts = {"evaluate": 0, "evaluate_mode": 0, "derivative_mode": 0, "mode_fn": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -153,6 +153,12 @@ class TestEvaluateOnce:
         for module in (modes, families, engine, cli):
             if hasattr(module, "derivative_mode"):
                 monkeypatch.setattr(module, "derivative_mode", wrapped)
+
+        def build_family(*args, **kwargs):
+            family = families.build_family(*args, **kwargs)
+            return dataclasses.replace(family, mode_fn=counting("mode_fn", family.mode_fn))
+
+        monkeypatch.setattr(cli, "build_family", build_family)
         return counts
 
     def config(self, tmp_path, **extra):
@@ -167,12 +173,18 @@ class TestEvaluateOnce:
     def test_analytic_run_evaluates_family_and_derivatives_once(self, counts, tmp_path):
         cli._assemble_report(self.config(tmp_path))
         # P * M = 6 derivative modes of the one populated beam mode
-        assert counts == {"evaluate": 1, "evaluate_mode": 1, "derivative_mode": 6}
+        assert counts == {"evaluate": 1, "evaluate_mode": 1, "derivative_mode": 6, "mode_fn": 1}
 
     def test_finite_difference_run_evaluates_each_derivative_once(self, counts, tmp_path):
         cli._assemble_report(self.config(tmp_path, derivative_method="finite-difference"))
-        # four shifted evaluations per derivative mode, plus the reference
-        assert counts == {"evaluate": 1, "evaluate_mode": 1 + 4 * 6, "derivative_mode": 6}
+        # four shifted mode_fn calls per derivative mode, plus the reference;
+        # the shifts bypass evaluate_mode, whose checks their difference repeats
+        assert counts == {
+            "evaluate": 1,
+            "evaluate_mode": 1,
+            "derivative_mode": 6,
+            "mode_fn": 1 + 4 * 6,
+        }
 
 
 def test_finite_difference_step_follows_small_parameter_scales():
@@ -281,6 +293,30 @@ class TestFamilyDerivativeRule:
         )
         with pytest.raises(EvaluationError, match="parameter 'b'"), np.errstate(all="ignore"):
             modes.derivative_mode(finite_difference_family(family), 0, 1)
+
+    @pytest.mark.parametrize("name", ["beam_family", "pulse_family"])
+    def test_non_finite_shift_names_the_parameter(self, request, name):
+        # product-sum and array modes alike: one NaN shift, at -h/2 of the
+        # parameter, reaches the one check of the combined difference
+        family = request.getfixturevalue(name)
+        parameter = 1
+        fine = 1e-4 * abs(float(family.theta_scales[parameter])) / 2.0
+
+        def mode_fn(k, theta):
+            samples = family.mode_fn(k, theta)
+            return float("nan") * samples if theta[parameter] == -fine else samples
+
+        fd = finite_difference_family(dataclasses.replace(family, mode_fn=mode_fn))
+        label = family.parameters[parameter]
+        with pytest.raises(EvaluationError, match=f"parameter '{label}'"):
+            modes.derivative_mode(fd, 0, parameter)
+        modes.derivative_mode(fd, 0, 0)  # the other shifts are finite
+
+    @pytest.mark.parametrize("index", [-1, 1, 5])
+    def test_mode_index_outside_the_family_rejected(self, beam_family, index):
+        for family in (beam_family, finite_difference_family(beam_family)):
+            with pytest.raises(StructuralError, match=f"mode index {index} outside"):
+                modes.derivative_mode(family, index, 0)
 
 
 def test_detection_mode_weights_equal_report_weights_bitwise(tmp_path):
