@@ -61,17 +61,20 @@ class BeamGeometry:
         if self.waist <= 0 or self.wavenumber <= 0:
             raise StructuralError("waist and wavenumber must be positive")
         # the closed forms divide by w0^3 and by the Rayleigh range k w0^2 / 2,
-        # and the tilt information scales as (k w0)^2
+        # the curvature term and the axial information by its square, and the
+        # tilt information scales as (k w0)^2
         w0, k = float(self.waist), float(self.wavenumber)
         try:
-            scales = (w0**3, k * w0**2 / 2.0, k * w0, (k * w0) ** 2)
+            zr = k * w0**2 / 2.0
+            scales = (w0**3, zr, zr**2, k * w0, (k * w0) ** 2)
             in_range = all(0.0 < s < math.inf and 1.0 / s < math.inf for s in scales)
         except OverflowError:  # raised by a Python float power
             in_range = False
         if not in_range:
             raise PreconditionError(
                 f"geometry w0={self.waist:g}, k={self.wavenumber:g}: w0^3, the Rayleigh "
-                "range k w0^2 / 2, k w0 or (k w0)^2 is out of double-precision range"
+                "range z_R = k w0^2 / 2, z_R^2, k w0 or (k w0)^2 is out of "
+                "double-precision range"
             )
 
     @property
@@ -318,16 +321,22 @@ def gaussian_beam_family(
     Parameters are (x0, y0, z0, w0, tilt_x, tilt_y) around a focused beam.
     With ``carrier_phase`` the axial derivative picks up the plane-wave
     carrier term, which applies when the absolute optical phase is
-    measurable.
+    measurable.  The carrier e^{ikz0} turns over a length 1/k, so the
+    scale of z0 is then min(z_R, 1/k), the shorter of the two lengths over
+    which the mode changes; it sizes the finite-difference step and the
+    degeneracy floor.
     """
     if grid is None:
         grid = transverse_grid(geometry.waist, points, halfwidth_waists)
     name = "gaussian-beam-carrier" if carrier_phase else "gaussian-beam"
+    axial_scale = geometry.rayleigh_range
+    if carrier_phase:
+        axial_scale = min(axial_scale, 1.0 / geometry.wavenumber)
     scales = np.array(
         [
             geometry.waist,
             geometry.waist,
-            geometry.rayleigh_range,
+            axial_scale,
             geometry.waist,
             1.0 / (geometry.wavenumber * geometry.waist),
             1.0 / (geometry.wavenumber * geometry.waist),

@@ -243,6 +243,34 @@ class TestQfimCommand:
         assert bundle.to_json() + "\n" == text
 
 
+class TestCarrierFiniteDifference:
+    """The carrier's z0 step is sized by its wavelength 1/k, not by z_R."""
+
+    def run(self, tmp_path, method, w0, k):
+        out = tmp_path / method
+        config = {
+            "family": "gaussian-beam-carrier",
+            "geometry": {"w0": w0, "k": k},
+            "state": {"kind": "coherent", "nbar": 1},
+            "grid_points": 256,
+            "derivative_method": method,
+        }
+        path = tmp_path / f"{method}.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["qfim", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        return read_matrix_csv(out / "qfim.csv")[1], report["detection_modes"]["degenerate"]
+
+    @pytest.mark.parametrize("w0, k", [(2.0, 300.0), (1.0, 80.0)], ids=["kw0-600", "kw0-80"])
+    def test_finite_difference_matches_the_analytic_run(self, tmp_path, w0, k):
+        analytic, analytic_flags = self.run(tmp_path, "analytic", w0, k)
+        fd, fd_flags = self.run(tmp_path, "finite-difference", w0, k)
+        # a z0 step of 1e-4 z_R turned the carrier by 1e-4 (k w0)^2 / 2 rad:
+        # F[z0, z0] read 2023.15 against 359998 at k w0 = 600
+        assert np.max(np.abs(fd - analytic)) <= 1e-10 * np.max(np.abs(analytic))
+        assert fd_flags == analytic_flags == [False] * 6
+
+
 class TestPulseQfimInputs:
     def run_state(self, tmp_path, state: str, geometry=None):
         return run_cli(
@@ -625,6 +653,7 @@ class TestConfigErrors:
             ({"geometry": {"w0": 1e200, "k": 10.0}}, "PreconditionError: geometry w0=1e+200, k=10:"),
             ({"geometry": {"w0": 1e150, "k": 1e-150}}, "PreconditionError: geometry w0=1e+150, k=1e-150:"),
             ({"geometry": {"w0": 1.0, "k": 1e300}}, "PreconditionError: geometry w0=1, k=1e+300:"),
+            ({"geometry": {"w0": 1e-102, "k": 1.0}}, "PreconditionError: geometry w0=1e-102, k=1:"),
             ({"state": {"kind": "thermal", "nbar": 1.7e308}}, "PreconditionError"),
             ({"state": {"kind": "coherent", "nbar": 1e306}}, "PreconditionError"),
             ({"state": {"kind": "coherent", "nbar": 5e-324}}, "PreconditionError"),
@@ -635,6 +664,7 @@ class TestConfigErrors:
             "huge-waist",
             "waist-cube-overflow",
             "huge-wavenumber",
+            "rayleigh-square-underflow",
             "huge-thermal",
             "information-overflow",
             "denormal-photon-number",
@@ -662,8 +692,13 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "geometry",
-        ['{"w0": 1e150, "k": 1e-150}', '{"w0": 1.0, "k": 1e300}', '{"w0": 1e200, "k": 1.0}'],
-        ids=["waist-cube-overflow", "huge-wavenumber", "huge-waist"],
+        [
+            '{"w0": 1e150, "k": 1e-150}',
+            '{"w0": 1.0, "k": 1e300}',
+            '{"w0": 1e200, "k": 1.0}',
+            '{"w0": 1e-102, "k": 1}',
+        ],
+        ids=["waist-cube-overflow", "huge-wavenumber", "huge-waist", "rayleigh-square-underflow"],
     )
     def test_overflowing_geometry_prints_only_the_message(self, geometry):
         # a subprocess, so that numpy warnings reach stderr as they would

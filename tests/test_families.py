@@ -24,6 +24,7 @@ from modal_qcrb import (
     qfim_mode_split,
     qfim_single_mode,
 )
+from modal_qcrb import engine
 from modal_qcrb.families import FAMILY_REGISTRY
 from modal_qcrb.states import number_moments
 from conftest import K, OMEGA0, VARIANCE, W0
@@ -127,6 +128,25 @@ class TestSymmetryAndNormalization:
 
 
 class TestCarrierVariant:
+    @pytest.mark.parametrize("waist, wavenumber", [(1.0, 0.5), (1.0, 10.0), (2.0, 300.0)])
+    def test_z0_scale_is_the_shorter_length(self, waist, wavenumber):
+        # the carrier e^{ikz0} turns over 1/k; the envelope over z_R
+        geometry = BeamGeometry(waist, wavenumber)
+        plain = gaussian_beam_family(geometry, points=64)
+        carrier = gaussian_beam_family(geometry, carrier_phase=True, points=64)
+        zr = geometry.rayleigh_range
+        assert plain.theta_scales[2] == zr
+        assert carrier.theta_scales[2] == min(zr, 1.0 / wavenumber)
+        assert np.array_equal(np.delete(plain.theta_scales, 2), np.delete(carrier.theta_scales, 2))
+
+    @pytest.mark.parametrize("kw0", [1.0, 2.0, 10.0, 80.0, 600.0, 6000.0])
+    def test_z0_weight_stays_far_above_its_degeneracy_floor(self, kw0):
+        # the floor TAU_ZERO / scale rises with the 1/k scale to TAU_ZERO k,
+        # while the carrier's z0 weight is about k: no degenerate flag moves
+        family = gaussian_beam_family(BeamGeometry(1.0, kw0), carrier_phase=True)
+        weight = float(family.overlap_table.weights[2, 0])
+        assert weight > 1e9 * float(engine._weight_floors(family)[2])
+
     def test_axial_entry_differs_from_base(self, beam_family, beam_carrier_family):
         state = make_state("coherent", nbar=1.0)
         base = qfim_mode_split(state, beam_family)
@@ -192,10 +212,11 @@ class TestRegistry:
             beam_family.evaluate_mode(0, theta)
 
     @pytest.mark.parametrize(
-        "waist, wavenumber", [(1e150, 1e-150), (1e-120, 1.0), (1.0, 1e-320), (1.0, 1e300)]
+        "waist, wavenumber",
+        [(1e150, 1e-150), (1e-120, 1.0), (1e-102, 1.0), (1.0, 1e-320), (1.0, 1e300)],
     )
     def test_geometry_beyond_double_range_names_the_geometry(self, waist, wavenumber):
-        # w0^3 or the Rayleigh range, which the closed-form derivatives
+        # w0^3, the Rayleigh range or its square, which the closed forms
         # divide by, or the tilt information scale (k w0)^2 leaves the
         # double range
         message = re.escape(f"geometry w0={waist:g}, k={wavenumber:g}:")
