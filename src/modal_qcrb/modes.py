@@ -177,7 +177,7 @@ class ProductSum:
         return cls((factors,))
 
     @classmethod
-    def _of(cls, terms: tuple[tuple[np.ndarray, ...], ...]) -> "ProductSum":
+    def _unchecked(cls, terms: tuple[tuple[np.ndarray, ...], ...]) -> "ProductSum":
         # terms formed from checked factors by a shape-preserving operation
         # are valid as they stand; skip the check of __post_init__
         ps = object.__new__(cls)
@@ -206,13 +206,13 @@ class ProductSum:
 
     def __mul__(self, scalar) -> "ProductSum":
         _check_scalar(scalar)
-        return ProductSum._of(tuple((scalar * t[0], *t[1:]) for t in self.terms))
+        return ProductSum._unchecked(tuple((scalar * t[0], *t[1:]) for t in self.terms))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "ProductSum":
         _check_scalar(scalar)
-        return ProductSum._of(tuple((t[0] / scalar, *t[1:]) for t in self.terms))
+        return ProductSum._unchecked(tuple((t[0] / scalar, *t[1:]) for t in self.terms))
 
     def _same_shape(self, other: "ProductSum") -> None:
         if self.shape != other.shape:
@@ -224,7 +224,7 @@ class ProductSum:
         if not isinstance(other, ProductSum):
             return NotImplemented
         self._same_shape(other)
-        return ProductSum._of(self.terms + other.terms)
+        return ProductSum._unchecked(self.terms + other.terms)
 
     def __sub__(self, other: "ProductSum") -> "ProductSum":
         if not isinstance(other, ProductSum):
@@ -236,7 +236,7 @@ class ProductSum:
                 terms.append((*c[:axis], a[axis] - c[axis], *a[axis + 1 :]))
         paired = min(len(self.terms), len(other.terms))
         terms += self.terms[paired:] + (-1.0 * other).terms[paired:]
-        return ProductSum._of(tuple(terms))
+        return ProductSum._unchecked(tuple(terms))
 
 
 def _all_finite(samples: np.ndarray | ProductSum) -> bool:
@@ -379,7 +379,7 @@ def weighted_gram(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray
 
 def _hermitian(g: np.ndarray) -> np.ndarray:
     """The upper triangle of g with its exact conjugate below a real diagonal."""
-    if g.shape == (1, 1):  # a squared norm: the same real diagonal, 0 added alike
+    if g.shape == (1, 1):  # a squared norm: its real part plus +0, as below
         return g.real + 0j
     upper = np.triu(g, 1)
     return upper + upper.conj().T + np.diag(g.diagonal().real)
