@@ -17,7 +17,6 @@ from .engine import (
     build_generators,
     crb_bounds,
     detection_modes_for,
-    number_information,
     qfim_mode_split,
     qfim_single_mode,
     qfim_unitary,
@@ -30,7 +29,6 @@ from .errors import (
     GridResolutionError,
     ModalQcrbError,
     PreconditionError,
-    RankDeficiencyError,
     StructuralError,
 )
 from .families import (
@@ -47,7 +45,6 @@ from .families import (
 )
 from .modes import (
     DetectionMode,
-    GramSchmidtResult,
     Mode,
     ModeBasis,
     OverlapTable,
@@ -56,7 +53,6 @@ from .modes import (
     derivative_mode,
     detection_mode,
     finite_difference_family,
-    gram_schmidt,
     inner_product,
     mode_norm,
     weighted_gram,
@@ -67,7 +63,6 @@ from .states import (
     PhotonStatistics,
     first_moments,
     make_state,
-    number_moments,
     operator_matrix_elements,
     photon_statistics,
 )
@@ -80,12 +75,10 @@ __all__ = [
     "Mode",
     "ModeBasis",
     "DetectionMode",
-    "GramSchmidtResult",
     "OverlapTable",
     "inner_product",
     "weighted_gram",
     "mode_norm",
-    "gram_schmidt",
     "derivative_mode",
     "finite_difference_family",
     "detection_mode",
@@ -97,7 +90,6 @@ __all__ = [
     "photon_statistics",
     "first_moments",
     "operator_matrix_elements",
-    "number_moments",
     # engine
     "GeneratorCoefficients",
     "QfimReport",
@@ -107,7 +99,6 @@ __all__ = [
     "qfim_unitary",
     "qfim_mode_split",
     "qfim_single_mode",
-    "number_information",
     "attainability",
     "attainability_single_mode",
     "crb_bounds",
@@ -127,7 +118,6 @@ __all__ = [
     "ModalQcrbError",
     "GridMismatchError",
     "StructuralError",
-    "RankDeficiencyError",
     "EvaluationError",
     "CutoffError",
     "GridResolutionError",

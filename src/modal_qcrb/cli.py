@@ -25,6 +25,7 @@ from . import __version__
 from .engine import (
     QfimReport,
     SingleModeAttainability,
+    _readout_basis,
     _weight_floors,
     attainability_single_mode,
     crb_bounds,
@@ -33,7 +34,7 @@ from .engine import (
 )
 from .errors import ConfigError, ModalQcrbError, finite_number, whole_number
 from .families import FAMILY_REGISTRY, build_family
-from .modes import finite_difference_family, gram_schmidt
+from .modes import finite_difference_family
 from .states import parse_probe, photon_statistics
 from . import tolerances
 
@@ -105,7 +106,7 @@ class RunConfig:
 
     family: str
     geometry: dict
-    state: dict
+    state: dict | None  # None for detection-modes, which reads no probe
     out: Path
     grid_points: int | None = None
     fd_step: float | None = None
@@ -143,13 +144,20 @@ class RunConfig:
             known = ", ".join(sorted(FAMILY_REGISTRY))
             raise ConfigError(f"family: unknown '{family}'; known families: {known}")
 
-        state = raw.get("state", {})
-        if getattr(args, "state", None) is not None:
-            try:
-                state = json.loads(args.state)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"state: invalid JSON ({exc})") from exc
-        parse_probe(state)
+        # only qfim and attainability read a probe; the parser gives
+        # detection-modes no --state flag
+        state = None
+        if args.command == "detection-modes":
+            if "state" in raw:
+                raise ConfigError("state: detection-modes reads no probe state; remove the key")
+        else:
+            state = raw.get("state", {})
+            if args.state is not None:
+                try:
+                    state = json.loads(args.state)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"state: invalid JSON ({exc})") from exc
+            parse_probe(state)
 
         geometry = raw.get("geometry", {})
         if getattr(args, "geometry", None) is not None:
@@ -195,7 +203,7 @@ class RunConfig:
         return cls(
             family=family,
             geometry=dict(geometry),
-            state=dict(state),
+            state=None if state is None else dict(state),
             out=Path(out),
             grid_points=grid_points,
             fd_step=fd_step,
@@ -399,23 +407,7 @@ def export_detection_modes(config: RunConfig) -> ReportBundle:
 
 def export_detection_modes_for(family, out: Path) -> ReportBundle:
     detections = detection_modes_for(family)
-    live = [d for d in detections if not d.degenerate]
-    gs = None
-    if live:
-        gs = gram_schmidt([d.mode for d in live], on_dependent="drop")
-
-    # map each live detection mode to its readout-basis row, if kept
-    readout_samples: dict[str, np.ndarray] = {}
-    pivot_by_label: dict[str, float] = {}
-    dependent_labels: list[str] = []
-    if gs is not None:
-        kept = [i for i in range(len(live)) if i not in gs.dependent_indices]
-        for row, idx in enumerate(kept):
-            readout_samples[live[idx].label] = gs.basis.modes[row].samples
-        for i in gs.dependent_indices:
-            dependent_labels.append(live[i].label)
-        for i, det in enumerate(live):
-            pivot_by_label[det.label] = float(gs.pivot_norms[i])
+    readout_samples, pivot_by_label, dependent_labels = _readout_basis(family, detections)
 
     coords = family.grid.mesh()
     coord_names = ["x", "y"] if family.grid.ndim == 2 else ["omega"]
@@ -426,16 +418,8 @@ def export_detection_modes_for(family, out: Path) -> ReportBundle:
         lines = [",".join(header)]
         if not det.degenerate:
             samples = det.mode.samples.ravel()
-            readout = readout_samples.get(det.label)
-            readout_flat = (
-                readout.ravel() if readout is not None else np.zeros_like(samples)
-            )
-            columns = flat_coords + [
-                samples.real,
-                samples.imag,
-                readout_flat.real,
-                readout_flat.imag,
-            ]
+            readout = readout_samples.get(det.label, np.zeros_like(samples))
+            columns = flat_coords + [samples.real, samples.imag, readout.real, readout.imag]
             lines += _csv_rows(np.column_stack(columns))
         _write_atomic(out / f"modes_{det.label}.csv", "\n".join(lines) + "\n")
 
@@ -461,11 +445,12 @@ def export_detection_modes_for(family, out: Path) -> ReportBundle:
 # Entry point
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, *, probe: bool) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--family", help="family name (overrides config)")
     parser.add_argument("--geometry", help='geometry JSON, e.g. {"w0":1.0,"k":10.0}')
-    parser.add_argument("--state", help='state spec JSON, e.g. {"kind":"thermal","nbar":1.0}')
+    if probe:
+        parser.add_argument("--state", help='state spec JSON, e.g. {"kind":"thermal","nbar":1.0}')
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--grid-points", dest="grid_points", type=int, help="grid points per axis")
     parser.add_argument(
@@ -490,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("detection-modes", "export detection-mode samples and the readout basis"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_run_flags(p)
+        _add_run_flags(p, probe=name != "detection-modes")
     sub.add_parser("list-families", help="print the family registry")
     return parser
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
-from .modes import DetectionMode, OverlapTable, derivative_mode, detection_mode
+from .modes import DetectionMode, OverlapTable, detection_mode
 from .states import (
     DensityState,
     PhotonStatistics,
@@ -32,7 +32,7 @@ from .states import (
     first_moments,
     operator_matrix_elements,
 )
-from .tolerances import PINV_RCOND, TAU_ATTAIN, TAU_HERM, TAU_PSD, TAU_ZERO
+from .tolerances import PINV_RCOND, TAU_ATTAIN, TAU_HERM, TAU_PSD, TAU_RANK, TAU_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import ParameterFamily
@@ -151,16 +151,6 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
 
     f = np.triu(t1 + t2)
     return f + np.triu(f, 1).T
-
-
-def number_information(state: DensityState) -> float:
-    """Information carried by the total photon-number operator.
-
-    Equals 4 Var(N) for pure states and vanishes for states diagonal in
-    the number basis (thermal).
-    """
-    identity = np.eye(state.space.n_modes, dtype=complex)
-    return float(qfim_unitary(state, identity[None, ...])[0, 0])
 
 
 def _zero_roundoff_diagonal(f: np.ndarray) -> np.ndarray:
@@ -462,17 +452,66 @@ def _weight_floors(family: "ParameterFamily") -> np.ndarray:
 def detection_modes_for(family: "ParameterFamily") -> list[DetectionMode]:
     """Detection modes for every parameter of a single-populated-mode family.
 
-    The weights are read from the family's overlap table, so they equal
-    the report's bitwise; the derivative samples are evaluated here.
+    Formed from the derivative modes the family's overlap table was built
+    from, with the weights read from the table, so they equal the
+    report's bitwise.
     """
     table = _one_mode_table(family)
     floors = _weight_floors(family)
     return [
         detection_mode(
-            derivative_mode(family, 0, a),
+            family.derivative_modes[a][0],
             float(table.weights[a, 0]),
             weight_floor=float(floors[a]),
             label=label,
         )
         for a, label in enumerate(family.parameters)
     ]
+
+
+def _readout_basis(
+    family: "ParameterFamily", detections: Sequence[DetectionMode]
+) -> tuple[dict[str, np.ndarray], dict[str, float], list[str]]:
+    """Orthonormal readout modes of a family's ``detection_modes_for``.
+
+    The live (non-degenerate) detection modes u_a = (i / w_a) d_a f are
+    orthonormalized in label order.  Their Gram matrix
+    E_ab = (d_a f | d_b f) / (w_a w_b) is a slice of the overlap table; it
+    is factored as E = R^H R (Cholesky) one column at a time: column i
+    gives R[kept, i] by a triangular solve and the squared pivot
+    E_ii - |R[kept, i]|^2.  A column whose squared pivot is below
+    ``TAU_RANK`` depends on its predecessors and is skipped; a Gram matrix
+    resolves the squared pivot only to about eps, so the pivot itself
+    cannot be held to that bound.  The readout modes are then one product
+    of the kept detection modes with the triangle R^-1 of the kept columns.
+
+    Returns the flattened readout samples by kept label, the pivot norm
+    of every live label (0 where the squared pivot is negative by
+    round-off), and the dependent labels.
+    """
+    live = [a for a, d in enumerate(detections) if not d.degenerate]
+    if not live:
+        return {}, {}, []
+    table = _one_mode_table(family)
+    w = table.weights[live, 0]
+    gram = table.derivative_overlaps[:, :, 0, 0][np.ix_(live, live)] / np.outer(w, w)
+    n = len(live)
+    r = np.zeros((n, n), dtype=complex)
+    pivots = np.zeros(n)
+    kept: list[int] = []
+    for i in range(n):
+        # E[kept, i] = R[kept, kept]^H R[kept, i]
+        r[kept, i] = np.linalg.solve(r[np.ix_(kept, kept)].conj().T, gram[kept, i])
+        pivot2 = gram[i, i].real - float(np.sum(np.abs(r[kept, i]) ** 2))
+        pivots[i] = np.sqrt(max(pivot2, 0.0))
+        if pivot2 >= TAU_RANK:
+            r[i, i] = pivots[i]
+            kept.append(i)
+    columns = [detections[live[i]].mode.samples.ravel() for i in kept]
+    samples = np.column_stack(columns) @ np.linalg.inv(r[np.ix_(kept, kept)])
+    labels = [detections[a].label for a in live]
+    return (
+        {labels[i]: column for i, column in zip(kept, samples.T)},
+        dict(zip(labels, pivots.tolist())),
+        [label for i, label in enumerate(labels) if i not in kept],
+    )

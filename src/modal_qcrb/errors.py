@@ -15,18 +15,6 @@ class StructuralError(ModalQcrbError):
     """An input violates a structural contract (shape, symmetry, basis)."""
 
 
-class RankDeficiencyError(ModalQcrbError):
-    """A mode set is linearly dependent within the rank tolerance."""
-
-    def __init__(self, index: int, pivot: float):
-        self.index = index
-        self.pivot = pivot
-        super().__init__(
-            f"mode {index} is linearly dependent on its predecessors "
-            f"(pivot norm {pivot:.3e} below rank tolerance)"
-        )
-
-
 class EvaluationError(ModalQcrbError):
     """A mode evaluation produced non-finite samples."""
 

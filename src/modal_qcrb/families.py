@@ -142,22 +142,32 @@ class ParameterFamily:
         return ModeBasis(modes)
 
     @cached_property
+    def derivative_modes(self) -> tuple[tuple[Mode, ...], ...]:
+        """``[a][k]`` is d_a f_k at theta = 0, each evaluated once and kept.
+
+        The overlap table is built from these modes, and the detection
+        modes are formed from them.
+        """
+        # an overflow leaves non-finite samples, which the modes reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(
+                tuple(derivative_mode(self, k, a) for k in range(self.n_modes))
+                for a in range(self.n_parameters)
+            )
+
+    @cached_property
     def overlap_table(self) -> OverlapTable:
         """Overlaps of the modes at theta = 0 and their derivative modes.
 
-        Built on first use from one evaluation of the family and one
-        evaluation of each derivative mode; every engine quantity about
-        the modes is a slice of it.
+        Built on first use from one evaluation of the family and its
+        ``derivative_modes``; every engine quantity about the modes is a
+        slice of it.
         """
         # an overflow leaves non-finite samples or overlaps, which the modes
         # and the table reject with a message of their own
         with np.errstate(over="ignore", invalid="ignore"):
             populated = self.evaluate().modes
-            derivatives = [
-                [derivative_mode(self, k, a) for k in range(self.n_modes)]
-                for a in range(self.n_parameters)
-            ]
-            return OverlapTable.from_modes(populated, derivatives)
+            return OverlapTable.from_modes(populated, self.derivative_modes)
 
     @cached_property
     def generators(self) -> GeneratorCoefficients:

@@ -15,13 +15,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (
-    EvaluationError,
-    GridMismatchError,
-    RankDeficiencyError,
-    StructuralError,
-)
-from .tolerances import TAU_FD, TAU_ORTH, TAU_RANK, TAU_ZERO
+from .errors import EvaluationError, GridMismatchError, StructuralError
+from .tolerances import TAU_FD, TAU_ORTH, TAU_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import ParameterFamily
@@ -200,7 +195,13 @@ class ProductSum:
 
     def along(self, axis: int, profile: np.ndarray) -> "ProductSum":
         """The samples times a profile that varies along one axis only."""
-        return ProductSum(
+        profile = np.asarray(profile)
+        if profile.shape != (self.shape[axis],):
+            raise StructuralError(
+                f"a profile of shape {profile.shape} does not fit axis {axis} "
+                f"of length {self.shape[axis]}"
+            )
+        return ProductSum._unchecked(
             tuple((*t[:axis], profile * t[axis], *t[axis + 1 :]) for t in self.terms)
         )
 
@@ -503,79 +504,6 @@ class DetectionMode:
     weight: float
     degenerate: bool = False
     label: str = ""
-
-
-@dataclass(frozen=True, eq=False)
-class GramSchmidtResult:
-    """Output of :func:`gram_schmidt`.
-
-    ``coefficients`` is the triangle mapping inputs to outputs:
-    ``basis.modes[i] == sum_j coefficients[i, j] * inputs[j]``.
-    ``pivot_norms[i]`` is the residual norm of input ``i`` against the
-    previously accepted modes (for unit inputs with overlap d this is
-    ``sqrt(1 - |d|^2)``).  ``dependent_indices`` lists dropped inputs when
-    ``on_dependent="drop"``.
-    """
-
-    basis: ModeBasis
-    coefficients: np.ndarray
-    pivot_norms: np.ndarray
-    dependent_indices: tuple[int, ...] = ()
-
-
-def gram_schmidt(modes: Sequence[Mode], *, on_dependent: str = "error") -> GramSchmidtResult:
-    """Orthonormalize a mode list, tracking the input-to-output triangle.
-
-    Uses modified Gram-Schmidt with a re-orthogonalization pass, so the
-    output Gram matrix stays at machine-precision identity.  A pivot norm
-    below ``TAU_RANK`` (relative to the input norm) raises
-    :class:`RankDeficiencyError` naming the dependent index, or drops the
-    mode when ``on_dependent="drop"``.
-    """
-    if on_dependent not in ("error", "drop"):
-        raise ValueError("on_dependent must be 'error' or 'drop'")
-    modes = list(modes)
-    if not modes:
-        raise StructuralError("gram_schmidt needs at least one mode")
-    grid = modes[0].grid
-    n = len(modes)
-
-    accepted: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    pivots = np.zeros(n)
-    dependent: list[int] = []
-
-    for i, m in enumerate(modes):
-        if not grid.compatible(m.grid):
-            raise GridMismatchError("modes are sampled on different grids")
-        v = m.samples.astype(complex).copy()
-        row = np.zeros(n, dtype=complex)
-        row[i] = 1.0
-        for _ in range(2):  # second pass keeps the Gram residual at round-off
-            for q, qrow in zip(accepted, rows):
-                ov = np.sum(grid.weights * np.conj(q) * v)
-                v -= ov * q
-                row -= ov * qrow
-        pivot = float(np.sqrt(max(np.sum(grid.weights * np.abs(v) ** 2).real, 0.0)))
-        pivots[i] = pivot
-        ref = float(np.sqrt(max(np.sum(grid.weights * np.abs(m.samples) ** 2).real, 0.0)))
-        if pivot < TAU_RANK * max(ref, 1.0):
-            if on_dependent == "error":
-                raise RankDeficiencyError(i, pivot)
-            dependent.append(i)
-            continue
-        accepted.append(v / pivot)
-        rows.append(row / pivot)
-
-    if not accepted:
-        raise RankDeficiencyError(0, pivots[0])
-    basis = ModeBasis(tuple(Mode(grid, q) for q in accepted))
-    return GramSchmidtResult(
-        basis=basis,
-        coefficients=np.array(rows),
-        pivot_norms=pivots,
-        dependent_indices=tuple(dependent),
-    )
 
 
 def derivative_mode(family: "ParameterFamily", mode_index: int, parameter: int) -> Mode:

@@ -511,9 +511,3 @@ def operator_matrix_elements(state: DensityState, coefficients) -> np.ndarray:
     gram = state.lowered_table.gram[:, idx][:, :, :, idx]
     return np.einsum("...jk,jakb->...ab", coefficients, gram)
 
-
-def number_moments(state: DensityState) -> tuple[float, float]:
-    """Mean photon number and the second moment trace(rho N^2)."""
-    total = _occupations(state.space).sum(axis=0).astype(float)
-    density = np.sum(np.abs(state.vectors) ** 2 * state.probabilities, axis=1)
-    return float(np.sum(density * total)), float(np.sum(density * total**2))

@@ -7,7 +7,10 @@ physical scale are multiplied by that scale at the point of use.
 # Orthonormality of mode bases (max deviation of the Gram matrix from identity).
 TAU_ORTH = 1e-10
 
-# Relative pivot norm below which a mode is treated as linearly dependent.
+# Squared pivot below which a unit detection mode is treated as linearly
+# dependent on its predecessors: the readout basis is a Cholesky factor of
+# their Gram matrix, which resolves the squared pivot, not the pivot, to
+# about eps.
 TAU_RANK = 1e-8
 
 # Detection-mode weight floor: weights below this (scaled by the caller's

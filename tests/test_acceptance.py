@@ -27,7 +27,6 @@ from modal_qcrb import (
     gaussian_pulse_family,
     inner_product,
     make_state,
-    number_information,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
@@ -46,6 +45,7 @@ from conftest import (
     family_from_modes,
     gram_schmidt_readout,
     hermite_gaussian_samples,
+    number_information,
     qfim_mean_field,
     quadrature_covariance,
     random_density_state,

@@ -432,8 +432,6 @@ class TestDetectionModesCommand:
                 "displaced-beam",
                 "--geometry",
                 '{"w0": 1.0}',
-                "--state",
-                '{"kind": "coherent", "nbar": 1.0}',
                 "--out",
                 str(out),
             ]
@@ -467,25 +465,21 @@ class TestDetectionModesCommand:
         lines = (tmp_path / "deg" / "modes_idle.csv").read_text().strip().splitlines()
         assert len(lines) == 1  # header only
 
-    def test_probe_state_is_not_built(self, tmp_path):
-        # the export does not read the state: one beyond the Fock cap passes
+    def test_a_given_state_exits_2(self, tmp_path, capsys):
+        # the export reads no probe: a state flag or config key is an error
         out = tmp_path / "modes"
-        code = run_cli(
-            [
-                "detection-modes",
-                "--family",
-                "displaced-beam",
-                "--geometry",
-                '{"w0": 1.0}',
-                "--grid-points",
-                "32",
-                "--state",
-                '{"kind": "squeezed-vacuum", "r": 800}',
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        argv = ["detection-modes", "--family", "displaced-beam", "--geometry", '{"w0": 1.0}']
+        argv += ["--grid-points", "32", "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv + ["--state", '{"kind": "coherent", "nbar": 1.0}'])
+        assert exit_info.value.code == 2
+        assert "--state" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"state": {"kind": "coherent", "nbar": 1.0}}))
+        assert run_cli(argv + ["--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("config error: state: ")
+        assert not out.exists()
+        assert run_cli(argv) == 0
         assert (out / "detection_modes.json").exists()
 
     def test_proportional_modes_documented(self, tmp_path):
@@ -499,8 +493,6 @@ class TestDetectionModesCommand:
                 "gaussian-beam",
                 "--geometry",
                 '{"w0": 1.0, "k": 10.0}',
-                "--state",
-                '{"kind": "coherent", "nbar": 1.0}',
                 "--out",
                 str(out),
             ]
@@ -532,15 +524,13 @@ def per_value_mode_rows(family, detections, readout):
 class TestModeExportFormat:
     @pytest.mark.parametrize("fixture", ["displaced_family", "pulse_family"])
     def test_rows_match_per_value_formatter(self, request, tmp_path, fixture):
-        from modal_qcrb import detection_modes_for, gram_schmidt
+        from modal_qcrb import detection_modes_for
+        from modal_qcrb.engine import _readout_basis
 
         family = request.getfixturevalue(fixture)
         bundle = export_detection_modes_for(family, tmp_path)
         detections = detection_modes_for(family)
-        live = [d for d in detections if not d.degenerate]
-        gs = gram_schmidt([d.mode for d in live], on_dependent="drop")
-        kept = [i for i in range(len(live)) if i not in gs.dependent_indices]
-        readout = {live[i].label: gs.basis.modes[row].samples for row, i in enumerate(kept)}
+        readout, _, _ = _readout_basis(family, detections)
         expected = per_value_mode_rows(family, detections, readout)
         header = "x,y" if family.grid.ndim == 2 else "omega"
         for label in bundle.report["labels"]:

@@ -23,14 +23,13 @@ from modal_qcrb import (
     gaussian_beam_family,
     inner_product,
     make_state,
-    number_information,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
     qfim_unitary,
 )
 from modal_qcrb import states
-from modal_qcrb.states import first_moments, number_moments, operator_matrix_elements
+from modal_qcrb.states import first_moments, operator_matrix_elements
 from modal_qcrb.tolerances import TAU_PROB
 from conftest import (
     FOCK_ROUTE_PROBES,
@@ -42,8 +41,10 @@ from conftest import (
     commutator_from_overlaps,
     dense_quadratic,
     family_from_modes,
+    gram_schmidt,
     gram_schmidt_readout,
     hermite_gaussian_samples,
+    number_moments,
     qfim_mean_field,
     quadrature_covariance,
     random_density_state,
@@ -723,8 +724,6 @@ class TestReadout:
     def test_forward_model_matches_mode_expansion(self, displaced_family):
         # construct the mean field sqrt(N0) (f0 + th_a d_a f + th_b d_b f)
         # and project on the orthogonalized readout modes -i g1, -i g2
-        from modal_qcrb import gram_schmidt
-
         grid = displaced_family.grid
         f0 = displaced_family.evaluate_mode(0)
         overlap = 0.3 + 0.4j

@@ -271,7 +271,7 @@ class TestProductSumArithmetic:
         a, _ = self.operands()
         with pytest.raises(StructuralError):
             a.along(0, np.ones((5, 5)))
-        with pytest.raises(ValueError):
+        with pytest.raises(StructuralError, match="axis 1 of length 6"):
             a.along(1, np.ones(5))
 
     def test_sums_and_differences_keep_valid_terms(self):

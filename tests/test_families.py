@@ -19,15 +19,13 @@ from modal_qcrb import (
     inner_product,
     make_state,
     mode_norm,
-    number_information,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
 )
 from modal_qcrb import engine
 from modal_qcrb.families import FAMILY_REGISTRY
-from modal_qcrb.states import number_moments
-from conftest import K, OMEGA0, VARIANCE, W0
+from conftest import K, OMEGA0, VARIANCE, W0, number_information, number_moments
 
 PROBES = (
     {"kind": "coherent", "nbar": 1.5},

@@ -27,7 +27,8 @@ from modal_qcrb import (
     qfim_single_mode,
 )
 from modal_qcrb import cli, engine, families, modes
-from conftest import random_mode_parameter_data
+from modal_qcrb.tolerances import TAU_ORTH
+from conftest import family_from_modes, gram_schmidt, random_mode_parameter_data
 
 FAMILIES = ["beam_family", "beam_carrier_family", "pulse_family", "displaced_family"]
 
@@ -186,6 +187,95 @@ class TestEvaluateOnce:
             "mode_fn": 1 + 4 * 6,
         }
 
+    @pytest.mark.parametrize(
+        "method, derivative_modes, mode_fn",
+        [("analytic", 6, 1), ("finite-difference", 6, 1 + 4 * 6)],
+    )
+    def test_detection_mode_export_evaluates_each_derivative_once(
+        self, counts, tmp_path, method, derivative_modes, mode_fn
+    ):
+        # the detection modes are formed from the derivative modes the
+        # table was built from, and the readout basis from the table
+        config = cli.RunConfig(
+            family="gaussian-beam",
+            geometry={"w0": 1.0, "k": 10.0},
+            state=None,
+            out=tmp_path,
+            grid_points=32,
+            derivative_method=method,
+        )
+        cli.export_detection_modes(config)
+        assert counts == {
+            "evaluate": 1,
+            "evaluate_mode": 1,
+            "derivative_mode": derivative_modes,
+            "mode_fn": mode_fn,
+        }
+
+
+class TestReadoutBasis:
+    """The readout basis factored from the table against Gram-Schmidt on the samples."""
+
+    @pytest.mark.parametrize("derivatives", ["analytic", "fd"])
+    @pytest.mark.parametrize("fixture", FAMILIES)
+    def test_matches_gram_schmidt_on_the_samples(self, request, fixture, derivatives):
+        family = request.getfixturevalue(fixture)
+        if derivatives == "fd":
+            family = finite_difference_family(family)
+        detections = detection_modes_for(family)
+        readout, pivots, dependent = engine._readout_basis(family, detections)
+
+        live = [d for d in detections if not d.degenerate]
+        oracle = gram_schmidt([d.mode for d in live])
+        kept = [d.label for i, d in enumerate(live) if i not in oracle.dependent_indices]
+        assert list(readout) == kept
+        assert dependent == [live[i].label for i in oracle.dependent_indices]
+
+        expected = np.array([q.samples.ravel() for q in oracle.basis.modes])
+        samples = np.array(list(readout.values()))
+        assert np.max(np.abs(samples - expected)) <= 1e-13 * np.max(np.abs(expected))
+        for i, d in enumerate(live):
+            if d.label in dependent:
+                assert pivots[d.label] < 1e-6
+            else:
+                assert abs(pivots[d.label] - oracle.pivot_norms[i]) <= 1e-13
+        gram = modes.grid_gram(family.grid, [q.reshape(family.grid.shape) for q in samples])
+        assert np.max(np.abs(gram - np.eye(len(kept)))) <= TAU_ORTH
+
+    @staticmethod
+    def pair_family(pivot):
+        """Two derivative modes whose detection modes have the given pivot norm."""
+        grid = modes.SampleGrid.uniform(np.linspace(-8.0, 8.0, 801))
+        x = grid.axes[0]
+
+        def unit(samples):
+            return samples / np.sqrt(np.sum(grid.weights * np.abs(samples) ** 2))
+
+        f, g1, g2 = (unit(p * np.exp(-(x**2) / 2.0)) for p in (1.0, x, 2.0 * x**2 - 1.0))
+        second = np.sqrt(1.0 - pivot**2) * g1 + pivot * g2
+        populated = [modes.Mode(grid, f)]
+        derivatives = [[modes.Mode(grid, g1)], [modes.Mode(grid, second)]]
+        return family_from_modes(populated, derivatives, ("a", "b"))
+
+    def test_squared_pivot_above_tau_rank_is_kept(self, tmp_path):
+        family = self.pair_family(1e-3)
+        sidecar = cli.export_detection_modes_for(family, tmp_path).report["readout_basis"]
+        assert sidecar["kept"] == ["a", "b"]
+        assert sidecar["dependent_on_predecessors"] == []
+        assert sidecar["pivot_norms"]["b"] == pytest.approx(1e-3, rel=1e-9)
+
+    def test_squared_pivot_below_tau_rank_is_dependent(self, tmp_path):
+        # pivot 1e-6 is above TAU_RANK, but its square, all that the Gram
+        # matrix resolves, is below it; Gram-Schmidt on the samples, which
+        # held the pivot itself to TAU_RANK, kept this mode
+        family = self.pair_family(1e-6)
+        sidecar = cli.export_detection_modes_for(family, tmp_path).report["readout_basis"]
+        assert sidecar["kept"] == ["a"]
+        assert sidecar["dependent_on_predecessors"] == ["b"]
+        assert sidecar["pivot_norms"]["b"] == pytest.approx(1e-6, rel=1e-3)
+        oracle = gram_schmidt([d.mode for d in detection_modes_for(family)])
+        assert oracle.dependent_indices == ()
+
 
 def test_finite_difference_step_follows_small_parameter_scales():
     # at k = 1e5 the tilt scale is 1e-5: a step floored at 1e-4 would tilt
@@ -323,10 +413,10 @@ def test_detection_mode_weights_equal_report_weights_bitwise(tmp_path):
     args = [
         "--family", "gaussian-beam",
         "--geometry", '{"w0": 1.0, "k": 10.0}',
-        "--state", '{"kind": "coherent", "nbar": 1.0}',
         "--grid-points", "128",
     ]  # fmt: skip
-    assert cli.main(["qfim", *args, "--out", str(tmp_path / "q")]) == 0
+    state = ["--state", '{"kind": "coherent", "nbar": 1.0}']
+    assert cli.main(["qfim", *args, *state, "--out", str(tmp_path / "q")]) == 0
     assert cli.main(["detection-modes", *args, "--out", str(tmp_path / "d")]) == 0
     report = json.loads((tmp_path / "q" / "report.json").read_text())["detection_modes"]
     sidecar = json.loads((tmp_path / "d" / "detection_modes.json").read_text())

@@ -19,7 +19,6 @@ from modal_qcrb import (
     StructuralError,
     detection_modes_for,
     make_state,
-    number_information,
     photon_statistics,
 )
 import modal_qcrb
@@ -27,7 +26,6 @@ from modal_qcrb.states import (
     PROBE_KINDS,
     apply_quadratic,
     first_moments,
-    number_moments,
     operator_matrix_elements,
 )
 from modal_qcrb.tolerances import TAU_CUTOFF
@@ -38,6 +36,8 @@ from conftest import (
     dense_ladder,
     dense_quadratic,
     hermite_gaussian_samples,
+    number_information,
+    number_moments,
     quadrature_covariance,
     random_density_state,
 )
