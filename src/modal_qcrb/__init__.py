@@ -46,15 +46,11 @@ from .families import (
 from .modes import (
     DetectionMode,
     Mode,
-    ModeBasis,
     OverlapTable,
     ProductSum,
     SampleGrid,
     derivative_mode,
-    detection_mode,
     finite_difference_family,
-    inner_product,
-    mode_norm,
     weighted_gram,
 )
 from .states import (
@@ -73,15 +69,11 @@ __all__ = [
     "SampleGrid",
     "ProductSum",
     "Mode",
-    "ModeBasis",
     "DetectionMode",
     "OverlapTable",
-    "inner_product",
     "weighted_gram",
-    "mode_norm",
     "derivative_mode",
     "finite_difference_family",
-    "detection_mode",
     # states
     "FockSpace",
     "DensityState",

@@ -172,8 +172,13 @@ class RunConfig:
             if key not in geometry:
                 raise ConfigError(f"geometry.{key}: required for family '{family}'")
         for key, value in geometry.items():
+            if key not in schema:
+                raise ConfigError(
+                    f"geometry.{key}: unknown for family '{family}'; accepted: "
+                    + ", ".join(schema)
+                )
             value = finite_number(f"geometry.{key}", value)
-            if key in schema and value <= 0:
+            if value <= 0:
                 raise ConfigError(f"geometry.{key}: must be positive, got {value!r}")
 
         out = pick("out", "out", "qcrb-report")

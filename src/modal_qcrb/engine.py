@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
-from .modes import DetectionMode, OverlapTable, detection_mode
+from .modes import DetectionMode, Mode, OverlapTable
 from .states import (
     DensityState,
     PhotonStatistics,
@@ -452,21 +452,25 @@ def _weight_floors(family: "ParameterFamily") -> np.ndarray:
 def detection_modes_for(family: "ParameterFamily") -> list[DetectionMode]:
     """Detection modes for every parameter of a single-populated-mode family.
 
-    Formed from the derivative modes the family's overlap table was built
-    from, with the weights read from the table, so they equal the
-    report's bitwise.
+    A derivative mode d_a f maps to (i / w_a) d_a f, formed from the
+    derivative modes the family's overlap table was built from, with the
+    weights w_a read from the table, so they equal the report's bitwise.
+    A weight below the parameter's floor gives a flagged degenerate mode
+    of zeros with weight zero.
     """
     table = _one_mode_table(family)
     floors = _weight_floors(family)
-    return [
-        detection_mode(
-            family.derivative_modes[a][0],
-            float(table.weights[a, 0]),
-            weight_floor=float(floors[a]),
-            label=label,
-        )
-        for a, label in enumerate(family.parameters)
-    ]
+    detections = []
+    for a, label in enumerate(family.parameters):
+        derivative = family.derivative_modes[a][0]
+        weight = float(table.weights[a, 0])
+        if weight < floors[a]:
+            zero = Mode(derivative.grid, np.zeros_like(derivative.samples))
+            detections.append(DetectionMode(zero, 0.0, degenerate=True, label=label))
+        else:
+            rotated = Mode(derivative.grid, 1j * derivative.samples / weight)
+            detections.append(DetectionMode(rotated, weight, label=label))
+    return detections
 
 
 def _readout_basis(

@@ -22,7 +22,6 @@ from .errors import EvaluationError, GridResolutionError, PreconditionError, Str
 from .engine import GeneratorCoefficients, _generators_from_table
 from .modes import (
     Mode,
-    ModeBasis,
     OverlapTable,
     ProductSum,
     SampleGrid,
@@ -137,9 +136,8 @@ class ParameterFamily:
             )
         return Mode(self.grid, self.mode_fn(mode_index, theta))
 
-    def evaluate(self, theta: np.ndarray | None = None) -> ModeBasis:
-        modes = tuple(self.evaluate_mode(k, theta) for k in range(self.n_modes))
-        return ModeBasis(modes)
+    def evaluate(self, theta: np.ndarray | None = None) -> tuple[Mode, ...]:
+        return tuple(self.evaluate_mode(k, theta) for k in range(self.n_modes))
 
     @cached_property
     def derivative_modes(self) -> tuple[tuple[Mode, ...], ...]:
@@ -166,8 +164,7 @@ class ParameterFamily:
         # an overflow leaves non-finite samples or overlaps, which the modes
         # and the table reject with a message of their own
         with np.errstate(over="ignore", invalid="ignore"):
-            populated = self.evaluate().modes
-            return OverlapTable.from_modes(populated, self.derivative_modes)
+            return OverlapTable.from_modes(self.evaluate(), self.derivative_modes)
 
     @cached_property
     def generators(self) -> GeneratorCoefficients:

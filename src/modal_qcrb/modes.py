@@ -16,74 +16,63 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import EvaluationError, GridMismatchError, StructuralError
-from .tolerances import TAU_FD, TAU_ORTH, TAU_ZERO
+from .tolerances import TAU_FD, TAU_ORTH
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import ParameterFamily
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature weights for a strictly increasing 1-D axis."""
+    """Trapezoid quadrature weights for a 1-D axis.
+
+    The grid built from them checks the axis first, so a non-finite or
+    non-increasing axis is rejected there, with a message naming it.
+    """
     if axis.ndim != 1 or axis.size < 2:
         raise StructuralError("grid axis must be 1-D with at least two samples")
-    if np.any(np.diff(axis) <= 0):
-        raise StructuralError("grid axis must be strictly increasing")
     w = np.empty_like(axis, dtype=float)
-    w[1:-1] = 0.5 * (axis[2:] - axis[:-2])
-    w[0] = 0.5 * (axis[1] - axis[0])
-    w[-1] = 0.5 * (axis[-1] - axis[-2])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the grid
+        w[1:-1] = 0.5 * (axis[2:] - axis[:-2])
+        w[0] = 0.5 * (axis[1] - axis[0])
+        w[-1] = 0.5 * (axis[-1] - axis[-2])
     return w
 
 
 class SampleGrid:
     """Sample coordinates and positive quadrature weights (1-D or 2-D).
 
-    ``weights`` has one entry per sample point, shaped like the sample
-    array.  A grid built from per-axis weights (``axis_weights``, as
-    :meth:`uniform` does with trapezoid weights) keeps them and forms the
-    full ``weights`` only when it is first read; overlaps of modes given as
-    :class:`ProductSum` then reduce to per-axis sums.  A grid given explicit
-    2-D weights has ``axis_weights`` None.  Instances are treated as
-    immutable and compared by identity or by :meth:`compatible`.
+    The weights are a product of per-axis weights (``axis_weights``, as
+    :meth:`uniform` builds with trapezoid weights); the full ``weights``,
+    one entry per sample point, are formed only when first read.  Overlaps
+    of modes given as :class:`ProductSum` then reduce to per-axis sums.
+    Instances are treated as immutable and compared by identity or by
+    :meth:`compatible`.
     """
 
-    def __init__(
-        self,
-        axes: Sequence[np.ndarray],
-        weights: np.ndarray | None = None,
-        *,
-        axis_weights: Sequence[np.ndarray] | None = None,
-    ):
+    def __init__(self, axes: Sequence[np.ndarray], *, axis_weights: Sequence[np.ndarray]):
         axes = tuple(axes)
         if not 1 <= len(axes) <= 2:
             raise StructuralError("only 1-D and 2-D sample grids are supported")
-        for ax in axes:
-            if ax.ndim != 1 or np.any(np.diff(ax) <= 0):
-                raise StructuralError("grid axes must be 1-D and strictly increasing")
+        for i, ax in enumerate(axes):
+            if ax.ndim != 1:
+                raise StructuralError(f"grid axis {i} must be 1-D")
+            if not np.all(np.isfinite(ax)):
+                raise StructuralError(f"grid axis {i} has non-finite coordinates")
+            if np.any(ax[1:] <= ax[:-1]):
+                raise StructuralError(f"grid axis {i} must be strictly increasing")
         self._axes = axes
-        if (weights is None) == (axis_weights is None):
-            raise StructuralError("a grid takes either 2-D weights or per-axis weights")
-        if axis_weights is not None:
-            axis_weights = tuple(np.asarray(w, dtype=float) for w in axis_weights)
-            if tuple(w.shape for w in axis_weights) != tuple((n,) for n in self.shape):
-                raise StructuralError(f"per-axis weights do not match axes {self.shape}")
-            # rounding is monotone, so every product of positive weights lies
-            # between the products of the per-axis extremes
-            positive = all(np.all((w > 0) & np.isfinite(w)) for w in axis_weights)
-            with np.errstate(over="ignore", under="ignore"):  # checked just below
-                low = np.prod([np.min(w) for w in axis_weights])
-                high = np.prod([np.max(w) for w in axis_weights])
-            if not (positive and low > 0 and np.isfinite(high)):
-                raise StructuralError("quadrature weights must be finite and strictly positive")
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != self.shape:
-                raise StructuralError(
-                    f"weight shape {weights.shape} does not match axes {self.shape}"
-                )
-            if not np.all((weights > 0) & np.isfinite(weights)):
-                raise StructuralError("quadrature weights must be finite and strictly positive")
-        self._weights = weights
+        axis_weights = tuple(np.asarray(w, dtype=float) for w in axis_weights)
+        if tuple(w.shape for w in axis_weights) != tuple((n,) for n in self.shape):
+            raise StructuralError(f"per-axis weights do not match axes {self.shape}")
+        # rounding is monotone, so every product of positive weights lies
+        # between the products of the per-axis extremes
+        positive = all(np.all((w > 0) & np.isfinite(w)) for w in axis_weights)
+        with np.errstate(over="ignore", under="ignore"):  # checked just below
+            low = np.prod([np.min(w) for w in axis_weights])
+            high = np.prod([np.max(w) for w in axis_weights])
+        if not (positive and low > 0 and np.isfinite(high)):
+            raise StructuralError("quadrature weights must be finite and strictly positive")
+        self._weights = None
         self._axis_weights = axis_weights
 
     @classmethod
@@ -97,7 +86,7 @@ class SampleGrid:
         return self._axes
 
     @property
-    def axis_weights(self) -> tuple[np.ndarray, ...] | None:
+    def axis_weights(self) -> tuple[np.ndarray, ...]:
         return self._axis_weights
 
     @property
@@ -294,51 +283,6 @@ class Mode:
         return self._samples
 
 
-def inner_product(a: Mode, b: Mode) -> complex:
-    """Quadrature inner product sum(w * conj(a) * b); conjugate-linear in a.
-
-    Conjugate symmetry holds exactly as computed:
-    ``inner_product(a, b) == conj(inner_product(b, a))``.
-    """
-    if not a.grid.compatible(b.grid):
-        raise GridMismatchError("modes are sampled on different grids")
-    # conj(a) * b first: its swap is the exact IEEE conjugate, and the real
-    # weights preserve that, so conjugate symmetry holds bitwise
-    return complex(np.sum(a.grid.weights * (np.conj(a.samples) * b.samples)))
-
-
-def mode_norm(mode: Mode) -> float:
-    """Quadrature L2 norm of a mode."""
-    value = inner_product(mode, mode).real
-    return float(np.sqrt(max(value, 0.0)))
-
-
-@dataclass(frozen=True, eq=False)
-class ModeBasis:
-    """An ordered list of modes sampled on one grid."""
-
-    modes: tuple[Mode, ...]
-
-    def __post_init__(self):
-        modes = tuple(self.modes)
-        object.__setattr__(self, "modes", modes)
-        if not modes:
-            raise StructuralError("a mode basis needs at least one mode")
-        grid = modes[0].grid
-        for m in modes[1:]:
-            if not grid.compatible(m.grid):
-                raise GridMismatchError("basis modes are sampled on different grids")
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def gram(self) -> np.ndarray:
-        return grid_gram(self.modes[0].grid, [m.data for m in self.modes])
-
-    def validate(self) -> None:
-        _check_orthonormal(self.gram())
-
-
 def _check_orthonormal(gram: np.ndarray) -> None:
     residual = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     if not residual <= TAU_ORTH:
@@ -409,12 +353,12 @@ def _factored_gram(rows: Sequence[ProductSum], axis_weights: Sequence[np.ndarray
 def grid_gram(grid: SampleGrid, rows: Sequence[np.ndarray | ProductSum]) -> np.ndarray:
     """Hermitian matrix G[i, j] = sum(w * conj(rows[i]) * rows[j]) on a grid.
 
-    When every row is a :class:`ProductSum` and the grid keeps per-axis
-    weights, G is formed from per-axis 1-D Gram matrices at a cost linear
-    in the points per axis; otherwise the rows are expanded and reduced
-    with :func:`weighted_gram`.  Either way G is Hermitian bitwise.
+    When every row is a :class:`ProductSum`, G is formed from per-axis 1-D
+    Gram matrices at a cost linear in the points per axis; otherwise the
+    rows are expanded and reduced with :func:`weighted_gram`.  Either way G
+    is Hermitian bitwise.
     """
-    if grid.axis_weights is not None and all(isinstance(r, ProductSum) for r in rows):
+    if all(isinstance(r, ProductSum) for r in rows):
         return _factored_gram(rows, grid.axis_weights)
     return weighted_gram(
         [r.expand() if isinstance(r, ProductSum) else r for r in rows], grid.weights
@@ -576,24 +520,3 @@ def finite_difference_family(
         return samples
 
     return dataclasses.replace(family, derivative_fn=derivative)
-
-
-def detection_mode(
-    derivative: Mode,
-    weight: float,
-    *,
-    weight_floor: float = TAU_ZERO,
-    label: str = "",
-) -> DetectionMode:
-    """Normalized, i-rotated detection mode and sensitivity weight.
-
-    A derivative mode f_a maps to (i / w_a) f_a, where ``weight`` is its
-    norm w_a (a family reads it from its overlap table).  A weight below
-    ``weight_floor`` returns a flagged degenerate mode with weight zero
-    instead of raising.
-    """
-    if weight < weight_floor:
-        zero = Mode(derivative.grid, np.zeros_like(derivative.samples))
-        return DetectionMode(mode=zero, weight=0.0, degenerate=True, label=label)
-    rotated = Mode(derivative.grid, 1j * derivative.samples / weight)
-    return DetectionMode(mode=rotated, weight=weight, degenerate=False, label=label)

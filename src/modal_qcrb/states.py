@@ -137,15 +137,6 @@ def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) 
     return out
 
 
-def apply_quadratic(space: FockSpace, coefficients, vectors: np.ndarray) -> np.ndarray:
-    """sum_{jk} C_{jk} a_j_dagger a_k applied to the columns of a (D, r) block."""
-    coefficients = _check_coefficients(space, coefficients)
-    if coefficients.ndim != 2:
-        raise StructuralError(f"coefficient shape {coefficients.shape} is not one matrix")
-    lowered = np.stack([_ladder(space, vectors, k) for k in range(space.n_modes)])
-    return _raise_sum(space, coefficients, lowered)
-
-
 @dataclass(frozen=True, eq=False)
 class LoweredTable:
     """A state's eigenvectors lowered by each ladder operator, and their overlaps.

@@ -13,7 +13,6 @@ from modal_qcrb import (
     FockSpace,
     GridMismatchError,
     Mode,
-    ModeBasis,
     ParameterFamily,
     PreconditionError,
     PulseSpectrum,
@@ -22,10 +21,11 @@ from modal_qcrb import (
     displaced_beam_family,
     gaussian_beam_family,
     gaussian_pulse_family,
-    inner_product,
     make_state,
     qfim_unitary,
 )
+from modal_qcrb.modes import _check_orthonormal, grid_gram
+from modal_qcrb.states import _check_coefficients, _ladder, _raise_sum
 from modal_qcrb.tolerances import TAU_QUAD, TAU_RANK
 
 W0 = 1.0
@@ -195,6 +195,70 @@ def dense_quadratic(space: FockSpace, coeff: np.ndarray) -> np.ndarray:
                     factors.append(eye)
             out += coeff[j, k] * reduce(np.kron, factors)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Pairwise overlaps and mode lists: per-pair references for the slices of
+# the overlap table, which the library computes as one Gram matrix
+
+
+def inner_product(a: Mode, b: Mode) -> complex:
+    """Quadrature inner product sum(w * conj(a) * b); conjugate-linear in a.
+
+    Conjugate symmetry holds exactly as computed:
+    ``inner_product(a, b) == conj(inner_product(b, a))``.
+    """
+    if not a.grid.compatible(b.grid):
+        raise GridMismatchError("modes are sampled on different grids")
+    # conj(a) * b first: its swap is the exact IEEE conjugate, and the real
+    # weights preserve that, so conjugate symmetry holds bitwise
+    return complex(np.sum(a.grid.weights * (np.conj(a.samples) * b.samples)))
+
+
+def mode_norm(mode: Mode) -> float:
+    """Quadrature L2 norm of a mode."""
+    value = inner_product(mode, mode).real
+    return float(np.sqrt(max(value, 0.0)))
+
+
+@dataclass(frozen=True, eq=False)
+class ModeBasis:
+    """An ordered list of modes sampled on one grid."""
+
+    modes: tuple[Mode, ...]
+
+    def __post_init__(self):
+        modes = tuple(self.modes)
+        object.__setattr__(self, "modes", modes)
+        if not modes:
+            raise StructuralError("a mode basis needs at least one mode")
+        grid = modes[0].grid
+        for m in modes[1:]:
+            if not grid.compatible(m.grid):
+                raise GridMismatchError("basis modes are sampled on different grids")
+
+    def __len__(self) -> int:
+        return len(self.modes)
+
+    def gram(self) -> np.ndarray:
+        return grid_gram(self.modes[0].grid, [m.data for m in self.modes])
+
+    def validate(self) -> None:
+        _check_orthonormal(self.gram())
+
+
+def apply_quadratic(space: FockSpace, coefficients, vectors: np.ndarray) -> np.ndarray:
+    """sum_{jk} C_{jk} a_j_dagger a_k applied to the columns of a (D, r) block.
+
+    The ladder shifts and the raising sum of ``qfim_unitary``, applied to
+    arbitrary columns; the dense operator of :func:`dense_quadratic` is its
+    reference.
+    """
+    coefficients = _check_coefficients(space, coefficients)
+    if coefficients.ndim != 2:
+        raise StructuralError(f"coefficient shape {coefficients.shape} is not one matrix")
+    lowered = np.stack([_ladder(space, vectors, k) for k in range(space.n_modes)])
+    return _raise_sum(space, coefficients, lowered)
 
 
 def vacuum_overlap(f_alpha: Mode, f_beta: Mode, populated: ModeBasis) -> complex:

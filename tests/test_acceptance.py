@@ -25,14 +25,13 @@ from modal_qcrb import (
     detection_modes_for,
     gaussian_beam_family,
     gaussian_pulse_family,
-    inner_product,
     make_state,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
     qfim_unitary,
 )
-from modal_qcrb.modes import derivative_mode, finite_difference_family, mode_norm
+from modal_qcrb.modes import derivative_mode, finite_difference_family
 from modal_qcrb.states import first_moments
 from conftest import (
     K,
@@ -40,11 +39,14 @@ from conftest import (
     VARIANCE,
     W0,
     GaussianState,
+    ModeBasis,
     commutator_from_overlaps,
     dense_quadratic,
     family_from_modes,
     gram_schmidt_readout,
     hermite_gaussian_samples,
+    inner_product,
+    mode_norm,
     number_information,
     qfim_mean_field,
     quadrature_covariance,
@@ -154,7 +156,7 @@ def test_criterion_04_engine_self_consistency(families):
                 n0 = spec["nbar"]
                 if name == "displaced-beam":
                     dets = detection_modes_for(family)
-                    basis = family.evaluate()
+                    basis = ModeBasis(family.evaluate())
                     cov = quadrature_covariance(GaussianState.vacuum(1), dets, basis)
                     mf = qfim_mean_field(n0, dets, cov, mean_mode=basis.modes[0])
                     worst = max(worst, np.max(np.abs(split - mf)) / scale)

@@ -1,8 +1,10 @@
 """The public API holds the routes the library runs, and nothing else.
 
 The strong-mean-field route, the readout forward model, the Gram-Schmidt
-readout basis and the photon-number moments are test oracles
-(``conftest.py``); a second way to build generators is gone.
+readout basis, the photon-number moments, the pairwise inner product, the
+mode-list wrapper and the Fock-operator helper are test oracles
+(``conftest.py``); a second way to build generators and a per-mode
+detection-mode builder are gone.
 """
 
 import importlib
@@ -17,15 +19,11 @@ PUBLIC = {
     "SampleGrid",
     "ProductSum",
     "Mode",
-    "ModeBasis",
     "DetectionMode",
     "OverlapTable",
-    "inner_product",
     "weighted_gram",
-    "mode_norm",
     "derivative_mode",
     "finite_difference_family",
-    "detection_mode",
     # states
     "FockSpace",
     "DensityState",
@@ -82,11 +80,16 @@ ORACLES_AND_DUPLICATES = (
     "gram_schmidt",
     "number_moments",
     "number_information",
+    "ModeBasis",
+    "inner_product",
+    "mode_norm",
+    "detection_mode",
+    "apply_quadratic",
 )
 
 
 def test_all_is_the_expected_set():
-    assert len(PUBLIC) == 50
+    assert len(PUBLIC) == 46
     assert sorted(modal_qcrb.__all__) == sorted(PUBLIC)
 
 

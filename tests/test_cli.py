@@ -596,6 +596,8 @@ class TestConfigErrors:
         "overrides, field",
         [
             ({"geometry": {"w0": 1.0, "k": 10.0, "extra": "abc"}}, "geometry.extra:"),
+            ({"geometry": {"w0": 1.0, "k": 10.0, "typo": 3}}, "geometry.typo: unknown"),
+            ({"family": "displaced-beam", "geometry": {"w0": 1.0, "k": 10.0}}, "geometry.k: unknown"),
             ({"geometry": {"w0": True, "k": 10.0}}, "geometry.w0:"),
             ({"geometry": {"w0": "1.0", "k": 10.0}}, "geometry.w0:"),
             ({"fd_step": "abc"}, "fd_step:"),
@@ -610,6 +612,8 @@ class TestConfigErrors:
         ],
         ids=[
             "extra-geometry-text",
+            "extra-geometry-number",
+            "displaced-beam-k",
             "bool-w0",
             "string-w0",
             "text-fd-step",

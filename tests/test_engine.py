@@ -11,7 +11,6 @@ from modal_qcrb import (
     DetectionMode,
     FockSpace,
     Mode,
-    ModeBasis,
     PreconditionError,
     SingleModeAttainability,
     StructuralError,
@@ -21,7 +20,6 @@ from modal_qcrb import (
     crb_bounds,
     detection_modes_for,
     gaussian_beam_family,
-    inner_product,
     make_state,
     photon_statistics,
     qfim_mode_split,
@@ -38,12 +36,14 @@ from conftest import (
     VARIANCE,
     W0,
     GaussianState,
+    ModeBasis,
     commutator_from_overlaps,
     dense_quadratic,
     family_from_modes,
     gram_schmidt,
     gram_schmidt_readout,
     hermite_gaussian_samples,
+    inner_product,
     number_moments,
     qfim_mean_field,
     quadrature_covariance,
@@ -206,7 +206,7 @@ class TestQfimModeSplit:
         eigvals = np.linalg.eigvalsh((leak + leak.T) / 2.0)
         assert eigvals.min() > -1e-9 * np.max(np.abs(leak))
         mean_n, _ = number_moments(state)
-        basis = beam_family.evaluate()
+        basis = ModeBasis(beam_family.evaluate())
         from modal_qcrb import derivative_mode
 
         total = sum(
@@ -301,7 +301,7 @@ class TestQfimMeanField:
     def test_shot_noise_limit_matches_single_mode(self, displaced_family):
         n0 = 2.5
         dets = detection_modes_for(displaced_family)
-        basis = displaced_family.evaluate()
+        basis = ModeBasis(displaced_family.evaluate())
         cov = quadrature_covariance(GaussianState.vacuum(1), dets, basis)
         f = qfim_mean_field(n0, dets, cov, mean_mode=basis.modes[0])
         reference = qfim_single_mode(photon_statistics({"kind": "coherent", "nbar": n0}), displaced_family)
@@ -319,7 +319,7 @@ class TestQfimMeanField:
             DetectionMode(mode=g1, weight=1.3, label="a"),
             DetectionMode(mode=mixed, weight=0.7, label="b"),
         ]
-        basis = displaced_family.evaluate()
+        basis = ModeBasis(displaced_family.evaluate())
         cov = quadrature_covariance(GaussianState.vacuum(1), dets, basis)
         f = qfim_mean_field(2.0, dets, cov)
         expected = 4.0 * 2.0 * 1.3 * 0.7 * overlap.real

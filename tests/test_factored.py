@@ -24,11 +24,11 @@ from modal_qcrb import (
     displaced_beam_family,
     finite_difference_family,
     gaussian_beam_family,
-    inner_product,
     weighted_gram,
 )
 from modal_qcrb.modes import ProductSum, _hermitian, grid_gram
 from modal_qcrb.tolerances import TAU_QUAD
+from conftest import inner_product
 
 
 def build(name, w0, k, **grid_options):
@@ -43,7 +43,7 @@ BEAMS = ["gaussian-beam", "gaussian-beam-carrier", "displaced-beam"]
 
 
 def expanded_rows(family):
-    rows = list(family.evaluate().modes)
+    rows = list(family.evaluate())
     for a in range(family.n_parameters):
         rows += [Mode(family.grid, family.derivative_fn(k, a)) for k in range(family.n_modes)]
     return [m.samples for m in rows]
@@ -77,13 +77,17 @@ class TestFactoredTable:
             assert len(family.derivative_fn(0, a).terms) <= 4
 
     @pytest.mark.parametrize("name", BEAMS)
-    def test_non_separable_weights_fall_back_to_weighted_gram(self, name):
+    def test_non_uniform_axis_weights_match_pairwise_products(self, name):
         axis = np.linspace(-4.0, 4.0, 80)
-        uniform = SampleGrid.uniform(axis, axis)
-        xg, yg = uniform.mesh()
-        # a small non-separable perturbation, far below the resolution check
-        grid = SampleGrid(uniform.axes, uniform.weights * (1.0 + 1e-7 * np.cos(xg * yg)))
-        assert grid.axis_weights is None
+        (trapezoid,) = SampleGrid.uniform(axis).axis_weights
+        # a different small perturbation per axis, far below the resolution check
+        grid = SampleGrid(
+            (axis, axis),
+            axis_weights=(
+                trapezoid * (1.0 + 1e-7 * np.cos(axis)),
+                trapezoid * (1.0 + 1e-7 * np.sin(axis)),
+            ),
+        )
         family = build(name, 1.0, 10.0, grid=grid)
         table = family.overlap_table.matrix
         rows = [Mode(grid, r) for r in expanded_rows(family)]

@@ -16,16 +16,23 @@ from modal_qcrb import (
     displaced_beam_family,
     gaussian_beam_family,
     gaussian_pulse_family,
-    inner_product,
     make_state,
-    mode_norm,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
 )
 from modal_qcrb import engine
 from modal_qcrb.families import FAMILY_REGISTRY
-from conftest import K, OMEGA0, VARIANCE, W0, number_information, number_moments
+from conftest import (
+    K,
+    OMEGA0,
+    VARIANCE,
+    W0,
+    inner_product,
+    mode_norm,
+    number_information,
+    number_moments,
+)
 
 PROBES = (
     {"kind": "coherent", "nbar": 1.5},

@@ -7,17 +7,25 @@ from modal_qcrb import (
     EvaluationError,
     GridMismatchError,
     Mode,
-    ModeBasis,
     SampleGrid,
     StructuralError,
     derivative_mode,
-    detection_mode,
+    detection_modes_for,
     finite_difference_family,
-    inner_product,
-    mode_norm,
     transverse_grid,
 )
-from conftest import K, OMEGA0, W0, gram_schmidt, hermite_gaussian_samples, vacuum_overlap
+from conftest import (
+    K,
+    OMEGA0,
+    W0,
+    ModeBasis,
+    family_from_modes,
+    gram_schmidt,
+    hermite_gaussian_samples,
+    inner_product,
+    mode_norm,
+    vacuum_overlap,
+)
 
 
 def gaussian_mode(grid, waist=W0, x_shift=0.0):
@@ -29,14 +37,31 @@ def gaussian_mode(grid, waist=W0, x_shift=0.0):
 
 class TestSampleGrid:
     def test_rejects_nonincreasing_axis(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="grid axis 0 must be strictly increasing"):
             SampleGrid.uniform(np.array([0.0, 1.0, 1.0]))
 
     def test_rejects_nonpositive_weights(self):
         axis = np.linspace(0, 1, 4)
         weights = np.array([0.5, 0.5, -0.1, 0.5])
         with pytest.raises(StructuralError):
-            SampleGrid(axes=(axis,), weights=weights)
+            SampleGrid(axes=(axis,), axis_weights=(weights,))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad_axis",
+        [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 1.0, 2.0], [0.0, np.inf, np.inf]],
+        ids=["nan", "inf", "minus-inf", "two-inf"],
+    )
+    @pytest.mark.parametrize("axis_index", [0, 1])
+    def test_rejects_non_finite_coordinates(self, bad_axis, axis_index):
+        # NaN compares false, so the strictly-increasing check alone lets it
+        # through; no numpy warning comes before the error
+        axes = [np.linspace(0.0, 2.0, 3)] * 2
+        axes[axis_index] = np.array(bad_axis)
+        with pytest.raises(StructuralError, match=f"grid axis {axis_index} has non-finite"):
+            SampleGrid(axes, axis_weights=(np.ones(3), np.ones(3)))
+        with pytest.raises(StructuralError, match=f"grid axis {axis_index} has non-finite"):
+            SampleGrid.uniform(*axes)
 
     def test_2d_weights_are_outer_product(self):
         gx = np.linspace(-1, 1, 5)
@@ -225,22 +250,26 @@ class TestDerivativeModes:
 class TestDetectionMode:
     def test_weight_and_unit_norm(self):
         grid = transverse_grid(W0)
-        f = Mode(grid, 2.0 * hermite_gaussian_samples(grid, 1, 0, W0))
-        det = detection_mode(f, mode_norm(f))
+        f = Mode(grid, hermite_gaussian_samples(grid, 0, 0, W0))
+        d = Mode(grid, 2.0 * hermite_gaussian_samples(grid, 1, 0, W0))
+        (det,) = detection_modes_for(family_from_modes([f], [[d]], ["a"]))
         assert det.weight == pytest.approx(2.0, rel=1e-12)
         assert mode_norm(det.mode) == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(det.mode.samples, 1j * d.samples / det.weight)
         assert not det.degenerate
 
     def test_zero_derivative_flagged(self):
         grid = transverse_grid(W0, points=32)
-        det = detection_mode(Mode(grid, np.zeros(grid.shape, dtype=complex)), 0.0)
+        f = Mode(grid, hermite_gaussian_samples(grid, 0, 0, W0))
+        zero = Mode(grid, np.zeros(grid.shape, dtype=complex))
+        (det,) = detection_modes_for(family_from_modes([f], [[zero]], ["a"]))
         assert det.degenerate
         assert det.weight == 0.0
+        assert not np.any(det.mode.samples)
 
     def test_pulse_phase_detection_mode(self, pulse_family):
         # derivative i omega0 u has weight omega0; rotating by i gives -u
-        d = derivative_mode(pulse_family, 0, 0)
-        det = detection_mode(d, mode_norm(d))
+        det = detection_modes_for(pulse_family)[0]
         u = pulse_family.evaluate_mode(0)
         assert det.weight == pytest.approx(OMEGA0, rel=1e-10)
         assert np.allclose(det.mode.samples, -u.samples, atol=1e-12)

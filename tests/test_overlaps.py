@@ -20,7 +20,6 @@ from modal_qcrb import (
     detection_modes_for,
     finite_difference_family,
     gaussian_beam_family,
-    inner_product,
     make_state,
     photon_statistics,
     qfim_mode_split,
@@ -28,7 +27,12 @@ from modal_qcrb import (
 )
 from modal_qcrb import cli, engine, families, modes
 from modal_qcrb.tolerances import TAU_ORTH
-from conftest import family_from_modes, gram_schmidt, random_mode_parameter_data
+from conftest import (
+    family_from_modes,
+    gram_schmidt,
+    inner_product,
+    random_mode_parameter_data,
+)
 
 FAMILIES = ["beam_family", "beam_carrier_family", "pulse_family", "displaced_family"]
 
@@ -43,7 +47,7 @@ def pairwise_table(rows):
 
 
 def family_rows(family):
-    populated = family.evaluate().modes
+    populated = family.evaluate()
     derivatives = [
         [modes.derivative_mode(family, k, a) for k in range(len(populated))]
         for a in range(family.n_parameters)

@@ -14,7 +14,6 @@ from modal_qcrb import (
     CutoffError,
     FockSpace,
     Mode,
-    ModeBasis,
     PreconditionError,
     StructuralError,
     detection_modes_for,
@@ -24,7 +23,6 @@ from modal_qcrb import (
 import modal_qcrb
 from modal_qcrb.states import (
     PROBE_KINDS,
-    apply_quadratic,
     first_moments,
     operator_matrix_elements,
 )
@@ -33,6 +31,8 @@ from conftest import (
     FOCK_ROUTE_PROBES,
     W0,
     GaussianState,
+    ModeBasis,
+    apply_quadratic,
     dense_ladder,
     dense_quadratic,
     hermite_gaussian_samples,
@@ -410,7 +410,7 @@ class TestGaussianStates:
 
     def test_vacuum_covariance_of_orthonormal_targets(self, displaced_family):
         dets = detection_modes_for(displaced_family)
-        basis = displaced_family.evaluate()
+        basis = ModeBasis(displaced_family.evaluate())
         cov = quadrature_covariance(GaussianState.vacuum(1), dets, basis)
         assert np.allclose(cov, np.eye(2), atol=1e-10)
 
@@ -429,12 +429,12 @@ class TestGaussianStates:
             DetectionMode(mode=g1, weight=1.0, label="a"),
             DetectionMode(mode=mixed, weight=1.0, label="b"),
         ]
-        basis = displaced_family.evaluate()
+        basis = ModeBasis(displaced_family.evaluate())
         cov = quadrature_covariance(GaussianState.vacuum(1), targets, basis)
         assert cov[0, 1] == pytest.approx(overlap.real, abs=1e-10)
 
     def test_squeezed_variance_passes_through(self, displaced_family):
-        basis = displaced_family.evaluate()
+        basis = ModeBasis(displaced_family.evaluate())
         f0 = basis.modes[0]
         from modal_qcrb import DetectionMode
 
@@ -446,7 +446,7 @@ class TestGaussianStates:
     def test_cross_representation_coherent(self, displaced_family):
         # Fock-space symmetrized covariance of the reference quadratures
         # must match the Gaussian-state path within 1e-8
-        basis = displaced_family.evaluate()
+        basis = ModeBasis(displaced_family.evaluate())
         f0 = basis.modes[0]
         from modal_qcrb import DetectionMode
 
@@ -469,7 +469,7 @@ class TestGaussianStates:
         r = 0.45
         v = math.exp(-2 * r)
         grid = displaced_family.grid
-        basis = displaced_family.evaluate()
+        basis = ModeBasis(displaced_family.evaluate())
         f0 = basis.modes[0]
         g = Mode(grid, hermite_gaussian_samples(grid, 1, 0, W0))
         from modal_qcrb import DetectionMode
