@@ -14,9 +14,11 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -234,18 +236,81 @@ def _csv_rows(columns: np.ndarray) -> list[str]:
 
 
 def _matrix_rows(matrix: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.atleast_2d(matrix)]
+    return np.atleast_2d(np.asarray(matrix, dtype=float)).tolist()
 
 
 def _vector(values) -> list:
     return [None if (isinstance(v, float) and not np.isfinite(v)) else float(v) for v in np.atleast_1d(values)]
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, at indent ``pad``.
+
+    With ``indent`` the standard library falls back to its pure-Python
+    encoder; this one joins a list of floats, most of a report, in one C
+    call.  Object keys must be strings.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = pad + "  "
+    separator = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {float}:
+            body = separator.join(map(float.__repr__, value))
+            if "n" in body:  # only 'nan', 'inf' and '-inf' hold an n
+                for v in value:
+                    _json_float(v)
+        else:
+            body = separator.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str raises TypeError in encode_basestring_ascii
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{\n" + inner + separator.join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _create_out(out: Path) -> None:
+    """Create a run's output directory; a path that cannot be one is a config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create directory '{out}': {exc.strerror or exc}") from exc
+
+
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``text`` to ``path`` through a temporary file; the directory must exist.
+
+    An ``OSError`` is raised again naming ``path``, after the temporary
+    file is removed; ``path`` is then left as it was.
+    """
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(text.encode())
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
 
 
 def _write_matrix_csv(path: Path, labels, matrix: np.ndarray) -> None:
@@ -260,7 +325,7 @@ class ReportBundle:
     report: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.report, indent=2, sort_keys=False, allow_nan=False)
+        return _json_text(self.report)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportBundle":
@@ -377,6 +442,7 @@ def run_qfim(config: RunConfig) -> ReportBundle:
     bundle, bounds = result.bundle, result.bounds
     labels = bundle.report["qfim"]["labels"]
     out = config.out
+    _create_out(out)
     _write_atomic(out / "report.json", bundle.to_json() + "\n")
     _write_matrix_csv(out / "qfim.csv", labels, bounds.qfim)
     _write_matrix_csv(out / "qfim_inverse.csv", labels, bounds.pseudo_inverse)
@@ -402,6 +468,7 @@ def run_attainability(config: RunConfig) -> None:
                 ]
             )
         )
+    _create_out(config.out)
     _write_atomic(config.out / "attainability.csv", "\n".join(rows) + "\n")
 
 
@@ -418,6 +485,7 @@ def export_detection_modes_for(family, out: Path) -> ReportBundle:
     coord_names = ["x", "y"] if family.grid.ndim == 2 else ["omega"]
     flat_coords = [c.ravel() for c in coords]
 
+    _create_out(out)
     for det in detections:
         header = coord_names + ["detection_re", "detection_im", "readout_re", "readout_im"]
         lines = [",".join(header)]
@@ -492,7 +560,14 @@ def main(argv: list[str] | None = None) -> int:
             name: {k: v for k, v in entry.items() if k != "build"}
             for name, entry in sorted(FAMILY_REGISTRY.items())
         }
-        print(json.dumps(listing, indent=2))
+        try:
+            print(_json_text(listing))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe: send what is left, and Python's
+            # flush at exit, to devnull instead of a second BrokenPipeError
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return 0
     try:
         config = RunConfig.from_args(args)
@@ -511,6 +586,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ModalQcrbError as exc:
         print(f"{args.command} failed in {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # raised by _write_atomic, naming the file
+        print(f"{args.command} failed writing {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,14 +1,20 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modal_qcrb.cli import (
     REPORT_SCHEMA,
     ReportBundle,
+    _json_text,
+    _write_atomic,
     export_detection_modes_for,
     main,
 )
@@ -576,6 +582,83 @@ class TestListFamilies:
         }
         assert "build" not in listing["gaussian-beam"]
 
+    def test_closed_stdout_ends_quietly(self):
+        # the pipe closes long before the child has imported numpy and prints
+        argv = [sys.executable, "-m", "modal_qcrb", "list-families"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            child.stdout.close()
+            err = child.stderr.read().decode()
+        assert "Traceback" not in err, err
+
+
+# keys with every character the encoder escapes: quotes, backslashes,
+# control characters and characters beyond ASCII
+KEYS = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\té€😀')), max_size=6)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7]),
+)
+SCALARS = st.one_of(
+    KEYS,
+    FLOATS,
+    st.integers(),
+    st.sampled_from([2**64, -(2**100), 10**400]),
+    st.booleans(),
+    st.none(),
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(FLOATS, max_size=6),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """The report emitter writes what ``json.dumps(indent=2)`` writes."""
+
+    @given(DOCUMENTS)
+    def test_matches_the_standard_library(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda v: v, lambda v: [1.0, v], lambda v: {"a": [True, v]}, lambda v: (v,)],
+        ids=["scalar", "float-row", "nested", "tuple"],
+    )
+    def test_non_finite_float_raises_value_error(self, value, wrap):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text(wrap(value))
+
+    @pytest.mark.parametrize(
+        "doc", [{1, 2}, 1j, [1.0, 1j], {"a": {"b": {1}}}], ids=["set", "complex", "row", "nested"]
+    )
+    def test_unsupported_type_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            _json_text(doc)
+
+
+class TestWriteAtomic:
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError) as raised:
+            _write_atomic(path, "new\n")
+        assert raised.value.filename == str(path)
+        assert raised.value.errno == errno.ENOSPC
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert path.read_text() == "old\n"
+
 
 class TestConfigErrors:
     """Each bad config exits 2 naming its field, or 1 with a message; none raises."""
@@ -587,10 +670,15 @@ class TestConfigErrors:
         "grid_points": 64,
     }
 
-    def run(self, tmp_path, config, command="qfim"):
+    def run(self, tmp_path, config, command="qfim", out=None):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        return run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out" if out is None else out
+        return run_cli([command, "--config", str(path), "--out", str(out)])
+
+    def base_for(self, command):
+        # detection-modes reads no probe state
+        return {k: v for k, v in self.BASE.items() if k != "state" or command != "detection-modes"}
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -632,6 +720,29 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["qfim", "attainability", "detection-modes"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        assert self.run(tmp_path, self.base_for(command), command, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: cannot create directory '{out}'"), err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("qfim", "report.json"), ("attainability", "attainability.csv"), ("detection-modes", "detection_modes.json")],
+    )
+    def test_failed_write_exits_1_naming_the_file(self, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)  # a directory cannot be replaced by a file
+        assert self.run(tmp_path, self.base_for(command), command, out) == 1
+        err = capsys.readouterr().err
+        assert err == f"{command} failed writing {out / name}: Is a directory\n"
+        assert not [p for p in out.iterdir() if ".tmp" in p.name]
 
     def test_removed_cutoff_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
