@@ -102,6 +102,16 @@ REPORT_SCHEMA = {
 }
 
 
+def _parse_json(name: str, text: str):
+    """``json.loads`` of a config text, any rejection a ConfigError naming ``name``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{name}: invalid JSON (nested too deeply)") from exc
+
+
 @dataclass
 class RunConfig:
     """Resolved run configuration (file values merged with flag overrides)."""
@@ -123,9 +133,13 @@ class RunConfig:
             if not path.is_file():
                 raise ConfigError(f"config: file '{path}' not found")
             try:
-                raw = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config: invalid JSON ({exc})") from exc
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(
+                    f"config: file '{path}' is not UTF-8 text "
+                    f"({exc.reason} at byte {exc.start})"
+                ) from exc
+            raw = _parse_json("config", text)
             if not isinstance(raw, dict):
                 raise ConfigError("config: top level must be a JSON object")
         accepted = [f.name for f in fields(cls)]
@@ -155,18 +169,12 @@ class RunConfig:
         else:
             state = raw.get("state", {})
             if args.state is not None:
-                try:
-                    state = json.loads(args.state)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"state: invalid JSON ({exc})") from exc
+                state = _parse_json("state", args.state)
             parse_probe(state)
 
         geometry = raw.get("geometry", {})
         if getattr(args, "geometry", None) is not None:
-            try:
-                geometry = json.loads(args.geometry)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"geometry: invalid JSON ({exc})") from exc
+            geometry = _parse_json("geometry", args.geometry)
         if not isinstance(geometry, dict):
             raise ConfigError("geometry: must be an object")
         schema = FAMILY_REGISTRY[family]["geometry"]

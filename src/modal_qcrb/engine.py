@@ -17,6 +17,9 @@ mode inputs of both are slices of the family's one overlap table
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -70,6 +73,22 @@ class GeneratorCoefficients:
         return np.sqrt(np.sum(self.weights**2, axis=1))
 
 
+# Frames a warning is not attributed to: this package's, and those of
+# functools, through which ``ParameterFamily.generators`` is reached
+_INTERNAL_FILES = (os.path.dirname(__file__) + os.sep, functools.__file__)
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` of the first frame outside :data:`_INTERNAL_FILES`.
+
+    Counted for a ``warnings.warn`` in the function that calls this one.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_FILES):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def _generators_from_table(labels: Sequence[str], table: OverlapTable) -> GeneratorCoefficients:
     g = 1j * table.generator_overlaps
     g_h = g.conj().transpose(0, 2, 1)
@@ -80,7 +99,7 @@ def _generators_from_table(labels: Sequence[str], table: OverlapTable) -> Genera
             f"generator for parameter '{labels[worst]}' has Hermiticity "
             f"residual {residuals[worst]:.3e}; the family's normalization "
             "may drift with this parameter",
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
     return GeneratorCoefficients(
         labels=tuple(labels),
@@ -118,12 +137,14 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     with E_a = V^dagger H_a V and r_am = H_a v_m - V E_a[:, m] the part of
     H_a v_m outside the kept span.  A diagonal entry is a sum of
     non-negative terms, so no two large terms cancel: a generator that maps
-    each kept eigenvector onto itself gives exactly 0.  H_a V raises the
-    columns of the state's lowered table, one shift per mode and parameter.
+    each kept eigenvector onto itself gives exactly 0.  H V is one stacked
+    pass over the state's lowered table for every parameter at once, one
+    raising shift per mode; E and the outside parts are one batched product
+    each, and the pass holds at most two (P, D, r) blocks.
     """
     stack = _coefficient_stack(generators)
     n_p = stack.shape[0]
-    if stack.shape[1] != state.space.n_modes:
+    if stack.shape[1:] != (state.space.n_modes,) * 2:
         raise StructuralError(
             "generator mode count does not match the state's Fock space"
         )
@@ -133,13 +154,9 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     # sqrt(p)-weighted outside parts, one (D, r) block per parameter; E_a
     # is read off H_a V itself, so r_am is exactly 0 wherever H_a V is
     # exactly a combination of the kept columns
-    outside = np.empty((n_p,) + v.shape, dtype=complex)
-    elements = np.empty((n_p, p.size, p.size), dtype=complex)
-    v_dagger = v.conj().T
-    for a, c in enumerate(stack):
-        outside[a] = _raise_sum(state.space, c, lowered)
-        elements[a] = v_dagger @ outside[a]
-        outside[a] -= v @ elements[a]
+    outside = _raise_sum(state.space, stack, lowered)
+    elements = v.conj().T @ outside
+    outside -= v @ elements
     outside *= np.sqrt(p)
     # Re <x|y> is the dot product of x and y viewed as reals
     flat = outside.reshape(n_p, -1).view(np.float64)

@@ -93,24 +93,32 @@ def _boundary_mask(space: FockSpace) -> np.ndarray:
 
 
 def _ladder(
-    space: FockSpace, vectors: np.ndarray, mode: int, raising: bool = False
-) -> np.ndarray:
-    """a_mode (or a_mode_dagger) applied to the columns of a (D, r) block.
+    space: FockSpace, vectors: np.ndarray, mode: int, out: np.ndarray, raising: bool = False
+) -> None:
+    """a_mode (or a_mode_dagger) applied to the columns of (..., D, r) blocks.
 
     The columns are viewed as the (L,)*M occupation tensor, mode 0 the most
     significant index, and shifted by one level along the mode's axis with
-    the factor sqrt(n) of the higher level.  Raising drops the amplitude
-    pushed past the cutoff, as the truncated operator does.
+    the factor sqrt(n) of the higher level; leading dimensions are stacks
+    of blocks, all shifted at once.  Lowering writes a_mode ``vectors`` to
+    ``out``.  Raising adds a_mode_dagger ``vectors`` to ``out`` and drops
+    the amplitude pushed past the cutoff, as the truncated operator does;
+    it scales ``vectors`` in place on the way, so a sum of raised blocks
+    needs no buffer beyond ``out`` and its scratch input.  ``out`` is
+    C-contiguous, so that its reshape is a view.
     """
     levels = space.levels
-    tensor = vectors.reshape(levels**mode, levels, -1)
-    out = np.zeros_like(tensor)
+    shape = vectors.shape[:-2] + (levels**mode, levels, -1)
+    tensor = vectors.reshape(shape)
+    target = out.reshape(shape)
     root = np.sqrt(np.arange(1.0, levels))[:, None]
     if raising:
-        np.multiply(root, tensor[:, :-1], out=out[:, 1:])
+        source = tensor[..., :-1, :]
+        source *= root
+        target[..., 1:, :] += source
     else:
-        np.multiply(root, tensor[:, 1:], out=out[:, :-1])
-    return out.reshape(vectors.shape)
+        np.multiply(root, tensor[..., 1:, :], out=target[..., :-1, :])
+        target[..., -1, :] = 0.0
 
 
 def _check_coefficients(space: FockSpace, coefficients) -> np.ndarray:
@@ -126,15 +134,22 @@ def _check_coefficients(space: FockSpace, coefficients) -> np.ndarray:
 def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) -> np.ndarray:
     """sum_j a_j_dagger (sum_k C_{jk} lowered[k]) for an (M, D, r) lowered stack.
 
-    With ``lowered[k] = a_k V`` this is sum_{jk} C_{jk} a_j_dagger a_k V:
-    one raising shift per mode, of one mixed (D, r) block at a time.
+    With ``lowered[k] = a_k V`` this is sum_{jk} C_{jk} a_j_dagger a_k V.
+    ``coefficients`` is one (M, M) matrix, giving one (D, r) block, or a
+    (P, M, M) stack, giving a (P, D, r) stack.  Per mode j, one product
+    forms Y_j = sum_k C_{jk} lowered[k] for every matrix of the stack, and
+    one raising shift adds a_j_dagger Y_j to the result: M products and M
+    shifts whatever P, holding the result and one scratch block for Y_j.
     """
-    block = lowered.shape[1:]
-    flat = lowered.reshape(space.n_modes, -1)
-    out = _ladder(space, (coefficients[0] @ flat).reshape(block), 0, raising=True)
-    for j in range(1, space.n_modes):
-        out += _ladder(space, (coefficients[j] @ flat).reshape(block), j, raising=True)
-    return out
+    m = space.n_modes
+    stack = coefficients.reshape(-1, m, m)
+    flat = lowered.reshape(m, -1)
+    out = np.zeros(stack.shape[:1] + lowered.shape[1:], dtype=complex)
+    mixed = np.empty_like(out)
+    for j in range(m):
+        np.matmul(stack[:, j], flat, out=mixed.reshape(stack.shape[0], -1))
+        _ladder(space, mixed, j, out, raising=True)
+    return out.reshape(coefficients.shape[:-2] + lowered.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +168,9 @@ class LoweredTable:
     def of(cls, space: FockSpace, vectors: np.ndarray) -> "LoweredTable":
         """M lowering shifts of the columns and one Gram product over them."""
         m, r = space.n_modes, vectors.shape[1]
-        lowered = np.stack([_ladder(space, vectors, j) for j in range(m)])
+        lowered = np.empty((m,) + vectors.shape, dtype=complex)
+        for j in range(m):
+            _ladder(space, vectors, j, lowered[j])
         # columns (j, m) as reals: each interleaves its real and imaginary
         # parts, so S = X^T X holds every product of parts and
         # Re G = S_rr + S_ii, Im G = S_ri - S_ir
@@ -236,6 +253,17 @@ class DensityState:
         ones.  Cached on first use, so the arrays must not change after.
         """
         return LoweredTable.of(self.space, self.vectors)
+
+    @cached_property
+    def correlations(self) -> np.ndarray:
+        """The one-photon correlations of :func:`first_moments`, built once.
+
+        Read-only, like the table they are summed from.
+        """
+        gram = self.lowered_table.gram
+        moments = _hermitian(np.einsum("m,jmlm->jl", self.probabilities, gram))
+        moments.flags.writeable = False
+        return moments
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +508,10 @@ def first_moments(state: DensityState) -> np.ndarray:
     """One-photon correlation matrix <a_j_dagger a_l>; Hermitian, trace <N>.
 
     Sums p_m <a_j v_m | a_l v_m> over the eigenvectors v_m, read from the
-    state's lowered table.
+    state's lowered table.  Formed once per state
+    (:attr:`DensityState.correlations`); the array is read-only.
     """
-    gram = state.lowered_table.gram
-    return _hermitian(np.einsum("m,jmlm->jl", state.probabilities, gram))
+    return state.correlations
 
 
 def operator_matrix_elements(state: DensityState, coefficients) -> np.ndarray:

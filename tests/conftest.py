@@ -25,7 +25,7 @@ from modal_qcrb import (
     qfim_unitary,
 )
 from modal_qcrb.modes import _check_orthonormal, grid_gram
-from modal_qcrb.states import _check_coefficients, _ladder, _raise_sum
+from modal_qcrb.states import LoweredTable, _check_coefficients, _raise_sum
 from modal_qcrb.tolerances import TAU_QUAD, TAU_RANK
 
 W0 = 1.0
@@ -250,15 +250,14 @@ class ModeBasis:
 def apply_quadratic(space: FockSpace, coefficients, vectors: np.ndarray) -> np.ndarray:
     """sum_{jk} C_{jk} a_j_dagger a_k applied to the columns of a (D, r) block.
 
-    The ladder shifts and the raising sum of ``qfim_unitary``, applied to
-    arbitrary columns; the dense operator of :func:`dense_quadratic` is its
-    reference.
+    The lowering shifts of a state's table and the raising sum of
+    ``qfim_unitary``, applied to arbitrary columns; the dense operator of
+    :func:`dense_quadratic` is its reference.
     """
     coefficients = _check_coefficients(space, coefficients)
     if coefficients.ndim != 2:
         raise StructuralError(f"coefficient shape {coefficients.shape} is not one matrix")
-    lowered = np.stack([_ladder(space, vectors, k) for k in range(space.n_modes)])
-    return _raise_sum(space, coefficients, lowered)
+    return _raise_sum(space, coefficients, LoweredTable.of(space, vectors).lowered)
 
 
 def vacuum_overlap(f_alpha: Mode, f_beta: Mode, populated: ModeBasis) -> complex:

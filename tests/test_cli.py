@@ -744,6 +744,16 @@ class TestConfigErrors:
         assert err == f"{command} failed writing {out / name}: Is a directory\n"
         assert not [p for p in out.iterdir() if ".tmp" in p.name]
 
+    @pytest.mark.parametrize("flag", ["state", "geometry"])
+    def test_json_flag_nested_too_deeply_exits_2(self, tmp_path, capsys, flag):
+        argv = ["qfim", "--family", "displaced-beam", "--out", str(tmp_path / "out")]
+        flags = {"state": '{"kind": "coherent", "nbar": 1}', "geometry": '{"w0": 1}'}
+        flags[flag] = "[" * 100000
+        for name, value in flags.items():
+            argv += [f"--{name}", value]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"config error: {flag}: invalid JSON (nested too deeply)\n"
+
     def test_removed_cutoff_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run_cli(["qfim", "--family", "displaced-beam", "--fock-cutoff", "32"])

@@ -2,8 +2,10 @@
 
 Every generated config, valid or not, must end in exit code 0 (success),
 1 (engine or numerical failure) or 2 (config error); a bad field must
-never surface as a traceback.  A state spec is a config error on the CLI
-exactly when the library rejects it, with the same message.
+never surface as a traceback.  A config file whose bytes are not a UTF-8
+JSON text is a config error naming ``config``.  A state spec is a config
+error on the CLI exactly when the library rejects it, with the same
+message.
 """
 
 import contextlib
@@ -160,3 +162,32 @@ def test_cli_rejects_a_state_exactly_as_the_library_does(state):
     else:
         assert rejected.startswith("state")
         assert code == 2 and err.getvalue() == f"config error: {rejected}\n"
+
+
+# a config the CLI runs with exit 0 when its file holds the UTF-8 bytes
+VALID_TEXT = json.dumps(
+    {"family": "displaced-beam", "geometry": {"w0": 1.0}, "state": {"kind": "coherent", "nbar": 1.0}}
+)
+# config-file bytes that are not UTF-8 JSON: arbitrary binary, the valid
+# text behind a UTF-8 byte-order mark or in UTF-16 with and without one,
+# and arrays nested beyond the parser's recursion limit
+CONFIG_BYTES = st.one_of(
+    st.binary(max_size=64).filter(lambda raw: not raw.lstrip().startswith(b"{")),
+    st.binary(max_size=16).map(lambda tail: b"\xef\xbb\xbf" + VALID_TEXT.encode() + tail),
+    st.sampled_from(["utf-16", "utf-16-le", "utf-16-be"]).map(VALID_TEXT.encode),
+    st.integers(10**4, 10**5).map(lambda depth: b"[" * depth),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(raw=CONFIG_BYTES)
+def test_config_bytes_that_are_not_utf8_json_exit_2(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["qfim", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code == 2
+    assert err.getvalue().startswith("config error: config: ")
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,7 +529,27 @@ class TestStateTableAgainstDenseOperators:
         gens = family.generators
         assert_close_to_largest(attainability(state, gens).matrix, dense_commutator(state, gens))
 
-    def test_one_lowering_per_mode_and_one_raising_per_mode_and_parameter(self, case, monkeypatch):
+    def test_stacked_pass_equals_single_generator_calls(self, case):
+        # the diagonal from one call per generator, each off-diagonal from one
+        # call on a sum, F(a + b) = F_aa + F_bb + 2 F_ab; and the dense oracle
+        state, family = case
+        matrices = family.generators.matrices
+        f = qfim_unitary(state, matrices)
+        n_p = matrices.shape[0]
+        single = np.empty((n_p, n_p))
+        for a in range(n_p):
+            single[a, a] = qfim_unitary(state, matrices[a])[0, 0]
+        for a, b in itertools.combinations(range(n_p), 2):
+            both = qfim_unitary(state, matrices[a] + matrices[b])[0, 0]
+            single[a, b] = single[b, a] = (both - single[a, a] - single[b, b]) / 2.0
+        expected = np.array(
+            [[brute_force_qfim(state, ca, cb) for cb in matrices] for ca in matrices]
+        )
+        assert_close_to_largest(f, single)
+        assert_close_to_largest(f, expected)
+
+    def test_one_lowering_and_one_raising_per_mode(self, case, monkeypatch):
+        # the raising shifts take every parameter at once: 2M shifts, whatever P
         state, family = case
         calls = []
         ladder = states._ladder
@@ -540,9 +561,28 @@ class TestStateTableAgainstDenseOperators:
         monkeypatch.setattr(states, "_ladder", counted)
         qfim_mode_split(state, family)
         attainability(state, family.generators)
-        m, n_p = family.n_modes, family.n_parameters
-        assert len(calls) == m + n_p * m
-        assert calls.count(True) == n_p * m
+        m = family.n_modes
+        assert len(calls) == 2 * m
+        assert calls.count(True) == m
+
+
+def test_stacked_pass_holds_at_most_three_blocks():
+    # M = 3, D = 1331, r = 8, P = 4: the pass holds the raised block and one
+    # scratch block, so its peak stays below three (P, D, r) complex blocks
+    rng = np.random.default_rng(31)
+    space = FockSpace(n_modes=3, cutoff=10)
+    state = random_density_state(rng, space, rank=8)
+    raw = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    coeffs = (raw + raw.conj().transpose(0, 2, 1)) / 2.0
+    state.lowered_table  # the state's table is built once, before the pass
+    assert state.kept_columns == slice(None)
+    tracemalloc.start()
+    try:
+        qfim_unitary(state, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * coeffs.shape[0] * state.vectors.nbytes
 
 
 class TestDegenerateParameter:

@@ -470,3 +470,22 @@ def test_drifting_family_warns_once_per_report(tmp_path, monkeypatch, displaced_
         cli._assemble_report(config)
     drift = [w for w in caught if "Hermiticity" in str(w.message)]
     assert len(drift) == 1
+
+
+def test_drift_warning_names_the_caller(tmp_path):
+    # the coarse finite-difference run that drifts: the warning points at
+    # the first frame outside the package and functools, here this file
+    argv = [
+        "qfim",
+        "--family", "gaussian-beam",
+        "--geometry", '{"w0": 1, "k": 10}',
+        "--grid-points", "128",
+        "--fd-step", "0.3",
+        "--state", '{"kind": "coherent", "nbar": 1}',
+        "--out", str(tmp_path),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 0
+    drift = [w for w in caught if "Hermiticity" in str(w.message)]
+    assert [w.filename for w in drift] == [__file__]

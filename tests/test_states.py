@@ -21,6 +21,7 @@ from modal_qcrb import (
     photon_statistics,
 )
 import modal_qcrb
+from modal_qcrb.modes import _hermitian
 from modal_qcrb.states import (
     PROBE_KINDS,
     first_moments,
@@ -305,6 +306,18 @@ class TestMoments:
         assert m[0, 1] == pytest.approx(0.5 + 0.0j, abs=1e-12)
         assert m[0, 0].real == pytest.approx(0.5, abs=1e-12)
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
+
+    def test_formed_once_per_state(self):
+        # qfim_mode_split and attainability read one read-only array, the
+        # table's einsum bit for bit
+        state = random_density_state(np.random.default_rng(8), FockSpace(n_modes=2, cutoff=4), 3)
+        moments = first_moments(state)
+        assert first_moments(state) is moments
+        assert not moments.flags.writeable
+        expected = _hermitian(
+            np.einsum("m,jmlm->jl", state.probabilities, state.lowered_table.gram)
+        )
+        assert np.array_equal(moments, expected)
 
     def test_trace_is_mean_photon_number(self):
         state = make_state("thermal", nbar=0.7)
