@@ -326,20 +326,6 @@ def _write_matrix_csv(path: Path, labels, matrix: np.ndarray) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-@dataclass
-class ReportBundle:
-    """All artifacts of one run, serializable losslessly to JSON."""
-
-    report: dict
-
-    def to_json(self) -> str:
-        return _json_text(self.report)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReportBundle":
-        return cls(report=json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 
@@ -357,14 +343,6 @@ def _build_family(config: RunConfig):
     return family
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """The serializable report of one run and the bounds it was made from."""
-
-    bundle: ReportBundle
-    bounds: QfimReport
-
-
 def _attainability_pairs(att: SingleModeAttainability) -> list[dict]:
     labels = att.labels
     return [
@@ -380,7 +358,8 @@ def _attainability_pairs(att: SingleModeAttainability) -> list[dict]:
     ]
 
 
-def _assemble_report(config: RunConfig) -> RunResult:
+def _assemble_report(config: RunConfig) -> tuple[dict, QfimReport]:
+    """The report.json document of a run, and the bounds it was made from."""
     family = _build_family(config)
     # a one-mode probe enters only through <N> and the number information
     statistics = photon_statistics(config.state)
@@ -441,20 +420,18 @@ def _assemble_report(config: RunConfig) -> RunResult:
             "fd_step": config.fd_step,
         },
     }
-    return RunResult(bundle=ReportBundle(report=doc), bounds=report)
+    return doc, report
 
 
-def run_qfim(config: RunConfig) -> ReportBundle:
+def run_qfim(config: RunConfig) -> None:
     """Compute the information matrix and write report.json plus CSVs."""
-    result = _assemble_report(config)
-    bundle, bounds = result.bundle, result.bounds
-    labels = bundle.report["qfim"]["labels"]
+    doc, bounds = _assemble_report(config)
+    labels = doc["qfim"]["labels"]
     out = config.out
     _create_out(out)
-    _write_atomic(out / "report.json", bundle.to_json() + "\n")
+    _write_atomic(out / "report.json", _json_text(doc) + "\n")
     _write_matrix_csv(out / "qfim.csv", labels, bounds.qfim)
     _write_matrix_csv(out / "qfim_inverse.csv", labels, bounds.pseudo_inverse)
-    return bundle
 
 
 def run_attainability(config: RunConfig) -> None:
@@ -480,12 +457,13 @@ def run_attainability(config: RunConfig) -> None:
     _write_atomic(config.out / "attainability.csv", "\n".join(rows) + "\n")
 
 
-def export_detection_modes(config: RunConfig) -> ReportBundle:
+def export_detection_modes(config: RunConfig) -> dict:
     """Write per-parameter detection-mode samples and the readout basis."""
     return export_detection_modes_for(_build_family(config), config.out)
 
 
-def export_detection_modes_for(family, out: Path) -> ReportBundle:
+def export_detection_modes_for(family, out: Path) -> dict:
+    """Write a family's ``modes_<label>.csv`` files and return the sidecar it writes."""
     detections = detection_modes_for(family)
     readout_samples, pivot_by_label, dependent_labels = _readout_basis(family, detections)
 
@@ -517,9 +495,8 @@ def export_detection_modes_for(family, out: Path) -> ReportBundle:
             "become proportional; dependent modes carry no independent readout",
         },
     }
-    bundle = ReportBundle(report=sidecar)
-    _write_atomic(out / "detection_modes.json", bundle.to_json() + "\n")
-    return bundle
+    _write_atomic(out / "detection_modes.json", _json_text(sidecar) + "\n")
+    return sidecar
 
 
 # ---------------------------------------------------------------------------

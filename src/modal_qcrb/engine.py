@@ -27,10 +27,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
-from .modes import DetectionMode, Mode, OverlapTable
+from .modes import DetectionMode, Mode, OverlapTable, _hermitian
 from .states import (
     DensityState,
     PhotonStatistics,
+    _coefficient_matrices,
     _raise_sum,
     first_moments,
     operator_matrix_elements,
@@ -118,18 +119,11 @@ def build_generators(family: "ParameterFamily") -> GeneratorCoefficients:
     return family.generators
 
 
-def _coefficient_stack(generators) -> np.ndarray:
-    if isinstance(generators, GeneratorCoefficients):
-        return generators.matrices
-    arr = np.asarray(generators, dtype=complex)
-    return arr[None, ...] if arr.ndim == 2 else arr
-
-
 def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     """Information matrix of unitary parameter generators on a mixed state.
 
-    Accepts :class:`GeneratorCoefficients` or a coefficient stack
-    (P, M, M).  Over the kept eigenvectors V (probabilities p),
+    Accepts :class:`GeneratorCoefficients`, a coefficient stack (P, M, M)
+    or one (M, M) matrix.  Over the kept eigenvectors V (probabilities p),
 
         F_ab = 4 sum_m p_m Re <r_am|r_bm>
                + 2 sum_mn (p_m - p_n)^2 / (p_m + p_n) Re E_a,mn E_b,nm,
@@ -142,12 +136,9 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     raising shift per mode; E and the outside parts are one batched product
     each, and the pass holds at most two (P, D, r) blocks.
     """
-    stack = _coefficient_stack(generators)
+    m = state.space.n_modes
+    stack = _coefficient_matrices(state.space, generators).reshape(-1, m, m)
     n_p = stack.shape[0]
-    if stack.shape[1:] != (state.space.n_modes,) * 2:
-        raise StructuralError(
-            "generator mode count does not match the state's Fock space"
-        )
     p, v = state.kept()
     lowered = state.lowered_table.lowered[:, :, state.kept_columns]
 
@@ -166,8 +157,7 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     transposed = elements.transpose(0, 2, 1).reshape(n_p, -1)
     t2 = 2.0 * ((ratio * elements).reshape(n_p, -1) @ transposed.T).real
 
-    f = np.triu(t1 + t2)
-    return f + np.triu(f, 1).T
+    return _hermitian(t1 + t2)
 
 
 def _zero_roundoff_diagonal(f: np.ndarray) -> np.ndarray:
@@ -201,8 +191,7 @@ def qfim_mode_split(state: DensityState, family: "ParameterFamily") -> np.ndarra
     proj = table.matrix[m:, :m]
     vac = table.matrix[m:, m:] - proj @ proj.conj().T
     f = 4.0 * np.einsum("ajbl,jl->ab", vac.reshape(n_p, m, n_p, m), first_moments(state)).real
-    f_vac = np.triu(f) + np.triu(f, 1).T
-    return _zero_roundoff_diagonal(f_pop + f_vac)
+    return _zero_roundoff_diagonal(f_pop + _hermitian(f))
 
 
 def _one_mode_table(family: "ParameterFamily") -> OverlapTable:

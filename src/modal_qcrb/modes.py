@@ -324,8 +324,8 @@ def weighted_gram(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray
 
 def _hermitian(g: np.ndarray) -> np.ndarray:
     """The upper triangle of g with its exact conjugate below a real diagonal."""
-    if g.shape == (1, 1):  # a squared norm: its real part plus +0, as below
-        return g.real + 0j
+    if g.shape == (1, 1):  # a squared norm: its real part plus +0 of g's type, as below
+        return g.real + np.zeros_like(g)
     upper = np.triu(g, 1)
     return upper + upper.conj().T + np.diag(g.diagonal().real)
 

@@ -16,17 +16,17 @@ overlap table, the table is built on first use and kept: it assumes that
 the state's arrays are not mutated afterwards.
 
 Each probe kind is described once, in :data:`PROBE_KINDS`: its spec
-fields, the closed form of its mean photon number and number information
-(through which alone a one-mode probe enters every quantity, read by
-:func:`photon_statistics` with no truncation), and its one-mode Fock form
-(read by :func:`make_state`).
+fields and the closed form of its mean photon number and number
+information, through which alone a one-mode probe enters every quantity
+(read by :func:`photon_statistics`, with no truncation).  A state on the
+truncated space is given explicitly, as a :class:`DensityState`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,10 +121,14 @@ def _ladder(
         target[..., -1, :] = 0.0
 
 
-def _check_coefficients(space: FockSpace, coefficients) -> np.ndarray:
-    coefficients = np.asarray(coefficients, dtype=complex)
+def _coefficient_matrices(space: FockSpace, coefficients) -> np.ndarray:
+    """A checked (M, M) matrix or (P, M, M) stack of quadratic coefficients.
+
+    Takes an array, or a generator-coefficient object exposing ``matrices``.
+    """
+    coefficients = np.asarray(getattr(coefficients, "matrices", coefficients), dtype=complex)
     m = space.n_modes
-    if coefficients.shape[-2:] != (m, m):
+    if coefficients.ndim not in (2, 3) or coefficients.shape[-2:] != (m, m):
         raise StructuralError(
             f"coefficient shape {coefficients.shape} does not match {m} modes"
         )
@@ -205,18 +209,23 @@ class DensityState:
             raise StructuralError(
                 "eigenvalues and eigenvector columns do not match the space dimension"
             )
-        if np.any(p < -TAU_STATE_PROB):
-            raise StructuralError("negative probability in the eigendecomposition")
-        if abs(p.sum() - 1.0) > TAU_STATE_PROB:
+        # each check fails closed: a NaN compares false, so it is rejected
+        total = p.sum()
+        if not (np.all(p >= -TAU_STATE_PROB) and math.isfinite(total)):
+            raise StructuralError("negative or non-finite probability in the eigendecomposition")
+        if not abs(total - 1.0) <= TAU_STATE_PROB:
             raise StructuralError(
-                f"probabilities sum to {p.sum():.15f}, expected 1 within {TAU_STATE_PROB:g}"
+                f"probabilities sum to {total:.15f}, expected 1 within {TAU_STATE_PROB:g}"
             )
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(p.size))) > TAU_STATE_ORTH:
-            raise StructuralError(f"eigenvectors are not orthonormal within {TAU_STATE_ORTH:g}")
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite: rejected below
+            gram = v.conj().T @ v
+        if not np.max(np.abs(gram - np.eye(p.size))) <= TAU_STATE_ORTH:
+            raise StructuralError(
+                f"eigenvectors are non-finite or not orthonormal within {TAU_STATE_ORTH:g}"
+            )
         boundary = _boundary_mask(self.space)
         leakage = float(np.sum(p[None, :] * np.abs(v[boundary, :]) ** 2))
-        if leakage > TAU_CUTOFF:
+        if not leakage <= TAU_CUTOFF:
             raise CutoffError(
                 f"probability {leakage:.3e} sits at the cutoff boundary",
                 suggested_cutoff=min(self.space.cutoff * 2, MAX_CUTOFF),
@@ -280,47 +289,15 @@ class SpecField(NamedTuple):
 
 
 class ProbeKind(NamedTuple):
-    """A probe kind: its spec fields, closed form and one-mode Fock form.
+    """A probe kind: its spec fields and closed form.
 
     ``statistics(value)`` gives the mean photon number and the number
     information from the value of the first field, the only one they
-    depend on.  ``fock(levels, **values)`` gives the first ``levels``
-    number-basis amplitudes of the untruncated state, or for a
-    ``diagonal`` kind its number-basis probabilities.
+    depend on.
     """
 
     fields: dict[str, SpecField]
     statistics: Callable[[float], tuple[float, float]]
-    fock: Callable[..., np.ndarray]
-    diagonal: bool = False
-
-
-def _coherent_amplitudes(levels: int, nbar: float) -> np.ndarray:
-    # e^(-nbar/2) nbar^(n/2) / sqrt(n!) as a running product from the
-    # vacuum term, which can only underflow, whatever nbar
-    ratios = np.sqrt(nbar / np.arange(1.0, levels))
-    return np.cumprod(np.concatenate(([math.exp(-nbar / 2.0)], ratios)))
-
-
-def _fock_amplitudes(levels: int, n: int) -> np.ndarray:
-    return (np.arange(levels) == n).astype(float)
-
-
-def _thermal_probabilities(levels: int, nbar: float) -> np.ndarray:
-    # nbar^n / (1 + nbar)^(n + 1), as powers of a ratio below 1 so that no
-    # nbar overflows
-    return (nbar / (1.0 + nbar)) ** np.arange(levels) / (1.0 + nbar)
-
-
-def _squeezed_amplitudes(levels: int, r: float, phi: float = 0.0) -> np.ndarray:
-    # even levels only: <0|state> = 1 / sqrt(cosh r), written so that no
-    # large r overflows, then the ratios -e^(i phi) tanh r sqrt((2m-1) / 2m)
-    m = np.arange(1.0, (levels + 1) // 2)
-    ratios = -np.exp(1j * phi) * math.tanh(r) * np.sqrt((2.0 * m - 1.0) / (2.0 * m))
-    vacuum = math.sqrt(2.0 * math.exp(-abs(r)) / (1.0 + math.exp(-2.0 * abs(r))))
-    amplitudes = np.zeros(levels, dtype=complex)
-    amplitudes[::2] = np.cumprod(np.concatenate(([vacuum], ratios)))
-    return amplitudes
 
 
 # The probe kinds a spec may name, in the order error messages list them.
@@ -328,18 +305,14 @@ PROBE_KINDS: dict[str, ProbeKind] = {
     "coherent": ProbeKind(
         {"nbar": SpecField("mean photon number", minimum=0.0)},
         lambda nbar: (nbar, 4.0 * nbar),
-        _coherent_amplitudes,
     ),
     "fock": ProbeKind(
         {"n": SpecField("photon number", minimum=0, integer=True)},
         lambda n: (float(n), 0.0),
-        _fock_amplitudes,
     ),
     "thermal": ProbeKind(
         {"nbar": SpecField("mean photon number", minimum=0.0)},
         lambda nbar: (nbar, 0.0),
-        _thermal_probabilities,
-        diagonal=True,
     ),
     "squeezed-vacuum": ProbeKind(
         {
@@ -347,7 +320,6 @@ PROBE_KINDS: dict[str, ProbeKind] = {
             "phi": SpecField("squeezing angle (rad)", required=False),
         },
         lambda r: (math.sinh(r) ** 2, 2.0 * math.sinh(2.0 * r) ** 2),
-        _squeezed_amplitudes,
     ),
 }
 
@@ -393,77 +365,24 @@ def parse_probe(spec) -> tuple[ProbeKind, dict]:
 # ---------------------------------------------------------------------------
 # Constructors
 
-# Levels of the number distribution searched for a cutoff; a state that
-# needs more is suggested this many, which is beyond the hard cap.
-_SEARCH_LEVELS = 4 * MAX_CUTOFF + 1
 
+def make_state(kind: str, space: FockSpace | None = None, **arrays) -> DensityState:
+    """``make_state("custom", space, probabilities=..., vectors=...)``.
 
-def _suggest_cutoff(distribution: np.ndarray) -> int:
-    """Smallest cutoff c with P(N >= c) within the truncation budget."""
-    tail = 1.0 - np.cumsum(distribution)  # tail[c - 1] = P(N >= c)
-    within = np.flatnonzero(tail <= TAU_CUTOFF)
-    return int(within[0]) + 1 if within.size else distribution.size
-
-
-def _embed(space: FockSpace, column: np.ndarray, mode: int) -> np.ndarray:
-    """Tensor a single-mode vector with vacuum in all other modes."""
-    vacuum = np.zeros(space.levels, dtype=complex)
-    vacuum[0] = 1.0
-    parts = [column if m == mode else vacuum for m in range(space.n_modes)]
-    return reduce(np.kron, parts)
-
-
-def make_state(
-    kind: str,
-    space: FockSpace | None = None,
-    *,
-    mode: int = 0,
-    **parameters,
-) -> DensityState:
-    """Build a probe state of a kind in :data:`PROBE_KINDS`, or a custom one.
-
-    The fields are checked by :func:`parse_probe`.  Without an explicit
-    ``space``, the smallest per-mode cutoff with truncation tail below the
-    cutoff budget is chosen, capped at the hard maximum.  The populated
-    mode ``mode`` holds the kind's Fock form, renormalized on the kept
-    levels, and every other mode is in vacuum.  A ``custom`` state takes
-    an explicit ``space``, ``probabilities`` and eigenvector columns
-    ``vectors``.
+    The same state as ``DensityState(space, probabilities, vectors)``; a
+    missing or unknown array is a ``TypeError``.  A named probe kind has
+    no Fock form here: a one-mode probe enters only through
+    :func:`photon_statistics`, so a named kind raises
+    :class:`StructuralError`.
     """
-    if kind == "custom":
-        if space is None:
-            raise StructuralError("custom states require an explicit space")
-        return DensityState(
-            space=space,
-            probabilities=np.asarray(parameters["probabilities"], dtype=float),
-            vectors=np.asarray(parameters["vectors"], dtype=complex),
+    if kind != "custom":
+        raise StructuralError(
+            f"make_state builds only 'custom' states; a one-mode '{kind}' probe "
+            "enters through photon_statistics"
         )
-
-    probe, values = parse_probe({"kind": kind, **parameters})
-    column = probe.fock(_SEARCH_LEVELS, **values)
-    needed = _suggest_cutoff(column if probe.diagonal else np.abs(column) ** 2)
     if space is None:
-        if needed > MAX_CUTOFF:
-            raise CutoffError(
-                f"state '{kind}' needs a cutoff beyond the hard cap {MAX_CUTOFF}",
-                suggested_cutoff=needed,
-            )
-        space = FockSpace(n_modes=1, cutoff=needed)
-    if space.cutoff < needed:
-        raise CutoffError(
-            f"cutoff {space.cutoff} leaks more than the truncation budget "
-            f"for state '{kind}'",
-            suggested_cutoff=needed,
-        )
-    if not 0 <= mode < space.n_modes:
-        raise StructuralError(f"mode index {mode} outside 0..{space.n_modes - 1}")
-
-    column = column[: space.levels]
-    if probe.diagonal:
-        vectors = np.stack([_embed(space, level, mode) for level in np.eye(space.levels)], axis=1)
-        return DensityState(space, column / column.sum(), vectors)
-    vector = _embed(space, column / np.linalg.norm(column), mode)
-    return DensityState(space, np.array([1.0]), vector[:, None])
+        raise StructuralError("custom states require an explicit space")
+    return DensityState(space, **arrays)
 
 
 @dataclass(frozen=True)
@@ -524,8 +443,7 @@ def operator_matrix_elements(state: DensityState, coefficients) -> np.ndarray:
     the elements are sum_{jk} C_{jk} gram[j, a, k, b] of the lowered table
     and no operator is applied.
     """
-    coefficients = getattr(coefficients, "matrices", coefficients)
-    coefficients = _check_coefficients(state.space, coefficients)
+    coefficients = _coefficient_matrices(state.space, coefficients)
     idx = state.kept_columns
     gram = state.lowered_table.gram[:, idx][:, :, :, idx]
     return np.einsum("...jk,jakb->...ab", coefficients, gram)

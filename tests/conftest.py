@@ -8,6 +8,7 @@ import pytest
 
 from modal_qcrb import (
     BeamGeometry,
+    CutoffError,
     DensityState,
     DetectionMode,
     FockSpace,
@@ -25,8 +26,8 @@ from modal_qcrb import (
     qfim_unitary,
 )
 from modal_qcrb.modes import _check_orthonormal, grid_gram
-from modal_qcrb.states import LoweredTable, _check_coefficients, _raise_sum
-from modal_qcrb.tolerances import TAU_QUAD, TAU_RANK
+from modal_qcrb.states import LoweredTable, _coefficient_matrices, _raise_sum, parse_probe
+from modal_qcrb.tolerances import MAX_CUTOFF, TAU_CUTOFF, TAU_QUAD, TAU_RANK
 
 W0 = 1.0
 K = 10.0
@@ -172,6 +173,105 @@ def random_density_state(rng, space: FockSpace, rank: int):
     return make_state("custom", space, probabilities=probs, vectors=q[:, :rank])
 
 
+# ---------------------------------------------------------------------------
+# One-mode Fock states of the named probe kinds: the truncated reference
+# that the closed-form photon statistics and the one-mode route are held to
+
+
+def _coherent_amplitudes(levels: int, nbar: float) -> np.ndarray:
+    # e^(-nbar/2) nbar^(n/2) / sqrt(n!) as a running product from the
+    # vacuum term, which can only underflow, whatever nbar
+    ratios = np.sqrt(nbar / np.arange(1.0, levels))
+    return np.cumprod(np.concatenate(([math.exp(-nbar / 2.0)], ratios)))
+
+
+def _fock_amplitudes(levels: int, n: int) -> np.ndarray:
+    return (np.arange(levels) == n).astype(float)
+
+
+def _thermal_probabilities(levels: int, nbar: float) -> np.ndarray:
+    # nbar^n / (1 + nbar)^(n + 1), as powers of a ratio below 1 so that no
+    # nbar overflows
+    return (nbar / (1.0 + nbar)) ** np.arange(levels) / (1.0 + nbar)
+
+
+def _squeezed_amplitudes(levels: int, r: float, phi: float = 0.0) -> np.ndarray:
+    # even levels only: <0|state> = 1 / sqrt(cosh r), written so that no
+    # large r overflows, then the ratios -e^(i phi) tanh r sqrt((2m-1) / 2m)
+    m = np.arange(1.0, (levels + 1) // 2)
+    ratios = -np.exp(1j * phi) * math.tanh(r) * np.sqrt((2.0 * m - 1.0) / (2.0 * m))
+    vacuum = math.sqrt(2.0 * math.exp(-abs(r)) / (1.0 + math.exp(-2.0 * abs(r))))
+    amplitudes = np.zeros(levels, dtype=complex)
+    amplitudes[::2] = np.cumprod(np.concatenate(([vacuum], ratios)))
+    return amplitudes
+
+
+# Per kind: the first ``levels`` number-basis amplitudes of the untruncated
+# state, or for a diagonal kind (True) its number-basis probabilities.
+FOCK_FORMS = {
+    "coherent": (_coherent_amplitudes, False),
+    "fock": (_fock_amplitudes, False),
+    "thermal": (_thermal_probabilities, True),
+    "squeezed-vacuum": (_squeezed_amplitudes, False),
+}
+
+# Levels of the number distribution searched for a cutoff; a state that
+# needs more is suggested this many, which is beyond the hard cap.
+_SEARCH_LEVELS = 4 * MAX_CUTOFF + 1
+
+
+def _suggest_cutoff(distribution: np.ndarray) -> int:
+    """Smallest cutoff c with P(N >= c) within the truncation budget."""
+    tail = 1.0 - np.cumsum(distribution)  # tail[c - 1] = P(N >= c)
+    within = np.flatnonzero(tail <= TAU_CUTOFF)
+    return int(within[0]) + 1 if within.size else distribution.size
+
+
+def _embed(space: FockSpace, column: np.ndarray, mode: int) -> np.ndarray:
+    """Tensor a single-mode vector with vacuum in all other modes."""
+    vacuum = np.zeros(space.levels, dtype=complex)
+    vacuum[0] = 1.0
+    parts = [column if m == mode else vacuum for m in range(space.n_modes)]
+    return reduce(np.kron, parts)
+
+
+def probe_state(kind: str, space: FockSpace | None = None, *, mode: int = 0, **parameters) -> DensityState:
+    """The Fock state of a named probe kind in one populated mode.
+
+    The fields are checked by ``parse_probe``, as the CLI checks them.
+    Without an explicit ``space``, the smallest per-mode cutoff with
+    truncation tail below the cutoff budget is chosen, capped at the hard
+    maximum.  The populated mode ``mode`` holds the kind's Fock form,
+    renormalized on the kept levels, and every other mode is in vacuum.
+    """
+    _, values = parse_probe({"kind": kind, **parameters})
+    form, diagonal = FOCK_FORMS[kind]
+    column = form(_SEARCH_LEVELS, **values)
+    needed = _suggest_cutoff(column if diagonal else np.abs(column) ** 2)
+    if space is None:
+        if needed > MAX_CUTOFF:
+            raise CutoffError(
+                f"state '{kind}' needs a cutoff beyond the hard cap {MAX_CUTOFF}",
+                suggested_cutoff=needed,
+            )
+        space = FockSpace(n_modes=1, cutoff=needed)
+    if space.cutoff < needed:
+        raise CutoffError(
+            f"cutoff {space.cutoff} leaks more than the truncation budget "
+            f"for state '{kind}'",
+            suggested_cutoff=needed,
+        )
+    if not 0 <= mode < space.n_modes:
+        raise StructuralError(f"mode index {mode} outside 0..{space.n_modes - 1}")
+
+    column = column[: space.levels]
+    if diagonal:
+        vectors = np.stack([_embed(space, level, mode) for level in np.eye(space.levels)], axis=1)
+        return DensityState(space, column / column.sum(), vectors)
+    vector = _embed(space, column / np.linalg.norm(column), mode)
+    return DensityState(space, np.array([1.0]), vector[:, None])
+
+
 def dense_ladder(levels: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
 
@@ -254,7 +354,7 @@ def apply_quadratic(space: FockSpace, coefficients, vectors: np.ndarray) -> np.n
     ``qfim_unitary``, applied to arbitrary columns; the dense operator of
     :func:`dense_quadratic` is its reference.
     """
-    coefficients = _check_coefficients(space, coefficients)
+    coefficients = _coefficient_matrices(space, coefficients)
     if coefficients.ndim != 2:
         raise StructuralError(f"coefficient shape {coefficients.shape} is not one matrix")
     return _raise_sum(space, coefficients, LoweredTable.of(space, vectors).lowered)

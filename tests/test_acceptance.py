@@ -25,7 +25,6 @@ from modal_qcrb import (
     detection_modes_for,
     gaussian_beam_family,
     gaussian_pulse_family,
-    make_state,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
@@ -48,6 +47,7 @@ from conftest import (
     inner_product,
     mode_norm,
     number_information,
+    probe_state,
     qfim_mean_field,
     quadrature_covariance,
     random_density_state,
@@ -88,7 +88,7 @@ def families():
 
 def test_criterion_01_beam_information_matrix(families):
     start = time.perf_counter()
-    state = make_state("coherent", nbar=1.0)
+    state = probe_state("coherent", nbar=1.0)
     f = qfim_mode_split(state, families["gaussian-beam"])
     elapsed = time.perf_counter() - start
 
@@ -107,7 +107,7 @@ def test_criterion_01_beam_information_matrix(families):
 
 
 def test_criterion_02_pulse_structure(families):
-    state = make_state("coherent", nbar=1.0)
+    state = probe_state("coherent", nbar=1.0)
     f = qfim_mode_split(state, families["gaussian-pulse"])
     scale = np.max(np.abs(f))
     zeros_ok = abs(f[0, 1]) < 1e-10 * scale and abs(f[1, 2]) < 1e-10 * scale
@@ -146,7 +146,7 @@ def test_criterion_04_engine_self_consistency(families):
     for name in ("displaced-beam", "gaussian-pulse"):
         family = families[name]
         for spec in PROBE_GRID:
-            state = make_state(**spec)
+            state = probe_state(**spec)
             split = qfim_mode_split(state, family)
             single = qfim_single_mode(photon_statistics(spec), family)
             scale = max(np.max(np.abs(split)), 1e-30)
@@ -168,7 +168,7 @@ def test_criterion_04_engine_self_consistency(families):
 
     # record which scaling relates the engine values to the published
     # closed forms on every number-information-bearing entry
-    state = make_state("coherent", nbar=1.0)
+    state = probe_state("coherent", nbar=1.0)
     info = number_information(state)
     mean_n = 1.0
     zr = K * W0**2 / 2.0
@@ -208,7 +208,7 @@ def test_criterion_05_thermal_probe(families):
     ok = True
     details = []
     for nbar in (0.5, 2.0):
-        state = make_state("thermal", nbar=nbar)
+        state = probe_state("thermal", nbar=nbar)
         f = qfim_mode_split(state, family)
         scale = np.max(np.abs(f))
         phase_ok = abs(f[0, 0]) < 1e-10 * scale and abs(f[0, 2]) < 1e-10 * scale
@@ -288,7 +288,7 @@ def test_criterion_08_matrix_properties(families):
     worst_chain = np.inf
     for family in families.values():
         for spec in PROBE_GRID:
-            state = make_state(**spec)
+            state = probe_state(**spec)
             f = qfim_mode_split(state, family)
             scale = max(np.max(np.abs(f)), 1e-30)
             worst_sym = max(worst_sym, np.max(np.abs(f - f.T)) / scale)
@@ -385,7 +385,7 @@ def test_criterion_10_determinism(families, tmp_path):
         for name in ("report.json", "qfim.csv", "qfim_inverse.csv")
     )
 
-    state = make_state("coherent", nbar=1.0)
+    state = probe_state("coherent", nbar=1.0)
     coarse = np.diag(qfim_mode_split(state, families["gaussian-beam"]))
     fine_family = gaussian_beam_family(BeamGeometry(W0, K), points=512)
     fine = np.diag(qfim_mode_split(state, fine_family))

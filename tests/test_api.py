@@ -2,16 +2,23 @@
 
 The strong-mean-field route, the readout forward model, the Gram-Schmidt
 readout basis, the photon-number moments, the pairwise inner product, the
-mode-list wrapper and the Fock-operator helper are test oracles
-(``conftest.py``); a second way to build generators and a per-mode
-detection-mode builder are gone.
+mode-list wrapper, the Fock-operator helper and the one-mode Fock states of
+the named probe kinds are test oracles (``conftest.py``); a second way to
+build generators, a per-mode detection-mode builder, a second check of
+coefficient input and the report wrappers of the CLI are gone.  The
+README's library example runs as written.
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import modal_qcrb
+from modal_qcrb.states import ProbeKind
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     "__version__",
@@ -85,6 +92,17 @@ ORACLES_AND_DUPLICATES = (
     "mode_norm",
     "detection_mode",
     "apply_quadratic",
+    "_coherent_amplitudes",
+    "_fock_amplitudes",
+    "_thermal_probabilities",
+    "_squeezed_amplitudes",
+    "_SEARCH_LEVELS",
+    "_suggest_cutoff",
+    "_embed",
+    "_coefficient_stack",
+    "_check_coefficients",
+    "ReportBundle",
+    "RunResult",
 )
 
 
@@ -98,7 +116,8 @@ def test_every_public_name_resolves():
 
 
 @pytest.mark.parametrize(
-    "module", ["modal_qcrb", "modal_qcrb.engine", "modal_qcrb.states", "modal_qcrb.modes"]
+    "module",
+    ["modal_qcrb", "modal_qcrb.engine", "modal_qcrb.states", "modal_qcrb.modes", "modal_qcrb.cli"],
 )
 def test_oracles_are_not_library_names(module):
     namespace = importlib.import_module(module)
@@ -110,3 +129,19 @@ def test_oracle_tolerances_are_not_library_tolerances():
 
     assert not hasattr(tolerances, "TAU_COV")
     assert not hasattr(tolerances, "TAU_OVERLAP")
+
+
+def test_probe_kinds_hold_only_spec_fields_and_closed_forms():
+    assert ProbeKind._fields == ("fields", "statistics")
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:  # the second block reads the names of the first
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["compat"].attainable
+    gaps = [float(line) for line in capsys.readouterr().out.splitlines() if re.fullmatch(r"[-+.e\d]+", line)]
+    assert len(gaps) == 2 and max(gaps) < 1e-14

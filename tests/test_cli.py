@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from modal_qcrb.cli import (
     REPORT_SCHEMA,
-    ReportBundle,
     _json_text,
     _write_atomic,
     export_detection_modes_for,
@@ -229,7 +228,7 @@ class TestQfimCommand:
             "pinv_rcond",
         }
 
-    def test_bundle_round_trip(self, tmp_path):
+    def test_report_json_round_trip(self, tmp_path):
         out = tmp_path / "run"
         run_cli(
             [
@@ -245,8 +244,7 @@ class TestQfimCommand:
             ]
         )
         text = (out / "report.json").read_text()
-        bundle = ReportBundle.from_json(text)
-        assert bundle.to_json() + "\n" == text
+        assert _json_text(json.loads(text)) + "\n" == text
 
 
 class TestCarrierFiniteDifference:
@@ -465,9 +463,9 @@ class TestDetectionModesCommand:
         from conftest import with_idle_parameter
 
         padded = with_idle_parameter(displaced_family)
-        bundle = export_detection_modes_for(padded, tmp_path / "deg")
-        assert bundle.report["degenerate"] == [False, False, True]
-        assert bundle.report["weights"][2] == 0.0
+        sidecar = export_detection_modes_for(padded, tmp_path / "deg")
+        assert sidecar["degenerate"] == [False, False, True]
+        assert sidecar["weights"][2] == 0.0
         lines = (tmp_path / "deg" / "modes_idle.csv").read_text().strip().splitlines()
         assert len(lines) == 1  # header only
 
@@ -534,12 +532,12 @@ class TestModeExportFormat:
         from modal_qcrb.engine import _readout_basis
 
         family = request.getfixturevalue(fixture)
-        bundle = export_detection_modes_for(family, tmp_path)
+        sidecar = export_detection_modes_for(family, tmp_path)
         detections = detection_modes_for(family)
         readout, _, _ = _readout_basis(family, detections)
         expected = per_value_mode_rows(family, detections, readout)
         header = "x,y" if family.grid.ndim == 2 else "omega"
-        for label in bundle.report["labels"]:
+        for label in sidecar["labels"]:
             text = "\n".join([f"{header},detection_re,detection_im,readout_re,readout_im"] + expected[label]) + "\n"
             assert (tmp_path / f"modes_{label}.csv").read_bytes() == text.encode()
 

@@ -28,6 +28,7 @@ from modal_qcrb import (
     qfim_unitary,
 )
 from modal_qcrb import states
+from modal_qcrb.modes import _hermitian
 from modal_qcrb.states import first_moments, operator_matrix_elements
 from modal_qcrb.tolerances import TAU_PROB
 from conftest import (
@@ -46,6 +47,7 @@ from conftest import (
     hermite_gaussian_samples,
     inner_product,
     number_moments,
+    probe_state,
     qfim_mean_field,
     quadrature_covariance,
     random_density_state,
@@ -120,18 +122,18 @@ class TestBuildGenerators:
 class TestQfimUnitary:
     def test_coherent_number_generator(self):
         # phase generated by N on a coherent state: 4 * Poisson variance
-        state = make_state("coherent", nbar=3.0)
+        state = probe_state("coherent", nbar=3.0)
         f = qfim_unitary(state, np.eye(1, dtype=complex)[None])
         assert f[0, 0] == pytest.approx(4.0 * 3.0, rel=1e-8)
 
     def test_thermal_number_generator_vanishes(self):
-        state = make_state("thermal", nbar=1.0)
+        state = probe_state("thermal", nbar=1.0)
         f = qfim_unitary(state, np.eye(1, dtype=complex)[None])
         assert abs(f[0, 0]) < 1e-10
         assert abs(brute_force_qfim(state, np.eye(1), np.eye(1))) < 1e-10
 
     def test_fock_number_generator_vanishes(self):
-        state = make_state("fock", n=2)
+        state = probe_state("fock", n=2)
         f = qfim_unitary(state, np.eye(1, dtype=complex)[None])
         assert abs(f[0, 0]) < 1e-12
 
@@ -139,7 +141,7 @@ class TestQfimUnitary:
         # a thermal probe and each one-mode generator are diagonal in the
         # number basis: no term of the populated part is left to round off
         family = gaussian_beam_family(BeamGeometry(1.3, 25.0), carrier_phase=True, points=512)
-        state = make_state("thermal", nbar=1.0)
+        state = probe_state("thermal", nbar=1.0)
         f = qfim_unitary(state, build_generators(family))
         assert np.all(f == 0.0)
 
@@ -173,33 +175,67 @@ class TestQfimUnitary:
                 assert f[a, b] == pytest.approx(expected, abs=1e-10)
 
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 3), (1, 2, 2, 2), (2,)])
+    def test_rejects_coefficient_shape(self, shape):
+        state = random_density_state(np.random.default_rng(4), FockSpace(n_modes=2, cutoff=2), 1)
+        with pytest.raises(StructuralError, match="coefficient shape"):
+            qfim_unitary(state, np.zeros(shape, dtype=complex))
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        state = random_density_state(np.random.default_rng(6), FockSpace(n_modes=2, cutoff=3), 2)
+        coeff = np.array([[1.0, 0.5j], [-0.5j, 0.3]])
+        f = qfim_unitary(state, coeff)
+        assert f.dtype == np.float64 and f.shape == (1, 1)
+        assert np.array_equal(f, qfim_unitary(state, coeff[None]))
+
+
+class TestSymmetrization:
+    """One symmetrization, _hermitian, for the overlap table and both QFIM terms."""
+
+    def test_real_input_matches_the_two_triangle_form(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 6):
+            for _ in range(40):
+                f = rng.normal(size=(n, n)) * rng.integers(0, 2, size=(n, n))
+                f *= rng.choice([-1.0, 1.0], size=(n, n))  # zeros of both signs
+                got = _hermitian(f)
+                expected = np.triu(f) + np.triu(f, 1).T
+                assert got.dtype == np.float64
+                assert got.tobytes() == expected.tobytes()
+
+    def test_real_one_by_one_stays_real(self):
+        got = _hermitian(np.array([[-0.0]]))
+        assert got.dtype == np.float64 and not np.signbit(got[0, 0])
+        assert _hermitian(np.array([[2.0 - 1e-17j]])).tobytes() == np.array([[2.0 + 0j]]).tobytes()
+
+
 class TestQfimModeSplit:
     def test_displaced_beam_coherent(self, displaced_family):
-        state = make_state("coherent", nbar=2.0)
+        state = probe_state("coherent", nbar=2.0)
         f = qfim_mode_split(state, displaced_family)
         expected = 4.0 * 2.0 / W0**2
         assert np.allclose(np.diag(f), expected, rtol=1e-8)
         assert abs(f[0, 1]) < 1e-10
 
     def test_vacuum_probe_gives_zero(self, displaced_family):
-        state = make_state("fock", n=0)
+        state = probe_state("fock", n=0)
         f = qfim_mode_split(state, displaced_family)
         assert np.max(np.abs(f)) < 1e-12
 
     def test_beam_tilt_entry(self, beam_family):
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         f = qfim_mode_split(state, beam_family)
         assert f[4, 4] == pytest.approx(K**2 * W0**2, rel=1e-6)
 
     def test_doubling_photons_doubles_amplitude_entries(self, displaced_family):
-        f1 = qfim_mode_split(make_state("coherent", nbar=1.0), displaced_family)
-        f2 = qfim_mode_split(make_state("coherent", nbar=2.0), displaced_family)
+        f1 = qfim_mode_split(probe_state("coherent", nbar=1.0), displaced_family)
+        f2 = qfim_mode_split(probe_state("coherent", nbar=2.0), displaced_family)
         assert np.allclose(2.0 * f1, f2, rtol=1e-9)
 
     def test_vacuum_term_is_psd_with_bounded_trace(self, beam_family):
         # the leakage part is a Gram-type matrix; for one populated mode
         # its trace equals 4 <N> sum_a (d_a f | Pi_vac | d_a f)
-        state = make_state("coherent", nbar=1.5)
+        state = probe_state("coherent", nbar=1.5)
         gens = build_generators(beam_family)
         full = qfim_mode_split(state, beam_family)
         pop_part = qfim_unitary(state, gens)
@@ -226,7 +262,7 @@ class TestQfimSingleMode:
     def test_agrees_with_mode_split(self, request, spec):
         # same matrix and attainability flags as the truncated-Fock route,
         # within its truncation budget
-        state = make_state(**spec)
+        state = probe_state(**spec)
         statistics = photon_statistics(spec)
         for fixture in ("beam_family", "beam_carrier_family", "pulse_family", "displaced_family"):
             family = request.getfixturevalue(fixture)
@@ -258,7 +294,7 @@ class TestQfimSingleMode:
         family = request.getfixturevalue(fixture)
         spec = {"kind": "coherent", "nbar": 1.0}
         a = qfim_single_mode(photon_statistics(spec), family)
-        b = qfim_mode_split(make_state(**spec), family)
+        b = qfim_mode_split(probe_state(**spec), family)
         assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-6
 
     def test_roundoff_negative_diagonal_is_zeroed(self):
@@ -266,7 +302,7 @@ class TestQfimSingleMode:
 
         family = gaussian_pulse_family(PulseSpectrum(100.0, 1.0))
         spec = {"kind": "fock", "n": 2}
-        for f in (qfim_single_mode(photon_statistics(spec), family), qfim_mode_split(make_state(**spec), family)):
+        for f in (qfim_single_mode(photon_statistics(spec), family), qfim_mode_split(probe_state(**spec), family)):
             assert 0.0 <= f[0, 0] < 1e-9 * np.max(np.abs(f))
 
     def test_large_negative_diagonal_is_kept(self):
@@ -360,7 +396,7 @@ class TestAttainability:
     def test_single_parameter_always_attainable(self, displaced_family):
         gens = build_generators(displaced_family)
 
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         result = attainability(state, gens)
         assert result.attainable
         assert np.max(np.abs(result.matrix)) < 1e-12
@@ -368,7 +404,7 @@ class TestAttainability:
     def test_beam_displacement_tilt_commutator(self, beam_family):
         # Im(d_x0 f | d_tilt f) = k/2, so the commutator expectation is k N
         for nbar in (1.0, 2.5):
-            state = make_state("coherent", nbar=nbar)
+            state = probe_state("coherent", nbar=nbar)
             gens = build_generators(beam_family)
             result = attainability(state, gens)
             assert not result.attainable
@@ -380,14 +416,14 @@ class TestAttainability:
         # the double-sum correction vanishes for one populated mode, so the
         # mixed-state value is still 2 Im(overlap) <N>
         nbar = 2.0
-        state = make_state("thermal", nbar=nbar)
+        state = probe_state("thermal", nbar=nbar)
         gens = build_generators(beam_family)
         result = attainability(state, gens)
         mean_n, _ = number_moments(state)
         assert result.matrix[0, 4] == pytest.approx(K * mean_n, rel=1e-7)
 
     def test_antisymmetry_exact(self, beam_family):
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         result = attainability(state, build_generators(beam_family))
         assert np.array_equal(result.matrix, -result.matrix.T)
 
@@ -405,7 +441,7 @@ class TestAttainability:
             assert np.max(np.abs(mixed - pure)) < 1e-10 * max(np.max(np.abs(pure)), 1.0)
 
     def test_real_residual_small(self, beam_family):
-        state = make_state("thermal", nbar=1.0)
+        state = probe_state("thermal", nbar=1.0)
         result = attainability(state, build_generators(beam_family))
         assert result.real_residual < 1e-8 * max(np.max(np.abs(result.matrix)), 1.0)
 
@@ -414,7 +450,7 @@ class TestAttainability:
         # whatever the probe statistics
         gens = build_generators(beam_family)
         for spec in ({"kind": "coherent", "nbar": 1.5}, {"kind": "thermal", "nbar": 0.8}):
-            state = make_state(**spec)
+            state = probe_state(**spec)
             mean_n, _ = number_moments(state)
             mixed = attainability(state, gens)
             single = attainability_single_mode(beam_family, photon_statistics(spec))
@@ -590,7 +626,7 @@ class TestDegenerateParameter:
         from conftest import with_idle_parameter
 
         padded = with_idle_parameter(displaced_family)
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         f = qfim_mode_split(state, padded)
         assert np.max(np.abs(f[2, :])) == 0.0
         assert np.max(np.abs(f[:, 2])) == 0.0
@@ -641,7 +677,7 @@ class TestCrbBounds:
 
     def test_pulse_phase_block_penalty(self, pulse_family):
         # direct 2x2 inversion oracle on the phase/broadening block
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         f = qfim_mode_split(state, pulse_family)
         block = f[np.ix_([0, 2], [0, 2])]
         report = crb_bounds(block, labels=("t_phase", "t_gvd"))
@@ -675,7 +711,7 @@ class TestCrbBounds:
             crb_bounds(np.diag([bad, 1.0]))
 
     def test_bound_chain(self, beam_family):
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         f = qfim_mode_split(state, beam_family)
         report = crb_bounds(f, repetitions=3, labels=beam_family.parameters)
         for a in range(6):

@@ -16,7 +16,6 @@ from modal_qcrb import (
     displaced_beam_family,
     gaussian_beam_family,
     gaussian_pulse_family,
-    make_state,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
@@ -32,6 +31,7 @@ from conftest import (
     mode_norm,
     number_information,
     number_moments,
+    probe_state,
 )
 
 PROBES = (
@@ -57,7 +57,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("name", sorted(FAMILY_REGISTRY))
     def test_engine_matches_closed_form(self, request, name, spec):
         family = all_families()[name]
-        state = make_state(**spec)
+        state = probe_state(**spec)
         mean_n, _ = number_moments(state)
         info = number_information(state)
         oracle = family.oracle_qfim(mean_n, info)
@@ -106,7 +106,7 @@ class TestDerivativeNorms:
 
 class TestSymmetryAndNormalization:
     def test_x_y_exchange_maps_information_matrix(self, beam_family):
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         f = qfim_mode_split(state, beam_family)
         swap = [1, 0, 2, 3, 5, 4]  # x0<->y0, tilt_x<->tilt_y
         swapped = f[np.ix_(swap, swap)]
@@ -153,7 +153,7 @@ class TestCarrierVariant:
         assert weight > 1e9 * float(engine._weight_floors(family)[2])
 
     def test_axial_entry_differs_from_base(self, beam_family, beam_carrier_family):
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         base = qfim_mode_split(state, beam_family)
         carrier = qfim_mode_split(state, beam_carrier_family)
         assert carrier[2, 2] > 10.0 * base[2, 2]
@@ -174,7 +174,7 @@ class TestCarrierVariant:
     def test_off_diagonals_reported_small(self, beam_carrier_family):
         # computed, not asserted against a closed form: the carrier family
         # still yields a numerically diagonal matrix at this geometry
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         f = qfim_mode_split(state, beam_carrier_family)
         off = f - np.diag(np.diag(f))
         assert np.max(np.abs(off)) < 1e-8 * np.max(np.abs(f))

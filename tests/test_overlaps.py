@@ -20,7 +20,6 @@ from modal_qcrb import (
     detection_modes_for,
     finite_difference_family,
     gaussian_beam_family,
-    make_state,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
@@ -31,6 +30,7 @@ from conftest import (
     family_from_modes,
     gram_schmidt,
     inner_product,
+    probe_state,
     random_mode_parameter_data,
 )
 
@@ -263,7 +263,7 @@ class TestReadoutBasis:
 
     def test_squared_pivot_above_tau_rank_is_kept(self, tmp_path):
         family = self.pair_family(1e-3)
-        sidecar = cli.export_detection_modes_for(family, tmp_path).report["readout_basis"]
+        sidecar = cli.export_detection_modes_for(family, tmp_path)["readout_basis"]
         assert sidecar["kept"] == ["a", "b"]
         assert sidecar["dependent_on_predecessors"] == []
         assert sidecar["pivot_norms"]["b"] == pytest.approx(1e-3, rel=1e-9)
@@ -273,7 +273,7 @@ class TestReadoutBasis:
         # matrix resolves, is below it; Gram-Schmidt on the samples, which
         # held the pivot itself to TAU_RANK, kept this mode
         family = self.pair_family(1e-6)
-        sidecar = cli.export_detection_modes_for(family, tmp_path).report["readout_basis"]
+        sidecar = cli.export_detection_modes_for(family, tmp_path)["readout_basis"]
         assert sidecar["kept"] == ["a"]
         assert sidecar["dependent_on_predecessors"] == ["b"]
         assert sidecar["pivot_norms"]["b"] == pytest.approx(1e-6, rel=1e-3)
@@ -285,7 +285,7 @@ def test_finite_difference_step_follows_small_parameter_scales():
     # at k = 1e5 the tilt scale is 1e-5: a step floored at 1e-4 would tilt
     # the phase by tens of radians across the grid
     family = gaussian_beam_family(BeamGeometry(waist=1.0, wavenumber=1e5))
-    state = make_state("coherent", nbar=1.0)
+    state = probe_state("coherent", nbar=1.0)
     analytic = qfim_mode_split(state, family)
     fd = qfim_mode_split(state, finite_difference_family(family))
     scale = np.sqrt(np.outer(np.diag(analytic), np.diag(analytic)))
@@ -306,7 +306,7 @@ class TestFamilyDerivativeRule:
         family, calls = self.counted(pulse_family)
         spec = {"kind": "coherent", "nbar": 1.0}
         build_generators(family)
-        qfim_mode_split(make_state(**spec), family)
+        qfim_mode_split(probe_state(**spec), family)
         qfim_single_mode(photon_statistics(spec), family)
         attainability_single_mode(family, photon_statistics(spec))
         # P * M derivative modes in all, not P * M per call
@@ -325,7 +325,7 @@ class TestFamilyDerivativeRule:
             n_modes=2,
         )
         family, calls = self.counted(family)
-        state = make_state("coherent", FockSpace(2, 14), nbar=1.0)
+        state = probe_state("coherent", FockSpace(2, 14), nbar=1.0)
         build_generators(family)
         qfim_mode_split(state, family)
         assert sorted(calls) == [(k, a) for k in range(2) for a in range(3)]
@@ -443,8 +443,8 @@ def test_one_degeneracy_rule_for_report_and_export(tmp_path, monkeypatch, displa
         state={"kind": "coherent", "nbar": 1.0},
         out=tmp_path,
     )
-    report = cli._assemble_report(config).bundle.report["detection_modes"]
-    sidecar = cli.export_detection_modes_for(family, tmp_path).report
+    report = cli._assemble_report(config)[0]["detection_modes"]
+    sidecar = cli.export_detection_modes_for(family, tmp_path)
     assert 0.0 < report["weights"][1] < 1e-12
     assert report["degenerate"] == sidecar["degenerate"] == [False, True]
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from modal_qcrb import (
     ConfigError,
     CutoffError,
+    DensityState,
     FockSpace,
     Mode,
     PreconditionError,
@@ -39,6 +40,7 @@ from conftest import (
     hermite_gaussian_samples,
     number_information,
     number_moments,
+    probe_state,
     quadrature_covariance,
     random_density_state,
 )
@@ -57,24 +59,24 @@ def thermal_series_moment(nbar: float, power: int, terms: int) -> float:
 
 class TestConstructors:
     def test_fock_moments(self):
-        state = make_state("fock", n=3)
+        state = probe_state("fock", n=3)
         mean, second = number_moments(state)
         assert mean == pytest.approx(3.0, abs=1e-12)
         assert second == pytest.approx(9.0, abs=1e-12)  # zero number variance
 
     def test_fractional_fock_number_rejected(self):
         with pytest.raises(StructuralError, match="whole number"):
-            make_state("fock", n=2.5)
-        assert number_moments(make_state("fock", n=2.0))[0] == pytest.approx(2.0)
+            probe_state("fock", n=2.5)
+        assert number_moments(probe_state("fock", n=2.0))[0] == pytest.approx(2.0)
 
     def test_coherent_poisson_variance(self):
-        state = make_state("coherent", nbar=4.0)
+        state = probe_state("coherent", nbar=4.0)
         mean, second = number_moments(state)
         assert mean == pytest.approx(4.0, rel=1e-9)
         assert second - mean**2 == pytest.approx(4.0, rel=1e-8)
 
     def test_thermal_second_moment_vs_series_oracle(self):
-        state = make_state("thermal", nbar=1.0)
+        state = probe_state("thermal", nbar=1.0)
         _, second = number_moments(state)
         # exact match to the series oracle at the same truncation,
         # and the closed form 2 nbar^2 + nbar up to the truncated tail
@@ -83,21 +85,21 @@ class TestConstructors:
         assert second == pytest.approx(3.0, rel=1e-7)
 
     def test_thermal_number_moments_small_nbar(self):
-        state = make_state("thermal", nbar=0.5)
+        state = probe_state("thermal", nbar=0.5)
         mean, second = number_moments(state)
         assert mean == pytest.approx(0.5, rel=1e-7)
         assert second == pytest.approx(1.0, rel=1e-7)
 
     def test_squeezed_vacuum_photon_number(self):
         r = 0.4
-        state = make_state("squeezed-vacuum", r=r)
+        state = probe_state("squeezed-vacuum", r=r)
         mean, _ = number_moments(state)
         assert mean == pytest.approx(math.sinh(r) ** 2, rel=1e-8)
 
     def test_squeezed_vacuum_quadrature_variance(self):
         # Fock-space check of Var(q) = exp(-2r) for the squeezed quadrature
         r = 0.4
-        state = make_state("squeezed-vacuum", r=r)
+        state = probe_state("squeezed-vacuum", r=r)
         lower = dense_ladder(state.space.levels)
         q = lower + lower.conj().T
         vec = state.vectors[:, 0]
@@ -112,7 +114,7 @@ class TestConstructors:
             {"kind": "fock", "n": 4},
             {"kind": "squeezed-vacuum", "r": 0.3, "phi": 0.7},
         ):
-            state = make_state(**spec)
+            state = probe_state(**spec)
             assert state.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
             gram = state.vectors.conj().T @ state.vectors
             assert np.max(np.abs(gram - np.eye(state.rank))) < 1e-10
@@ -120,13 +122,13 @@ class TestConstructors:
     def test_small_cutoff_raises_with_suggestion(self):
         space = FockSpace(n_modes=1, cutoff=4)
         with pytest.raises(CutoffError) as err:
-            make_state("coherent", space, nbar=6.0)
+            probe_state("coherent", space, nbar=6.0)
         assert err.value.suggested_cutoff is not None
         assert err.value.suggested_cutoff > 4
 
     def test_cap_exceeded_raises(self):
         with pytest.raises(CutoffError):
-            make_state("thermal", nbar=8.0)
+            probe_state("thermal", nbar=8.0)
 
     def test_cutoff_robustness(self):
         # moments move by less than the truncated weighted tail when the
@@ -135,8 +137,8 @@ class TestConstructors:
             {"kind": "coherent", "nbar": 2.0},
             {"kind": "thermal", "nbar": 1.0},
         ):
-            base = make_state(**spec)
-            bigger = make_state(**spec, space=FockSpace(1, base.space.cutoff + 4))
+            base = probe_state(**spec)
+            bigger = probe_state(**spec, space=FockSpace(1, base.space.cutoff + 4))
             m1 = np.array(number_moments(base))
             m2 = np.array(number_moments(bigger))
             assert np.max(np.abs(m1 - m2) / np.abs(m2)) < 1e-7
@@ -152,10 +154,65 @@ class TestConstructors:
         assert mean == pytest.approx(0.25, abs=1e-12)
 
 
+class TestMakeState:
+    """make_state builds custom states only; a named kind is photon_statistics."""
+
+    def test_custom_form_is_the_density_state(self):
+        space = FockSpace(n_modes=2, cutoff=3)
+        expected = random_density_state(np.random.default_rng(5), space, rank=3)
+        state = make_state(
+            "custom",
+            space,
+            probabilities=list(expected.probabilities),
+            vectors=expected.vectors.tolist(),
+        )
+        assert isinstance(state, DensityState) and state.space == space
+        assert state.probabilities.dtype == float and state.vectors.dtype == complex
+        assert np.array_equal(state.probabilities, expected.probabilities)
+        assert np.array_equal(state.vectors, expected.vectors)
+
+    @pytest.mark.parametrize("spec", [{"kind": "coherent", "nbar": 1.0}, {"kind": "fock", "n": 2}], ids=str)
+    def test_named_kind_points_to_photon_statistics(self, spec):
+        with pytest.raises(StructuralError, match="photon_statistics"):
+            make_state(**spec)
+        with pytest.raises(StructuralError, match="photon_statistics"):
+            make_state(spec["kind"], FockSpace(1, 8))
+
+    @pytest.mark.parametrize("given", ["probabilities", "vectors"])
+    def test_missing_array_is_a_type_error(self, given):
+        arrays = {"probabilities": [1.0], "vectors": np.eye(4, 1)}
+        with pytest.raises(TypeError):
+            make_state("custom", FockSpace(1, 3), **{given: arrays[given]})
+
+    def test_custom_state_needs_a_space(self):
+        with pytest.raises(StructuralError, match="explicit space"):
+            make_state("custom", probabilities=[1.0], vectors=np.eye(4, 1))
+
+
+class TestDensityStateChecks:
+    """Every check of a state's arrays fails closed on a non-finite value."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability(self, bad):
+        with pytest.raises(StructuralError, match="non-finite"):
+            DensityState(FockSpace(1, 4), [bad, 0.5], np.eye(5)[:, :2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_eigenvector(self, bad):
+        vectors = np.eye(5, 2, dtype=complex)
+        vectors[1, 0] = bad
+        with pytest.raises(StructuralError, match="non-finite"):
+            DensityState(FockSpace(1, 4), [0.5, 0.5], vectors)
+
+    def test_finite_state_is_accepted(self):
+        state = DensityState(FockSpace(1, 4), [0.5, 0.5], np.eye(5)[:, :2])
+        assert first_moments(state)[0, 0].real == pytest.approx(0.5)
+
+
 class TestPhotonStatistics:
     @pytest.mark.parametrize("spec", FOCK_ROUTE_PROBES, ids=str)
     def test_matches_truncated_fock_route(self, spec):
-        state = make_state(**spec)
+        state = probe_state(**spec)
         mean, _ = number_moments(state)
         statistics = photon_statistics(spec)
         assert statistics.mean == pytest.approx(mean, rel=1e-8, abs=1e-12)
@@ -174,15 +231,15 @@ class TestPhotonStatistics:
 
 
 def suggested_cutoff(spec: dict) -> int:
-    """The cutoff make_state picks for a spec, or suggests beyond the cap."""
+    """The cutoff probe_state picks for a spec, or suggests beyond the cap."""
     try:
-        return make_state(**spec).space.cutoff
+        return probe_state(**spec).space.cutoff
     except CutoffError as err:
         return err.suggested_cutoff
 
 
 class TestProbeSpecs:
-    """make_state and photon_statistics check a spec as the CLI does."""
+    """probe_state and photon_statistics check a spec as the CLI does."""
 
     @pytest.mark.parametrize(
         "spec, field",
@@ -203,7 +260,7 @@ class TestProbeSpecs:
         with pytest.raises(ConfigError, match=pattern):
             photon_statistics(spec)
         with pytest.raises(ConfigError, match=pattern):
-            make_state(**spec)
+            probe_state(**spec)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -259,7 +316,7 @@ class TestProbeSpecs:
 
     @pytest.mark.parametrize("nbar", [0.0, 0.3, 2.0, 20.0])
     def test_coherent_amplitudes_match_the_poisson_form(self, nbar):
-        state = make_state("coherent", nbar=nbar)
+        state = probe_state("coherent", nbar=nbar)
         n = np.arange(state.space.levels)
         expected = np.array([math.sqrt(nbar**k / math.factorial(k)) for k in n])
         expected /= np.linalg.norm(expected)
@@ -267,7 +324,7 @@ class TestProbeSpecs:
 
     @pytest.mark.parametrize("r, phi", [(0.3, 0.0), (-0.7, 1.1), (0.5, -2.0)])
     def test_squeezed_amplitudes_match_the_closed_form(self, r, phi):
-        state = make_state("squeezed-vacuum", r=r, phi=phi)
+        state = probe_state("squeezed-vacuum", r=r, phi=phi)
         expected = np.zeros(state.space.levels, dtype=complex)
         for m in range((state.space.levels + 1) // 2):
             expected[2 * m] = (-np.exp(1j * phi) * math.tanh(r)) ** m * math.sqrt(
@@ -288,12 +345,12 @@ def two_mode_superposition() -> tuple[FockSpace, np.ndarray]:
 
 class TestMoments:
     def test_vacuum_first_moments_vanish(self):
-        state = make_state("fock", n=0)
+        state = probe_state("fock", n=0)
         assert np.allclose(first_moments(state), 0.0)
 
     def test_coherent_occupation(self):
         space = FockSpace(n_modes=2, cutoff=24)
-        state = make_state("coherent", space, nbar=3.0, mode=0)
+        state = probe_state("coherent", space, nbar=3.0, mode=0)
         m = first_moments(state)
         assert m[0, 0].real == pytest.approx(3.0, rel=1e-9)
         assert abs(m[0, 1]) < 1e-12
@@ -320,25 +377,25 @@ class TestMoments:
         assert np.array_equal(moments, expected)
 
     def test_trace_is_mean_photon_number(self):
-        state = make_state("thermal", nbar=0.7)
+        state = probe_state("thermal", nbar=0.7)
         mean, _ = number_moments(state)
         assert np.trace(first_moments(state)).real == pytest.approx(mean, abs=1e-12)
 
     def test_second_moment_bound(self):
         for spec in ({"kind": "coherent", "nbar": 1.3}, {"kind": "thermal", "nbar": 0.9}):
-            mean, second = number_moments(make_state(**spec))
+            mean, second = number_moments(probe_state(**spec))
             assert second >= mean**2 - 1e-12
 
 
 class TestOperatorMatrixElements:
     def test_number_operator_on_fock(self):
-        state = make_state("fock", n=3)
+        state = probe_state("fock", n=3)
         block = operator_matrix_elements(state, np.eye(1))
         assert block.shape == (1, 1)
         assert block[0, 0].real == pytest.approx(3.0, abs=1e-12)
 
     def test_number_operator_on_coherent(self):
-        state = make_state("coherent", nbar=2.0)
+        state = probe_state("coherent", nbar=2.0)
         block = operator_matrix_elements(state, np.eye(1))
         assert block[0, 0].real == pytest.approx(2.0, rel=1e-9)
 
@@ -346,7 +403,7 @@ class TestOperatorMatrixElements:
         from modal_qcrb import build_generators
 
         gens = build_generators(pulse_family)
-        state = make_state("coherent", nbar=1.0)
+        state = probe_state("coherent", nbar=1.0)
         stacked = operator_matrix_elements(state, gens)
         assert stacked.shape == (3, 1, 1)
         single = operator_matrix_elements(state, gens.matrices[0])
@@ -463,7 +520,7 @@ class TestGaussianStates:
         f0 = basis.modes[0]
         from modal_qcrb import DetectionMode
 
-        state = make_state("coherent", nbar=1.5)
+        state = probe_state("coherent", nbar=1.5)
         a = dense_ladder(state.space.levels)
         q = a + a.conj().T
         vec = state.vectors[:, 0]
@@ -494,7 +551,7 @@ class TestGaussianStates:
             basis,
         )
         # independent Fock oracle: squeezed (x) vacuum, q = (q0 + q1)/sqrt(2)
-        sq = make_state("squeezed-vacuum", r=r)
+        sq = probe_state("squeezed-vacuum", r=r)
         space2 = FockSpace(n_modes=2, cutoff=sq.space.cutoff)
         column = sq.vectors[:, 0]
         vacuum = np.zeros(space2.levels, dtype=complex)
