@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 engine/numerical failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -192,7 +193,7 @@ class RunConfig:
                 raise ConfigError(f"geometry.{key}: must be positive, got {value!r}")
 
         out = pick("out", "out", "qcrb-report")
-        if not isinstance(out, str):
+        if not isinstance(out, str) or not out:
             raise ConfigError(f"out: must be a directory path, got {out!r}")
         grid_points = pick("grid_points", "grid_points")
         if grid_points is not None:
@@ -211,9 +212,14 @@ class RunConfig:
             method = "finite-difference"
         if method not in ("analytic", "finite-difference"):
             raise ConfigError("derivative_method: 'analytic' or 'finite-difference'")
-        repetitions = whole_number("repetitions", pick("repetitions", "repetitions", 1))
-        if repetitions < 1:
-            raise ConfigError("repetitions: must be at least 1")
+        # only qfim writes bounds; the parser gives the others no --repetitions flag
+        repetitions = 1
+        if args.command == "qfim":
+            repetitions = whole_number("repetitions", pick("repetitions", "repetitions", 1))
+            if repetitions < 1:
+                raise ConfigError("repetitions: must be at least 1")
+        elif "repetitions" in raw:
+            raise ConfigError(f"repetitions: {args.command} writes no bounds; remove the key")
 
         return cls(
             family=family,
@@ -298,32 +304,46 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-def _create_out(out: Path) -> None:
-    """Create a run's output directory; a path that cannot be one is a config error."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out: cannot create directory '{out}': {exc.strerror or exc}") from exc
+def _write_run(out: Path, files) -> None:
+    """Write a run's ``(name, text)`` files into ``out``: all of them or none.
 
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file; the directory must exist.
-
-    An ``OSError`` is raised again naming ``path``, after the temporary
-    file is removed; ``path`` is then left as it was.
+    Each text goes to ``<name>.tmp<pid>`` as soon as it is produced, and
+    ``out`` is created when the first one is ready; a path that cannot be
+    a directory is a config error naming ``out``.  Only once every file is
+    staged are they renamed into place.  On any failure the staged files
+    are removed, so ``out`` keeps what it held unless a rename itself fails
+    midway; an ``OSError`` is raised again naming the file.
     """
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    staged: list[tuple[Path, Path]] = []  # (temporary file, target)
     try:
-        tmp.write_bytes(text.encode())
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
-
-
-def _write_matrix_csv(path: Path, labels, matrix: np.ndarray) -> None:
-    lines = [",".join(labels)] + _csv_rows(matrix)
-    _write_atomic(path, "\n".join(lines) + "\n")
+        for name, text in files:
+            if not staged:
+                try:
+                    out.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    reason = exc.strerror or exc
+                    raise ConfigError(f"out: cannot create directory '{out}': {reason}") from exc
+            target = out / name
+            tmp = target.with_name(f"{name}.tmp{os.getpid()}")
+            staged.append((tmp, target))
+            try:
+                # refused while staging: a rename onto a directory would
+                # fail only after the files before it were renamed
+                if target.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                tmp.write_bytes(text.encode())
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror or str(exc), str(target)) from exc
+            del text  # hold one file's text at a time, not two
+        for tmp, target in staged:
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror or str(exc), str(target)) from exc
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -423,64 +443,47 @@ def _assemble_report(config: RunConfig) -> tuple[dict, QfimReport]:
     return doc, report
 
 
-def run_qfim(config: RunConfig) -> None:
-    """Compute the information matrix and write report.json plus CSVs."""
+# Each command is a producer: it yields the (file name, text) pairs of a
+# run, in order, and touches no file; _write_run writes them.
+
+
+def _qfim_files(config: RunConfig):
+    """report.json, then the information matrix and its pseudo-inverse as CSV."""
     doc, bounds = _assemble_report(config)
-    labels = doc["qfim"]["labels"]
-    out = config.out
-    _create_out(out)
-    _write_atomic(out / "report.json", _json_text(doc) + "\n")
-    _write_matrix_csv(out / "qfim.csv", labels, bounds.qfim)
-    _write_matrix_csv(out / "qfim_inverse.csv", labels, bounds.pseudo_inverse)
+    yield "report.json", _json_text(doc) + "\n"
+    header = ",".join(doc["qfim"]["labels"])
+    for name, matrix in (("qfim.csv", bounds.qfim), ("qfim_inverse.csv", bounds.pseudo_inverse)):
+        yield name, "\n".join([header] + _csv_rows(matrix)) + "\n"
 
 
-def run_attainability(config: RunConfig) -> None:
-    """Write the per-pair attainability table, and compute nothing else."""
+def _attainability_files(config: RunConfig):
+    """The per-pair attainability table, and nothing else computed."""
     att = attainability_single_mode(_build_family(config), photon_statistics(config.state))
     rows = [
         "param_a,param_b,Im_overlap,normalized_Im_overlap,commutator_expectation,attainable_flag"
     ]
-    for pair in _attainability_pairs(att):
-        rows.append(
-            ",".join(
-                [
-                    pair["param_a"],
-                    pair["param_b"],
-                    _fmt(pair["im_overlap"]),
-                    _fmt(pair["normalized_im_overlap"]),
-                    _fmt(pair["commutator_expectation"]),
-                    str(pair["attainable"]).lower(),
-                ]
-            )
-        )
-    _create_out(config.out)
-    _write_atomic(config.out / "attainability.csv", "\n".join(rows) + "\n")
+    for p in _attainability_pairs(att):
+        numbers = [_fmt(p[k]) for k in ("im_overlap", "normalized_im_overlap", "commutator_expectation")]
+        rows.append(",".join([p["param_a"], p["param_b"], *numbers, str(p["attainable"]).lower()]))
+    yield "attainability.csv", "\n".join(rows) + "\n"
 
 
-def export_detection_modes(config: RunConfig) -> dict:
-    """Write per-parameter detection-mode samples and the readout basis."""
-    return export_detection_modes_for(_build_family(config), config.out)
-
-
-def export_detection_modes_for(family, out: Path) -> dict:
-    """Write a family's ``modes_<label>.csv`` files and return the sidecar it writes."""
+def _detection_mode_files(family):
+    """A family's ``modes_<label>.csv`` files, then their ``detection_modes.json`` sidecar."""
     detections = detection_modes_for(family)
     readout_samples, pivot_by_label, dependent_labels = _readout_basis(family, detections)
 
-    coords = family.grid.mesh()
     coord_names = ["x", "y"] if family.grid.ndim == 2 else ["omega"]
-    flat_coords = [c.ravel() for c in coords]
-
-    _create_out(out)
+    flat_coords = [c.ravel() for c in family.grid.mesh()]
+    header = ",".join(coord_names + ["detection_re", "detection_im", "readout_re", "readout_im"])
     for det in detections:
-        header = coord_names + ["detection_re", "detection_im", "readout_re", "readout_im"]
-        lines = [",".join(header)]
+        lines = [header]
         if not det.degenerate:
             samples = det.mode.samples.ravel()
             readout = readout_samples.get(det.label, np.zeros_like(samples))
             columns = flat_coords + [samples.real, samples.imag, readout.real, readout.imag]
             lines += _csv_rows(np.column_stack(columns))
-        _write_atomic(out / f"modes_{det.label}.csv", "\n".join(lines) + "\n")
+        yield f"modes_{det.label}.csv", "\n".join(lines) + "\n"
 
     sidecar = {
         "family": family.name,
@@ -495,8 +498,14 @@ def export_detection_modes_for(family, out: Path) -> dict:
             "become proportional; dependent modes carry no independent readout",
         },
     }
-    _write_atomic(out / "detection_modes.json", _json_text(sidecar) + "\n")
-    return sidecar
+    yield "detection_modes.json", _json_text(sidecar) + "\n"
+
+
+_COMMANDS = {
+    "qfim": _qfim_files,
+    "attainability": _attainability_files,
+    "detection-modes": lambda config: _detection_mode_files(_build_family(config)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +526,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, probe: bool) -> None:
         type=float,
         help="finite-difference step (selects the finite-difference derivative path)",
     )
-    parser.add_argument("--repetitions", type=int, help="measurement repetitions M")
 
 
 @functools.cache
@@ -534,6 +542,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_run_flags(p, probe=name != "detection-modes")
+        if name == "qfim":
+            p.add_argument("--repetitions", type=int, help="measurement repetitions M")
     sub.add_parser("list-families", help="print the family registry")
     return parser
 
@@ -556,23 +566,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         config = RunConfig.from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "qfim":
-            run_qfim(config)
-        elif args.command == "attainability":
-            run_attainability(config)
-        else:
-            export_detection_modes(config)
+        _write_run(config.out, _COMMANDS[args.command](config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ModalQcrbError as exc:
         print(f"{args.command} failed in {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # raised by _write_atomic, naming the file
+    except OSError as exc:  # raised by _write_run, naming the file
         print(f"{args.command} failed writing {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     return 0

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -25,6 +26,7 @@ from modal_qcrb import (
     make_state,
     qfim_unitary,
 )
+from modal_qcrb import cli
 from modal_qcrb.modes import _check_orthonormal, grid_gram
 from modal_qcrb.states import LoweredTable, _coefficient_matrices, _raise_sum, parse_probe
 from modal_qcrb.tolerances import MAX_CUTOFF, TAU_CUTOFF, TAU_QUAD, TAU_RANK
@@ -150,6 +152,12 @@ def with_idle_parameter(family):
         derivative_fn=derivative_fn,
         oracle_fn=None,
     )
+
+
+def export_detection_modes(family, out) -> dict:
+    """Write a family's detection-mode files into ``out`` as the CLI does; return the sidecar."""
+    cli._write_run(out, cli._detection_mode_files(family))
+    return json.loads((out / "detection_modes.json").read_text())
 
 
 def random_density_state(rng, space: FockSpace, rank: int):

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modal_qcrb import EvaluationError, cli
 from modal_qcrb.cli import (
     REPORT_SCHEMA,
     _json_text,
-    _write_atomic,
-    export_detection_modes_for,
+    _write_run,
     main,
 )
-from conftest import OMEGA0, VARIANCE, W0
+from modal_qcrb.families import FAMILY_REGISTRY, build_family
+from conftest import OMEGA0, VARIANCE, W0, export_detection_modes
 
 
 def read_matrix_csv(path):
@@ -463,7 +464,7 @@ class TestDetectionModesCommand:
         from conftest import with_idle_parameter
 
         padded = with_idle_parameter(displaced_family)
-        sidecar = export_detection_modes_for(padded, tmp_path / "deg")
+        sidecar = export_detection_modes(padded, tmp_path / "deg")
         assert sidecar["degenerate"] == [False, False, True]
         assert sidecar["weights"][2] == 0.0
         lines = (tmp_path / "deg" / "modes_idle.csv").read_text().strip().splitlines()
@@ -532,7 +533,7 @@ class TestModeExportFormat:
         from modal_qcrb.engine import _readout_basis
 
         family = request.getfixturevalue(fixture)
-        sidecar = export_detection_modes_for(family, tmp_path)
+        sidecar = export_detection_modes(family, tmp_path)
         detections = detection_modes_for(family)
         readout, _, _ = _readout_basis(family, detections)
         expected = per_value_mode_rows(family, detections, readout)
@@ -579,6 +580,24 @@ class TestListFamilies:
             "gaussian-pulse",
         }
         assert "build" not in listing["gaussian-beam"]
+
+    def test_prints_what_the_builders_build(self, capsys):
+        assert run_cli(["list-families"]) == 0
+        listing = json.loads(capsys.readouterr().out)
+        geometry = {
+            "gaussian-beam": {"w0": 1.0, "k": 10.0},
+            "gaussian-beam-carrier": {"w0": 1.0, "k": 10.0},
+            "gaussian-pulse": {"omega0": OMEGA0, "variance": VARIANCE},
+            "displaced-beam": {"w0": 1.0},
+        }
+        assert set(geometry) == set(FAMILY_REGISTRY) == set(listing)
+        for name, entry in FAMILY_REGISTRY.items():
+            assert set(geometry[name]) == set(entry["geometry"])
+            family = build_family(name, geometry[name])
+            assert list(family.parameters) == entry["parameters"] == listing[name]["parameters"]
+            points = entry["default_grid"]["points"]
+            assert listing[name]["default_grid"]["points"] == points
+            assert family.grid.shape == (points,) * family.grid.ndim
 
     def test_closed_stdout_ends_quietly(self):
         # the pipe closes long before the child has imported numpy and prints
@@ -641,7 +660,20 @@ class TestJsonText:
             _json_text(doc)
 
 
-class TestWriteAtomic:
+def snapshot(out):
+    """Every entry under ``out``: a file's bytes, or None for a directory."""
+    return {
+        str(p.relative_to(out)): None if p.is_dir() else p.read_bytes() for p in sorted(out.rglob("*"))
+    }
+
+
+class TestWriteRun:
+    """A run writes all its files or none: a failure leaves ``out`` as it was."""
+
+    BEAM = ["--family", "gaussian-beam", "--geometry", '{"w0": 1.0, "k": 10.0}', "--grid-points", "32"]
+    DISPLACED = ["--family", "displaced-beam", "--geometry", '{"w0": 2.0}', "--grid-points", "32"]
+    PROBE = ["--state", '{"kind": "coherent", "nbar": 1.0}']
+
     def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         path = tmp_path / "report.json"
         path.write_text("old\n")
@@ -651,11 +683,78 @@ class TestWriteAtomic:
 
         monkeypatch.setattr(os, "replace", no_space)
         with pytest.raises(OSError) as raised:
-            _write_atomic(path, "new\n")
+            _write_run(tmp_path, [("report.json", "new\n"), ("qfim.csv", "new\n")])
         assert raised.value.filename == str(path)
         assert raised.value.errno == errno.ENOSPC
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
         assert path.read_text() == "old\n"
+
+    def test_qfim_keeps_the_previous_report_when_a_csv_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["qfim", *self.DISPLACED, *self.PROBE, "--out", str(out)]) == 0
+        (out / "qfim.csv").unlink()
+        (out / "qfim.csv").mkdir()
+        before = snapshot(out)
+        assert run_cli(["qfim", *self.BEAM, *self.PROBE, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"qfim failed writing {out / 'qfim.csv'}: Is a directory\n"
+        assert snapshot(out) == before
+        assert json.loads((out / "report.json").read_text())["family"]["name"] == "displaced-beam"
+
+    def test_detection_modes_writes_no_csv_when_the_sidecar_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "detection_modes.json").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        before = snapshot(out)
+        assert run_cli(["detection-modes", *self.BEAM, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"detection-modes failed writing {out / 'detection_modes.json'}: Is a directory\n"
+        assert snapshot(out) == before
+
+    def test_failed_second_temporary_write_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert run_cli(["qfim", *self.DISPLACED, *self.PROBE, "--out", str(out)]) == 0
+        before = snapshot(out)
+        write_bytes = type(out).write_bytes
+        writes = []
+
+        def full_after_one(path, data):
+            writes.append(path.name)
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(type(out), "write_bytes", full_after_one)
+        assert run_cli(["qfim", *self.BEAM, *self.PROBE, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"qfim failed writing {out / 'qfim.csv'}: No space left on device\n"
+        assert [name.split(".tmp")[0] for name in writes] == ["report.json", "qfim.csv"]
+        assert snapshot(out) == before
+
+    def test_producer_that_raises_midway_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert run_cli(["detection-modes", *self.DISPLACED, "--out", str(out)]) == 0
+        before = snapshot(out)
+        csv_rows = cli._csv_rows
+        calls = []
+
+        def fails_on_the_second_file(columns):
+            calls.append(1)
+            if len(calls) == 2:
+                raise EvaluationError("samples lost")
+            return csv_rows(columns)
+
+        monkeypatch.setattr(cli, "_csv_rows", fails_on_the_second_file)
+        assert run_cli(["detection-modes", *self.BEAM, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "detection-modes failed in EvaluationError: samples lost\n"
+        assert snapshot(out) == before
+
+    def test_exception_from_the_producer_is_raised_again(self, tmp_path):
+        def files():
+            yield "a.csv", "a\n"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _write_run(tmp_path / "out", files())
+        assert snapshot(tmp_path / "out") == {}
 
 
 class TestConfigErrors:
@@ -741,6 +840,30 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err == f"{command} failed writing {out / name}: Is a directory\n"
         assert not [p for p in out.iterdir() if ".tmp" in p.name]
+
+    @pytest.mark.parametrize("command", ["attainability", "detection-modes"])
+    def test_repetitions_is_for_qfim_only(self, tmp_path, capsys, command):
+        # only qfim writes bounds: the others take no flag and refuse the key
+        out = tmp_path / "out"
+        argv = [command, "--family", "displaced-beam", "--geometry", '{"w0": 1.0}', "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv + ["--repetitions", "7"])
+        assert exit_info.value.code == 2
+        assert "--repetitions" in capsys.readouterr().err
+        assert self.run(tmp_path, self.base_for(command) | {"repetitions": 7}, command) == 2
+        assert capsys.readouterr().err.startswith("config error: repetitions: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        # an empty path would otherwise name the working directory
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.BASE | ({"out": ""} if source == "config" else {})))
+        argv = ["attainability", "--config", str(config)]
+        assert run_cli(argv + (["--out", ""] if source == "flag" else [])) == 2
+        assert capsys.readouterr().err == "config error: out: must be a directory path, got ''\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("flag", ["state", "geometry"])
     def test_json_flag_nested_too_deeply_exits_2(self, tmp_path, capsys, flag):

@@ -82,7 +82,8 @@ TARGETS = [
 def configs(draw, command):
     """A valid config for the command, with up to three entries corrupted.
 
-    ``detection-modes`` reads no probe, so its valid configs carry no state.
+    ``detection-modes`` reads no probe, so its valid configs carry no state,
+    and only ``qfim`` reads ``repetitions``.
     """
     family = draw(st.sampled_from(sorted(GEOMETRY)))
     config = {
@@ -97,7 +98,7 @@ def configs(draw, command):
         }
     if draw(st.booleans()):
         config["fd_step"] = draw(st.floats(1e-6, 1e-2))
-    if draw(st.booleans()):
+    if command == "qfim" and draw(st.booleans()):  # only qfim reads repetitions
         config["repetitions"] = draw(st.integers(1, 100))
     for section, key in draw(st.lists(st.sampled_from(TARGETS), max_size=3)):
         value = draw(ANY_VALUE)

@@ -27,6 +27,7 @@ from modal_qcrb import (
 from modal_qcrb import cli, engine, families, modes
 from modal_qcrb.tolerances import TAU_ORTH
 from conftest import (
+    export_detection_modes,
     family_from_modes,
     gram_schmidt,
     inner_product,
@@ -208,7 +209,7 @@ class TestEvaluateOnce:
             grid_points=32,
             derivative_method=method,
         )
-        cli.export_detection_modes(config)
+        cli._write_run(config.out, cli._COMMANDS["detection-modes"](config))
         assert counts == {
             "evaluate": 1,
             "evaluate_mode": 1,
@@ -263,7 +264,7 @@ class TestReadoutBasis:
 
     def test_squared_pivot_above_tau_rank_is_kept(self, tmp_path):
         family = self.pair_family(1e-3)
-        sidecar = cli.export_detection_modes_for(family, tmp_path)["readout_basis"]
+        sidecar = export_detection_modes(family, tmp_path)["readout_basis"]
         assert sidecar["kept"] == ["a", "b"]
         assert sidecar["dependent_on_predecessors"] == []
         assert sidecar["pivot_norms"]["b"] == pytest.approx(1e-3, rel=1e-9)
@@ -273,7 +274,7 @@ class TestReadoutBasis:
         # matrix resolves, is below it; Gram-Schmidt on the samples, which
         # held the pivot itself to TAU_RANK, kept this mode
         family = self.pair_family(1e-6)
-        sidecar = cli.export_detection_modes_for(family, tmp_path)["readout_basis"]
+        sidecar = export_detection_modes(family, tmp_path)["readout_basis"]
         assert sidecar["kept"] == ["a"]
         assert sidecar["dependent_on_predecessors"] == ["b"]
         assert sidecar["pivot_norms"]["b"] == pytest.approx(1e-6, rel=1e-3)
@@ -339,7 +340,7 @@ class TestFamilyDerivativeRule:
             attainability_single_mode,
             detection_modes_for,
             modes.derivative_mode,
-            cli.export_detection_modes_for,
+            cli._detection_mode_files,
         ],
     )
     def test_no_derivative_knobs_left(self, function):
@@ -444,7 +445,7 @@ def test_one_degeneracy_rule_for_report_and_export(tmp_path, monkeypatch, displa
         out=tmp_path,
     )
     report = cli._assemble_report(config)[0]["detection_modes"]
-    sidecar = cli.export_detection_modes_for(family, tmp_path)
+    sidecar = export_detection_modes(family, tmp_path)
     assert 0.0 < report["weights"][1] < 1e-12
     assert report["degenerate"] == sidecar["degenerate"] == [False, True]
 
