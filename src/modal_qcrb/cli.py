@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 engine/numerical failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import itertools
@@ -254,48 +255,7 @@ def _matrix_rows(matrix: np.ndarray) -> list[list[float]]:
 
 
 def _vector(values) -> list:
-    return [None if (isinstance(v, float) and not np.isfinite(v)) else float(v) for v in np.atleast_1d(values)]
-
-
-def _json_text(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, at indent ``pad``.
-
-    With ``indent`` the standard library falls back to its pure-Python
-    encoder; this one joins a list of floats, most of a report, in one C
-    call.  Object keys must be strings.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    inner = pad + "  "
-    separator = ",\n" + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {float}:
-            body = separator.join(map(float.__repr__, value))
-            if "n" in body:  # only 'nan', 'inf' and '-inf' hold an n
-                for v in value:
-                    _json_float(v)
-        else:
-            body = separator.join([_json_text(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # a key that is not a str raises TypeError in encode_basestring_ascii
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{\n" + inner + separator.join(items) + "\n" + pad + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return [v if math.isfinite(v) else None for v in np.atleast_1d(np.asarray(values, dtype=float)).tolist()]
 
 
 def _json_float(value: float) -> str:
@@ -304,45 +264,108 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
+# The JSON text of each scalar type, looked up by exact type: a subclass
+# (np.float64, an IntEnum, a str subclass) is written as its base type.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, at indent ``pad``.
+
+    With ``indent`` the standard library falls back to its pure-Python
+    encoder; this one writes a scalar dict value inline and joins a list
+    of one scalar type, most of a report, in one C call.  Object keys must
+    be strings.
+    """
+    emit = _SCALAR_TEXT.get(type(value))
+    if emit is not None:
+        return emit(value)
+    inner = pad + "  "
+    separator = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        emit = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if emit is _json_float:
+            body = separator.join(map(float.__repr__, value))
+            if "n" in body:  # only 'nan', 'inf' and '-inf' hold an n
+                for v in value:
+                    _json_float(v)
+        elif emit is not None:
+            body = separator.join(map(emit, value))
+        else:
+            body = separator.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        text = _SCALAR_TEXT.get
+        # a key that is not a str raises TypeError in encode_basestring_ascii
+        items = [
+            encode_basestring_ascii(k) + ": " + (emit(v) if (emit := text(type(v))) else _json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{\n" + inner + separator.join(items) + "\n" + pad + "}"
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALAR_TEXT[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_run(out: Path, files) -> None:
     """Write a run's ``(name, text)`` files into ``out``: all of them or none.
 
-    Each text goes to ``<name>.tmp<pid>`` as soon as it is produced, and
-    ``out`` is created when the first one is ready; a path that cannot be
-    a directory is a config error naming ``out``.  Only once every file is
-    staged are they renamed into place.  On any failure the staged files
-    are removed, so ``out`` keeps what it held unless a rename itself fails
-    midway; an ``OSError`` is raised again naming the file.
+    Each text goes to ``<name>.tmp<pid>`` as soon as it is produced, by one
+    ``os.open``/``os.write`` loop, and ``out`` is created when the first one
+    is ready; a path that cannot be a directory is a config error naming
+    ``out``.  Only once every file is staged are they renamed into place.
+    On any failure the staged files are removed, so ``out`` keeps what it
+    held unless a rename itself fails midway; an ``OSError`` is raised
+    again naming the file.
     """
-    staged: list[tuple[Path, Path]] = []  # (temporary file, target)
+    staged: list[tuple[str, str]] = []  # (temporary file, target)
     try:
         for name, text in files:
             if not staged:
                 try:
-                    out.mkdir(parents=True, exist_ok=True)
+                    os.makedirs(out, exist_ok=True)
                 except OSError as exc:
                     reason = exc.strerror or exc
                     raise ConfigError(f"out: cannot create directory '{out}': {reason}") from exc
-            target = out / name
-            tmp = target.with_name(f"{name}.tmp{os.getpid()}")
+            target = os.path.join(out, name)
+            tmp = f"{target}.tmp{os.getpid()}"
             staged.append((tmp, target))
             try:
                 # refused while staging: a rename onto a directory would
                 # fail only after the files before it were renamed
-                if target.is_dir():
+                if os.path.isdir(target):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                tmp.write_bytes(text.encode())
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+                try:
+                    data = memoryview(text.encode())
+                    while data:  # a write may take fewer bytes than it was given
+                        data = data[os.write(fd, data) :]
+                finally:
+                    os.close(fd)
             except OSError as exc:
-                raise OSError(exc.errno, exc.strerror or str(exc), str(target)) from exc
-            del text  # hold one file's text at a time, not two
+                raise OSError(exc.errno, exc.strerror or str(exc), target) from exc
+            del text, data  # hold one file's text at a time, not two
         for tmp, target in staged:
             try:
                 os.replace(tmp, target)
             except OSError as exc:
-                raise OSError(exc.errno, exc.strerror or str(exc), str(target)) from exc
+                raise OSError(exc.errno, exc.strerror or str(exc), target) from exc
     except BaseException:
         for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
 
 
@@ -365,14 +388,17 @@ def _build_family(config: RunConfig):
 
 def _attainability_pairs(att: SingleModeAttainability) -> list[dict]:
     labels = att.labels
+    im, normalized, matrix, attainable = (
+        m.tolist() for m in (att.imaginary_overlaps, att.normalized, att.matrix, att.pair_attainable)
+    )
     return [
         {
             "param_a": labels[a],
             "param_b": labels[b],
-            "im_overlap": float(att.imaginary_overlaps[a, b]),
-            "normalized_im_overlap": float(att.normalized[a, b]),
-            "commutator_expectation": float(att.matrix[a, b]),
-            "attainable": bool(att.pair_attainable[a, b]),
+            "im_overlap": im[a][b],
+            "normalized_im_overlap": normalized[a][b],
+            "commutator_expectation": matrix[a][b],
+            "attainable": attainable[a][b],
         }
         for a, b in itertools.combinations(range(len(labels)), 2)
     ]
@@ -393,7 +419,7 @@ def _assemble_report(config: RunConfig) -> tuple[dict, QfimReport]:
         "shape": list(family.grid.shape),
         "axis_ranges": [[float(ax[0]), float(ax[-1])] for ax in family.grid.axes],
     }
-    degenerate_flags = [bool(d) for d in att.weights < _weight_floors(family)]
+    degenerate_flags = (att.weights < _weight_floors(family)).tolist()
     doc = {
         "family": {
             "name": family.name,
@@ -474,15 +500,17 @@ def _detection_mode_files(family):
     readout_samples, pivot_by_label, dependent_labels = _readout_basis(family, detections)
 
     coord_names = ["x", "y"] if family.grid.ndim == 2 else ["omega"]
-    flat_coords = [c.ravel() for c in family.grid.mesh()]
     header = ",".join(coord_names + ["detection_re", "detection_im", "readout_re", "readout_im"])
+    # every file shares its coordinate columns: format them once per run
+    mesh = np.column_stack([c.ravel() for c in family.grid.mesh()])
+    coordinates = [row + "," for row in _csv_rows(mesh)]
     for det in detections:
         lines = [header]
         if not det.degenerate:
             samples = det.mode.samples.ravel()
             readout = readout_samples.get(det.label, np.zeros_like(samples))
-            columns = flat_coords + [samples.real, samples.imag, readout.real, readout.imag]
-            lines += _csv_rows(np.column_stack(columns))
+            values = _csv_rows(np.column_stack([samples.real, samples.imag, readout.real, readout.imag]))
+            lines += map(str.__add__, coordinates, values)
         yield f"modes_{det.label}.csv", "\n".join(lines) + "\n"
 
     sidecar = {

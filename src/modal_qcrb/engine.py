@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
-from .modes import DetectionMode, Mode, OverlapTable, _hermitian
+from .modes import DetectionMode, Mode, OverlapTable, _hermitian, _strict_upper
 from .states import (
     DensityState,
     PhotonStatistics,
@@ -266,7 +266,7 @@ def attainability(state: DensityState, generators: GeneratorCoefficients) -> Att
     # probabilities exceed TAU_PROB, so no denominator vanishes
     w2 = (p[:, None] ** 2 * p[None, :]) / np.add.outer(p, p) ** 2
     cross = (w2 * elements).reshape(n_p, n_e) @ elements.reshape(n_p, n_e).conj().T
-    trace_comm = np.triu(term1 - 32.0j * cross.imag, 1)
+    trace_comm = np.where(_strict_upper(n_p), term1 - 32.0j * cross.imag, 0)
     u = trace_comm.imag / 4.0
     u = u - u.T
     residual = float(np.max(np.abs(trace_comm.real), initial=0.0)) / 4.0

@@ -322,11 +322,23 @@ def weighted_gram(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray
     return _hermitian(s[:k, :k] + s[k:, k:] + 1j * (s[:k, k:] - s[k:, :k]))
 
 
+@functools.lru_cache(maxsize=None)
+def _strict_upper(n: int) -> np.ndarray:
+    """Boolean mask of the entries above the diagonal of an n x n matrix.
+
+    ``np.where(_strict_upper(n), g, 0)`` is ``np.triu(g, 1)`` bitwise, +0
+    below, without building the index mask on every call.
+    """
+    mask = ~np.tri(n, dtype=bool)
+    mask.flags.writeable = False  # shared by every caller through the cache
+    return mask
+
+
 def _hermitian(g: np.ndarray) -> np.ndarray:
     """The upper triangle of g with its exact conjugate below a real diagonal."""
     if g.shape == (1, 1):  # a squared norm: its real part plus +0 of g's type, as below
         return g.real + np.zeros_like(g)
-    upper = np.triu(g, 1)
+    upper = np.where(_strict_upper(len(g)), g, 0)
     return upper + upper.conj().T + np.diag(g.diagonal().real)
 
 

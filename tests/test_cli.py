@@ -1,3 +1,4 @@
+import enum
 import errno
 import json
 import os
@@ -615,6 +616,19 @@ FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7]),
 )
+
+
+class Label(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2**70
+
+
+# subclasses miss the emitter's exact-type table and are written as their base type
+SUBCLASSES = st.one_of(FLOATS.map(np.float64), KEYS.map(Label), st.sampled_from(Level))
 SCALARS = st.one_of(
     KEYS,
     FLOATS,
@@ -622,6 +636,7 @@ SCALARS = st.one_of(
     st.sampled_from([2**64, -(2**100), 10**400]),
     st.booleans(),
     st.none(),
+    SUBCLASSES,
 )
 DOCUMENTS = st.recursive(
     SCALARS,
@@ -629,6 +644,10 @@ DOCUMENTS = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.lists(FLOATS, max_size=6),
+        st.sampled_from([KEYS, st.integers(), st.booleans(), st.none()]).flatmap(
+            lambda items: st.lists(items, max_size=6)
+        ),
+        st.lists(SUBCLASSES, max_size=6),
         st.dictionaries(KEYS, children, max_size=4),
     ),
     max_leaves=40,
@@ -645,17 +664,21 @@ class TestJsonText:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "wrap",
-        [lambda v: v, lambda v: [1.0, v], lambda v: {"a": [True, v]}, lambda v: (v,)],
-        ids=["scalar", "float-row", "nested", "tuple"],
+        [lambda v: v, lambda v: [1.0, v], lambda v: {"a": [True, v]}, lambda v: (v,), lambda v: [np.float64(v)]],
+        ids=["scalar", "float-row", "nested", "tuple", "numpy-row"],
     )
     def test_non_finite_float_raises_value_error(self, value, wrap):
         with pytest.raises(ValueError, match="not JSON compliant"):
             _json_text(wrap(value))
 
     @pytest.mark.parametrize(
-        "doc", [{1, 2}, 1j, [1.0, 1j], {"a": {"b": {1}}}], ids=["set", "complex", "row", "nested"]
+        "doc",
+        [{1, 2}, 1j, [1.0, 1j], {"a": {"b": {1}}}, [np.bool_(True)], [True, np.bool_(False)]],
+        ids=["set", "complex", "row", "nested", "numpy-bool-row", "mixed-bool-row"],
     )
     def test_unsupported_type_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
         with pytest.raises(TypeError):
             _json_text(doc)
 
@@ -714,31 +737,61 @@ class TestWriteRun:
         out = tmp_path / "out"
         assert run_cli(["qfim", *self.DISPLACED, *self.PROBE, "--out", str(out)]) == 0
         before = snapshot(out)
-        write_bytes = type(out).write_bytes
+        real_open, real_write = os.open, os.write
         writes = []
 
-        def full_after_one(path, data):
-            writes.append(path.name)
-            if len(writes) == 2:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write_bytes(path, data)
+        def recording_open(path, *args, **kwargs):
+            writes.append(os.path.basename(path))
+            return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(type(out), "write_bytes", full_after_one)
+        def full_after_one(fd, data):
+            if len(writes) == 2:  # files are staged one at a time
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "write", full_after_one)
         assert run_cli(["qfim", *self.BEAM, *self.PROBE, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"qfim failed writing {out / 'qfim.csv'}: No space left on device\n"
         assert [name.split(".tmp")[0] for name in writes] == ["report.json", "qfim.csv"]
         assert snapshot(out) == before
+
+    def test_short_writes_still_write_every_byte(self, tmp_path, monkeypatch):
+        argv = ["qfim", *self.BEAM, *self.PROBE, "--out"]
+        assert run_cli(argv + [str(tmp_path / "whole")]) == 0
+        real_write = os.write
+        counts = []
+
+        def at_most_seven_bytes(fd, data):
+            counts.append(real_write(fd, data[:7]))
+            return counts[-1]
+
+        monkeypatch.setattr(os, "write", at_most_seven_bytes)
+        assert run_cli(argv + [str(tmp_path / "short")]) == 0
+        assert max(counts) == 7 and len(counts) > 100
+        assert snapshot(tmp_path / "short") == snapshot(tmp_path / "whole")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_files_take_the_mode_the_umask_leaves(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            _write_run(tmp_path / "out", [("report.json", "new\n"), ("qfim.csv", "new\n")])
+        finally:
+            os.umask(previous)
+        for name in ("report.json", "qfim.csv"):
+            assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_producer_that_raises_midway_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         assert run_cli(["detection-modes", *self.DISPLACED, "--out", str(out)]) == 0
         before = snapshot(out)
         csv_rows = cli._csv_rows
-        calls = []
+        files = []
 
         def fails_on_the_second_file(columns):
-            calls.append(1)
-            if len(calls) == 2:
+            if columns.shape[1] == 4:  # a file's values, not the shared coordinates
+                files.append(1)
+            if len(files) == 2:
                 raise EvaluationError("samples lost")
             return csv_rows(columns)
 

@@ -28,7 +28,7 @@ from modal_qcrb import (
     qfim_unitary,
 )
 from modal_qcrb import states
-from modal_qcrb.modes import _hermitian
+from modal_qcrb.modes import _hermitian, _strict_upper
 from modal_qcrb.states import first_moments, operator_matrix_elements
 from modal_qcrb.tolerances import TAU_PROB
 from conftest import (
@@ -202,6 +202,21 @@ class TestSymmetrization:
                 expected = np.triu(f) + np.triu(f, 1).T
                 assert got.dtype == np.float64
                 assert got.tobytes() == expected.tobytes()
+
+    def test_cached_mask_matches_np_triu_bitwise(self):
+        # zeros of both signs in both parts: np.where must keep -0.0 above
+        # the diagonal and put +0 below it, as np.triu does
+        rng = np.random.default_rng(23)
+        for n in range(1, 9):
+            assert not _strict_upper(n).flags.writeable
+            for _ in range(20):
+                parts = rng.normal(size=(2, n, n)) * rng.integers(0, 2, size=(2, n, n))
+                parts *= rng.choice([-1.0, 1.0], size=(2, n, n))
+                for g in (parts[0], parts[0] + 1j * parts[1]):
+                    upper = np.triu(g, 1)
+                    assert np.where(_strict_upper(n), g, 0).tobytes() == upper.tobytes()
+                    expected = upper + upper.conj().T + np.diag(g.diagonal().real)
+                    assert _hermitian(g).tobytes() == expected.tobytes()
 
     def test_real_one_by_one_stays_real(self):
         got = _hermitian(np.array([[-0.0]]))
