@@ -771,7 +771,7 @@ class TestWriteRun:
         assert max(counts) == 7 and len(counts) > 100
         assert snapshot(tmp_path / "short") == snapshot(tmp_path / "whole")
 
-    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    @pytest.mark.parametrize("umask", [0o002, 0o027])
     def test_new_files_take_the_mode_the_umask_leaves(self, tmp_path, umask):
         previous = os.umask(umask)
         try:
