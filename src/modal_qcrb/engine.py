@@ -132,9 +132,11 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     H_a v_m outside the kept span.  A diagonal entry is a sum of
     non-negative terms, so no two large terms cancel: a generator that maps
     each kept eigenvector onto itself gives exactly 0.  H V is one stacked
-    pass over the state's lowered table for every parameter at once, one
-    raising shift per mode; E and the outside parts are one batched product
-    each, and the pass holds at most two (P, D, r) blocks.
+    pass for every parameter at once: one raising shift per mode turns the
+    state's lowered table into the hop table a_j_dagger a_k V, and one
+    product weighs its M^2 blocks.  E is one batched product, and V E_a is
+    subtracted one parameter at a time, so the pass holds max(M^2, P)
+    (D, r) blocks and a few transients (see ``states._raise_sum``).
     """
     m = state.space.n_modes
     stack = _coefficient_matrices(state.space, generators).reshape(-1, m, m)
@@ -147,7 +149,8 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     # exactly a combination of the kept columns
     outside = _raise_sum(state.space, stack, lowered)
     elements = v.conj().T @ outside
-    outside -= v @ elements
+    for block, e in zip(outside, elements):
+        block -= v @ e
     outside *= np.sqrt(p)
     # Re <x|y> is the dot product of x and y viewed as reals
     flat = outside.reshape(n_p, -1).view(np.float64)

@@ -10,10 +10,11 @@ Each state keeps one table (:attr:`DensityState.lowered_table`): its
 eigenvectors lowered by every a_j, and the overlaps
 <a_j v_m | a_l v_n> of those columns.  The one-photon correlations and the
 eigenvector matrix elements of every quadratic generator are sums over that
-table, and a generator applied to the eigenvectors raises the table's
-columns, so the lowering is done once per state.  Like the family's
-overlap table, the table is built on first use and kept: it assumes that
-the state's arrays are not mutated afterwards.
+table, so the lowering is done once per state.  Generators are applied to
+the eigenvectors by raising the lowered table once per mode into a hop
+table a_j_dagger a_k V, of which every generator is one weighted sum.
+Like the family's overlap table, the lowered table is built on first use
+and kept: it assumes that the state's arrays are not mutated afterwards.
 
 Each probe kind is described once, in :data:`PROBE_KINDS`: its spec
 fields and the closed form of its mean photon number and number
@@ -100,11 +101,9 @@ def _ladder(
     The columns are viewed as the (L,)*M occupation tensor, mode 0 the most
     significant index, and shifted by one level along the mode's axis with
     the factor sqrt(n) of the higher level; leading dimensions are stacks
-    of blocks, all shifted at once.  Lowering writes a_mode ``vectors`` to
-    ``out``.  Raising adds a_mode_dagger ``vectors`` to ``out`` and drops
-    the amplitude pushed past the cutoff, as the truncated operator does;
-    it scales ``vectors`` in place on the way, so a sum of raised blocks
-    needs no buffer beyond ``out`` and its scratch input.  ``out`` is
+    of blocks, all shifted at once.  The shifted blocks are written to
+    ``out``, and ``vectors`` is only read; raising drops the amplitude
+    pushed past the cutoff, as the truncated operator does.  ``out`` is
     C-contiguous, so that its reshape is a view.
     """
     levels = space.levels
@@ -112,13 +111,10 @@ def _ladder(
     tensor = vectors.reshape(shape)
     target = out.reshape(shape)
     root = np.sqrt(np.arange(1.0, levels))[:, None]
-    if raising:
-        source = tensor[..., :-1, :]
-        source *= root
-        target[..., 1:, :] += source
-    else:
-        np.multiply(root, tensor[..., 1:, :], out=target[..., :-1, :])
-        target[..., -1, :] = 0.0
+    below, above = slice(None, -1), slice(1, None)
+    source, written, cleared = (below, above, 0) if raising else (above, below, -1)
+    np.multiply(root, tensor[..., source, :], out=target[..., written, :])
+    target[..., cleared, :] = 0.0
 
 
 def _coefficient_matrices(space: FockSpace, coefficients) -> np.ndarray:
@@ -135,25 +131,41 @@ def _coefficient_matrices(space: FockSpace, coefficients) -> np.ndarray:
     return coefficients
 
 
-def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) -> np.ndarray:
-    """sum_j a_j_dagger (sum_k C_{jk} lowered[k]) for an (M, D, r) lowered stack.
+# Columns of the flattened (D, r) blocks per product in :func:`_raise_sum`:
+# the product of one column block stays small next to the hop table.
+RAISE_BLOCK = 2048
 
-    With ``lowered[k] = a_k V`` this is sum_{jk} C_{jk} a_j_dagger a_k V.
+
+def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) -> np.ndarray:
+    """sum_{jk} C_{jk} a_j_dagger a_k V from the (M, D, r) stack lowered[k] = a_k V.
+
     ``coefficients`` is one (M, M) matrix, giving one (D, r) block, or a
-    (P, M, M) stack, giving a (P, D, r) stack.  Per mode j, one product
-    forms Y_j = sum_k C_{jk} lowered[k] for every matrix of the stack, and
-    one raising shift adds a_j_dagger Y_j to the result: M products and M
-    shifts whatever P, holding the result and one scratch block for Y_j.
+    (P, M, M) stack, giving a (P, D, r) stack.  One raising shift per mode j
+    writes the hop table T[j, k] = a_j_dagger lowered[k], M^2 blocks, and one
+    (P, M^2) x (M^2, D r) product forms every sum_{jk} C_{jk} T[j, k]: M
+    shifts and one product whatever P, and each result block is written
+    once.  The product overwrites the first P blocks of the table's buffer,
+    ``RAISE_BLOCK`` columns at a time, and the result is a view of them.
+
+    The buffer holds max(M^2, P) (D, r) blocks.  Beside it the pass holds
+    numpy's iteration buffers during the shifts (384 KiB), P rows of one
+    column block during the product, and one block while
+    :func:`~modal_qcrb.engine.qfim_unitary` subtracts V E_a.  At D = 1331
+    and r = 8 each of these is under 3 blocks for P up to 12, so the pass
+    peaks below max(M^2, P) + 3 blocks.
     """
     m = space.n_modes
-    stack = coefficients.reshape(-1, m, m)
-    flat = lowered.reshape(m, -1)
-    out = np.zeros(stack.shape[:1] + lowered.shape[1:], dtype=complex)
-    mixed = np.empty_like(out)
+    stack = coefficients.reshape(-1, m * m)
+    n_p = stack.shape[0]
+    hops = np.empty((max(m * m, n_p),) + lowered.shape[1:], dtype=complex)
+    table = hops[: m * m].reshape((m,) + lowered.shape)
     for j in range(m):
-        np.matmul(stack[:, j], flat, out=mixed.reshape(stack.shape[0], -1))
-        _ladder(space, mixed, j, out, raising=True)
-    return out.reshape(coefficients.shape[:-2] + lowered.shape[1:])
+        _ladder(space, lowered, j, table[j], raising=True)
+    flat = hops.reshape(hops.shape[0], -1)
+    for start in range(0, flat.shape[1], RAISE_BLOCK):
+        columns = flat[:, start : start + RAISE_BLOCK]
+        columns[:n_p] = stack @ columns[: m * m]
+    return hops[:n_p].reshape(coefficients.shape[:-2] + lowered.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,6 +39,7 @@ from conftest import (
     W0,
     GaussianState,
     ModeBasis,
+    _thermal_probabilities,
     commutator_from_overlaps,
     dense_quadratic,
     family_from_modes,
@@ -143,6 +144,21 @@ class TestQfimUnitary:
         family = gaussian_beam_family(BeamGeometry(1.3, 25.0), carrier_phase=True, points=512)
         state = probe_state("thermal", nbar=1.0)
         f = qfim_unitary(state, build_generators(family))
+        assert np.all(f == 0.0)
+
+        # so too on two modes: a product of truncated thermal distributions
+        # over the number basis, some of its probabilities below TAU_PROB,
+        # and three diagonal generators
+        space = FockSpace(n_modes=2, cutoff=15)
+        probs = np.outer(
+            _thermal_probabilities(space.levels, 0.25), _thermal_probabilities(space.levels, 0.1)
+        ).ravel()
+        state = make_state(
+            "custom", space, probabilities=probs / probs.sum(), vectors=np.eye(space.dimension)
+        )
+        assert np.any(state.probabilities < TAU_PROB)
+        diagonals = [[1.0, 0.0], [0.3, -1.2], [2.0, 0.7]]
+        f = qfim_unitary(state, np.array([np.diag(d) for d in diagonals], dtype=complex))
         assert np.all(f == 0.0)
 
     def test_matches_brute_force_on_random_mixed_state(self):
@@ -546,9 +562,11 @@ def assert_close_to_largest(got, expected, rtol=1e-13):
 class TestStateTableAgainstDenseOperators:
     """Every state-side quantity read from the lowered table, against dense operators."""
 
-    CASES = [(2, 4, 3), (3, 3, 4)]  # (modes, cutoff, parameters)
+    # (modes, cutoff, parameters); with six parameters on two modes the
+    # stack of H_a V outgrows the hop table it is written over
+    CASES = [(2, 4, 3), (3, 3, 4), (2, 3, 6)]
 
-    @pytest.fixture(params=CASES, ids=["m2", "m3"])
+    @pytest.fixture(params=CASES, ids=["m2", "m3", "m2-p6"])
     def case(self, request):
         n_modes, cutoff, n_params = request.param
         rng = np.random.default_rng(100 + n_modes)
@@ -574,6 +592,14 @@ class TestStateTableAgainstDenseOperators:
             [[brute_force_qfim(state, ca, cb) for cb in matrices] for ca in matrices]
         )
         assert_close_to_largest(qfim_unitary(state, matrices), expected)
+
+    def test_qfim_unitary_in_small_column_blocks(self, case, monkeypatch):
+        # seven columns per product: several blocks, and no case's D r is a
+        # multiple of seven, so the last block is ragged
+        state, _ = case
+        assert state.space.dimension * state.kept()[0].size % 7
+        monkeypatch.setattr(states, "RAISE_BLOCK", 7)
+        self.test_qfim_unitary(case)
 
     def test_attainability(self, case):
         state, family = case
@@ -617,13 +643,13 @@ class TestStateTableAgainstDenseOperators:
         assert calls.count(True) == m
 
 
-def test_stacked_pass_holds_at_most_three_blocks():
-    # M = 3, D = 1331, r = 8, P = 4: the pass holds the raised block and one
-    # scratch block, so its peak stays below three (P, D, r) complex blocks
+def _peak_of_stacked_pass(n_modes: int, cutoff: int, n_params: int) -> tuple[int, int]:
+    """Traced peak of one rank-8 ``qfim_unitary`` call, and the nbytes of a (D, r) block."""
     rng = np.random.default_rng(31)
-    space = FockSpace(n_modes=3, cutoff=10)
+    space = FockSpace(n_modes=n_modes, cutoff=cutoff)
     state = random_density_state(rng, space, rank=8)
-    raw = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    shape = (n_params, n_modes, n_modes)
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     coeffs = (raw + raw.conj().transpose(0, 2, 1)) / 2.0
     state.lowered_table  # the state's table is built once, before the pass
     assert state.kept_columns == slice(None)
@@ -633,7 +659,22 @@ def test_stacked_pass_holds_at_most_three_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * coeffs.shape[0] * state.vectors.nbytes
+    return peak, state.vectors.nbytes
+
+
+@pytest.mark.parametrize("n_modes, cutoff, n_params", [(3, 10, 4), (2, 35, 6)])
+def test_stacked_pass_holds_at_most_three_blocks(n_modes, cutoff, n_params):
+    # D = 1331 or 1296, r = 8: the hop table's buffer of max(M^2, P) blocks
+    # and its transients stay below three (P, D, r) complex blocks
+    peak, block = _peak_of_stacked_pass(n_modes, cutoff, n_params)
+    assert peak <= 3 * n_params * block
+
+
+def test_one_parameter_pass_holds_the_stated_blocks():
+    # M = 3, P = 1, D = 1331, r = 8: the bound of the _raise_sum docstring,
+    # max(M^2, P) + 3 (D, r) blocks; the hop table is paid whatever P
+    peak, block = _peak_of_stacked_pass(3, 10, 1)
+    assert peak <= (9 + 3) * block
 
 
 class TestDegenerateParameter:
