@@ -25,6 +25,7 @@ from .modes import (
     OverlapTable,
     ProductSum,
     SampleGrid,
+    _one_term_norm2,
     derivative_mode,
     grid_gram,
 )
@@ -184,8 +185,14 @@ class ParameterFamily:
 
 
 def _norm2(grid: SampleGrid, samples: np.ndarray | ProductSum) -> float:
-    """Squared quadrature norm; a product sum takes the route of its overlap table."""
+    """Squared quadrature norm.
+
+    A one-term product sum multiplies its per-axis dots, a longer one takes
+    the route of its overlap table.
+    """
     if isinstance(samples, ProductSum):
+        if len(samples.terms) == 1:
+            return _one_term_norm2(samples, grid.axis_weights)
         return float(grid_gram(grid, [samples])[0, 0].real)
     return float(np.sum(grid.weights * np.abs(samples) ** 2).real)
 
@@ -232,24 +239,32 @@ def _beam_samples(
 
     Every parameter leaves the profile separable: each axis carries its
     Gaussian envelope, curvature phase and tilt phase, and the amplitude,
-    Gouy phase and carrier phase form one constant.
+    Gouy phase and carrier phase form one constant.  The scalars are
+    Python floats, which raise where numpy scalars would return inf.
     """
-    x0, y0, z0, dw, tilt_x, tilt_y = theta
+    x0, y0, z0, dw, tilt_x, tilt_y = theta.tolist()
     waist = geometry.waist + dw
     if waist <= 0:
         raise EvaluationError("waist perturbation makes the beam collapse")
     k = geometry.wavenumber
-    zr = k * waist**2 / 2.0
-    zeta = -z0  # observation plane sits at the origin; the waist moved to z0
-    w = waist * np.sqrt(1.0 + (zeta / zr) ** 2)
-    inv_radius = zeta / (zeta**2 + zr**2)
-    exponent = -1.0 / w**2 + 0.5j * k * inv_radius
+    try:
+        zr = k * waist**2 / 2.0
+        zeta = -z0  # observation plane sits at the origin; the waist moved to z0
+        w = waist * math.sqrt(1.0 + (zeta / zr) ** 2)
+        inv_radius = zeta / (zeta**2 + zr**2)
+        exponent = -1.0 / w**2 + 0.5j * k * inv_radius
+    except (OverflowError, ZeroDivisionError):
+        raise EvaluationError(
+            f"beam parameters {theta.tolist()} leave double-precision range"
+        ) from None
     x, y = grid.axes
     factor_x = np.exp(exponent * (x - x0) ** 2 + 1j * k * tilt_x * x)
     factor_y = np.exp(exponent * (y - y0) ** 2 + 1j * k * tilt_y * y)
+    # numpy's arctan2 may round differently from math.atan2
     phase = (k * zeta if carrier else 0.0) - np.arctan2(zeta, zr)
-    constant = np.sqrt(2.0 / np.pi) / w * np.exp(1j * phase)
-    return _grid_normalize(grid, ProductSum.outer(constant * factor_x, factor_y))
+    constant = math.sqrt(2.0 / math.pi) / w * np.exp(1j * phase)
+    samples = ProductSum._unchecked(((constant * factor_x, factor_y),))
+    return _grid_normalize(grid, samples)
 
 
 def _gaussian_spot(
@@ -263,18 +278,19 @@ def _gaussian_spot(
 
 
 def _beam_derivatives(
-    geometry: BeamGeometry, carrier: bool, grid: SampleGrid
+    geometry: BeamGeometry, carrier: bool, grid: SampleGrid, spot: ProductSum
 ) -> Callable[[int, int], ProductSum]:
     """Closed-form derivatives, each at most two outer products.
 
-    A profile in r^2 = x^2 + y^2 times the spot splits into one term per
-    axis; the carrier's constant joins the x term.
+    ``spot`` is the family's raw Gaussian spot on the grid.  A profile in
+    r^2 = x^2 + y^2 times the spot splits into one term per axis; the
+    carrier's constant joins the x term.
     """
     w0 = geometry.waist
     k = geometry.wavenumber
     zr = geometry.rayleigh_range
     x, y = grid.axes
-    base = _grid_normalize(grid, _gaussian_spot(grid, w0))
+    base = _grid_normalize(grid, spot)
 
     def derivative(mode_index: int, parameter: int) -> ProductSum:
         if parameter == 0:
@@ -349,8 +365,8 @@ def gaussian_beam_family(
             1.0 / (geometry.wavenumber * geometry.waist),
         ]
     )
-    raw = np.sqrt(2.0 / np.pi) / geometry.waist * _gaussian_spot(grid, geometry.waist)
-    _check_resolution(name, grid, raw)
+    spot = _gaussian_spot(grid, geometry.waist)
+    _check_resolution(name, grid, np.sqrt(2.0 / np.pi) / geometry.waist * spot)
     return ParameterFamily(
         name=name,
         parameters=("x0", "y0", "z0", "w0", "tilt_x", "tilt_y"),
@@ -358,7 +374,7 @@ def gaussian_beam_family(
         grid=grid,
         theta_scales=scales,
         mode_fn=lambda k, theta: _beam_samples(geometry, carrier_phase, grid, theta),
-        derivative_fn=_beam_derivatives(geometry, carrier_phase, grid),
+        derivative_fn=_beam_derivatives(geometry, carrier_phase, grid, spot),
         oracle_fn=_beam_oracle(geometry, carrier_phase),
     )
 

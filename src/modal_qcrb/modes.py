@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -35,6 +36,7 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
         w[1:-1] = 0.5 * (axis[2:] - axis[:-2])
         w[0] = 0.5 * (axis[1] - axis[0])
         w[-1] = 0.5 * (axis[-1] - axis[-2])
+    w.flags.writeable = False  # a square grid shares one array between its axes
     return w
 
 
@@ -54,6 +56,8 @@ class SampleGrid:
         if not 1 <= len(axes) <= 2:
             raise StructuralError("only 1-D and 2-D sample grids are supported")
         for i, ax in enumerate(axes):
+            if i and ax is axes[0]:  # a shared axis is checked once
+                continue
             if ax.ndim != 1:
                 raise StructuralError(f"grid axis {i} must be 1-D")
             if not np.all(np.isfinite(ax)):
@@ -65,21 +69,31 @@ class SampleGrid:
         if tuple(w.shape for w in axis_weights) != tuple((n,) for n in self.shape):
             raise StructuralError(f"per-axis weights do not match axes {self.shape}")
         # rounding is monotone, so every product of positive weights lies
-        # between the products of the per-axis extremes
-        positive = all(np.all((w > 0) & np.isfinite(w)) for w in axis_weights)
-        with np.errstate(over="ignore", under="ignore"):  # checked just below
-            low = np.prod([np.min(w) for w in axis_weights])
-            high = np.prod([np.max(w) for w in axis_weights])
-        if not (positive and low > 0 and np.isfinite(high)):
+        # between the products of the per-axis extremes; Python floats
+        # overflow to inf and underflow to 0, which the test below rejects
+        positive, low, high = True, 1.0, 1.0
+        for i, w in enumerate(axis_weights):
+            if not (i and w is axis_weights[0]):  # shared weights are checked once
+                positive = positive and bool(np.all((w > 0) & np.isfinite(w)))
+                extremes = float(w.min()), float(w.max())
+            low *= extremes[0]
+            high *= extremes[1]
+        if not (positive and low > 0 and math.isfinite(high)):
             raise StructuralError("quadrature weights must be finite and strictly positive")
         self._weights = None
         self._axis_weights = axis_weights
 
     @classmethod
     def uniform(cls, *axes: np.ndarray) -> "SampleGrid":
-        """Build a grid with trapezoid weights from coordinate axes."""
+        """Build a grid with read-only trapezoid weights from coordinate axes.
+
+        An axis passed twice is validated once and shares one weights array.
+        """
         axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-        return cls(axes, axis_weights=[_trapezoid_weights(ax) for ax in axes])
+        weights = [_trapezoid_weights(axes[0])]
+        for ax in axes[1:]:
+            weights.append(weights[0] if ax is axes[0] else _trapezoid_weights(ax))
+        return cls(axes, axis_weights=weights)
 
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
@@ -362,6 +376,22 @@ def _factored_gram(rows: Sequence[ProductSum], axis_weights: Sequence[np.ndarray
     return _hermitian(g)
 
 
+def _one_term_norm2(samples: ProductSum, axis_weights: Sequence[np.ndarray]) -> float:
+    """Squared norm of a one-term product sum: the product of its per-axis dots.
+
+    Bitwise the entry :func:`_factored_gram` forms for the one row, without
+    stacking its factors into matrices first.  A factor is read contiguous,
+    as the stack holds it: BLAS sums a strided vector in another order.
+    """
+    (term,) = samples.terms
+    norm2 = 1.0
+    # an overflow leaves a non-finite norm; the callers check it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, w in zip(term, axis_weights):
+            norm2 = norm2 * ((f.conj() * w) @ np.ascontiguousarray(f))
+    return float(norm2.real)
+
+
 def grid_gram(grid: SampleGrid, rows: Sequence[np.ndarray | ProductSum]) -> np.ndarray:
     """Hermitian matrix G[i, j] = sum(w * conj(rows[i]) * rows[j]) on a grid.
 
@@ -466,7 +496,9 @@ def derivative_mode(family: "ParameterFamily", mode_index: int, parameter: int) 
     """Unnormalized derivative of a family mode with respect to one parameter.
 
     The family's ``derivative_fn`` decides how it is taken: a closed form,
-    or the finite difference of :func:`finite_difference_family`.
+    or the finite difference of :func:`finite_difference_family`.  Either
+    way a non-finite sample is an :class:`EvaluationError` naming the
+    parameter.
     """
     if family.derivative_fn is None:
         raise StructuralError(
@@ -477,7 +509,14 @@ def derivative_mode(family: "ParameterFamily", mode_index: int, parameter: int) 
         raise StructuralError(f"mode index {mode_index} outside the family")
     if not 0 <= parameter < family.n_parameters:
         raise StructuralError(f"parameter index {parameter} outside the family")
-    return Mode(family.grid, family.derivative_fn(mode_index, parameter))
+    samples = family.derivative_fn(mode_index, parameter)
+    try:
+        return Mode(family.grid, samples)
+    except EvaluationError:  # the mode's one finiteness check, named here
+        raise EvaluationError(
+            f"derivative of mode {mode_index} with respect to parameter "
+            f"'{family.parameters[parameter]}' contains non-finite values"
+        ) from None
 
 
 def finite_difference_family(
@@ -490,7 +529,7 @@ def finite_difference_family(
     parameter's own scale whether it is large or small.  Each derivative
     mode costs four shifted evaluations of the family's ``mode_fn``; a
     non-finite sample in any of them stays non-finite in their difference,
-    which is checked once and names the parameter.  A step below
+    which :func:`derivative_mode` checks once, naming the parameter.  A step below
     ``eps / TAU_FD * |theta_scale|`` is rejected: there the shifted modes
     round to the reference and the difference to zero.  Modes given as
     :class:`ProductSum` are differenced per axis and stay product sums (at
@@ -523,12 +562,6 @@ def finite_difference_family(
         h = steps[parameter]
         coarse = central(h)
         fine = central(h / 2.0)
-        samples = (4.0 * fine - coarse) / 3.0
-        if not _all_finite(samples):
-            raise EvaluationError(
-                f"finite-difference evaluation of parameter "
-                f"'{family.parameters[parameter]}' produced non-finite samples"
-            )
-        return samples
+        return (4.0 * fine - coarse) / 3.0
 
     return dataclasses.replace(family, derivative_fn=derivative)

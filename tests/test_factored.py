@@ -26,7 +26,7 @@ from modal_qcrb import (
     gaussian_beam_family,
     weighted_gram,
 )
-from modal_qcrb.modes import ProductSum, _hermitian, grid_gram
+from modal_qcrb.modes import ProductSum, _factored_gram, _hermitian, _one_term_norm2, grid_gram
 from modal_qcrb.tolerances import TAU_QUAD
 from conftest import inner_product
 
@@ -226,6 +226,36 @@ class TestOneTermRows:
             got = grid_gram(grid, rows)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+class TestOneTermNorm:
+    """The norm of one-term modes (normalization, resolution) against the general routes."""
+
+    AXIS = np.linspace(-2.0, 1.5, 24)
+    GRIDS = {
+        "1-D": SampleGrid.uniform(np.linspace(-2.0, 1.5, 37)),
+        "2-D": SampleGrid.uniform(np.linspace(-2.0, 1.5, 17), np.linspace(-1.0, 3.0, 40)),
+        "shared-axis": SampleGrid.uniform(AXIS, AXIS),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        name=st.sampled_from(sorted(GRIDS)),
+        real=st.booleans(),
+    )
+    def test_matches_the_factored_and_expanded_grams(self, seed, name, real):
+        # a BLAS whose dot and gemm round differently fails here
+        grid = self.GRIDS[name]
+        (row,) = random_rows(seed, grid.shape, [1])
+        if real:
+            row = ProductSum(tuple(tuple(f.real for f in term) for term in row.terms))
+        got = _one_term_norm2(row, grid.axis_weights)
+        factored = _factored_gram([row], grid.axis_weights)[0, 0].real
+        assert type(got) is float
+        assert np.float64(got).tobytes() == factored.tobytes()
+        expanded = weighted_gram([row.expand()], grid.weights)[0, 0].real
+        assert abs(got - expanded) <= 1e-13 * expanded
 
 
 class TestProductSumArithmetic:

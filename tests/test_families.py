@@ -216,6 +216,23 @@ class TestRegistry:
         with pytest.raises(EvaluationError):
             beam_family.evaluate_mode(0, theta)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "wavenumber, parameter, value",
+        # z0 / z_R overflows; a waist of 2^-53 sends z_R^2 below the
+        # smallest double, so the curvature divides 0 by 0
+        [(K, 2, 1e300), (1e-150, 3, -(1.0 - 2.0**-53))],
+        ids=["overflow", "zero-division"],
+    )
+    def test_beam_scalars_out_of_range_are_an_evaluation_error(
+        self, wavenumber, parameter, value
+    ):
+        family = gaussian_beam_family(BeamGeometry(1.0, wavenumber), points=64)
+        theta = np.zeros(6)
+        theta[parameter] = value
+        with pytest.raises(EvaluationError, match="double-precision range"):
+            family.evaluate_mode(0, theta)
+
     @pytest.mark.parametrize(
         "waist, wavenumber",
         [(1e150, 1e-150), (1e-120, 1.0), (1e-102, 1.0), (1.0, 1e-320), (1.0, 1e300)],

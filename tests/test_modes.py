@@ -63,6 +63,28 @@ class TestSampleGrid:
         with pytest.raises(StructuralError, match=f"grid axis {axis_index} has non-finite"):
             SampleGrid.uniform(*axes)
 
+    @pytest.mark.parametrize(
+        "bad_axis, message",
+        [([0.0, np.nan, 2.0], "non-finite"), ([0.0, 1.0, 1.0], "strictly increasing")],
+        ids=["nan", "flat"],
+    )
+    def test_shared_axis_is_still_validated(self, bad_axis, message):
+        axis = np.array(bad_axis)
+        with pytest.raises(StructuralError, match=f"grid axis 0 (has|must be) {message}"):
+            SampleGrid.uniform(axis, axis)
+
+    def test_trapezoid_weights_are_read_only(self):
+        # a square grid shares one weights array between its axes
+        axis = np.linspace(-1.0, 1.0, 5)
+        grid = SampleGrid.uniform(axis, axis)
+        assert grid.axis_weights[0] is grid.axis_weights[1]
+        with pytest.raises(ValueError, match="read-only"):
+            grid.axis_weights[0][0] = 1.0
+        assert axis.flags.writeable  # the caller's axis stays as it was
+        weights = np.full(5, 0.5)
+        SampleGrid((axis,), axis_weights=(weights,))
+        assert weights.flags.writeable  # and so do weights the caller gives
+
     def test_2d_weights_are_outer_product(self):
         gx = np.linspace(-1, 1, 5)
         gy = np.linspace(-2, 2, 7)

@@ -389,6 +389,26 @@ class TestFamilyDerivativeRule:
         with pytest.raises(EvaluationError, match="parameter 'b'"), np.errstate(all="ignore"):
             modes.derivative_mode(finite_difference_family(family), 0, 1)
 
+    def test_non_finite_closed_form_names_the_parameter(self):
+        # the one finiteness check of a derivative row names the parameter
+        # for a closed-form rule as for a finite difference
+        grid = modes.SampleGrid.uniform(np.linspace(-1.0, 1.0, 9))
+
+        def derivative_fn(k, a):
+            return np.full(grid.shape, np.inf if a == 1 else 1.0)
+
+        family = ParameterFamily(
+            name="closed-form",
+            parameters=("a", "b"),
+            units=("1", "1"),
+            grid=grid,
+            theta_scales=np.ones(2),
+            mode_fn=lambda k, theta: np.full(grid.shape, 0.5),
+            derivative_fn=derivative_fn,
+        )
+        with pytest.raises(EvaluationError, match="parameter 'b'"):
+            family.overlap_table
+
     @pytest.mark.parametrize("name", ["beam_family", "pulse_family"])
     def test_non_finite_shift_names_the_parameter(self, request, name):
         # product-sum and array modes alike: one NaN shift, at -h/2 of the
