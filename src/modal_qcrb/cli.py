@@ -374,10 +374,7 @@ def _write_run(out: Path, files) -> None:
 
 
 def _build_family(config: RunConfig):
-    grid_options = {}
-    if config.grid_points is not None:
-        grid_options["points"] = config.grid_points
-    family = build_family(config.family, config.geometry, **grid_options)
+    family = build_family(config.family, config.geometry, config.grid_points)
     if config.derivative_method == "finite-difference":
         try:
             family = finite_difference_family(family, config.fd_step)

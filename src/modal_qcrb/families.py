@@ -27,26 +27,32 @@ from .modes import (
     SampleGrid,
     _one_term_norm2,
     derivative_mode,
-    grid_gram,
 )
 from .tolerances import TAU_QUAD
 
+# Default grids: the beams sample +-4 waists per axis, the pulse +-6 spectral
+# standard deviations around its carrier; only the number of points varies.
+_BEAM_HALFWIDTH_WAISTS = 4.0
+_PULSE_HALFWIDTH_SIGMAS = 6.0
+_BEAM_POINTS = 256
+_PULSE_POINTS = 2048
 
-def transverse_grid(
-    waist: float, points: int = 256, halfwidth_waists: float = 4.0
-) -> SampleGrid:
+_BEAM_PARAMETERS = ("x0", "y0", "z0", "w0", "tilt_x", "tilt_y")
+_PULSE_PARAMETERS = ("t_phase", "t_group", "t_gvd")
+_DISPLACEMENT_PARAMETERS = ("x0", "y0")
+
+
+def transverse_grid(waist: float, points: int = _BEAM_POINTS) -> SampleGrid:
     """Default square grid for transverse beam modes: +-4 waists, 256^2."""
-    half = halfwidth_waists * waist
+    half = _BEAM_HALFWIDTH_WAISTS * waist
     axis = np.linspace(-half, half, points)
     return SampleGrid.uniform(axis, axis)
 
 
-def spectral_grid(
-    center: float, variance: float, points: int = 2048, halfwidth_sigmas: float = 6.0
-) -> SampleGrid:
-    """Default spectral grid: +-6 standard deviations around the carrier."""
-    sigma = float(np.sqrt(variance))
-    axis = np.linspace(center - halfwidth_sigmas * sigma, center + halfwidth_sigmas * sigma, points)
+def spectral_grid(center: float, variance: float, points: int = _PULSE_POINTS) -> SampleGrid:
+    """Default spectral grid: +-6 standard deviations around the carrier, 2048 points."""
+    half = _PULSE_HALFWIDTH_SIGMAS * float(np.sqrt(variance))
+    axis = np.linspace(center - half, center + half, points)
     return SampleGrid.uniform(axis)
 
 
@@ -126,6 +132,11 @@ class ParameterFamily:
         return len(self.parameters)
 
     def evaluate_mode(self, mode_index: int = 0, theta: np.ndarray | None = None) -> Mode:
+        """Mode ``mode_index`` at ``theta``; a failure names the parameters.
+
+        An overflow leaves non-finite samples or a profile that vanishes on
+        the grid; either is an :class:`EvaluationError`, never a numpy warning.
+        """
         if not 0 <= mode_index < self.n_modes:
             raise StructuralError(f"mode index {mode_index} outside the family")
         if theta is None:
@@ -135,7 +146,13 @@ class ParameterFamily:
             raise StructuralError(
                 f"theta must have {self.n_parameters} entries, got {theta.shape}"
             )
-        return Mode(self.grid, self.mode_fn(mode_index, theta))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return Mode(self.grid, self.mode_fn(mode_index, theta))
+        except EvaluationError as exc:
+            raise EvaluationError(
+                f"mode {mode_index} at parameters {theta.tolist()}: {exc}"
+            ) from None
 
     def evaluate(self, theta: np.ndarray | None = None) -> tuple[Mode, ...]:
         return tuple(self.evaluate_mode(k, theta) for k in range(self.n_modes))
@@ -185,15 +202,12 @@ class ParameterFamily:
 
 
 def _norm2(grid: SampleGrid, samples: np.ndarray | ProductSum) -> float:
-    """Squared quadrature norm.
+    """Squared quadrature norm of an array or a one-term product sum.
 
-    A one-term product sum multiplies its per-axis dots, a longer one takes
-    the route of its overlap table.
+    The product sum multiplies its per-axis dots.
     """
     if isinstance(samples, ProductSum):
-        if len(samples.terms) == 1:
-            return _one_term_norm2(samples, grid.axis_weights)
-        return float(grid_gram(grid, [samples])[0, 0].real)
+        return _one_term_norm2(samples, grid.axis_weights)
     return float(np.sum(grid.weights * np.abs(samples) ** 2).real)
 
 
@@ -254,9 +268,7 @@ def _beam_samples(
         inv_radius = zeta / (zeta**2 + zr**2)
         exponent = -1.0 / w**2 + 0.5j * k * inv_radius
     except (OverflowError, ZeroDivisionError):
-        raise EvaluationError(
-            f"beam parameters {theta.tolist()} leave double-precision range"
-        ) from None
+        raise EvaluationError("beam width, curvature or phase leaves double-precision range") from None
     x, y = grid.axes
     factor_x = np.exp(exponent * (x - x0) ** 2 + 1j * k * tilt_x * x)
     factor_y = np.exp(exponent * (y - y0) ** 2 + 1j * k * tilt_y * y)
@@ -336,8 +348,7 @@ def gaussian_beam_family(
     carrier_phase: bool = False,
     grid: SampleGrid | None = None,
     *,
-    points: int = 256,
-    halfwidth_waists: float = 4.0,
+    points: int = _BEAM_POINTS,
 ) -> ParameterFamily:
     """Six-parameter Gaussian-beam family: waist position, size and tilt.
 
@@ -347,10 +358,11 @@ def gaussian_beam_family(
     measurable.  The carrier e^{ikz0} turns over a length 1/k, so the
     scale of z0 is then min(z_R, 1/k), the shorter of the two lengths over
     which the mode changes; it sizes the finite-difference step and the
-    degeneracy floor.
+    degeneracy floor.  Without a ``grid``, the family samples ``points``
+    per axis over +-4 waists.
     """
     if grid is None:
-        grid = transverse_grid(geometry.waist, points, halfwidth_waists)
+        grid = transverse_grid(geometry.waist, points)
     name = "gaussian-beam-carrier" if carrier_phase else "gaussian-beam"
     axial_scale = geometry.rayleigh_range
     if carrier_phase:
@@ -369,7 +381,7 @@ def gaussian_beam_family(
     _check_resolution(name, grid, np.sqrt(2.0 / np.pi) / geometry.waist * spot)
     return ParameterFamily(
         name=name,
-        parameters=("x0", "y0", "z0", "w0", "tilt_x", "tilt_y"),
+        parameters=_BEAM_PARAMETERS,
         units=("length", "length", "length", "length", "rad", "rad"),
         grid=grid,
         theta_scales=scales,
@@ -381,38 +393,6 @@ def gaussian_beam_family(
 
 # ---------------------------------------------------------------------------
 # Dispersive Gaussian pulse
-
-
-def _pulse_samples(
-    spectrum: PulseSpectrum, grid: SampleGrid, theta: np.ndarray
-) -> np.ndarray:
-    t_phase, t_group, t_gvd = theta
-    w0 = spectrum.center_frequency
-    var = spectrum.variance
-    omega = grid.axes[0]
-    detuning = omega - w0
-    envelope = _grid_normalize(grid, np.exp(-(detuning**2) / (4.0 * var)))
-    phase = w0 * t_phase + detuning * t_group + detuning**2 / w0 * t_gvd
-    return envelope * np.exp(1j * phase)
-
-
-def _pulse_derivatives(
-    spectrum: PulseSpectrum, grid: SampleGrid
-) -> Callable[[int, int], np.ndarray]:
-    w0 = spectrum.center_frequency
-    var = spectrum.variance
-    omega = grid.axes[0]
-    detuning = omega - w0
-    envelope = _grid_normalize(grid, np.exp(-(detuning**2) / (4.0 * var)))
-
-    def derivative(mode_index: int, parameter: int) -> np.ndarray:
-        if parameter == 0:
-            return 1j * w0 * envelope
-        if parameter == 1:
-            return 1j * detuning * envelope
-        return 1j * detuning**2 / w0 * envelope
-
-    return derivative
 
 
 def _pulse_oracle(spectrum: PulseSpectrum) -> Callable[[float, float], np.ndarray]:
@@ -435,18 +415,18 @@ def gaussian_pulse_family(
     spectrum: PulseSpectrum,
     grid: SampleGrid | None = None,
     *,
-    points: int = 2048,
-    halfwidth_sigmas: float = 6.0,
+    points: int = _PULSE_POINTS,
 ) -> ParameterFamily:
     """Dispersive-pulse family: phase delay, group delay and broadening.
 
     The parameters (t_phase, t_group, t_gvd) multiply the constant, linear
     and quadratic spectral phase of a Gaussian envelope; they track the
     phase velocity, group velocity and group-velocity dispersion
-    accumulated in a dispersive medium.
+    accumulated in a dispersive medium.  Without a ``grid``, the family
+    samples ``points`` frequencies over +-6 spectral standard deviations.
     """
     if grid is None:
-        grid = spectral_grid(spectrum.center_frequency, spectrum.variance, points, halfwidth_sigmas)
+        grid = spectral_grid(spectrum.center_frequency, spectrum.variance, points)
     lowest = float(grid.axes[0][0])
     if lowest <= 0:
         raise GridResolutionError(
@@ -454,27 +434,35 @@ def gaussian_pulse_family(
             f"omega0={spectrum.center_frequency:g} lies too few spectral widths above 0 "
             f"for variance={spectrum.variance:g}"
         )
-    sigma = float(np.sqrt(spectrum.variance))
-    scales = np.array(
-        [
-            1.0 / spectrum.center_frequency,
-            1.0 / sigma,
-            spectrum.center_frequency / spectrum.variance,
-        ]
-    )
-    detuning = grid.axes[0] - spectrum.center_frequency
-    raw = (2.0 * np.pi * spectrum.variance) ** (-0.25) * np.exp(
-        -(detuning**2) / (4.0 * spectrum.variance)
-    )
-    _check_resolution("gaussian-pulse", grid, raw)
+    w0 = spectrum.center_frequency
+    var = spectrum.variance
+    scales = np.array([1.0 / w0, 1.0 / float(np.sqrt(var)), w0 / var])
+    detuning = grid.axes[0] - w0
+    gaussian = np.exp(-(detuning**2) / (4.0 * var))
+    _check_resolution("gaussian-pulse", grid, (2.0 * np.pi * var) ** (-0.25) * gaussian)
+    # the envelope does not depend on theta: normalized once for every call
+    envelope = _grid_normalize(grid, gaussian)
+
+    def mode_fn(mode_index: int, theta: np.ndarray) -> np.ndarray:
+        t_phase, t_group, t_gvd = theta
+        phase = w0 * t_phase + detuning * t_group + detuning**2 / w0 * t_gvd
+        return envelope * np.exp(1j * phase)
+
+    def derivative(mode_index: int, parameter: int) -> np.ndarray:
+        if parameter == 0:
+            return 1j * w0 * envelope
+        if parameter == 1:
+            return 1j * detuning * envelope
+        return 1j * detuning**2 / w0 * envelope
+
     return ParameterFamily(
         name="gaussian-pulse",
-        parameters=("t_phase", "t_group", "t_gvd"),
+        parameters=_PULSE_PARAMETERS,
         units=("time", "time", "time"),
         grid=grid,
         theta_scales=scales,
-        mode_fn=lambda k, theta: _pulse_samples(spectrum, grid, theta),
-        derivative_fn=_pulse_derivatives(spectrum, grid),
+        mode_fn=mode_fn,
+        derivative_fn=derivative,
         oracle_fn=_pulse_oracle(spectrum),
     )
 
@@ -487,19 +475,19 @@ def displaced_beam_family(
     waist: float,
     grid: SampleGrid | None = None,
     *,
-    points: int = 256,
-    halfwidth_waists: float = 4.0,
+    points: int = _BEAM_POINTS,
 ) -> ParameterFamily:
     """Two-parameter transverse-displacement family of a Gaussian spot.
 
     Both derivatives are real multiples of the mode, so the parameters are
     encoded purely in the amplitude; this is the canonical amplitude-only
-    and mean-field fixture.
+    and mean-field fixture.  Without a ``grid``, the family samples
+    ``points`` per axis over +-4 waists.
     """
     if waist <= 0:
         raise StructuralError("waist must be positive")
     if grid is None:
-        grid = transverse_grid(waist, points, halfwidth_waists)
+        grid = transverse_grid(waist, points)
     spot = _gaussian_spot(grid, waist)
     base = _grid_normalize(grid, spot)
 
@@ -516,7 +504,7 @@ def displaced_beam_family(
     _check_resolution("displaced-beam", grid, np.sqrt(2.0 / np.pi) / waist * spot)
     return ParameterFamily(
         name="displaced-beam",
-        parameters=("x0", "y0"),
+        parameters=_DISPLACEMENT_PARAMETERS,
         units=("length", "length"),
         grid=grid,
         theta_scales=np.array([waist, waist]),
@@ -530,62 +518,58 @@ def displaced_beam_family(
 # Registry
 
 
-def _build_gaussian_beam(geometry: dict, **grid_options) -> ParameterFamily:
-    geo = BeamGeometry(waist=float(geometry["w0"]), wavenumber=float(geometry["k"]))
-    return gaussian_beam_family(geo, carrier_phase=False, **grid_options)
+_BEAM_GEOMETRY = {"w0": "waist size (length, > 0)", "k": "wave number (1/length, > 0)"}
+_BEAM_GRID = {"points": _BEAM_POINTS, "halfwidth_waists": _BEAM_HALFWIDTH_WAISTS}
 
 
-def _build_gaussian_beam_carrier(geometry: dict, **grid_options) -> ParameterFamily:
-    geo = BeamGeometry(waist=float(geometry["w0"]), wavenumber=float(geometry["k"]))
-    return gaussian_beam_family(geo, carrier_phase=True, **grid_options)
+def _beam_entry(carrier_phase: bool) -> dict:
+    def build(geometry: dict, points: int) -> ParameterFamily:
+        geo = BeamGeometry(waist=float(geometry["w0"]), wavenumber=float(geometry["k"]))
+        return gaussian_beam_family(geo, carrier_phase, points=points)
 
-
-def _build_gaussian_pulse(geometry: dict, **grid_options) -> ParameterFamily:
-    spec = PulseSpectrum(
-        center_frequency=float(geometry["omega0"]),
-        variance=float(geometry["variance"]),
-    )
-    return gaussian_pulse_family(spec, **grid_options)
-
-
-def _build_displaced_beam(geometry: dict, **grid_options) -> ParameterFamily:
-    return displaced_beam_family(float(geometry["w0"]), **grid_options)
+    return {
+        "build": build,
+        "geometry": dict(_BEAM_GEOMETRY),
+        "parameters": list(_BEAM_PARAMETERS),
+        "default_grid": dict(_BEAM_GRID),
+    }
 
 
 FAMILY_REGISTRY: dict[str, dict] = {
-    "gaussian-beam": {
-        "build": _build_gaussian_beam,
-        "geometry": {"w0": "waist size (length, > 0)", "k": "wave number (1/length, > 0)"},
-        "parameters": ["x0", "y0", "z0", "w0", "tilt_x", "tilt_y"],
-        "default_grid": {"points": 256, "halfwidth_waists": 4.0},
-    },
-    "gaussian-beam-carrier": {
-        "build": _build_gaussian_beam_carrier,
-        "geometry": {"w0": "waist size (length, > 0)", "k": "wave number (1/length, > 0)"},
-        "parameters": ["x0", "y0", "z0", "w0", "tilt_x", "tilt_y"],
-        "default_grid": {"points": 256, "halfwidth_waists": 4.0},
-    },
+    "gaussian-beam": _beam_entry(carrier_phase=False),
+    "gaussian-beam-carrier": _beam_entry(carrier_phase=True),
     "gaussian-pulse": {
-        "build": _build_gaussian_pulse,
+        "build": lambda geometry, points: gaussian_pulse_family(
+            PulseSpectrum(float(geometry["omega0"]), float(geometry["variance"])), points=points
+        ),
         "geometry": {
             "omega0": "mean angular frequency (rad/time, > 0)",
             "variance": "spectral variance (rad^2/time^2, > 0)",
         },
-        "parameters": ["t_phase", "t_group", "t_gvd"],
-        "default_grid": {"points": 2048, "halfwidth_sigmas": 6.0},
+        "parameters": list(_PULSE_PARAMETERS),
+        "default_grid": {"points": _PULSE_POINTS, "halfwidth_sigmas": _PULSE_HALFWIDTH_SIGMAS},
     },
     "displaced-beam": {
-        "build": _build_displaced_beam,
-        "geometry": {"w0": "waist size (length, > 0)"},
-        "parameters": ["x0", "y0"],
-        "default_grid": {"points": 256, "halfwidth_waists": 4.0},
+        "build": lambda geometry, points: displaced_beam_family(
+            float(geometry["w0"]), points=points
+        ),
+        "geometry": {"w0": _BEAM_GEOMETRY["w0"]},
+        "parameters": list(_DISPLACEMENT_PARAMETERS),
+        "default_grid": dict(_BEAM_GRID),
     },
 }
 
 
-def build_family(name: str, geometry: dict, **grid_options) -> ParameterFamily:
-    """Instantiate a registered family from its geometry mapping."""
+def build_family(name: str, geometry: dict, points: int | None = None) -> ParameterFamily:
+    """Instantiate a registered family from its geometry mapping.
+
+    ``points`` is the number of grid points per axis; None takes the
+    family's ``default_grid``.  The grid's extent is fixed per family.
+    """
     if name not in FAMILY_REGISTRY:
         known = ", ".join(sorted(FAMILY_REGISTRY))
         raise StructuralError(f"unknown family '{name}'; known families: {known}")
-    return FAMILY_REGISTRY[name]["build"](geometry, **grid_options)
+    entry = FAMILY_REGISTRY[name]
+    if points is None:
+        points = entry["default_grid"]["points"]
+    return entry["build"](geometry, points)

@@ -596,9 +596,18 @@ class TestListFamilies:
             assert set(geometry[name]) == set(entry["geometry"])
             family = build_family(name, geometry[name])
             assert list(family.parameters) == entry["parameters"] == listing[name]["parameters"]
-            points = entry["default_grid"]["points"]
-            assert listing[name]["default_grid"]["points"] == points
-            assert family.grid.shape == (points,) * family.grid.ndim
+            listed = listing[name]["default_grid"]
+            assert listed == entry["default_grid"]
+            assert family.grid.shape == (listed["points"],) * family.grid.ndim
+            # the listed extent is the extent of the grid built
+            if name == "gaussian-pulse":
+                half = listed["halfwidth_sigmas"] * np.sqrt(VARIANCE)
+                span = (OMEGA0 - half, OMEGA0 + half)
+            else:
+                half = listed["halfwidth_waists"] * geometry[name]["w0"]
+                span = (-half, half)
+            for axis in family.grid.axes:
+                assert (axis[0], axis[-1]) == pytest.approx(span, rel=1e-15)
 
     def test_closed_stdout_ends_quietly(self):
         # the pipe closes long before the child has imported numpy and prints

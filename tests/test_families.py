@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from modal_qcrb import (
     build_family,
     derivative_mode,
     displaced_beam_family,
+    finite_difference_family,
     gaussian_beam_family,
     gaussian_pulse_family,
     photon_statistics,
     qfim_mode_split,
     qfim_single_mode,
 )
-from modal_qcrb import engine
+from modal_qcrb import engine, families
 from modal_qcrb.families import FAMILY_REGISTRY
 from conftest import (
     K,
@@ -234,6 +236,23 @@ class TestRegistry:
             family.evaluate_mode(0, theta)
 
     @pytest.mark.parametrize(
+        "family, theta",
+        [
+            (gaussian_beam_family(BeamGeometry(1.0, K), points=64), [1e300, 0, 0, 0, 0, 0]),
+            (gaussian_beam_family(BeamGeometry(1.0, K), points=64), [0, 0, 0, 0, 1e308, 0]),
+            (displaced_beam_family(1.0, points=64), [1e300, 0]),
+            (gaussian_pulse_family(PulseSpectrum(OMEGA0, VARIANCE), points=256), [0, 0, 1e308]),
+        ],
+        ids=["beam-x0", "beam-tilt_x", "displaced-x0", "pulse-t_gvd"],
+    )
+    def test_far_off_parameters_are_named_without_a_warning(self, family, theta):
+        # the profile overflows off the grid or to non-finite samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=re.escape(str([float(t) for t in theta]))):
+                family.evaluate_mode(0, theta)
+
+    @pytest.mark.parametrize(
         "waist, wavenumber",
         [(1e150, 1e-150), (1e-120, 1.0), (1e-102, 1.0), (1.0, 1e-320), (1.0, 1e300)],
     )
@@ -244,6 +263,21 @@ class TestRegistry:
         message = re.escape(f"geometry w0={waist:g}, k={wavenumber:g}:")
         with pytest.raises(PreconditionError, match=message):
             BeamGeometry(waist, wavenumber)
+
+    def test_pulse_normalizes_its_envelope_once(self, monkeypatch):
+        # the envelope does not depend on theta: neither the reference mode
+        # nor the twelve shifted modes of the finite differences renormalize it
+        calls = []
+
+        def counting(grid, samples):
+            calls.append(1)
+            return grid_normalize(grid, samples)
+
+        grid_normalize = families._grid_normalize
+        monkeypatch.setattr(families, "_grid_normalize", counting)
+        spectrum = PulseSpectrum(OMEGA0, VARIANCE)
+        finite_difference_family(gaussian_pulse_family(spectrum, points=256)).overlap_table
+        assert len(calls) == 1
 
     def test_pulse_grid_below_zero_frequency_rejected(self):
         with pytest.raises(GridResolutionError) as err:
