@@ -37,7 +37,9 @@ from .families import (
     ParameterFamily,
     PulseSpectrum,
     build_family,
+    derivative_mode,
     displaced_beam_family,
+    finite_difference_family,
     gaussian_beam_family,
     gaussian_pulse_family,
     spectral_grid,
@@ -49,8 +51,6 @@ from .modes import (
     OverlapTable,
     ProductSum,
     SampleGrid,
-    derivative_mode,
-    finite_difference_family,
     weighted_gram,
 )
 from .states import (
@@ -72,8 +72,6 @@ __all__ = [
     "DetectionMode",
     "OverlapTable",
     "weighted_gram",
-    "derivative_mode",
-    "finite_difference_family",
     # states
     "FockSpace",
     "DensityState",
@@ -97,6 +95,8 @@ __all__ = [
     "detection_modes_for",
     # families
     "ParameterFamily",
+    "derivative_mode",
+    "finite_difference_family",
     "BeamGeometry",
     "PulseSpectrum",
     "gaussian_beam_family",

@@ -37,8 +37,7 @@ from .engine import (
     qfim_single_mode,
 )
 from .errors import ConfigError, ModalQcrbError, finite_number, whole_number
-from .families import FAMILY_REGISTRY, build_family
-from .modes import finite_difference_family
+from .families import FAMILY_REGISTRY, build_family, finite_difference_family
 from .states import parse_probe, photon_statistics
 from . import tolerances
 

@@ -275,17 +275,30 @@ def attainability(state: DensityState, generators: GeneratorCoefficients) -> Att
     residual = float(np.max(np.abs(trace_comm.real), initial=0.0)) / 4.0
 
     mean_n = float(np.trace(moments).real)
-    totals = generators.total_weights()
-    scale = np.outer(totals, totals) * mean_n
-    pair_ok = np.abs(u) <= TAU_ATTAIN * scale
-    np.fill_diagonal(pair_ok, True)
+    pair_ok, attainable = _attainable_pairs(u, generators.total_weights(), mean_n)
     return AttainabilityResult(
         labels=generators.labels,
         matrix=u,
         pair_attainable=pair_ok,
-        attainable=bool(np.all(pair_ok)),
+        attainable=attainable,
         real_residual=residual,
     )
+
+
+def _attainable_pairs(u: np.ndarray, w: np.ndarray, mean_n: float) -> tuple[np.ndarray, bool]:
+    """Pairs with |u_ab| <= TAU_ATTAIN w_a w_b <N> (the diagonal true), and all of them.
+
+    A commutator or scale that overflows double precision decides nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.outer(w, w) * mean_n
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(scale))):
+        raise PreconditionError(
+            f"commutator matrix at <N> = {mean_n:.3e} overflows double precision"
+        )
+    pair_ok = np.abs(u) <= TAU_ATTAIN * scale
+    np.fill_diagonal(pair_ok, True)
+    return pair_ok, bool(np.all(pair_ok))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,10 +323,9 @@ def attainability_single_mode(
     The commutator matrix is u_ab = 2 <N> Im(d_a f | d_b f): a 1 x 1
     generator is a real number, so the mixed-state double sum of
     :func:`attainability` vanishes and the real residual is 0 for every
-    probe.  A pair is attainable under the rule of :func:`attainability`,
-    |u_ab| <= TAU_ATTAIN w_a w_b <N>.  The normalized value
-    Im(d_a f | d_b f) / (w_a w_b) is the commutator of the two
-    detection-mode quadratures over 2i.
+    probe.  Pairs are judged by the rule of :func:`attainability`.  The
+    normalized value Im(d_a f | d_b f) / (w_a w_b) is the commutator of the
+    two detection-mode quadratures over 2i.
     """
     table = _one_mode_table(family)
     w = table.weights[:, 0]
@@ -323,18 +335,12 @@ def attainability_single_mode(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         normalized = np.where(scale > 0, im / np.where(scale > 0, scale, 1.0), 0.0)
         u = 2.0 * statistics.mean * im
-        pair_scale = scale * statistics.mean
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(pair_scale))):
-        raise PreconditionError(
-            f"commutator matrix at <N> = {statistics.mean:.3e} overflows double precision"
-        )
-    pair_ok = np.abs(u) <= TAU_ATTAIN * pair_scale
-    np.fill_diagonal(pair_ok, True)
+    pair_ok, attainable = _attainable_pairs(u, w, statistics.mean)
     return SingleModeAttainability(
         labels=family.parameters,
         matrix=u,
         pair_attainable=pair_ok,
-        attainable=bool(np.all(pair_ok)),
+        attainable=attainable,
         real_residual=0.0,
         imaginary_overlaps=im,
         normalized=normalized,

@@ -12,7 +12,7 @@ to commonly quoted closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -26,9 +26,9 @@ from .modes import (
     ProductSum,
     SampleGrid,
     _one_term_norm2,
-    derivative_mode,
+    _real_or_complex,
 )
-from .tolerances import TAU_QUAD
+from .tolerances import TAU_FD, TAU_QUAD
 
 # Default grids: the beams sample +-4 waists per axis, the pulse +-6 spectral
 # standard deviations around its carrier; only the number of points varies.
@@ -108,8 +108,8 @@ class ParameterFamily:
     parameter vector theta (theta = 0 is the reference point);
     ``derivative_fn(k, a)`` returns the derivative samples at theta = 0,
     in closed form for the built-in families or by finite differences
-    (:func:`modal_qcrb.modes.finite_difference_family`).  Either may return
-    a :class:`~modal_qcrb.modes.ProductSum` instead of an array; the beam
+    (:func:`finite_difference_family`).  Either may return a
+    :class:`~modal_qcrb.modes.ProductSum` instead of an array; the beam
     families do, and their overlap table is then built from 1-D factors.
     ``oracle_fn(mean_photons, info)`` returns the closed-form information
     matrix given the probe's mean photon number and number-operator
@@ -132,27 +132,33 @@ class ParameterFamily:
         return len(self.parameters)
 
     def evaluate_mode(self, mode_index: int = 0, theta: np.ndarray | None = None) -> Mode:
-        """Mode ``mode_index`` at ``theta``; a failure names the parameters.
-
-        An overflow leaves non-finite samples or a profile that vanishes on
-        the grid; either is an :class:`EvaluationError`, never a numpy warning.
-        """
-        if not 0 <= mode_index < self.n_modes:
-            raise StructuralError(f"mode index {mode_index} outside the family")
+        """Mode ``mode_index`` at ``theta``; a failure names the parameters."""
         if theta is None:
             theta = np.zeros(self.n_parameters)
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_parameters,):
-            raise StructuralError(
-                f"theta must have {self.n_parameters} entries, got {theta.shape}"
-            )
+            raise StructuralError(f"theta must have {self.n_parameters} entries, got {theta.shape}")
+        return self._evaluated(
+            self.mode_fn,
+            mode_index,
+            theta,
+            lambda: f"mode {mode_index} at parameters {theta.tolist()}",
+        )
+
+    def _evaluated(self, rule: Callable, mode_index: int, arg, what: Callable[[], str]) -> Mode:
+        """``Mode(grid, rule(mode_index, arg))``: the one call of the family's rules.
+
+        numpy does not warn while the rule runs, since an overflow leaves a
+        non-finite or vanishing profile; an :class:`EvaluationError` of the
+        rule or of the mode is raised again prefixed with ``what()``.
+        """
+        if not 0 <= mode_index < self.n_modes:
+            raise StructuralError(f"mode index {mode_index} outside the family")
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return Mode(self.grid, self.mode_fn(mode_index, theta))
+                return Mode(self.grid, rule(mode_index, arg))
         except EvaluationError as exc:
-            raise EvaluationError(
-                f"mode {mode_index} at parameters {theta.tolist()}: {exc}"
-            ) from None
+            raise EvaluationError(f"{what()}: {exc}") from None
 
     def evaluate(self, theta: np.ndarray | None = None) -> tuple[Mode, ...]:
         return tuple(self.evaluate_mode(k, theta) for k in range(self.n_modes))
@@ -164,12 +170,10 @@ class ParameterFamily:
         The overlap table is built from these modes, and the detection
         modes are formed from them.
         """
-        # an overflow leaves non-finite samples, which the modes reject
-        with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(
-                tuple(derivative_mode(self, k, a) for k in range(self.n_modes))
-                for a in range(self.n_parameters)
-            )
+        return tuple(
+            tuple(derivative_mode(self, k, a) for k in range(self.n_modes))
+            for a in range(self.n_parameters)
+        )
 
     @cached_property
     def overlap_table(self) -> OverlapTable:
@@ -179,10 +183,7 @@ class ParameterFamily:
         ``derivative_modes``; every engine quantity about the modes is a
         slice of it.
         """
-        # an overflow leaves non-finite samples or overlaps, which the modes
-        # and the table reject with a message of their own
-        with np.errstate(over="ignore", invalid="ignore"):
-            return OverlapTable.from_modes(self.evaluate(), self.derivative_modes)
+        return OverlapTable.from_modes(self.evaluate(), self.derivative_modes)
 
     @cached_property
     def generators(self) -> GeneratorCoefficients:
@@ -201,6 +202,79 @@ class ParameterFamily:
         return self.oracle_fn(float(mean_photons), float(info))
 
 
+def derivative_mode(family: ParameterFamily, mode_index: int, parameter: int) -> Mode:
+    """Unnormalized derivative of a family mode with respect to one parameter.
+
+    The family's ``derivative_fn`` decides how it is taken: a closed form,
+    or the finite difference of :func:`finite_difference_family`.  Either
+    way a failure, a non-finite sample or an :class:`EvaluationError` of
+    the rule, names the mode and the parameter.
+    """
+    if family.derivative_fn is None:
+        raise StructuralError(
+            f"family '{family.name}' has no derivative rule; "
+            "use finite_difference_family(family)"
+        )
+    if not 0 <= parameter < family.n_parameters:
+        raise StructuralError(f"parameter index {parameter} outside the family")
+    label = family.parameters[parameter]
+    return family._evaluated(
+        family.derivative_fn,
+        mode_index,
+        parameter,
+        lambda: f"derivative of mode {mode_index} with respect to parameter '{label}'",
+    )
+
+
+def finite_difference_family(
+    family: ParameterFamily, step: float | None = None
+) -> ParameterFamily:
+    """The family with its derivatives taken by finite differences.
+
+    A central difference with one Richardson refinement, step
+    ``|theta_scale| * 1e-4`` unless given, so the step follows each
+    parameter's own scale whether it is large or small.  Each derivative
+    mode costs four shifted evaluations of the family's ``mode_fn``; a
+    non-finite sample in any of them stays non-finite in their difference,
+    which :func:`derivative_mode` checks once, naming the parameter; it
+    names a failed shifted evaluation too.  A step below
+    ``eps / TAU_FD * |theta_scale|`` is rejected: there the shifted modes
+    round to the reference and the difference to zero.  Modes given as
+    :class:`ProductSum` are differenced per axis and stay product sums (at
+    most four terms for one-term modes).
+    """
+    steps = [
+        float(step) if step is not None else abs(float(scale)) * 1e-4
+        for scale in family.theta_scales
+    ]
+    if not all(h > 0 for h in steps):
+        raise ValueError("finite-difference step must be positive")
+    for name, h, scale in zip(family.parameters, steps, family.theta_scales):
+        floor = np.finfo(float).eps / TAU_FD * abs(float(scale))
+        if h < floor:
+            raise ValueError(
+                f"finite-difference step {h:.3g} for parameter '{name}' is below "
+                f"{floor:.3g}, eps / TAU_FD times its scale {abs(float(scale)):.3g}"
+            )
+
+    def derivative(mode_index: int, parameter: int) -> np.ndarray | ProductSum:
+        def shifted(h: float) -> np.ndarray | ProductSum:
+            theta = np.zeros(family.n_parameters)
+            theta[parameter] = h
+            samples = family.mode_fn(mode_index, theta)
+            return samples if isinstance(samples, ProductSum) else _real_or_complex(samples)
+
+        def central(h: float) -> np.ndarray | ProductSum:
+            return (shifted(h) - shifted(-h)) / (2.0 * h)
+
+        h = steps[parameter]
+        coarse = central(h)
+        fine = central(h / 2.0)
+        return (4.0 * fine - coarse) / 3.0
+
+    return replace(family, derivative_fn=derivative)
+
+
 def _norm2(grid: SampleGrid, samples: np.ndarray | ProductSum) -> float:
     """Squared quadrature norm of an array or a one-term product sum.
 
@@ -211,20 +285,21 @@ def _norm2(grid: SampleGrid, samples: np.ndarray | ProductSum) -> float:
     return float(np.sum(grid.weights * np.abs(samples) ** 2).real)
 
 
-def _check_resolution(
-    name: str, grid: SampleGrid, raw_reference: np.ndarray | ProductSum
-) -> None:
-    """The raw closed-form profile must integrate to 1 on the grid.
+def _unit_reference(
+    name: str, grid: SampleGrid, raw: np.ndarray | ProductSum, amplitude: float
+) -> np.ndarray | ProductSum:
+    """``raw`` at unit grid norm, once ``amplitude * raw``, the closed form, integrates to 1.
 
-    Grid renormalization would mask coarse grids, so the check runs on the
-    profile before normalization.
+    Renormalizing would mask a coarse grid, so one norm of ``raw`` serves
+    the check first and then :func:`_grid_normalize`'s scaling.
     """
-    norm = _norm2(grid, raw_reference)
-    err = abs(norm - 1.0)
-    if not err <= 10.0 * TAU_QUAD:  # a non-finite norm fails too
+    norm2 = _norm2(grid, raw)
+    err = abs(amplitude**2 * norm2 - 1.0)
+    if not err <= 10.0 * TAU_QUAD:  # a non-finite or zero norm fails too
         raise GridResolutionError(
             f"grid too coarse for family '{name}': reference-mode norm error {err:.3e}"
         )
+    return raw / np.sqrt(norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +365,18 @@ def _gaussian_spot(
 
 
 def _beam_derivatives(
-    geometry: BeamGeometry, carrier: bool, grid: SampleGrid, spot: ProductSum
+    geometry: BeamGeometry, carrier: bool, grid: SampleGrid, base: ProductSum
 ) -> Callable[[int, int], ProductSum]:
     """Closed-form derivatives, each at most two outer products.
 
-    ``spot`` is the family's raw Gaussian spot on the grid.  A profile in
-    r^2 = x^2 + y^2 times the spot splits into one term per axis; the
-    carrier's constant joins the x term.
+    ``base`` is the family's Gaussian spot at unit norm on the grid.  A
+    profile in r^2 = x^2 + y^2 times the spot splits into one term per
+    axis; the carrier's constant joins the x term.
     """
     w0 = geometry.waist
     k = geometry.wavenumber
     zr = geometry.rayleigh_range
     x, y = grid.axes
-    base = _grid_normalize(grid, spot)
 
     def derivative(mode_index: int, parameter: int) -> ProductSum:
         if parameter == 0:
@@ -378,7 +452,7 @@ def gaussian_beam_family(
         ]
     )
     spot = _gaussian_spot(grid, geometry.waist)
-    _check_resolution(name, grid, np.sqrt(2.0 / np.pi) / geometry.waist * spot)
+    base = _unit_reference(name, grid, spot, np.sqrt(2.0 / np.pi) / geometry.waist)
     return ParameterFamily(
         name=name,
         parameters=_BEAM_PARAMETERS,
@@ -386,7 +460,7 @@ def gaussian_beam_family(
         grid=grid,
         theta_scales=scales,
         mode_fn=lambda k, theta: _beam_samples(geometry, carrier_phase, grid, theta),
-        derivative_fn=_beam_derivatives(geometry, carrier_phase, grid, spot),
+        derivative_fn=_beam_derivatives(geometry, carrier_phase, grid, base),
         oracle_fn=_beam_oracle(geometry, carrier_phase),
     )
 
@@ -439,9 +513,8 @@ def gaussian_pulse_family(
     scales = np.array([1.0 / w0, 1.0 / float(np.sqrt(var)), w0 / var])
     detuning = grid.axes[0] - w0
     gaussian = np.exp(-(detuning**2) / (4.0 * var))
-    _check_resolution("gaussian-pulse", grid, (2.0 * np.pi * var) ** (-0.25) * gaussian)
     # the envelope does not depend on theta: normalized once for every call
-    envelope = _grid_normalize(grid, gaussian)
+    envelope = _unit_reference("gaussian-pulse", grid, gaussian, (2.0 * np.pi * var) ** (-0.25))
 
     def mode_fn(mode_index: int, theta: np.ndarray) -> np.ndarray:
         t_phase, t_group, t_gvd = theta
@@ -489,7 +562,7 @@ def displaced_beam_family(
     if grid is None:
         grid = transverse_grid(waist, points)
     spot = _gaussian_spot(grid, waist)
-    base = _grid_normalize(grid, spot)
+    base = _unit_reference("displaced-beam", grid, spot, np.sqrt(2.0 / np.pi) / waist)
 
     def mode_fn(mode_index: int, theta: np.ndarray) -> ProductSum:
         return _grid_normalize(grid, _gaussian_spot(grid, waist, theta[0], theta[1]))
@@ -501,7 +574,6 @@ def displaced_beam_family(
         entry = 4.0 * mean_photons / waist**2
         return np.diag([entry, entry])
 
-    _check_resolution("displaced-beam", grid, np.sqrt(2.0 / np.pi) / waist * spot)
     return ParameterFamily(
         name="displaced-beam",
         parameters=_DISPLACEMENT_PARAMETERS,

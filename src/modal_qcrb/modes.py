@@ -8,19 +8,15 @@ quadrature weights so inner products stay bilinear sums.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EvaluationError, GridMismatchError, StructuralError
-from .tolerances import TAU_FD, TAU_ORTH
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .families import ParameterFamily
+from .tolerances import TAU_ORTH
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
@@ -325,15 +321,17 @@ def weighted_gram(rows: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray
     k = len(flat)
     s = np.zeros((2 * k, 2 * k))
     stack = np.empty((2 * k, min(GRAM_BLOCK, root.size)))
-    for start in range(0, root.size, GRAM_BLOCK):
-        w = root[start : start + GRAM_BLOCK]
-        x = stack[:, : w.size]
-        for i, r in enumerate(flat):
-            part = r[start : start + GRAM_BLOCK]
-            np.multiply(part.real, w, out=x[i])
-            np.multiply(part.imag, w, out=x[k + i])
-        s += x @ x.T
-    return _hermitian(s[:k, :k] + s[k:, k:] + 1j * (s[:k, k:] - s[k:, :k]))
+    # an overflow leaves non-finite entries; the callers check the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, root.size, GRAM_BLOCK):
+            w = root[start : start + GRAM_BLOCK]
+            x = stack[:, : w.size]
+            for i, r in enumerate(flat):
+                part = r[start : start + GRAM_BLOCK]
+                np.multiply(part.real, w, out=x[i])
+                np.multiply(part.imag, w, out=x[k + i])
+            s += x @ x.T
+        return _hermitian(s[:k, :k] + s[k:, k:] + 1j * (s[:k, k:] - s[k:, :k]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -414,8 +412,7 @@ class OverlapTable:
     ``matrix`` is the weighted Gram matrix of the rows
     ``[f_0 .. f_{M-1}, d_0 f_0 .. d_0 f_{M-1}, d_1 f_0, ..]`` (K = M + P M
     rows), ``matrix[r, s] = (row_r | row_s)``.  Everything a run reports
-    about the modes is a slice of it; the properties name the slices.  A
-    family builds its table once (``ParameterFamily.overlap_table``).
+    about the modes is a slice of it; the properties name the slices.
     """
 
     matrix: np.ndarray
@@ -490,78 +487,3 @@ class DetectionMode:
     weight: float
     degenerate: bool = False
     label: str = ""
-
-
-def derivative_mode(family: "ParameterFamily", mode_index: int, parameter: int) -> Mode:
-    """Unnormalized derivative of a family mode with respect to one parameter.
-
-    The family's ``derivative_fn`` decides how it is taken: a closed form,
-    or the finite difference of :func:`finite_difference_family`.  Either
-    way a non-finite sample is an :class:`EvaluationError` naming the
-    parameter.
-    """
-    if family.derivative_fn is None:
-        raise StructuralError(
-            f"family '{family.name}' has no derivative rule; "
-            "use finite_difference_family(family)"
-        )
-    if not 0 <= mode_index < family.n_modes:
-        raise StructuralError(f"mode index {mode_index} outside the family")
-    if not 0 <= parameter < family.n_parameters:
-        raise StructuralError(f"parameter index {parameter} outside the family")
-    samples = family.derivative_fn(mode_index, parameter)
-    try:
-        return Mode(family.grid, samples)
-    except EvaluationError:  # the mode's one finiteness check, named here
-        raise EvaluationError(
-            f"derivative of mode {mode_index} with respect to parameter "
-            f"'{family.parameters[parameter]}' contains non-finite values"
-        ) from None
-
-
-def finite_difference_family(
-    family: "ParameterFamily", step: float | None = None
-) -> "ParameterFamily":
-    """The family with its derivatives taken by finite differences.
-
-    A central difference with one Richardson refinement, step
-    ``|theta_scale| * 1e-4`` unless given, so the step follows each
-    parameter's own scale whether it is large or small.  Each derivative
-    mode costs four shifted evaluations of the family's ``mode_fn``; a
-    non-finite sample in any of them stays non-finite in their difference,
-    which :func:`derivative_mode` checks once, naming the parameter.  A step below
-    ``eps / TAU_FD * |theta_scale|`` is rejected: there the shifted modes
-    round to the reference and the difference to zero.  Modes given as
-    :class:`ProductSum` are differenced per axis and stay product sums (at
-    most four terms for one-term modes).
-    """
-    steps = [
-        float(step) if step is not None else abs(float(scale)) * 1e-4
-        for scale in family.theta_scales
-    ]
-    if not all(h > 0 for h in steps):
-        raise ValueError("finite-difference step must be positive")
-    for name, h, scale in zip(family.parameters, steps, family.theta_scales):
-        floor = np.finfo(float).eps / TAU_FD * abs(float(scale))
-        if h < floor:
-            raise ValueError(
-                f"finite-difference step {h:.3g} for parameter '{name}' is below "
-                f"{floor:.3g}, eps / TAU_FD times its scale {abs(float(scale)):.3g}"
-            )
-
-    def derivative(mode_index: int, parameter: int) -> np.ndarray | ProductSum:
-        def shifted(h: float) -> np.ndarray | ProductSum:
-            theta = np.zeros(family.n_parameters)
-            theta[parameter] = h
-            samples = family.mode_fn(mode_index, theta)
-            return samples if isinstance(samples, ProductSum) else _real_or_complex(samples)
-
-        def central(h: float) -> np.ndarray | ProductSum:
-            return (shifted(h) - shifted(-h)) / (2.0 * h)
-
-        h = steps[parameter]
-        coarse = central(h)
-        fine = central(h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
-
-    return dataclasses.replace(family, derivative_fn=derivative)

@@ -30,7 +30,7 @@ from modal_qcrb import (
     qfim_single_mode,
     qfim_unitary,
 )
-from modal_qcrb.modes import derivative_mode, finite_difference_family
+from modal_qcrb.families import derivative_mode, finite_difference_family
 from modal_qcrb.states import first_moments
 from conftest import (
     K,

@@ -1008,6 +1008,17 @@ class TestConfigErrors:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qfim failed in "), result.stderr
 
+    def test_huge_fd_step_names_the_parameter(self):
+        # every shifted beam lies off the grid; a subprocess, so that numpy
+        # warnings and tracebacks would reach stderr
+        argv = [sys.executable, "-m", "modal_qcrb", "qfim", "--family", "gaussian-beam"]
+        argv += ["--geometry", '{"w0":1,"k":10}', "--grid-points", "64", "--fd-step", "1e300"]
+        argv += ["--state", '{"kind":"coherent","nbar":1}', "--out", "unused"]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "parameter 'x0'" in lines[0], result.stderr
+
     def test_attainability_skips_the_bounds(self, tmp_path, capsys):
         # the pseudo-inverse of this probe's information matrix fails, but
         # the attainability table does not need it

@@ -264,20 +264,41 @@ class TestRegistry:
         with pytest.raises(PreconditionError, match=message):
             BeamGeometry(waist, wavenumber)
 
-    def test_pulse_normalizes_its_envelope_once(self, monkeypatch):
-        # the envelope does not depend on theta: neither the reference mode
-        # nor the twelve shifted modes of the finite differences renormalize it
+    @staticmethod
+    def count_norms(monkeypatch):
         calls = []
+        norm2 = families._norm2
 
         def counting(grid, samples):
             calls.append(1)
-            return grid_normalize(grid, samples)
+            return norm2(grid, samples)
 
-        grid_normalize = families._grid_normalize
-        monkeypatch.setattr(families, "_grid_normalize", counting)
+        monkeypatch.setattr(families, "_norm2", counting)
+        return calls
+
+    def test_pulse_normalizes_its_envelope_once(self, monkeypatch):
+        # the envelope does not depend on theta: neither the reference mode
+        # nor the twelve shifted modes of the finite differences renormalize it
+        calls = self.count_norms(monkeypatch)
         spectrum = PulseSpectrum(OMEGA0, VARIANCE)
         finite_difference_family(gaussian_pulse_family(spectrum, points=256)).overlap_table
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_REGISTRY))
+    def test_each_build_takes_its_reference_norm_once(self, monkeypatch, name):
+        # one norm serves the resolution check and the normalization
+        geometry = {"w0": W0, "k": K, "omega0": OMEGA0, "variance": VARIANCE}
+        calls = self.count_norms(monkeypatch)
+        build_family(name, geometry, points=256 if name == "gaussian-pulse" else 64)
+        assert len(calls) == 1
+
+    def test_custom_grid_where_the_spot_vanishes_is_too_coarse(self):
+        # every sample lies a thousand waists off the spot: the reference
+        # norm is 0, which the resolution check names before normalizing
+        axis = np.linspace(1e3, 1e3 + 1.0, 9)
+        grid = SampleGrid.uniform(axis, axis)
+        with pytest.raises(GridResolutionError, match="'displaced-beam'"):
+            displaced_beam_family(W0, grid)
 
     def test_pulse_grid_below_zero_frequency_rejected(self):
         with pytest.raises(GridResolutionError) as err:

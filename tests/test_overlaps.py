@@ -50,7 +50,7 @@ def pairwise_table(rows):
 def family_rows(family):
     populated = family.evaluate()
     derivatives = [
-        [modes.derivative_mode(family, k, a) for k in range(len(populated))]
+        [families.derivative_mode(family, k, a) for k in range(len(populated))]
         for a in range(family.n_parameters)
     ]
     return populated, derivatives
@@ -127,6 +127,15 @@ class TestOverlapTable:
             table.derivative_overlaps[0, 0, 0, 0] = 1.0
 
 
+def test_overflowing_array_overlaps_raise_the_table_error():
+    # the weighted_gram route overflows in its product, not in the samples
+    f = modes.Mode(modes.SampleGrid.uniform(np.linspace(-1.0, 1.0, 9)), np.full(9, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="mode overlaps overflow"):
+            OverlapTable.from_modes([f], [[f]])
+
+
 def test_gram_block_boundaries_do_not_matter(monkeypatch):
     # the blocked reduction must agree with one product over all samples
     rng = np.random.default_rng(12)
@@ -155,7 +164,7 @@ class TestEvaluateOnce:
             monkeypatch.setattr(
                 ParameterFamily, name, counting(name, getattr(ParameterFamily, name))
             )
-        wrapped = counting("derivative_mode", modes.derivative_mode)
+        wrapped = counting("derivative_mode", families.derivative_mode)
         for module in (modes, families, engine, cli):
             if hasattr(module, "derivative_mode"):
                 monkeypatch.setattr(module, "derivative_mode", wrapped)
@@ -339,7 +348,7 @@ class TestFamilyDerivativeRule:
             qfim_single_mode,
             attainability_single_mode,
             detection_modes_for,
-            modes.derivative_mode,
+            families.derivative_mode,
             cli._detection_mode_files,
         ],
     )
@@ -349,10 +358,10 @@ class TestFamilyDerivativeRule:
     def test_family_without_derivatives_names_the_remedy(self, pulse_family):
         bare = dataclasses.replace(pulse_family, derivative_fn=None)
         with pytest.raises(StructuralError, match="finite_difference_family"):
-            modes.derivative_mode(bare, 0, 0)
+            families.derivative_mode(bare, 0, 0)
         fd = finite_difference_family(bare)
-        reference = modes.derivative_mode(pulse_family, 0, 1)
-        assert np.max(np.abs(modes.derivative_mode(fd, 0, 1).samples - reference.samples)) < 1e-6
+        reference = families.derivative_mode(pulse_family, 0, 1)
+        assert np.max(np.abs(families.derivative_mode(fd, 0, 1).samples - reference.samples)) < 1e-6
 
     def test_finite_difference_family_is_a_new_family(self, pulse_family):
         fd = finite_difference_family(pulse_family)
@@ -386,8 +395,18 @@ class TestFamilyDerivativeRule:
             theta_scales=np.ones(2),
             mode_fn=mode_fn,
         )
-        with pytest.raises(EvaluationError, match="parameter 'b'"), np.errstate(all="ignore"):
-            modes.derivative_mode(finite_difference_family(family), 0, 1)
+        with pytest.raises(EvaluationError, match="parameter 'b'"):
+            families.derivative_mode(finite_difference_family(family), 0, 1)
+
+    def test_huge_step_names_the_parameter(self):
+        # every shifted beam lies off the grid: the rule's own failure is
+        # named, as a non-finite difference is, and numpy stays quiet
+        beam = gaussian_beam_family(BeamGeometry(1.0, 10.0), points=64)
+        family = finite_difference_family(beam, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="parameter 'x0'"):
+                families.derivative_mode(family, 0, 0)
 
     def test_non_finite_closed_form_names_the_parameter(self):
         # the one finiteness check of a derivative row names the parameter
@@ -424,14 +443,14 @@ class TestFamilyDerivativeRule:
         fd = finite_difference_family(dataclasses.replace(family, mode_fn=mode_fn))
         label = family.parameters[parameter]
         with pytest.raises(EvaluationError, match=f"parameter '{label}'"):
-            modes.derivative_mode(fd, 0, parameter)
-        modes.derivative_mode(fd, 0, 0)  # the other shifts are finite
+            families.derivative_mode(fd, 0, parameter)
+        families.derivative_mode(fd, 0, 0)  # the other shifts are finite
 
     @pytest.mark.parametrize("index", [-1, 1, 5])
     def test_mode_index_outside_the_family_rejected(self, beam_family, index):
         for family in (beam_family, finite_difference_family(beam_family)):
             with pytest.raises(StructuralError, match=f"mode index {index} outside"):
-                modes.derivative_mode(family, index, 0)
+                families.derivative_mode(family, index, 0)
 
 
 def test_detection_mode_weights_equal_report_weights_bitwise(tmp_path):
