@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .engine import (
     AttainabilityResult,
-    GeneratorCoefficients,
     QfimReport,
     SingleModeAttainability,
     attainability,
@@ -81,7 +80,6 @@ __all__ = [
     "first_moments",
     "operator_matrix_elements",
     # engine
-    "GeneratorCoefficients",
     "QfimReport",
     "AttainabilityResult",
     "SingleModeAttainability",

@@ -17,10 +17,6 @@ mode inputs of both are slices of the family's one overlap table
 
 from __future__ import annotations
 
-import functools
-import os
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -42,88 +38,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from .families import ParameterFamily
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorCoefficients:
-    """Per-parameter generator data over the populated modes.
+def build_generators(family: "ParameterFamily") -> OverlapTable:
+    """The family's overlap table, with its generator ``matrices`` formed.
 
-    All fields are read from one :class:`~modal_qcrb.modes.OverlapTable`.
-    ``matrices[a]`` is the Hermitian coefficient matrix of the generator of
-    parameter a (symmetrized; the pre-symmetrization residual is kept in
-    ``hermiticity_residuals``).  ``derivative_overlaps[a, b, j, l]`` stores
-    (d_a f_j | d_b f_l): the commutator expectations need these raw
-    derivative-mode overlaps, which the populated-restricted matrices alone
-    cannot express.  ``weights[a, k]`` is the norm of d_a f_k.
+    G^a_{jk} = i (f_j | d_a f_k) is a slice of the table, formed once per
+    family; :func:`qfim_unitary` and :func:`attainability` take the table.
     """
-
-    labels: tuple[str, ...]
-    matrices: np.ndarray
-    derivative_overlaps: np.ndarray
-    weights: np.ndarray
-    hermiticity_residuals: np.ndarray
-
-    @property
-    def n_parameters(self) -> int:
-        return len(self.labels)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrices.shape[-1]
-
-    def total_weights(self) -> np.ndarray:
-        """Per-parameter derivative norm across all populated modes."""
-        return np.sqrt(np.sum(self.weights**2, axis=1))
-
-
-# Frames a warning is not attributed to: this package's, and those of
-# functools, through which ``ParameterFamily.generators`` is reached
-_INTERNAL_FILES = (os.path.dirname(__file__) + os.sep, functools.__file__)
-
-
-def _caller_stacklevel() -> int:
-    """``stacklevel`` of the first frame outside :data:`_INTERNAL_FILES`.
-
-    Counted for a ``warnings.warn`` in the function that calls this one.
-    """
-    level, frame = 1, sys._getframe(1)
-    while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_FILES):
-        level, frame = level + 1, frame.f_back
-    return level
-
-
-def _generators_from_table(labels: Sequence[str], table: OverlapTable) -> GeneratorCoefficients:
-    g = 1j * table.generator_overlaps
-    g_h = g.conj().transpose(0, 2, 1)
-    residuals = np.max(np.abs(g - g_h), axis=(1, 2))
-    if np.any(residuals > TAU_HERM):
-        worst = int(np.argmax(residuals))
-        warnings.warn(
-            f"generator for parameter '{labels[worst]}' has Hermiticity "
-            f"residual {residuals[worst]:.3e}; the family's normalization "
-            "may drift with this parameter",
-            stacklevel=_caller_stacklevel(),
-        )
-    return GeneratorCoefficients(
-        labels=tuple(labels),
-        matrices=(g + g_h) / 2.0,
-        derivative_overlaps=table.derivative_overlaps,
-        weights=table.weights,
-        hermiticity_residuals=residuals,
-    )
-
-
-def build_generators(family: "ParameterFamily") -> GeneratorCoefficients:
-    """Generator coefficients G^a_{jk} = i (f_j | d_a f_k) for a family.
-
-    Formed once per family (``ParameterFamily.generators``).
-    """
-    return family.generators
+    table = family.overlap_table
+    table.matrices  # the first read validates the table and warns on drift
+    return table
 
 
 def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     """Information matrix of unitary parameter generators on a mixed state.
 
-    Accepts :class:`GeneratorCoefficients`, a coefficient stack (P, M, M)
-    or one (M, M) matrix.  Over the kept eigenvectors V (probabilities p),
+    Accepts an overlap table (its generator ``matrices``), a coefficient
+    stack (P, M, M) or one (M, M) matrix.  Over the kept eigenvectors V
+    (probabilities p),
 
         F_ab = 4 sum_m p_m Re <r_am|r_bm>
                + 2 sum_mn (p_m - p_n)^2 / (p_m + p_n) Re E_a,mn E_b,nm,
@@ -185,7 +116,7 @@ def qfim_mode_split(state: DensityState, family: "ParameterFamily") -> np.ndarra
     one-photon correlation matrix.
     """
     table = family.overlap_table
-    f_pop = qfim_unitary(state, family.generators)
+    f_pop = qfim_unitary(state, table)
 
     # (d_a f_j | Pi_vac | d_b f_l) over the rows (a, j) and columns (b, l):
     # the derivative block less its projections (d_a f_j | f_k) onto the
@@ -217,7 +148,7 @@ def qfim_single_mode(statistics: PhotonStatistics, family: "ParameterFamily") ->
     the matrix reduces to 4 Re(d_a f | d_b f) N exactly.
     """
     table = _one_mode_table(family)
-    h = family.generators.matrices[:, 0, 0].real
+    h = table.matrices[:, 0, 0].real
     c = table.generator_overlaps[:, 0, 0]
     vac = (table.derivative_overlaps[:, :, 0, 0] - np.conj(c)[:, None] * c[None, :]).real
     # an overflow leaves inf or nan entries, which crb_bounds rejects
@@ -249,9 +180,10 @@ class AttainabilityResult:
     real_residual: float
 
 
-def attainability(state: DensityState, generators: GeneratorCoefficients) -> AttainabilityResult:
+def attainability(state: DensityState, generators: OverlapTable) -> AttainabilityResult:
     """Mixed-state attainability of the multiparameter bound.
 
+    ``generators`` is a family's overlap table (:func:`build_generators`).
     Combines the per-eigenvector commutator expectation (which needs the
     raw derivative-mode overlaps, including their vacuum components) with
     the double-sum correction that only mixed states contribute.
@@ -471,7 +403,7 @@ def detection_modes_for(family: "ParameterFamily") -> list[DetectionMode]:
     derivative modes the family's overlap table was built from, with the
     weights w_a read from the table, so they equal the report's bitwise.
     A weight below the parameter's floor gives a flagged degenerate mode
-    of zeros with weight zero.
+    of zeros with weight zero, formed without the derivative's samples.
     """
     table = _one_mode_table(family)
     floors = _weight_floors(family)
@@ -480,7 +412,7 @@ def detection_modes_for(family: "ParameterFamily") -> list[DetectionMode]:
         derivative = family.derivative_modes[a][0]
         weight = float(table.weights[a, 0])
         if weight < floors[a]:
-            zero = Mode(derivative.grid, np.zeros_like(derivative.samples))
+            zero = Mode(family.grid, np.zeros(family.grid.shape))
             detections.append(DetectionMode(zero, 0.0, degenerate=True, label=label))
         else:
             rotated = Mode(derivative.grid, 1j * derivative.samples / weight)

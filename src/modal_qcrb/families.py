@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationError, GridResolutionError, PreconditionError, StructuralError
-from .engine import GeneratorCoefficients, _generators_from_table
 from .modes import (
     Mode,
     OverlapTable,
@@ -42,18 +41,31 @@ _PULSE_PARAMETERS = ("t_phase", "t_group", "t_gvd")
 _DISPLACEMENT_PARAMETERS = ("x0", "y0")
 
 
+def _geometry_grid(geometry: str, low: float, high: float, points: int, ndim: int) -> SampleGrid:
+    """Uniform grid of ``ndim`` equal axes over [low, high]; failures name the geometry.
+
+    Such a geometry rounds the axis to repeated or non-finite points, or
+    its quadrature weights out of double-precision range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the grid
+        axis = np.linspace(low, high, points)
+    try:
+        return SampleGrid.uniform(*(axis,) * ndim)
+    except StructuralError as exc:
+        raise PreconditionError(f"geometry {geometry}: {exc}") from None
+
+
 def transverse_grid(waist: float, points: int = _BEAM_POINTS) -> SampleGrid:
     """Default square grid for transverse beam modes: +-4 waists, 256^2."""
     half = _BEAM_HALFWIDTH_WAISTS * waist
-    axis = np.linspace(-half, half, points)
-    return SampleGrid.uniform(axis, axis)
+    return _geometry_grid(f"w0={waist:g}", -half, half, points, ndim=2)
 
 
 def spectral_grid(center: float, variance: float, points: int = _PULSE_POINTS) -> SampleGrid:
     """Default spectral grid: +-6 standard deviations around the carrier, 2048 points."""
     half = _PULSE_HALFWIDTH_SIGMAS * float(np.sqrt(variance))
-    axis = np.linspace(center - half, center + half, points)
-    return SampleGrid.uniform(axis)
+    geometry = f"omega0={center:g}, variance={variance:g}"
+    return _geometry_grid(geometry, center - half, center + half, points, ndim=1)
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,8 @@ class ParameterFamily:
     ``oracle_fn(mean_photons, info)`` returns the closed-form information
     matrix given the probe's mean photon number and number-operator
     information.  Families are immutable closures over their geometry;
-    evaluation is pure, so the overlap table is built once and kept.
+    evaluation is pure, so the overlap table, which holds the generator
+    matrices too, is built once and kept.
     """
 
     name: str
@@ -180,21 +193,11 @@ class ParameterFamily:
         """Overlaps of the modes at theta = 0 and their derivative modes.
 
         Built on first use from one evaluation of the family and its
-        ``derivative_modes``; every engine quantity about the modes is a
-        slice of it.
+        ``derivative_modes``, with the family's parameter names; every
+        engine quantity about the modes, the generator ``matrices``
+        included, is a slice of it.
         """
-        return OverlapTable.from_modes(self.evaluate(), self.derivative_modes)
-
-    @cached_property
-    def generators(self) -> GeneratorCoefficients:
-        """Generator coefficients sliced from the overlap table, formed once.
-
-        Raises unless the populated modes are orthonormal, and warns once
-        when a generator is not Hermitian.
-        """
-        table = self.overlap_table
-        table.validate()
-        return _generators_from_table(self.parameters, table)
+        return OverlapTable.from_modes(self.evaluate(), self.derivative_modes, self.parameters)
 
     def oracle_qfim(self, mean_photons: float, info: float) -> np.ndarray | None:
         if self.oracle_fn is None:
@@ -322,7 +325,7 @@ def _grid_normalize(
 
 
 def _beam_samples(
-    geometry: BeamGeometry, carrier: bool, grid: SampleGrid, theta: np.ndarray
+    geometry: BeamGeometry, carrier: bool, grid: SampleGrid, spacing: tuple, theta: np.ndarray
 ) -> ProductSum:
     """Beam profile as the outer product of one complex factor per axis.
 
@@ -330,12 +333,16 @@ def _beam_samples(
     Gaussian envelope, curvature phase and tilt phase, and the amplitude,
     Gouy phase and carrier phase form one constant.  The scalars are
     Python floats, which raise where numpy scalars would return inf.
+    ``spacing`` is the largest sample spacing per axis, formed once per
+    family: a tilt whose phase turns by more than pi across one is aliased.
     """
     x0, y0, z0, dw, tilt_x, tilt_y = theta.tolist()
     waist = geometry.waist + dw
     if waist <= 0:
         raise EvaluationError("waist perturbation makes the beam collapse")
     k = geometry.wavenumber
+    if abs(k * tilt_x) * spacing[0] > math.pi or abs(k * tilt_y) * spacing[1] > math.pi:
+        raise EvaluationError("tilt_x or tilt_y turns the phase by more than pi per sample")
     try:
         zr = k * waist**2 / 2.0
         zeta = -z0  # observation plane sits at the origin; the waist moved to z0
@@ -453,13 +460,14 @@ def gaussian_beam_family(
     )
     spot = _gaussian_spot(grid, geometry.waist)
     base = _unit_reference(name, grid, spot, np.sqrt(2.0 / np.pi) / geometry.waist)
+    spacing = tuple(float((axis[1:] - axis[:-1]).max()) for axis in grid.axes)
     return ParameterFamily(
         name=name,
         parameters=_BEAM_PARAMETERS,
         units=("length", "length", "length", "length", "rad", "rad"),
         grid=grid,
         theta_scales=scales,
-        mode_fn=lambda k, theta: _beam_samples(geometry, carrier_phase, grid, theta),
+        mode_fn=lambda k, theta: _beam_samples(geometry, carrier_phase, grid, spacing, theta),
         derivative_fn=_beam_derivatives(geometry, carrier_phase, grid, base),
         oracle_fn=_beam_oracle(geometry, carrier_phase),
     )

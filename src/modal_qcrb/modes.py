@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EvaluationError, GridMismatchError, StructuralError
-from .tolerances import TAU_ORTH
+from .tolerances import TAU_HERM, TAU_ORTH
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
@@ -405,19 +408,37 @@ def grid_gram(grid: SampleGrid, rows: Sequence[np.ndarray | ProductSum]) -> np.n
     )
 
 
+# Frames a warning is not attributed to: this package's, and those of
+# functools, through which the cached ``OverlapTable.matrices`` is reached
+_INTERNAL_FILES = (os.path.dirname(__file__) + os.sep, functools.__file__)
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` of the first frame outside :data:`_INTERNAL_FILES`.
+
+    Counted for a ``warnings.warn`` in the function that calls this one.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_INTERNAL_FILES):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 @dataclass(frozen=True, eq=False)
 class OverlapTable:
     """Overlaps among populated modes f_k and their derivative modes d_a f_k.
 
     ``matrix`` is the weighted Gram matrix of the rows
     ``[f_0 .. f_{M-1}, d_0 f_0 .. d_0 f_{M-1}, d_1 f_0, ..]`` (K = M + P M
-    rows), ``matrix[r, s] = (row_r | row_s)``.  Everything a run reports
-    about the modes is a slice of it; the properties name the slices.
+    rows), ``matrix[r, s] = (row_r | row_s)``, for the parameters named in
+    ``labels``.  Everything a run reports about the modes is a slice of it;
+    the properties name the slices.  The generator matrices, the one slice
+    that is transformed, are formed once, on first read of ``matrices``.
     """
 
     matrix: np.ndarray
+    labels: tuple[str, ...]
     n_modes: int
-    n_parameters: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.matrix)):
@@ -429,20 +450,26 @@ class OverlapTable:
 
     @classmethod
     def from_modes(
-        cls, populated: Sequence[Mode], derivatives: Sequence[Sequence[Mode]]
+        cls, populated: Sequence[Mode], derivatives: Sequence[Sequence[Mode]], labels: Sequence[str]
     ) -> "OverlapTable":
-        """Table of explicit modes; ``derivatives[a][k]`` is d_a f_k."""
+        """Table of explicit modes; ``derivatives[a][k]`` is d_a f_k, named ``labels[a]``."""
         populated = list(populated)
         if not populated:
             raise StructuralError("an overlap table needs at least one populated mode")
         if any(len(row) != len(populated) for row in derivatives):
             raise StructuralError("derivative table shape does not match the basis")
+        if len(labels) != len(derivatives):
+            raise StructuralError(f"{len(labels)} labels for {len(derivatives)} derivative rows")
         modes = populated + [d for row in derivatives for d in row]
         grid = populated[0].grid
         if not all(grid.compatible(m.grid) for m in modes[1:]):
             raise GridMismatchError("modes are sampled on different grids")
         matrix = grid_gram(grid, [m.data for m in modes])
-        return cls(matrix, len(populated), len(derivatives))
+        return cls(matrix, tuple(labels), len(populated))
+
+    @property
+    def n_parameters(self) -> int:
+        return len(self.labels)
 
     @property
     def populated(self) -> np.ndarray:
@@ -462,12 +489,44 @@ class OverlapTable:
         m, p = self.n_modes, self.n_parameters
         return self.matrix[m:, m:].reshape(p, m, p, m).transpose(0, 2, 1, 3)
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """``[a, k]`` = norm of d_a f_k, shape (P, M)."""
+        """``[a, k]`` = norm of d_a f_k, shape (P, M), formed once and read-only."""
         m, p = self.n_modes, self.n_parameters
         norms2 = self.matrix.diagonal()[m:].real.reshape(p, m)
-        return np.sqrt(np.maximum(norms2, 0.0))
+        weights = np.sqrt(np.maximum(norms2, 0.0))
+        weights.flags.writeable = False
+        return weights
+
+    def total_weights(self) -> np.ndarray:
+        """Per-parameter derivative norm across all populated modes."""
+        return np.sqrt(np.sum(self.weights**2, axis=1))
+
+    @functools.cached_property
+    def hermiticity_residuals(self) -> np.ndarray:
+        """``[a]`` = max |G^a - (G^a)^dagger| of the generator G^a_jk = i (f_j | d_a f_k)."""
+        g = 1j * self.generator_overlaps
+        return np.max(np.abs(g - g.conj().transpose(0, 2, 1)), axis=(1, 2))
+
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        """Hermitian generator matrices (G^a + (G^a)^dagger) / 2, shape (P, M, M).
+
+        The first read raises unless the populated modes are orthonormal,
+        and warns once if a Hermiticity residual exceeds ``TAU_HERM``.
+        """
+        self.validate()
+        residuals = self.hermiticity_residuals
+        if np.any(residuals > TAU_HERM):
+            worst = int(np.argmax(residuals))
+            warnings.warn(
+                f"generator for parameter '{self.labels[worst]}' has Hermiticity "
+                f"residual {residuals[worst]:.3e}; the family's normalization "
+                "may drift with this parameter",
+                stacklevel=_caller_stacklevel(),
+            )
+        g = 1j * self.generator_overlaps
+        return (g + g.conj().transpose(0, 2, 1)) / 2.0
 
     def validate(self) -> None:
         """Raise unless the populated modes are orthonormal."""

@@ -120,7 +120,7 @@ def _ladder(
 def _coefficient_matrices(space: FockSpace, coefficients) -> np.ndarray:
     """A checked (M, M) matrix or (P, M, M) stack of quadratic coefficients.
 
-    Takes an array, or a generator-coefficient object exposing ``matrices``.
+    Takes an array, or an overlap table exposing its generator ``matrices``.
     """
     coefficients = np.asarray(getattr(coefficients, "matrices", coefficients), dtype=complex)
     m = space.n_modes

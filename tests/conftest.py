@@ -494,8 +494,9 @@ def commutator_from_overlaps(
 def family_from_modes(populated, derivatives, labels) -> ParameterFamily:
     """Family over explicit modes; ``derivatives[a][k]`` is d_a f_k.
 
-    Its ``generators`` are the coefficients of these modes, read from the
-    same overlap table as for any built-in family.
+    Its generator matrices (``build_generators``) are the coefficients of
+    these modes, read from the same overlap table as for any built-in
+    family.
     """
     n_p = len(derivatives)
     return ParameterFamily(

@@ -234,7 +234,7 @@ def test_criterion_06_pure_state_reductions():
     worst_att = 0.0
     for _ in range(50):
         populated, derivatives = random_mode_parameter_data(rng, 2, 2)
-        gens = family_from_modes(populated, derivatives, ["a", "b"]).generators
+        gens = build_generators(family_from_modes(populated, derivatives, ["a", "b"]))
         state = random_density_state(rng, space, rank=1)
         vec = state.vectors[:, 0]
 

@@ -4,11 +4,13 @@ The strong-mean-field route, the readout forward model, the Gram-Schmidt
 readout basis, the photon-number moments, the pairwise inner product, the
 mode-list wrapper, the Fock-operator helper and the one-mode Fock states of
 the named probe kinds are test oracles (``conftest.py``); a second way to
-build generators, a per-mode detection-mode builder, a second check of
-coefficient input and the report wrappers of the CLI are gone.  The
-README's library example runs as written.
+build generators, a generator object beside the overlap table it copies,
+a per-mode detection-mode builder, a second check of coefficient input and
+the report wrappers of the CLI are gone.  The modules below the engine do
+not import it.  The README's library example runs as written.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -19,6 +21,7 @@ import modal_qcrb
 from modal_qcrb.states import ProbeKind
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(modal_qcrb.__file__).parent
 
 PUBLIC = {
     "__version__",
@@ -40,7 +43,6 @@ PUBLIC = {
     "first_moments",
     "operator_matrix_elements",
     # engine
-    "GeneratorCoefficients",
     "QfimReport",
     "AttainabilityResult",
     "SingleModeAttainability",
@@ -103,11 +105,13 @@ ORACLES_AND_DUPLICATES = (
     "_check_coefficients",
     "ReportBundle",
     "RunResult",
+    "GeneratorCoefficients",
+    "_generators_from_table",
 )
 
 
 def test_all_is_the_expected_set():
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 45
     assert sorted(modal_qcrb.__all__) == sorted(PUBLIC)
 
 
@@ -122,6 +126,26 @@ def test_every_public_name_resolves():
 def test_oracles_are_not_library_names(module):
     namespace = importlib.import_module(module)
     assert [name for name in ORACLES_AND_DUPLICATES if hasattr(namespace, name)] == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Names of the modules a source file imports, relative ones as written (``.engine``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names.add(module)
+            if module in (".", "modal_qcrb"):  # from . import engine
+                names.update(module.rstrip(".") + "." + alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["families", "modes", "states"])
+def test_modules_below_the_engine_do_not_import_it(module):
+    imported = _imported_modules(PACKAGE / f"{module}.py")
+    assert not {".engine", "modal_qcrb.engine"} & imported, imported
 
 
 def test_oracle_tolerances_are_not_library_tolerances():

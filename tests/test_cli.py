@@ -819,6 +819,9 @@ class TestWriteRun:
         assert snapshot(tmp_path / "out") == {}
 
 
+PULSE_1E17 = {"omega0": 1e17, "variance": 1}  # the carrier swamps the width: the axis repeats
+
+
 class TestConfigErrors:
     """Each bad config exits 2 naming its field, or 1 with a message; none raises."""
 
@@ -973,6 +976,29 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"qfim failed in {error}")
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, family, geometry, error",
+        [
+            ("qfim", "gaussian-pulse", PULSE_1E17, "omega0=1e+17, variance=1: grid axis 0 must"),
+            ("detection-modes", "gaussian-pulse", PULSE_1E17, "omega0=1e+17, variance=1: grid axis 0"),
+            ("qfim", "displaced-beam", {"w0": 1e160}, "w0=1e+160: quadrature weights"),
+            ("qfim", "displaced-beam", {"w0": 1e-160}, "w0=1e-160: quadrature weights"),
+            ("qfim", "displaced-beam", {"w0": 1e308}, "w0=1e+308: grid axis 0 has non-finite"),
+        ],
+        ids=["pulse-carrier-swamps-width", "pulse-export", "huge-spot", "tiny-spot", "spot-beyond-range"],
+    )
+    def test_geometry_the_grid_cannot_hold_names_the_geometry(
+        self, tmp_path, capsys, command, family, geometry, error
+    ):
+        config = self.base_for(command) | {"family": family, "geometry": geometry}
+        config.pop("grid_points")  # the default grid of the family
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.run(tmp_path, config, command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command} failed in PreconditionError: geometry {error}")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "command, state",

@@ -88,7 +88,7 @@ class TestBuildGenerators:
         f = populated[0]
         c = 0.8
         deriv = Mode(f.grid, -1j * c * f.samples)
-        gens = family_from_modes(populated, [[deriv]], ["phi"]).generators
+        gens = build_generators(family_from_modes(populated, [[deriv]], ["phi"]))
         assert gens.matrices[0, 0, 0] == pytest.approx(c, abs=1e-12)
 
     def test_displacement_generator_vanishes(self, displaced_family):
@@ -116,7 +116,7 @@ class TestBuildGenerators:
         f = populated[0]
         drifting = Mode(f.grid, 0.5 * f.samples)
         with pytest.warns(UserWarning, match="normalization"):
-            gens = family_from_modes(populated, [[drifting]], ["bad"]).generators
+            gens = build_generators(family_from_modes(populated, [[drifting]], ["bad"]))
         assert gens.hermiticity_residuals[0] == pytest.approx(1.0, rel=1e-10)
 
 
@@ -462,7 +462,7 @@ class TestAttainability:
         rng = np.random.default_rng(33)
         for trial in range(10):
             populated, derivatives = random_mode_parameter_data(rng, 2, 2)
-            gens = family_from_modes(populated, derivatives, ["a", "b"]).generators
+            gens = build_generators(family_from_modes(populated, derivatives, ["a", "b"]))
             space = FockSpace(n_modes=2, cutoff=3)
             state = random_density_state(rng, space, rank=1)
             mixed = attainability(state, gens).matrix
@@ -580,14 +580,14 @@ class TestStateTableAgainstDenseOperators:
 
     def test_operator_matrix_elements(self, case):
         state, family = case
-        matrices = family.generators.matrices
+        matrices = build_generators(family).matrices
         assert_close_to_largest(
             operator_matrix_elements(state, matrices), dense_elements(state, matrices)
         )
 
     def test_qfim_unitary(self, case):
         state, family = case
-        matrices = family.generators.matrices
+        matrices = build_generators(family).matrices
         expected = np.array(
             [[brute_force_qfim(state, ca, cb) for cb in matrices] for ca in matrices]
         )
@@ -603,14 +603,14 @@ class TestStateTableAgainstDenseOperators:
 
     def test_attainability(self, case):
         state, family = case
-        gens = family.generators
+        gens = build_generators(family)
         assert_close_to_largest(attainability(state, gens).matrix, dense_commutator(state, gens))
 
     def test_stacked_pass_equals_single_generator_calls(self, case):
         # the diagonal from one call per generator, each off-diagonal from one
         # call on a sum, F(a + b) = F_aa + F_bb + 2 F_ab; and the dense oracle
         state, family = case
-        matrices = family.generators.matrices
+        matrices = build_generators(family).matrices
         f = qfim_unitary(state, matrices)
         n_p = matrices.shape[0]
         single = np.empty((n_p, n_p))
@@ -637,7 +637,7 @@ class TestStateTableAgainstDenseOperators:
 
         monkeypatch.setattr(states, "_ladder", counted)
         qfim_mode_split(state, family)
-        attainability(state, family.generators)
+        attainability(state, build_generators(family))
         m = family.n_modes
         assert len(calls) == 2 * m
         assert calls.count(True) == m

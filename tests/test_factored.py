@@ -19,16 +19,18 @@ from modal_qcrb import (
     GridResolutionError,
     Mode,
     OverlapTable,
+    ParameterFamily,
     SampleGrid,
     StructuralError,
     displaced_beam_family,
     finite_difference_family,
     gaussian_beam_family,
+    transverse_grid,
     weighted_gram,
 )
 from modal_qcrb.modes import ProductSum, _factored_gram, _hermitian, _one_term_norm2, grid_gram
 from modal_qcrb.tolerances import TAU_QUAD
-from conftest import inner_product
+from conftest import export_detection_modes, inner_product
 
 
 def build(name, w0, k, **grid_options):
@@ -156,7 +158,7 @@ class TestFactoredChecks:
         populated = Mode(grid, spot)
         derivative = Mode(grid, 1e200 * spot)
         with pytest.raises(EvaluationError, match="overflow"):
-            OverlapTable.from_modes([populated], [[derivative]])
+            OverlapTable.from_modes([populated], [[derivative]], ["a"])
 
     @pytest.mark.parametrize(
         "scale_x, scale_y",
@@ -315,3 +317,30 @@ class TestProductSumArithmetic:
             assert all(f.ndim == 1 for term in combined.terms for f in term)
             rebuilt = ProductSum(combined.terms)  # the checked constructor agrees
             assert rebuilt.shape == combined.shape
+
+
+def test_degenerate_detection_mode_leaves_its_derivative_unexpanded(tmp_path, monkeypatch):
+    # a product-sum family whose first derivative is zero: its detection
+    # mode is zeros of the grid's shape, not a copy of the N^2 samples
+    grid = transverse_grid(1.0, points=32)
+    x, y = grid.axes
+    spot = ProductSum.outer(np.exp(-(x**2)), np.exp(-(y**2)))
+    spot = spot / np.sqrt(_one_term_norm2(spot, grid.axis_weights))
+    derivatives = (0.0 * spot, spot.along(0, 2.0 * x))
+    family = ParameterFamily(
+        name="product-sum",
+        parameters=("idle", "x0"),
+        units=("1", "1"),
+        grid=grid,
+        theta_scales=np.ones(2),
+        mode_fn=lambda k, theta: spot,
+        derivative_fn=lambda k, a: derivatives[a],
+    )
+    expanded = []
+    expand = ProductSum.expand
+    monkeypatch.setattr(ProductSum, "expand", lambda self: expanded.append(self) or expand(self))
+    sidecar = export_detection_modes(family, tmp_path)
+    assert sidecar["degenerate"] == [True, False]
+    idle, live = (row[0].data for row in family.derivative_modes)
+    assert not any(ps is idle for ps in expanded)
+    assert any(ps is live for ps in expanded)

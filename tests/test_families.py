@@ -381,6 +381,25 @@ class TestSeparableEvaluation:
         expected = 2.0 * xg / W0**2 * mesh_spot(family.grid, W0)
         assert_samples_close(derivative_mode(family, 0, 0).samples, expected)
 
+    @pytest.mark.parametrize("tilt", [1e300, 5.0, -5.0])
+    @pytest.mark.parametrize("parameter", [4, 5], ids=["tilt_x", "tilt_y"])
+    def test_tilt_the_grid_cannot_sample_raises(self, parameter, tilt):
+        # 64 points over +-4 waists at k = 10: a tilt of 5 turns the phase
+        # by 6.35 rad between samples, which alias to a finite beam
+        family = gaussian_beam_family(BeamGeometry(1.0, 10.0), points=64)
+        theta = np.zeros(6)
+        theta[parameter] = tilt
+        message = r"\]: tilt_x or tilt_y turns the phase by more than pi per sample"
+        with pytest.raises(EvaluationError, match=message):
+            family.evaluate_mode(0, theta)
+
+    def test_tilt_within_the_sampling_limit_evaluates(self):
+        # the limit is pi / (k dx), with dx = 8 / 63 the spacing of 64 points
+        family = gaussian_beam_family(BeamGeometry(1.0, 10.0), points=64)
+        limit = np.pi / (10.0 * 8.0 / 63.0)
+        theta = np.array([0.0, 0.0, 0.0, 0.0, 0.99 * limit, -0.99 * limit])
+        assert np.all(np.isfinite(family.evaluate_mode(0, theta).samples))
+
     @pytest.mark.parametrize("carrier", [False, True], ids=["beam", "carrier"])
     def test_waist_collapsing_to_zero_raises(self, carrier):
         family = gaussian_beam_family(BeamGeometry(W0, K), carrier_phase=carrier)

@@ -62,6 +62,9 @@ def assert_matches_pairwise(table, rows):
     assert np.max(np.abs(table.matrix - reference)) <= 1e-12 * scale
 
 
+LABELS = ("a", "b", "c")
+
+
 class TestOverlapTable:
     @pytest.mark.parametrize("fixture", FAMILIES)
     def test_family_table_matches_pairwise_products(self, request, fixture):
@@ -74,7 +77,7 @@ class TestOverlapTable:
     def test_random_multimode_table_matches_pairwise_products(self, n_modes, n_params):
         rng = np.random.default_rng(100 + n_modes)
         populated, derivatives = random_mode_parameter_data(rng, n_params, n_modes)
-        table = OverlapTable.from_modes(populated, derivatives)
+        table = OverlapTable.from_modes(populated, derivatives, LABELS[:n_params])
         assert table.matrix.shape == (n_modes * (1 + n_params),) * 2
         assert_matches_pairwise(table, table_rows(populated, derivatives))
 
@@ -85,12 +88,12 @@ class TestOverlapTable:
 
     def test_random_table_conjugate_symmetry_is_bitwise(self):
         populated, derivatives = random_mode_parameter_data(np.random.default_rng(7), 3, 3)
-        table = OverlapTable.from_modes(populated, derivatives)
+        table = OverlapTable.from_modes(populated, derivatives, LABELS)
         assert np.array_equal(table.matrix, table.matrix.conj().T)
 
     def test_slices_name_the_right_overlaps(self):
         populated, derivatives = random_mode_parameter_data(np.random.default_rng(8), 2, 2)
-        table = OverlapTable.from_modes(populated, derivatives)
+        table = OverlapTable.from_modes(populated, derivatives, LABELS[:2])
         scale = np.max(np.abs(table.matrix))
         for a in range(2):
             for j in range(2):
@@ -107,7 +110,17 @@ class TestOverlapTable:
     def test_rejects_mismatched_derivative_table(self):
         populated, derivatives = random_mode_parameter_data(np.random.default_rng(9), 2, 2)
         with pytest.raises(StructuralError):
-            OverlapTable.from_modes(populated, [derivatives[0][:1]])
+            OverlapTable.from_modes(populated, [derivatives[0][:1]], LABELS[:1])
+
+    def test_rejects_a_label_count_unlike_the_derivative_rows(self):
+        populated, derivatives = random_mode_parameter_data(np.random.default_rng(9), 2, 2)
+        with pytest.raises(StructuralError, match="3 labels for 2 derivative rows"):
+            OverlapTable.from_modes(populated, derivatives, LABELS)
+
+    def test_table_carries_the_family_parameter_names(self, beam_family):
+        table = beam_family.overlap_table
+        assert table.labels == beam_family.parameters
+        assert table.n_parameters == len(beam_family.parameters)
 
     def test_real_derivative_modes_stay_float64(self, beam_family):
         # the x0, y0 and w0 derivatives of the beam are real: they keep
@@ -133,7 +146,7 @@ def test_overflowing_array_overlaps_raise_the_table_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="mode overlaps overflow"):
-            OverlapTable.from_modes([f], [[f]])
+            OverlapTable.from_modes([f], [[f]], ["a"])
 
 
 def test_gram_block_boundaries_do_not_matter(monkeypatch):
