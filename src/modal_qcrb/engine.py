@@ -102,8 +102,8 @@ def _zero_roundoff_diagonal(f: np.ndarray) -> np.ndarray:
     round-off takes either sign.  Negatives beyond ``TAU_PSD * max|F|``
     stay, so :func:`crb_bounds` rejects them.
     """
-    diag = np.diagonal(f)
-    i = np.flatnonzero((diag < 0) & (diag >= -TAU_PSD * np.max(np.abs(f))))
+    diag = f.diagonal()
+    i = np.flatnonzero((diag < 0) & (diag >= -TAU_PSD * np.abs(f).max()))
     f[i, i] = 0.0
     return f
 
@@ -150,10 +150,10 @@ def qfim_single_mode(statistics: PhotonStatistics, family: "ParameterFamily") ->
     table = _one_mode_table(family)
     h = table.matrices[:, 0, 0].real
     c = table.generator_overlaps[:, 0, 0]
-    vac = (table.derivative_overlaps[:, :, 0, 0] - np.conj(c)[:, None] * c[None, :]).real
+    vac = (table.derivative_overlaps[:, :, 0, 0] - c.conj()[:, None] * c[None, :]).real
     # an overflow leaves inf or nan entries, which crb_bounds rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.outer(h, h) * statistics.number_information + 4.0 * vac * statistics.mean
+        f = np.multiply.outer(h, h) * statistics.number_information + 4.0 * vac * statistics.mean
         return _zero_roundoff_diagonal((f + f.T) / 2.0)
 
 
@@ -204,9 +204,9 @@ def attainability(state: DensityState, generators: OverlapTable) -> Attainabilit
     trace_comm = np.where(_strict_upper(n_p), term1 - 32.0j * cross.imag, 0)
     u = trace_comm.imag / 4.0
     u = u - u.T
-    residual = float(np.max(np.abs(trace_comm.real), initial=0.0)) / 4.0
+    residual = float(np.abs(trace_comm.real).max(initial=0.0)) / 4.0
 
-    mean_n = float(np.trace(moments).real)
+    mean_n = float(moments.trace().real)
     pair_ok, attainable = _attainable_pairs(u, generators.total_weights(), mean_n)
     return AttainabilityResult(
         labels=generators.labels,
@@ -223,14 +223,14 @@ def _attainable_pairs(u: np.ndarray, w: np.ndarray, mean_n: float) -> tuple[np.n
     A commutator or scale that overflows double precision decides nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.outer(w, w) * mean_n
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(scale))):
+        scale = np.multiply.outer(w, w) * mean_n
+    if not (np.isfinite(u).all() and np.isfinite(scale).all()):
         raise PreconditionError(
             f"commutator matrix at <N> = {mean_n:.3e} overflows double precision"
         )
     pair_ok = np.abs(u) <= TAU_ATTAIN * scale
     np.fill_diagonal(pair_ok, True)
-    return pair_ok, bool(np.all(pair_ok))
+    return pair_ok, bool(pair_ok.all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +263,7 @@ def attainability_single_mode(
     w = table.weights[:, 0]
     # exactly antisymmetric with a zero diagonal: the table is Hermitian bitwise
     im = table.derivative_overlaps[:, :, 0, 0].imag.copy()
-    scale = np.outer(w, w)
+    scale = np.multiply.outer(w, w)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         normalized = np.where(scale > 0, im / np.where(scale > 0, scale, 1.0), 0.0)
         u = 2.0 * statistics.mean * im
@@ -326,7 +326,7 @@ def crb_bounds(
     f = np.asarray(qfim, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise StructuralError("information matrix must be square")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise PreconditionError("information matrix has non-finite entries")
     n_p = f.shape[0]
     if labels is None:
@@ -337,13 +337,13 @@ def crb_bounds(
     if repetitions < 1:
         raise PreconditionError("repetitions must be at least 1")
 
-    norm = float(np.max(np.abs(f))) if f.size else 0.0
-    if norm > 0 and np.max(np.abs(f - f.T)) > TAU_HERM * norm:
+    norm = float(np.abs(f).max()) if f.size else 0.0
+    if norm > 0 and np.abs(f - f.T).max() > TAU_HERM * norm:
         raise StructuralError("information matrix is not symmetric")
     f = (f + f.T) / 2.0
 
     eigvals, eigvecs = np.linalg.eigh(f)
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
+    scale = float(np.abs(eigvals).max()) if eigvals.size else 0.0
     if scale > 0 and eigvals.min() < -TAU_PSD * scale:
         raise PreconditionError(
             f"information matrix is not positive semidefinite "
@@ -356,21 +356,21 @@ def crb_bounds(
         inv_vals[keep] = 1.0 / eigvals[keep]
         pinv = (eigvecs * inv_vals) @ eigvecs.T
         pinv = (pinv + pinv.T) / 2.0
-    if not np.all(np.isfinite(pinv)):
+    if not np.isfinite(pinv).all():
         raise PreconditionError(
             f"information matrix eigenvalue {eigvals[keep].min():.3e} is too small "
             "to invert in double precision"
         )
     null_combinations = eigvecs[:, ~keep].T.copy()
 
-    diag = np.diag(f)
+    diag = f.diagonal()
     degenerate_mask = diag <= PINV_RCOND * scale if scale > 0 else np.ones(n_p, bool)
     degenerate = tuple(l for l, d in zip(labels, degenerate_mask) if d)
 
-    multi = np.diag(pinv) / repetitions
+    multi = pinv.diagonal() / repetitions
     with np.errstate(divide="ignore"):
         single = np.where(degenerate_mask, np.nan, 1.0 / (repetitions * diag))
-    penalty = np.where(degenerate_mask, np.nan, np.diag(pinv) * diag)
+    penalty = np.where(degenerate_mask, np.nan, pinv.diagonal() * diag)
 
     return QfimReport(
         labels=labels,

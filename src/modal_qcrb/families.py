@@ -294,7 +294,7 @@ def _unit_reference(
     """``raw`` at unit grid norm, once ``amplitude * raw``, the closed form, integrates to 1.
 
     Renormalizing would mask a coarse grid, so one norm of ``raw`` serves
-    the check first and then :func:`_grid_normalize`'s scaling.
+    the check first and then the scaling.
     """
     norm2 = _norm2(grid, raw)
     err = abs(amplitude**2 * norm2 - 1.0)
@@ -309,19 +309,24 @@ def _unit_reference(
 # Gaussian transverse beam
 
 
-def _grid_normalize(
-    grid: SampleGrid, samples: np.ndarray | ProductSum
-) -> np.ndarray | ProductSum:
-    """Scale to unit norm under the grid quadrature.
+def _unit_outer(grid: SampleGrid, factor_x: np.ndarray, factor_y: np.ndarray) -> ProductSum:
+    """``factor_x`` x ``factor_y`` scaled to unit norm under the grid quadrature.
 
     Keeps mode bases orthonormal at round-off even where the grid truncates
     a small tail of the continuum profile; the scale factor is invariant
     under the built-in parameters to well below the derivative tolerances.
+    The squared norm is the product of the per-axis dots, bitwise
+    :func:`~modal_qcrb.modes._one_term_norm2` of the outer product (the
+    factors are fresh, contiguous arrays), and the scale divides the x
+    factor.  An overflow leaves a non-finite norm, which the mode rejects;
+    numpy does not warn inside the family's evaluator.
     """
-    norm = np.sqrt(_norm2(grid, samples))
+    wx, wy = grid.axis_weights
+    norm2 = 1.0 * ((factor_x.conj() * wx) @ factor_x) * ((factor_y.conj() * wy) @ factor_y)
+    norm = np.sqrt(float(norm2.real))
     if norm == 0.0:
         raise EvaluationError("mode profile vanishes on the grid")
-    return samples / norm
+    return ProductSum._unchecked(((factor_x / norm, factor_y),))
 
 
 def _beam_samples(
@@ -357,8 +362,7 @@ def _beam_samples(
     # numpy's arctan2 may round differently from math.atan2
     phase = (k * zeta if carrier else 0.0) - np.arctan2(zeta, zr)
     constant = math.sqrt(2.0 / math.pi) / w * np.exp(1j * phase)
-    samples = ProductSum._unchecked(((constant * factor_x, factor_y),))
-    return _grid_normalize(grid, samples)
+    return _unit_outer(grid, constant * factor_x, factor_y)
 
 
 def _gaussian_spot(
@@ -366,8 +370,9 @@ def _gaussian_spot(
 ) -> ProductSum:
     """Real Gaussian exp(-((x - x0)^2 + (y - y0)^2) / waist^2) as an outer product."""
     x, y = grid.axes
-    return ProductSum.outer(
-        np.exp(-((x - x0) ** 2) / waist**2), np.exp(-((y - y0) ** 2) / waist**2)
+    # one fresh 1-D factor per grid axis: valid as it stands
+    return ProductSum._unchecked(
+        ((np.exp(-((x - x0) ** 2) / waist**2), np.exp(-((y - y0) ** 2) / waist**2)),)
     )
 
 
@@ -573,7 +578,7 @@ def displaced_beam_family(
     base = _unit_reference("displaced-beam", grid, spot, np.sqrt(2.0 / np.pi) / waist)
 
     def mode_fn(mode_index: int, theta: np.ndarray) -> ProductSum:
-        return _grid_normalize(grid, _gaussian_spot(grid, waist, theta[0], theta[1]))
+        return _unit_outer(grid, *_gaussian_spot(grid, waist, theta[0], theta[1]).terms[0])
 
     def derivative(mode_index: int, parameter: int) -> ProductSum:
         return base.along(parameter, 2.0 * grid.axes[parameter] / waist**2)

@@ -114,7 +114,7 @@ class SampleGrid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(ax.size for ax in self.axes)
+        return tuple(map(len, self._axes))
 
     def mesh(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays broadcast to the sample shape (ij indexing)."""
@@ -183,10 +183,11 @@ class ProductSum:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(f.size for f in self.terms[0])
+        return tuple(map(len, self.terms[0]))
 
     def finite(self) -> bool:
-        return all(np.isfinite(f).all() for term in self.terms for f in term)
+        # one check over every factor; a real factor joins the complex ones exactly
+        return bool(np.isfinite(np.concatenate([f for term in self.terms for f in term])).all())
 
     def expand(self) -> np.ndarray:
         """The samples on the full grid."""
@@ -209,13 +210,13 @@ class ProductSum:
 
     def __mul__(self, scalar) -> "ProductSum":
         _check_scalar(scalar)
-        return ProductSum._unchecked(tuple((scalar * t[0], *t[1:]) for t in self.terms))
+        return ProductSum._unchecked(tuple([(scalar * t[0],) + t[1:] for t in self.terms]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "ProductSum":
         _check_scalar(scalar)
-        return ProductSum._unchecked(tuple((t[0] / scalar, *t[1:]) for t in self.terms))
+        return ProductSum._unchecked(tuple([(t[0] / scalar,) + t[1:] for t in self.terms]))
 
     def _same_shape(self, other: "ProductSum") -> None:
         if self.shape != other.shape:
@@ -233,12 +234,15 @@ class ProductSum:
         if not isinstance(other, ProductSum):
             return NotImplemented
         self._same_shape(other)
-        terms = []
-        for a, c in zip(self.terms, other.terms):
-            for axis in range(len(a)):
-                terms.append((*c[:axis], a[axis] - c[axis], *a[axis + 1 :]))
+        terms = [
+            c[:axis] + (a[axis] - c[axis],) + a[axis + 1 :]
+            for a, c in zip(self.terms, other.terms)
+            for axis in range(len(a))
+        ]
         paired = min(len(self.terms), len(other.terms))
-        terms += self.terms[paired:] + (-1.0 * other).terms[paired:]
+        terms += self.terms[paired:]
+        # the paired terms are telescoped above: only unpaired ones are negated
+        terms += [(-1.0 * c[0],) + c[1:] for c in other.terms[paired:]]
         return ProductSum._unchecked(tuple(terms))
 
 
@@ -297,7 +301,7 @@ class Mode:
 
 
 def _check_orthonormal(gram: np.ndarray) -> None:
-    residual = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    residual = float(np.abs(gram - np.eye(gram.shape[0])).max())
     if not residual <= TAU_ORTH:
         raise StructuralError(
             f"mode basis is not orthonormal (Gram residual {residual:.3e})"
@@ -441,7 +445,7 @@ class OverlapTable:
     n_modes: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.matrix)):
+        if not np.isfinite(self.matrix).all():
             raise EvaluationError(
                 "mode overlaps overflow: the derivative modes are too large for double precision"
             )
@@ -500,13 +504,13 @@ class OverlapTable:
 
     def total_weights(self) -> np.ndarray:
         """Per-parameter derivative norm across all populated modes."""
-        return np.sqrt(np.sum(self.weights**2, axis=1))
+        return np.sqrt((self.weights**2).sum(axis=1))
 
     @functools.cached_property
     def hermiticity_residuals(self) -> np.ndarray:
         """``[a]`` = max |G^a - (G^a)^dagger| of the generator G^a_jk = i (f_j | d_a f_k)."""
         g = 1j * self.generator_overlaps
-        return np.max(np.abs(g - g.conj().transpose(0, 2, 1)), axis=(1, 2))
+        return np.abs(g - g.conj().transpose(0, 2, 1)).max(axis=(1, 2))
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
@@ -517,7 +521,7 @@ class OverlapTable:
         """
         self.validate()
         residuals = self.hermiticity_residuals
-        if np.any(residuals > TAU_HERM):
+        if (residuals > TAU_HERM).any():
             worst = int(np.argmax(residuals))
             warnings.warn(
                 f"generator for parameter '{self.labels[worst]}' has Hermiticity "

@@ -22,12 +22,14 @@ from modal_qcrb import (
     ParameterFamily,
     SampleGrid,
     StructuralError,
+    derivative_mode,
     displaced_beam_family,
     finite_difference_family,
     gaussian_beam_family,
     transverse_grid,
     weighted_gram,
 )
+from modal_qcrb import families
 from modal_qcrb.modes import ProductSum, _factored_gram, _hermitian, _one_term_norm2, grid_gram
 from modal_qcrb.tolerances import TAU_QUAD
 from conftest import export_detection_modes, inner_product
@@ -145,6 +147,73 @@ class TestFactoredChecks:
         with pytest.raises(EvaluationError):
             Mode(grid, float("nan") * ProductSum.outer(ones, ones))
 
+    @staticmethod
+    def mixed_terms(seed):
+        # four terms: real x and complex y factors, then the other way round
+        rng = np.random.default_rng(seed)
+
+        def complex_factor():
+            return rng.normal(size=9) + 1j * rng.normal(size=9)
+
+        return [
+            (complex_factor(), rng.normal(size=9))
+            if t % 2
+            else (rng.normal(size=9), complex_factor())
+            for t in range(4)
+        ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("term", range(4))
+    def test_non_finite_entry_in_any_factor_of_a_mixed_sum_rejected(self, term, axis, bad):
+        grid = SampleGrid.uniform(self.AXIS, self.AXIS)
+        terms = self.mixed_terms(3)
+        assert Mode(grid, ProductSum(terms)).data.finite()
+        terms[term][axis][4] = bad
+        with pytest.raises(EvaluationError, match="non-finite"):
+            Mode(grid, ProductSum(terms))
+
+    def test_finiteness_of_every_factor_is_one_check(self, monkeypatch):
+        shapes = []
+        isfinite = np.isfinite
+
+        def counting(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        row = ProductSum(self.mixed_terms(5))
+        monkeypatch.setattr(np, "isfinite", counting)
+        assert row.finite()
+        assert shapes == [(8 * 9,)]
+
+    def test_non_finite_shifted_factor_names_the_parameter(self):
+        # the real y factor holds a NaN only where theta_b > 0, so the
+        # four-term mixed real/complex row of b is non-finite, not that of a
+        grid = SampleGrid.uniform(self.AXIS, self.AXIS)
+
+        def mode_fn(k, theta):
+            y_factor = np.exp(-((self.AXIS - theta[1]) ** 2))
+            if theta[1] > 0:
+                y_factor[2] = np.nan
+            x_factor = np.exp(-((self.AXIS - theta[0]) ** 2) + 0.1j * self.AXIS)
+            return ProductSum.outer(x_factor, y_factor)
+
+        family = finite_difference_family(
+            ParameterFamily(
+                name="mixed",
+                parameters=("a", "b"),
+                units=("1", "1"),
+                grid=grid,
+                theta_scales=np.ones(2),
+                mode_fn=mode_fn,
+            )
+        )
+        row = derivative_mode(family, 0, 0).data
+        assert len(row.terms) == 4 and row.finite()
+        message = "parameter 'b': mode samples contain non-finite values"
+        with pytest.raises(EvaluationError, match=message):
+            derivative_mode(family, 0, 1)
+
     def test_overflowing_product_rejected_when_samples_expand(self):
         grid = SampleGrid.uniform(self.AXIS, self.AXIS)
         huge = np.full(9, 1e200)
@@ -183,6 +252,10 @@ class TestFactoredChecks:
         expected = a.expand() + b.expand() - c.expand()
         assert np.allclose(difference.expand(), expected, rtol=0, atol=1e-14)
         assert np.allclose((c - (a + b)).expand(), -expected, rtol=0, atol=1e-14)
+        # an unpaired term is kept as it is, or negated in its first factor
+        assert all(f is g for f, g in zip(difference.terms[-1], b.terms[0]))
+        x, y = (c - (a + b)).terms[-1]
+        assert x.tobytes() == (-1.0 * b.terms[0][0]).tobytes() and y is b.terms[0][1]
 
 
 def stacked_gram(rows, axis_weights):
@@ -303,6 +376,23 @@ class TestProductSumArithmetic:
             assert scaled.terms[0][1] is a.terms[0][1]
             assert np.allclose(scaled.expand(), expected, rtol=1e-15, atol=0)
 
+    def test_equal_term_counts_subtract_without_scaling(self, monkeypatch):
+        # every term is telescoped against its partner: nothing is negated
+        scaled = []
+        mul = ProductSum.__mul__
+
+        def counting(self, scalar):
+            scaled.append(scalar)
+            return mul(self, scalar)
+
+        monkeypatch.setattr(ProductSum, "__mul__", counting)
+        monkeypatch.setattr(ProductSum, "__rmul__", counting)
+        a, _ = self.operands()
+        b = ProductSum.outer(np.ones(5), np.arange(6.0))
+        for left, right in ((a, b), (b, a), (a + b, b + a)):
+            left - right
+        assert scaled == []
+
     def test_along_rejects_a_profile_of_another_shape(self):
         a, _ = self.operands()
         with pytest.raises(StructuralError):
@@ -344,3 +434,73 @@ def test_degenerate_detection_mode_leaves_its_derivative_unexpanded(tmp_path, mo
     idle, live = (row[0].data for row in family.derivative_modes)
     assert not any(ps is idle for ps in expanded)
     assert any(ps is live for ps in expanded)
+
+
+class TestReferenceStencil:
+    """The finite-difference rows of the beams, against the stencil written out.
+
+    A shifted beam is one outer product a (x) b; its difference telescopes,
+    a+ (x) b+ - a- (x) b- = (a+ - a-) (x) b+ + a- (x) (b+ - b-), each central
+    difference divides its x factors by 2h, and the Richardson step
+    (4 fine - coarse) / 3 telescopes fine against coarse term by term.
+    """
+
+    CASES = [("gaussian-beam-carrier", 256), ("displaced-beam", 64)]
+
+    @staticmethod
+    def written_out(family, a):
+        h = abs(float(family.theta_scales[a])) * 1e-4
+
+        def shifted(step):
+            theta = np.zeros(family.n_parameters)
+            theta[a] = step
+            (term,) = family.mode_fn(0, theta).terms
+            return term
+
+        def central(step):
+            (px, py), (mx, my) = shifted(step), shifted(-step)
+            return [((px - mx) / (2.0 * step), py), (mx / (2.0 * step), py - my)]
+
+        terms = []
+        for (fx, fy), (cx, cy) in zip(central(h / 2.0), central(h)):
+            terms += [((4.0 * fx - cx) / 3.0, fy), (cx / 3.0, fy - cy)]
+        return terms
+
+    @pytest.mark.parametrize("name, points", CASES)
+    def test_rows_bitwise_equal_to_the_written_out_stencil(self, name, points):
+        family = build(name, 1.0, 10.0, points=points)
+        fd = finite_difference_family(family)
+        for a in range(family.n_parameters):
+            row = fd.derivative_fn(0, a).terms
+            expected = self.written_out(family, a)
+            assert len(row) == len(expected) == 4
+            for got, want in zip(row, expected):
+                for f, g in zip(got, want):
+                    assert f.dtype == g.dtype and f.tobytes() == g.tobytes(), (a, name)
+
+    @pytest.mark.parametrize("name, points", CASES)
+    def test_one_pass_norm_is_the_one_term_norm(self, monkeypatch, name, points):
+        # the x factor over the square root of the product of the per-axis
+        # dots, as the general one-term norm and the scalar division form it
+        family = build(name, 1.0, 10.0, points=points)
+        seen = []
+        unit_outer = families._unit_outer
+
+        def recording(grid, factor_x, factor_y):
+            unit = unit_outer(grid, factor_x, factor_y)
+            seen.append((ProductSum.outer(factor_x, factor_y), unit))
+            return unit
+
+        monkeypatch.setattr(families, "_unit_outer", recording)
+        rng = np.random.default_rng(11)
+        thetas = [np.zeros(family.n_parameters), 1e-3 * rng.normal(size=family.n_parameters)]
+        thetas += list(1e-5 * np.eye(family.n_parameters))
+        for theta in thetas:
+            family.mode_fn(0, theta)
+        assert len(seen) == len(thetas)
+        for raw, unit in seen:
+            expected = raw / np.sqrt(_one_term_norm2(raw, family.grid.axis_weights))
+            ((x, y),) = unit.terms
+            ((ex, ey),) = expected.terms
+            assert x.dtype == ex.dtype and x.tobytes() == ex.tobytes()
+            assert y is ey
