@@ -29,8 +29,6 @@ from . import __version__
 from .engine import (
     QfimReport,
     SingleModeAttainability,
-    _readout_basis,
-    _weight_floors,
     attainability_single_mode,
     crb_bounds,
     detection_modes_for,
@@ -51,57 +49,6 @@ _CONVENTIONS = {
     "single_mode_first_term": "overlap product times number information, no extra scale",
     "inner_product": "conjugate-linear in the first argument",
 }
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["family", "state", "qfim", "bounds", "attainability", "detection_modes", "provenance"],
-    "properties": {
-        "family": {
-            "type": "object",
-            "required": ["name", "parameters", "units", "geometry", "grid"],
-            "properties": {
-                "name": {"type": "string"},
-                "parameters": {"type": "array", "items": {"type": "string"}},
-                "units": {"type": "array", "items": {"type": "string"}},
-                "geometry": {"type": "object"},
-                "grid": {"type": "object"},
-            },
-        },
-        "state": {"type": "object", "required": ["kind"]},
-        "qfim": {
-            "type": "object",
-            "required": ["labels", "matrix", "pseudo_inverse"],
-            "properties": {
-                "labels": {"type": "array", "items": {"type": "string"}},
-                "matrix": {"type": "array"},
-                "pseudo_inverse": {"type": "array"},
-            },
-        },
-        "bounds": {
-            "type": "object",
-            "required": [
-                "repetitions",
-                "multiparameter",
-                "single_parameter",
-                "penalty_ratio",
-                "degenerate_parameters",
-            ],
-        },
-        "attainability": {
-            "type": "object",
-            "required": ["attainable", "commutator_matrix", "pairs"],
-        },
-        "detection_modes": {
-            "type": "object",
-            "required": ["labels", "weights", "degenerate"],
-        },
-        "provenance": {
-            "type": "object",
-            "required": ["engine_version", "tolerances", "conventions", "grid"],
-        },
-    },
-}
-
 
 def _parse_json(name: str, text: str):
     """``json.loads`` of a config text, any rejection a ConfigError naming ``name``."""
@@ -415,7 +362,6 @@ def _assemble_report(config: RunConfig) -> tuple[dict, QfimReport]:
         "shape": list(family.grid.shape),
         "axis_ranges": [[float(ax[0]), float(ax[-1])] for ax in family.grid.axes],
     }
-    degenerate_flags = (att.weights < _weight_floors(family)).tolist()
     doc = {
         "family": {
             "name": family.name,
@@ -451,7 +397,7 @@ def _assemble_report(config: RunConfig) -> tuple[dict, QfimReport]:
         "detection_modes": {
             "labels": labels,
             "weights": _vector(att.weights),
-            "degenerate": degenerate_flags,
+            "degenerate": att.degenerate.tolist(),
         },
         "provenance": {
             "engine_version": __version__,
@@ -488,6 +434,53 @@ def _attainability_files(config: RunConfig):
         numbers = [_fmt(p[k]) for k in ("im_overlap", "normalized_im_overlap", "commutator_expectation")]
         rows.append(",".join([p["param_a"], p["param_b"], *numbers, str(p["attainable"]).lower()]))
     yield "attainability.csv", "\n".join(rows) + "\n"
+
+
+def _readout_basis(family, detections) -> tuple[dict[str, np.ndarray], dict[str, float], list[str]]:
+    """Orthonormal readout modes of a family's ``detection_modes_for``.
+
+    The live (non-degenerate) detection modes u_a = (i / w_a) d_a f are
+    orthonormalized in label order.  Their Gram matrix
+    E_ab = (d_a f | d_b f) / (w_a w_b) is a slice of the family's overlap
+    table; it is factored as E = R^H R (Cholesky) one column at a time:
+    column i gives R[kept, i] by a triangular solve and the squared pivot
+    E_ii - |R[kept, i]|^2.  A column whose squared pivot is below
+    ``TAU_RANK`` depends on its predecessors and is skipped; a Gram matrix
+    resolves the squared pivot only to about eps, so the pivot itself
+    cannot be held to that bound.  The readout modes are then one product
+    of the kept detection modes with the triangle R^-1 of the kept columns.
+
+    Returns the flattened readout samples by kept label, the pivot norm
+    of every live label (0 where the squared pivot is negative by
+    round-off), and the dependent labels.
+    """
+    live = [a for a, d in enumerate(detections) if not d.degenerate]
+    if not live:
+        return {}, {}, []
+    # detection_modes_for has checked that the table has one populated mode
+    table = family.overlap_table
+    w = table.weights[live, 0]
+    gram = table.derivative_overlaps[:, :, 0, 0][np.ix_(live, live)] / np.outer(w, w)
+    n = len(live)
+    r = np.zeros((n, n), dtype=complex)
+    pivots = np.zeros(n)
+    kept: list[int] = []
+    for i in range(n):
+        # E[kept, i] = R[kept, kept]^H R[kept, i]
+        r[kept, i] = np.linalg.solve(r[np.ix_(kept, kept)].conj().T, gram[kept, i])
+        pivot2 = gram[i, i].real - float(np.sum(np.abs(r[kept, i]) ** 2))
+        pivots[i] = np.sqrt(max(pivot2, 0.0))
+        if pivot2 >= tolerances.TAU_RANK:
+            r[i, i] = pivots[i]
+            kept.append(i)
+    columns = [detections[live[i]].mode.samples.ravel() for i in kept]
+    samples = np.column_stack(columns) @ np.linalg.inv(r[np.ix_(kept, kept)])
+    labels = [detections[a].label for a in live]
+    return (
+        {labels[i]: column for i, column in zip(kept, samples.T)},
+        dict(zip(labels, pivots.tolist())),
+        [label for i, label in enumerate(labels) if i not in kept],
+    )
 
 
 def _detection_mode_files(family):

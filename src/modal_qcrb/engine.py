@@ -32,7 +32,7 @@ from .states import (
     first_moments,
     operator_matrix_elements,
 )
-from .tolerances import PINV_RCOND, TAU_ATTAIN, TAU_HERM, TAU_PSD, TAU_RANK, TAU_ZERO
+from .tolerances import PINV_RCOND, TAU_ATTAIN, TAU_HERM, TAU_PSD, TAU_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import ParameterFamily
@@ -137,6 +137,15 @@ def _one_mode_table(family: "ParameterFamily") -> OverlapTable:
     return table
 
 
+def _degenerate(family: "ParameterFamily", weights: np.ndarray) -> np.ndarray:
+    """Parameters whose weight is below ``TAU_ZERO`` over the parameter's scale.
+
+    Such a parameter leaves the modes unchanged: the one rule by which
+    both the report and the detection-mode export mark it degenerate.
+    """
+    return weights < TAU_ZERO / np.maximum(np.abs(family.theta_scales), TAU_ZERO)
+
+
 def qfim_single_mode(statistics: PhotonStatistics, family: "ParameterFamily") -> np.ndarray:
     """Information matrix of a one-populated-mode family.
 
@@ -239,12 +248,14 @@ class SingleModeAttainability(AttainabilityResult):
 
     ``imaginary_overlaps[a, b]`` is Im(d_a f | d_b f); ``normalized``
     divides it by w_a w_b, the norms of the derivative modes in
-    ``weights``.
+    ``weights``.  ``degenerate[a]`` marks a weight below ``TAU_ZERO`` over
+    the parameter's scale: the parameter leaves the modes unchanged.
     """
 
     imaginary_overlaps: np.ndarray
     normalized: np.ndarray
     weights: np.ndarray
+    degenerate: np.ndarray
 
 
 def attainability_single_mode(
@@ -277,6 +288,7 @@ def attainability_single_mode(
         imaginary_overlaps=im,
         normalized=normalized,
         weights=w,
+        degenerate=_degenerate(family, w),
     )
 
 
@@ -387,82 +399,26 @@ def crb_bounds(
     )
 
 
-def _weight_floors(family: "ParameterFamily") -> np.ndarray:
-    """Per-parameter weight below which a parameter leaves the modes unchanged.
-
-    ``TAU_ZERO`` over the parameter's scale: the one rule by which both the
-    report and the detection-mode export mark a parameter degenerate.
-    """
-    return TAU_ZERO / np.maximum(np.abs(family.theta_scales), TAU_ZERO)
-
-
 def detection_modes_for(family: "ParameterFamily") -> list[DetectionMode]:
     """Detection modes for every parameter of a single-populated-mode family.
 
     A derivative mode d_a f maps to (i / w_a) d_a f, formed from the
     derivative modes the family's overlap table was built from, with the
     weights w_a read from the table, so they equal the report's bitwise.
-    A weight below the parameter's floor gives a flagged degenerate mode
-    of zeros with weight zero, formed without the derivative's samples.
+    A degenerate parameter, by the rule of ``SingleModeAttainability``,
+    gives a flagged mode of zeros with weight zero, formed without the
+    derivative's samples.
     """
-    table = _one_mode_table(family)
-    floors = _weight_floors(family)
+    weights = _one_mode_table(family).weights[:, 0]
+    degenerate = _degenerate(family, weights)
     detections = []
     for a, label in enumerate(family.parameters):
         derivative = family.derivative_modes[a][0]
-        weight = float(table.weights[a, 0])
-        if weight < floors[a]:
+        weight = float(weights[a])
+        if degenerate[a]:
             zero = Mode(family.grid, np.zeros(family.grid.shape))
             detections.append(DetectionMode(zero, 0.0, degenerate=True, label=label))
         else:
             rotated = Mode(derivative.grid, 1j * derivative.samples / weight)
             detections.append(DetectionMode(rotated, weight, label=label))
     return detections
-
-
-def _readout_basis(
-    family: "ParameterFamily", detections: Sequence[DetectionMode]
-) -> tuple[dict[str, np.ndarray], dict[str, float], list[str]]:
-    """Orthonormal readout modes of a family's ``detection_modes_for``.
-
-    The live (non-degenerate) detection modes u_a = (i / w_a) d_a f are
-    orthonormalized in label order.  Their Gram matrix
-    E_ab = (d_a f | d_b f) / (w_a w_b) is a slice of the overlap table; it
-    is factored as E = R^H R (Cholesky) one column at a time: column i
-    gives R[kept, i] by a triangular solve and the squared pivot
-    E_ii - |R[kept, i]|^2.  A column whose squared pivot is below
-    ``TAU_RANK`` depends on its predecessors and is skipped; a Gram matrix
-    resolves the squared pivot only to about eps, so the pivot itself
-    cannot be held to that bound.  The readout modes are then one product
-    of the kept detection modes with the triangle R^-1 of the kept columns.
-
-    Returns the flattened readout samples by kept label, the pivot norm
-    of every live label (0 where the squared pivot is negative by
-    round-off), and the dependent labels.
-    """
-    live = [a for a, d in enumerate(detections) if not d.degenerate]
-    if not live:
-        return {}, {}, []
-    table = _one_mode_table(family)
-    w = table.weights[live, 0]
-    gram = table.derivative_overlaps[:, :, 0, 0][np.ix_(live, live)] / np.outer(w, w)
-    n = len(live)
-    r = np.zeros((n, n), dtype=complex)
-    pivots = np.zeros(n)
-    kept: list[int] = []
-    for i in range(n):
-        # E[kept, i] = R[kept, kept]^H R[kept, i]
-        r[kept, i] = np.linalg.solve(r[np.ix_(kept, kept)].conj().T, gram[kept, i])
-        pivot2 = gram[i, i].real - float(np.sum(np.abs(r[kept, i]) ** 2))
-        pivots[i] = np.sqrt(max(pivot2, 0.0))
-        if pivot2 >= TAU_RANK:
-            r[i, i] = pivots[i]
-            kept.append(i)
-    columns = [detections[live[i]].mode.samples.ravel() for i in kept]
-    samples = np.column_stack(columns) @ np.linalg.inv(r[np.ix_(kept, kept)])
-    labels = [detections[a].label for a in live]
-    return (
-        {labels[i]: column for i, column in zip(kept, samples.T)},
-        dict(zip(labels, pivots.tolist())),
-        [label for i, label in enumerate(labels) if i not in kept],
-    )

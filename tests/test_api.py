@@ -5,9 +5,12 @@ readout basis, the photon-number moments, the pairwise inner product, the
 mode-list wrapper, the Fock-operator helper and the one-mode Fock states of
 the named probe kinds are test oracles (``conftest.py``); a second way to
 build generators, a generator object beside the overlap table it copies,
-a per-mode detection-mode builder, a second check of coefficient input and
-the report wrappers of the CLI are gone.  The modules below the engine do
-not import it.  The README's library example runs as written.
+a per-mode detection-mode builder, a second check of coefficient input,
+a second statement of the degeneracy floor and the report wrappers of the
+CLI are gone.  The report schema lives in ``test_cli.py``, its only
+reader.  The modules below the engine do not import it, and the CLI
+imports only public engine names.  The README's library example runs as
+written.
 """
 
 import ast
@@ -107,6 +110,8 @@ ORACLES_AND_DUPLICATES = (
     "RunResult",
     "GeneratorCoefficients",
     "_generators_from_table",
+    "REPORT_SCHEMA",
+    "_weight_floors",
 )
 
 
@@ -128,24 +133,35 @@ def test_oracles_are_not_library_names(module):
     assert [name for name in ORACLES_AND_DUPLICATES if hasattr(namespace, name)] == []
 
 
-def _imported_modules(path: Path) -> set[str]:
-    """Names of the modules a source file imports, relative ones as written (``.engine``)."""
-    names = set()
+def _imports(path: Path) -> dict[str, set[str]]:
+    """Modules a source file imports, relative ones as written (``.engine``).
+
+    Each maps to the names taken from it (``from .engine import x``).
+    """
+    names: dict[str, set[str]] = {}
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
+            for alias in node.names:
+                names.setdefault(alias.name, set())
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
-            names.add(module)
+            names.setdefault(module, set()).update(alias.name for alias in node.names)
             if module in (".", "modal_qcrb"):  # from . import engine
-                names.update(module.rstrip(".") + "." + alias.name for alias in node.names)
+                for alias in node.names:
+                    names.setdefault(module.rstrip(".") + "." + alias.name, set())
     return names
 
 
 @pytest.mark.parametrize("module", ["families", "modes", "states"])
 def test_modules_below_the_engine_do_not_import_it(module):
-    imported = _imported_modules(PACKAGE / f"{module}.py")
-    assert not {".engine", "modal_qcrb.engine"} & imported, imported
+    imported = _imports(PACKAGE / f"{module}.py")
+    assert not {".engine", "modal_qcrb.engine"} & imported.keys(), imported
+
+
+def test_cli_imports_only_public_engine_names():
+    imported = _imports(PACKAGE / "cli.py")
+    names = imported.get(".engine", set()) | imported.get("modal_qcrb.engine", set())
+    assert names and names <= set(modal_qcrb.__all__), names
 
 
 def test_oracle_tolerances_are_not_library_tolerances():

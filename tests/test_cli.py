@@ -13,13 +13,65 @@ from hypothesis import strategies as st
 
 from modal_qcrb import EvaluationError, cli
 from modal_qcrb.cli import (
-    REPORT_SCHEMA,
     _json_text,
+    _readout_basis,
     _write_run,
     main,
 )
 from modal_qcrb.families import FAMILY_REGISTRY, build_family
 from conftest import OMEGA0, VARIANCE, W0, export_detection_modes
+
+
+# The layout of report.json; jsonschema is a test-only dependency.
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["family", "state", "qfim", "bounds", "attainability", "detection_modes", "provenance"],
+    "properties": {
+        "family": {
+            "type": "object",
+            "required": ["name", "parameters", "units", "geometry", "grid"],
+            "properties": {
+                "name": {"type": "string"},
+                "parameters": {"type": "array", "items": {"type": "string"}},
+                "units": {"type": "array", "items": {"type": "string"}},
+                "geometry": {"type": "object"},
+                "grid": {"type": "object"},
+            },
+        },
+        "state": {"type": "object", "required": ["kind"]},
+        "qfim": {
+            "type": "object",
+            "required": ["labels", "matrix", "pseudo_inverse"],
+            "properties": {
+                "labels": {"type": "array", "items": {"type": "string"}},
+                "matrix": {"type": "array"},
+                "pseudo_inverse": {"type": "array"},
+            },
+        },
+        "bounds": {
+            "type": "object",
+            "required": [
+                "repetitions",
+                "multiparameter",
+                "single_parameter",
+                "penalty_ratio",
+                "degenerate_parameters",
+            ],
+        },
+        "attainability": {
+            "type": "object",
+            "required": ["attainable", "commutator_matrix", "pairs"],
+        },
+        "detection_modes": {
+            "type": "object",
+            "required": ["labels", "weights", "degenerate"],
+        },
+        "provenance": {
+            "type": "object",
+            "required": ["engine_version", "tolerances", "conventions", "grid"],
+        },
+    },
+}
 
 
 def read_matrix_csv(path):
@@ -531,7 +583,6 @@ class TestModeExportFormat:
     @pytest.mark.parametrize("fixture", ["displaced_family", "pulse_family"])
     def test_rows_match_per_value_formatter(self, request, tmp_path, fixture):
         from modal_qcrb import detection_modes_for
-        from modal_qcrb.engine import _readout_basis
 
         family = request.getfixturevalue(fixture)
         sidecar = export_detection_modes(family, tmp_path)
@@ -859,6 +910,11 @@ class TestConfigErrors:
             ({"repetitions": 10**400}, "repetitions:"),
             ({"state": {"kind": "coherent", "nbar": 10**400}}, "state.nbar:"),
             ({"fd_step": 1e-300}, "fd_step:"),
+            ({"repetitions": 0}, "repetitions:"),
+            ({"fd_step": 0}, "fd_step:"),
+            ({"fd_step": -1}, "fd_step:"),
+            ({"derivative_method": "spline"}, "derivative_method:"),
+            ({"geometry": {"w0": 1.0}}, "geometry.k: required"),
         ],
         ids=[
             "extra-geometry-text",
@@ -875,12 +931,23 @@ class TestConfigErrors:
             "integer-beyond-float",
             "nbar-beyond-float",
             "fd-step-below-floor",
+            "zero-repetitions",
+            "zero-fd-step",
+            "negative-fd-step",
+            "unknown-derivative-method",
+            "missing-geometry-key",
         ],
     )
     def test_exits_2_naming_the_field(self, tmp_path, capsys, overrides, field):
         assert self.run(tmp_path, self.BASE | overrides) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert run_cli(["qfim", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: config: file '{path}' not found\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["qfim", "attainability", "detection-modes"])

@@ -693,6 +693,9 @@ class TestDegenerateParameter:
         result = attainability(state, gens)
         assert result.attainable
         assert np.max(np.abs(result.matrix[2, :])) == 0.0
+        # the one-mode result and the detection modes share one flag per parameter
+        flags = attainability_single_mode(padded, COHERENT).degenerate
+        assert flags.tolist() == [d.degenerate for d in detection_modes_for(padded)] == [False, False, True]
 
 
 COHERENT = photon_statistics({"kind": "coherent", "nbar": 1.0})
@@ -759,6 +762,19 @@ class TestCrbBounds:
         f = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(StructuralError):
             crb_bounds(f)
+
+    @pytest.mark.parametrize(
+        "f, options, error, match",
+        [
+            (np.ones((2, 3)), {}, StructuralError, "must be square"),
+            (np.eye(2), {"labels": ("a",)}, StructuralError, "label count"),
+            (np.eye(2), {"repetitions": 0}, PreconditionError, "repetitions"),
+        ],
+        ids=["non-square", "label-count", "zero-repetitions"],
+    )
+    def test_malformed_call_rejected(self, f, options, error, match):
+        with pytest.raises(error, match=match):
+            crb_bounds(f, **options)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_rejected(self, bad):

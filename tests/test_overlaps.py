@@ -12,6 +12,7 @@ from modal_qcrb import (
     BeamGeometry,
     EvaluationError,
     FockSpace,
+    GridMismatchError,
     OverlapTable,
     ParameterFamily,
     StructuralError,
@@ -111,6 +112,14 @@ class TestOverlapTable:
         populated, derivatives = random_mode_parameter_data(np.random.default_rng(9), 2, 2)
         with pytest.raises(StructuralError):
             OverlapTable.from_modes(populated, [derivatives[0][:1]], LABELS[:1])
+        with pytest.raises(StructuralError, match="at least one populated mode"):
+            OverlapTable.from_modes([], [], [])
+
+    def test_rejects_grids_that_differ_only_in_their_axes(self):
+        axes = (np.linspace(-1.0, 1.0, 8), np.linspace(-2.0, 2.0, 8))
+        f, d = (modes.Mode(modes.SampleGrid.uniform(ax), np.exp(-(ax**2))) for ax in axes)
+        with pytest.raises(GridMismatchError, match="different grids"):
+            OverlapTable.from_modes([f], [[d]], ["a"])
 
     def test_rejects_a_label_count_unlike_the_derivative_rows(self):
         populated, derivatives = random_mode_parameter_data(np.random.default_rng(9), 2, 2)
@@ -250,7 +259,7 @@ class TestReadoutBasis:
         if derivatives == "fd":
             family = finite_difference_family(family)
         detections = detection_modes_for(family)
-        readout, pivots, dependent = engine._readout_basis(family, detections)
+        readout, pivots, dependent = cli._readout_basis(family, detections)
 
         live = [d for d in detections if not d.degenerate]
         oracle = gram_schmidt([d.mode for d in live])

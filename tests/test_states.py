@@ -130,6 +130,19 @@ class TestConstructors:
         with pytest.raises(CutoffError):
             probe_state("thermal", nbar=8.0)
 
+    @pytest.mark.parametrize(
+        "n_modes, cutoff, error, match",
+        [
+            (0, 3, StructuralError, "at least one mode"),
+            (1, 0, StructuralError, "cutoff must be at least 1"),
+            (1, 65, CutoffError, "exceeds the hard cap 64"),
+        ],
+        ids=["no-modes", "zero-cutoff", "above-the-cap"],
+    )
+    def test_fock_space_outside_its_bounds_rejected(self, n_modes, cutoff, error, match):
+        with pytest.raises(error, match=match):
+            FockSpace(n_modes, cutoff)
+
     def test_cutoff_robustness(self):
         # moments move by less than the truncated weighted tail when the
         # cutoff grows by 4 levels
@@ -203,6 +216,23 @@ class TestDensityStateChecks:
         vectors[1, 0] = bad
         with pytest.raises(StructuralError, match="non-finite"):
             DensityState(FockSpace(1, 4), [0.5, 0.5], vectors)
+
+    @pytest.mark.parametrize(
+        "probabilities, vectors, match",
+        [
+            ([0.5, 0.5], np.eye(5)[:, :3], "do not match"),
+            ([0.25, 0.25], np.eye(5)[:, :2], "sum to 0.5"),
+        ],
+        ids=["mismatched-shapes", "half-the-probability"],
+    )
+    def test_malformed_decomposition_rejected(self, probabilities, vectors, match):
+        with pytest.raises(StructuralError, match=match):
+            DensityState(FockSpace(1, 4), probabilities, vectors)
+
+    def test_weight_at_the_cutoff_suggests_a_larger_one(self):
+        with pytest.raises(CutoffError) as err:
+            DensityState(FockSpace(1, 3), [1.0], np.eye(4)[:, 3:])
+        assert err.value.suggested_cutoff == 6
 
     def test_finite_state_is_accepted(self):
         state = DensityState(FockSpace(1, 4), [0.5, 0.5], np.eye(5)[:, :2])
