@@ -93,6 +93,14 @@ def _boundary_mask(space: FockSpace) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _roots(space: FockSpace) -> np.ndarray:
+    """sqrt(n) of every mode in every basis state, as complex, shape (M, D)."""
+    roots = np.sqrt(_occupations(space)).astype(complex)
+    roots.flags.writeable = False  # shared by every caller through the cache
+    return roots
+
+
 def _ladder(
     space: FockSpace, vectors: np.ndarray, mode: int, out: np.ndarray, raising: bool = False
 ) -> None:
@@ -105,16 +113,34 @@ def _ladder(
     ``out``, and ``vectors`` is only read; raising drops the amplitude
     pushed past the cutoff, as the truncated operator does.  ``out`` is
     C-contiguous, so that its reshape is a view.
+
+    One level of the mode is a run of s r entries of a flattened block,
+    s = L^(M-1-mode), so a shift is one contiguous multiply per block:
+    raising writes w[s r:] v[:-s r] to out[s r:], lowering w[s r:] v[s r:]
+    to out[:-s r], where w is the complex sqrt(n) of the mode per basis
+    state repeated over the r columns (sqrt(n + 1) of a lowered state is
+    sqrt(n) of its source).  Products that wrap into the next index of a
+    more significant mode land on the level the operator clears, where w
+    is 0, and that level is then set to +0.0.  A strided multiply over
+    the occupation tensor would run numpy's inner loop over only r
+    entries and, with a real root, through its buffered iterator, which
+    allocates 384 KiB per shift.  Each product here is the same complex
+    multiply of the same two numbers, so every output bit is the same.
+    A non-contiguous ``vectors`` is copied by its reshape.
     """
-    levels = space.levels
-    shape = vectors.shape[:-2] + (levels**mode, levels, -1)
-    tensor = vectors.reshape(shape)
-    target = out.reshape(shape)
-    root = np.sqrt(np.arange(1.0, levels))[:, None]
-    below, above = slice(None, -1), slice(1, None)
-    source, written, cleared = (below, above, 0) if raising else (above, below, -1)
-    np.multiply(root, tensor[..., source, :], out=target[..., written, :])
-    target[..., cleared, :] = 0.0
+    levels, r = space.levels, vectors.shape[-1]
+    step = levels ** (space.n_modes - 1 - mode)
+    run = step * r
+    source = vectors.reshape(-1, space.dimension * r)
+    target = out.reshape(source.shape)
+    weights = _roots(space)[mode, step:]
+    if r > 1:
+        weights = weights.repeat(r)
+    if raising:
+        np.multiply(weights, source[:, :-run], out=target[:, run:])
+    else:
+        np.multiply(weights, source[:, run:], out=target[:, :-run])
+    target.reshape(-1, levels**mode, levels, run)[:, :, 0 if raising else -1] = 0.0
 
 
 def _coefficient_matrices(space: FockSpace, coefficients) -> np.ndarray:
@@ -148,11 +174,11 @@ def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) 
     ``RAISE_BLOCK`` columns at a time, and the result is a view of them.
 
     The buffer holds max(M^2, P) (D, r) blocks.  Beside it the pass holds
-    numpy's iteration buffers during the shifts (384 KiB), P rows of one
-    column block during the product, and one block while
-    :func:`~modal_qcrb.engine.qfim_unitary` subtracts V E_a.  At D = 1331
-    and r = 8 each of these is under 3 blocks for P up to 12, so the pass
-    peaks below max(M^2, P) + 3 blocks.
+    one block of weights during each shift (:func:`_ladder`), P rows of
+    one column block during the product, and one block while
+    :func:`~modal_qcrb.engine.qfim_unitary` subtracts V E_a, one of them
+    at a time.  At D = 1331 and r = 8 the rows are under two blocks for P
+    up to 10, so the pass peaks below max(M^2, P) + 2 blocks.
     """
     m = space.n_modes
     stack = coefficients.reshape(-1, m * m)

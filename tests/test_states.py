@@ -22,6 +22,7 @@ from modal_qcrb import (
     photon_statistics,
 )
 import modal_qcrb
+from modal_qcrb import states
 from modal_qcrb.modes import _hermitian
 from modal_qcrb.states import (
     PROBE_KINDS,
@@ -492,6 +493,70 @@ class TestApplyQuadratic:
             for p, v in zip(state.probabilities, state.vectors.T)
         )
         assert second == pytest.approx(dense, rel=1e-12)
+
+
+def strided_ladder(space, vectors, mode, out, raising=False):
+    """The ladder shift as a strided multiply over the occupation tensor.
+
+    The former body of ``states._ladder``: a (L - 1, 1) root column times
+    a (..., L^mode, L, s r) view, so the inner loop runs over the last
+    axis.  Kept as the bitwise reference of the contiguous form.
+    """
+    levels = space.levels
+    shape = vectors.shape[:-2] + (levels**mode, levels, -1)
+    tensor = vectors.reshape(shape)
+    target = out.reshape(shape)
+    root = np.sqrt(np.arange(1.0, levels))[:, None]
+    below, above = slice(None, -1), slice(1, None)
+    source, written, cleared = (below, above, 0) if raising else (above, below, -1)
+    np.multiply(root, tensor[..., source, :], out=target[..., written, :])
+    target[..., cleared, :] = 0.0
+
+
+class TestLadderShift:
+    @staticmethod
+    def columns(rng, shape):
+        # signed zeros and subnormals among the amplitudes, so that the sign
+        # and the last bit of every product are compared
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        v.flat[::7] = -0.0
+        v.flat[::11] = complex(-0.0, -0.0)
+        v.flat[::13] = complex(1e-310, -1e-320)
+        return v
+
+    @pytest.mark.parametrize("rank", [1, 2, 8])
+    @pytest.mark.parametrize("cutoff", [1, 2, 10])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_bitwise_equal_to_the_strided_shift(self, n_modes, cutoff, rank):
+        space = FockSpace(n_modes=n_modes, cutoff=cutoff)
+        rng = np.random.default_rng(100 * n_modes + 10 * cutoff + rank)
+        for lead in ((), (n_modes,)):  # one (D, r) block and an (M, D, r) stack
+            vectors = self.columns(rng, lead + (space.dimension, rank))
+            for mode in range(n_modes):
+                for raising in (False, True):
+                    expected = np.full_like(vectors, np.nan)
+                    got = np.full_like(vectors, np.nan)
+                    strided_ladder(space, vectors, mode, expected, raising)
+                    states._ladder(space, vectors, mode, got, raising)
+                    assert got.tobytes() == expected.tobytes(), (lead, mode, raising)
+
+    @pytest.mark.parametrize("n_modes, cutoff", [(1, 4), (2, 3), (3, 2)])
+    def test_matches_dense_operator(self, n_modes, cutoff):
+        space = FockSpace(n_modes=n_modes, cutoff=cutoff)
+        rng = np.random.default_rng(60 + n_modes)
+        vectors = rng.normal(size=(space.dimension, 3)) + 1j * rng.normal(size=(space.dimension, 3))
+        eye = np.eye(space.levels)
+        for mode in range(n_modes):
+            factors = [eye] * n_modes
+            factors[mode] = dense_ladder(space.levels)
+            lower = factors[0]
+            for factor in factors[1:]:
+                lower = np.kron(lower, factor)
+            for raising, dense in ((False, lower), (True, lower.conj().T)):
+                expected = dense @ vectors
+                got = np.empty_like(vectors)
+                states._ladder(space, vectors, mode, got, raising)
+                assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 def test_package_import_loads_no_scipy():
