@@ -68,6 +68,11 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     product weighs its M^2 blocks.  E is one batched product, and V E_a is
     subtracted one parameter at a time, so the pass holds max(M^2, P)
     (D, r) blocks and a few transients (see ``states._raise_sum``).
+
+    The first term's Gram over the parameters is one dot product per pair
+    a <= b.  As one product, ``flat @ flat.T``, numpy hands it to a BLAS
+    syrk, which for a few rows of ~10^4 entries takes 2-3 times as long
+    and, with OpenBLAS, sums no more accurately.
     """
     m = state.space.n_modes
     stack = _coefficient_matrices(state.space, generators).reshape(-1, m, m)
@@ -83,9 +88,14 @@ def qfim_unitary(state: DensityState, generators) -> np.ndarray:
     for block, e in zip(outside, elements):
         block -= v @ e
     outside *= np.sqrt(p)
-    # Re <x|y> is the dot product of x and y viewed as reals
+    # Re <x|y> is the dot product of x and y viewed as reals; _hermitian
+    # reads only the upper triangle
     flat = outside.reshape(n_p, -1).view(np.float64)
-    t1 = 4.0 * (flat @ flat.T)
+    t1 = np.zeros((n_p, n_p))
+    for a in range(n_p):
+        for b in range(a, n_p):
+            t1[a, b] = flat[a] @ flat[b]
+    t1 *= 4.0
 
     ratio = np.subtract.outer(p, p) ** 2 / np.add.outer(p, p)
     transposed = elements.transpose(0, 2, 1).reshape(n_p, -1)
@@ -118,13 +128,9 @@ def qfim_mode_split(state: DensityState, family: "ParameterFamily") -> np.ndarra
     table = family.overlap_table
     f_pop = qfim_unitary(state, table)
 
-    # (d_a f_j | Pi_vac | d_b f_l) over the rows (a, j) and columns (b, l):
-    # the derivative block less its projections (d_a f_j | f_k) onto the
-    # populated span
     m, n_p = table.n_modes, table.n_parameters
-    proj = table.matrix[m:, :m]
-    vac = table.matrix[m:, m:] - proj @ proj.conj().T
-    f = 4.0 * np.einsum("ajbl,jl->ab", vac.reshape(n_p, m, n_p, m), first_moments(state)).real
+    vac = table.vacuum_block.reshape(n_p, m, n_p, m)
+    f = 4.0 * np.einsum("ajbl,jl->ab", vac, first_moments(state)).real
     return _zero_roundoff_diagonal(f_pop + _hermitian(f))
 
 
@@ -197,15 +203,13 @@ def attainability(state: DensityState, generators: OverlapTable) -> Attainabilit
     raw derivative-mode overlaps, including their vacuum components) with
     the double-sum correction that only mixed states contribute.
     """
-    overlaps = generators.derivative_overlaps
     moments = first_moments(state)
     p, _ = state.kept()
     elements = operator_matrix_elements(state, generators.matrices)
     n_p, n_e = elements.shape[0], p.size**2
 
     # term1[a, b] = 4 sum_jl [(d_a f_j|d_b f_l) - (d_b f_j|d_a f_l)] <a_j^dag a_l>
-    kernel = overlaps - overlaps.transpose(1, 0, 2, 3)
-    term1 = 4.0 * np.einsum("abjl,jl->ab", kernel, moments)
+    term1 = 4.0 * np.einsum("abjl,jl->ab", generators.commutator_kernel, moments)
     # term2[a, b] = 32i sum_mn w2_mn Im(E_a,mn conj(E_b,mn)); kept
     # probabilities exceed TAU_PROB, so no denominator vanishes
     w2 = (p[:, None] ** 2 * p[None, :]) / np.add.outer(p, p) ** 2

@@ -353,6 +353,12 @@ def _strict_upper(n: int) -> np.ndarray:
     return mask
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a cached slice that every reader shares."""
+    a.flags.writeable = False
+    return a
+
+
 def _hermitian(g: np.ndarray) -> np.ndarray:
     """The upper triangle of g with its exact conjugate below a real diagonal."""
     if g.shape == (1, 1):  # a squared norm: its real part plus +0 of g's type, as below
@@ -436,8 +442,10 @@ class OverlapTable:
     ``[f_0 .. f_{M-1}, d_0 f_0 .. d_0 f_{M-1}, d_1 f_0, ..]`` (K = M + P M
     rows), ``matrix[r, s] = (row_r | row_s)``, for the parameters named in
     ``labels``.  Everything a run reports about the modes is a slice of it;
-    the properties name the slices.  The generator matrices, the one slice
-    that is transformed, are formed once, on first read of ``matrices``.
+    the properties name the slices.  The slices that are transformed are
+    formed once, on first read, so every run on the family reads the same
+    arrays: the generator ``matrices``, and the read-only ``weights``,
+    ``total_weights()``, ``vacuum_block`` and ``commutator_kernel``.
     """
 
     matrix: np.ndarray
@@ -498,13 +506,38 @@ class OverlapTable:
         """``[a, k]`` = norm of d_a f_k, shape (P, M), formed once and read-only."""
         m, p = self.n_modes, self.n_parameters
         norms2 = self.matrix.diagonal()[m:].real.reshape(p, m)
-        weights = np.sqrt(np.maximum(norms2, 0.0))
-        weights.flags.writeable = False
-        return weights
+        return _read_only(np.sqrt(np.maximum(norms2, 0.0)))
 
     def total_weights(self) -> np.ndarray:
-        """Per-parameter derivative norm across all populated modes."""
-        return np.sqrt((self.weights**2).sum(axis=1))
+        """Per-parameter derivative norm across all populated modes, shape (P,).
+
+        Formed once and read-only: every call returns the same array.
+        """
+        return self._total_weights
+
+    @functools.cached_property
+    def _total_weights(self) -> np.ndarray:
+        return _read_only(np.sqrt((self.weights**2).sum(axis=1)))
+
+    @functools.cached_property
+    def vacuum_block(self) -> np.ndarray:
+        """``[(a, j), (b, l)]`` = (d_a f_j | Pi_vac | d_b f_l), shape (P M, P M).
+
+        The derivative block less its projections (d_a f_j | f_k) onto the
+        populated span, formed once and read-only.
+        """
+        m = self.n_modes
+        proj = self.matrix[m:, :m]
+        return _read_only(self.matrix[m:, m:] - proj @ proj.conj().T)
+
+    @functools.cached_property
+    def commutator_kernel(self) -> np.ndarray:
+        """``[a, b, j, l]`` = (d_a f_j | d_b f_l) - (d_b f_j | d_a f_l), shape (P, P, M, M).
+
+        Formed once and read-only.
+        """
+        overlaps = self.derivative_overlaps
+        return _read_only(overlaps - overlaps.transpose(1, 0, 2, 3))
 
     @functools.cached_property
     def hermiticity_residuals(self) -> np.ndarray:

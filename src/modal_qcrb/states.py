@@ -40,7 +40,6 @@ from .errors import (
     finite_number,
     whole_number,
 )
-from .modes import _hermitian
 from .tolerances import (
     MAX_CUTOFF,
     TAU_CUTOFF,
@@ -200,7 +199,11 @@ class LoweredTable:
 
     ``lowered[j, :, m]`` is a_j v_m, shape (M, D, r); ``gram[j, m, l, n]``
     is <a_j v_m | a_l v_n>, shape (M, r, M, r), Hermitian bitwise over the
-    pairs (j, m) and (l, n).  Both arrays are read-only.
+    pairs (j, m) and (l, n) as built, with a +0.0 imaginary diagonal, and
+    not symmetrized again.  That rests on one condition: the real Gram S
+    it is read from is ``x.T @ x`` of one contiguous buffer ``x``, which
+    numpy forms with a syrk and one triangle copied onto the other, so S
+    is symmetric to the bit.  Both arrays are read-only.
     """
 
     lowered: np.ndarray
@@ -220,7 +223,7 @@ class LoweredTable:
         x = np.ascontiguousarray(columns).view(np.float64)
         s = x.T @ x
         gram = s[::2, ::2] + s[1::2, 1::2] + 1j * (s[::2, 1::2] - s[1::2, ::2])
-        gram = _hermitian(gram).reshape(m, r, m, r)
+        gram = gram.reshape(m, r, m, r)
         lowered.flags.writeable = False
         gram.flags.writeable = False
         return cls(lowered, gram)
@@ -305,10 +308,12 @@ class DensityState:
     def correlations(self) -> np.ndarray:
         """The one-photon correlations of :func:`first_moments`, built once.
 
-        Read-only, like the table they are summed from.
+        Read-only, like the table they are summed from, and Hermitian
+        bitwise as that table is: entry (l, j) sums the exact conjugates
+        of the terms of entry (j, l) in the same order.
         """
         gram = self.lowered_table.gram
-        moments = _hermitian(np.einsum("m,jmlm->jl", self.probabilities, gram))
+        moments = np.einsum("m,jmlm->jl", self.probabilities, gram)
         moments.flags.writeable = False
         return moments
 

@@ -27,7 +27,7 @@ from modal_qcrb import (
     qfim_single_mode,
     qfim_unitary,
 )
-from modal_qcrb import states
+from modal_qcrb import engine, states
 from modal_qcrb.modes import _hermitian, _strict_upper
 from modal_qcrb.states import first_moments, operator_matrix_elements
 from modal_qcrb.tolerances import TAU_PROB
@@ -725,6 +725,122 @@ def test_state_with_non_contiguous_eigenvectors():
         )
         outputs.append([a.tobytes() for a in arrays])
     assert outputs[0] == outputs[1]
+
+
+def former_qfim_unitary(state, coefficients) -> np.ndarray:
+    """``qfim_unitary`` with the Gram of the outside parts as one ``flat @ flat.T``.
+
+    The former body, kept as the reference of the row-product form.
+    """
+    m = state.space.n_modes
+    stack = states._coefficient_matrices(state.space, coefficients).reshape(-1, m, m)
+    n_p = stack.shape[0]
+    p, v = state.kept()
+    lowered = state.lowered_table.lowered[:, :, state.kept_columns]
+    outside = states._raise_sum(state.space, stack, lowered)
+    elements = v.conj().T @ outside
+    for block, e in zip(outside, elements):
+        block -= v @ e
+    outside *= np.sqrt(p)
+    flat = outside.reshape(n_p, -1).view(np.float64)
+    t1 = 4.0 * (flat @ flat.T)
+    ratio = np.subtract.outer(p, p) ** 2 / np.add.outer(p, p)
+    transposed = elements.transpose(0, 2, 1).reshape(n_p, -1)
+    t2 = 2.0 * ((ratio * elements).reshape(n_p, -1) @ transposed.T).real
+    return _hermitian(t1 + t2)
+
+
+def former_vacuum_term(state, table) -> np.ndarray:
+    """The vacuum term of ``qfim_mode_split``, its block formed inline."""
+    m, n_p = table.n_modes, table.n_parameters
+    proj = table.matrix[m:, :m]
+    vac = table.matrix[m:, m:] - proj @ proj.conj().T
+    f = 4.0 * np.einsum("ajbl,jl->ab", vac.reshape(n_p, m, n_p, m), first_moments(state)).real
+    return _hermitian(f)
+
+
+def former_commutator_matrix(state, gens) -> np.ndarray:
+    """``attainability(...).matrix`` with the commutator kernel formed inline."""
+    overlaps = gens.derivative_overlaps
+    moments = first_moments(state)
+    p, _ = state.kept()
+    elements = operator_matrix_elements(state, gens.matrices)
+    n_p, n_e = elements.shape[0], p.size**2
+    kernel = overlaps - overlaps.transpose(1, 0, 2, 3)
+    term1 = 4.0 * np.einsum("abjl,jl->ab", kernel, moments)
+    w2 = (p[:, None] ** 2 * p[None, :]) / np.add.outer(p, p) ** 2
+    cross = (w2 * elements).reshape(n_p, n_e) @ elements.reshape(n_p, n_e).conj().T
+    trace_comm = np.where(_strict_upper(n_p), term1 - 32.0j * cross.imag, 0)
+    u = trace_comm.imag / 4.0
+    return u - u.T
+
+
+@pytest.mark.parametrize("rank", [1, 2, 8])
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 30), (2, 8), (3, 4)])
+def test_pairwise_gram_within_roundoff_of_one_product(n_modes, cutoff, rank):
+    # each entry of the Gram of the outside parts is still one dot product,
+    # summed in another order, so the matrix moves by round-off only.  The
+    # bound is the round-off of both forms: against exact rational sums of
+    # these cases, flat @ flat.T lies up to 1.05e-15 of the largest entry
+    # away and the pairwise dots up to 3.2e-16
+    rng = np.random.default_rng(10 * n_modes + rank)
+    state = random_density_state(rng, FockSpace(n_modes=n_modes, cutoff=cutoff), rank)
+    for n_p in (1, 2, 3, 4, 5, 6, 12):
+        shape = (n_p, n_modes, n_modes)
+        raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        coeffs = (raw + raw.conj().transpose(0, 2, 1)) / 2.0
+        assert_close_to_largest(
+            qfim_unitary(state, coeffs), former_qfim_unitary(state, coeffs), rtol=2e-15
+        )
+
+
+class TestTableSlices:
+    """The vacuum block, commutator kernel and total weights: slices formed once per table."""
+
+    # (modes, parameters, cutoff, rank)
+    CASES = [(1, 3, 12, 3), (2, 1, 4, 1), (2, 4, 4, 4), (3, 6, 3, 2)]
+
+    @pytest.fixture(params=CASES, ids=["m1-p3", "m2-p1", "m2-p4", "m3-p6"])
+    def case(self, request):
+        n_modes, n_params, cutoff, rank = request.param
+        rng = np.random.default_rng(200 + 10 * n_modes + n_params)
+        populated, derivatives = random_mode_parameter_data(rng, n_params, n_modes)
+        family = family_from_modes(populated, derivatives, [f"t{a}" for a in range(n_params)])
+        state = random_density_state(rng, FockSpace(n_modes=n_modes, cutoff=cutoff), rank)
+        return state, family
+
+    def test_slices_are_read_only_and_formed_once(self, case):
+        _, family = case
+        table = build_generators(family)
+        m = table.n_modes
+        proj = table.matrix[m:, :m]
+        overlaps = table.derivative_overlaps
+        expected = {
+            "vacuum_block": table.matrix[m:, m:] - proj @ proj.conj().T,
+            "commutator_kernel": overlaps - overlaps.transpose(1, 0, 2, 3),
+            "total_weights": np.sqrt((table.weights**2).sum(axis=1)),
+        }
+        for name, formed in expected.items():
+            read = getattr(table, name)
+            first = read() if callable(read) else read
+            second = read() if callable(read) else getattr(table, name)
+            assert second is first, name
+            assert not first.flags.writeable, name
+            assert first.tobytes() == formed.tobytes(), name
+
+    def test_mode_split_vacuum_term_bitwise(self, case):
+        state, family = case
+        table = build_generators(family)
+        expected = engine._zero_roundoff_diagonal(
+            qfim_unitary(state, table) + former_vacuum_term(state, table)
+        )
+        assert qfim_mode_split(state, family).tobytes() == expected.tobytes()
+
+    def test_attainability_matrix_bitwise(self, case):
+        state, family = case
+        gens = build_generators(family)
+        expected = former_commutator_matrix(state, gens)
+        assert attainability(state, gens).matrix.tobytes() == expected.tobytes()
 
 
 class TestDegenerateParameter:

@@ -29,12 +29,13 @@ from modal_qcrb.states import (
     first_moments,
     operator_matrix_elements,
 )
-from modal_qcrb.tolerances import TAU_CUTOFF
+from modal_qcrb.tolerances import TAU_CUTOFF, TAU_PROB
 from conftest import (
     FOCK_ROUTE_PROBES,
     W0,
     GaussianState,
     ModeBasis,
+    _thermal_probabilities,
     apply_quadratic,
     dense_ladder,
     dense_quadratic,
@@ -402,10 +403,8 @@ class TestMoments:
         moments = first_moments(state)
         assert first_moments(state) is moments
         assert not moments.flags.writeable
-        expected = _hermitian(
-            np.einsum("m,jmlm->jl", state.probabilities, state.lowered_table.gram)
-        )
-        assert np.array_equal(moments, expected)
+        expected = np.einsum("m,jmlm->jl", state.probabilities, state.lowered_table.gram)
+        assert moments.tobytes() == expected.tobytes()
 
     def test_trace_is_mean_photon_number(self):
         state = probe_state("thermal", nbar=0.7)
@@ -493,6 +492,73 @@ class TestApplyQuadratic:
             for p, v in zip(state.probabilities, state.vectors.T)
         )
         assert second == pytest.approx(dense, rel=1e-12)
+
+
+def _hermitian_states():
+    """States whose lowered table and correlations are pinned Hermitian bitwise."""
+    rng = np.random.default_rng(71)
+    for n_modes, cutoff in ((1, 20), (2, 5), (3, 3)):
+        space = FockSpace(n_modes=n_modes, cutoff=cutoff)
+        for rank in (1, 2, 8):
+            yield f"m{n_modes}-r{rank}", random_density_state(rng, space, rank)
+
+    # number-basis columns
+    space = FockSpace(n_modes=2, cutoff=4)
+    vectors = np.eye(space.dimension)[:, [0, 6, 8, 12]]
+    yield "number-basis", make_state(
+        "custom", space, probabilities=[0.4, 0.3, 0.2, 0.1], vectors=vectors
+    )
+
+    # a product of thermal distributions, some probabilities below TAU_PROB
+    space = FockSpace(n_modes=2, cutoff=15)
+    probs = np.outer(
+        _thermal_probabilities(space.levels, 0.25), _thermal_probabilities(space.levels, 0.1)
+    ).ravel()
+    state = make_state(
+        "custom", space, probabilities=probs / probs.sum(), vectors=np.eye(space.dimension)
+    )
+    assert np.any(state.probabilities < TAU_PROB)
+    yield "thermal-product", state
+
+    # mode 1 in vacuum, and one eigenvector the vacuum itself: all-zero
+    # lowered columns beside non-zero ones
+    space = FockSpace(n_modes=2, cutoff=6)
+    support = np.arange(1, space.cutoff) * space.levels  # n_0 = 1 .. cutoff - 1, n_1 = 0
+    raw = rng.normal(size=(support.size, 3)) + 1j * rng.normal(size=(support.size, 3))
+    vectors = np.zeros((space.dimension, 4), dtype=complex)
+    vectors[0, 0] = 1.0
+    vectors[support, 1:] = np.linalg.qr(raw)[0]
+    state = make_state("custom", space, probabilities=[0.4, 0.3, 0.2, 0.1], vectors=vectors)
+    lowered = state.lowered_table.lowered
+    assert not lowered[1].any() and not lowered[0, :, 0].any() and lowered[0].any()
+    yield "vacuum-columns", state
+
+    # eigenvectors that are a column slice of a wider array
+    template = random_density_state(rng, FockSpace(n_modes=3, cutoff=3), rank=5)
+    wide = np.concatenate([template.vectors, np.zeros_like(template.vectors)], axis=1)
+    state = make_state(
+        "custom", template.space, probabilities=template.probabilities, vectors=wide[:, :5]
+    )
+    assert not state.vectors.flags.c_contiguous
+    yield "sliced-columns", state
+
+
+HERMITIAN_STATES = dict(_hermitian_states())
+
+
+@pytest.mark.parametrize("name", HERMITIAN_STATES)
+def test_lowered_table_and_correlations_are_hermitian_as_built(name):
+    # the lowered Gram is read off S = X^T X of one contiguous buffer, which
+    # numpy forms symmetric to the bit, and the correlations sum its
+    # diagonal blocks: neither is symmetrized again, so each must be its
+    # own _hermitian to the byte, with a +0.0 imaginary diagonal
+    state = HERMITIAN_STATES[name]
+    m, r = state.space.n_modes, state.rank
+    gram = state.lowered_table.gram.reshape(m * r, m * r)
+    for table in (gram, state.correlations):
+        assert table.tobytes() == _hermitian(table).tobytes()
+        diagonal = table.diagonal().imag
+        assert np.all(diagonal == 0.0) and not np.signbit(diagonal).any()
 
 
 def strided_ladder(space, vectors, mode, out, raising=False):
