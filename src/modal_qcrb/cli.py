@@ -221,22 +221,32 @@ _SCALAR_TEXT = {
 }
 
 
-def _json_text(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, at indent ``pad``.
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte.
 
     With ``indent`` the standard library falls back to its pure-Python
-    encoder; this one writes a scalar dict value inline and joins a list
-    of one scalar type, most of a report, in one C call.  Object keys must
-    be strings.
+    encoder; this one appends the pieces of the text to one list, writes
+    a scalar dict value inline and joins a list of one scalar type, most
+    of a report, in one C call.  Object keys must be strings.
     """
+    pieces: list[str] = []
+    _append_json(value, "", pieces.append)
+    return "".join(pieces)
+
+
+def _append_json(value, pad: str, append) -> None:
+    """Append the JSON text of ``value``, at indent ``pad``, piece by piece."""
     emit = _SCALAR_TEXT.get(type(value))
     if emit is not None:
-        return emit(value)
+        append(emit(value))
+        return
     inner = pad + "  "
     separator = ",\n" + inner
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            append("[]")
+            return
+        append("[\n" + inner)
         kinds = set(map(type, value))
         emit = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
         if emit is _json_float:
@@ -244,24 +254,42 @@ def _json_text(value, pad: str = "") -> str:
             if "n" in body:  # only 'nan', 'inf' and '-inf' hold an n
                 for v in value:
                     _json_float(v)
+            append(body)
         elif emit is not None:
-            body = separator.join(map(emit, value))
+            append(separator.join(map(emit, value)))
         else:
-            body = separator.join([_json_text(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
+            opening = ""
+            for v in value:
+                append(opening)
+                opening = separator
+                _append_json(v, inner, append)
+        append("\n" + pad + "]")
+        return
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        text = _SCALAR_TEXT.get
-        # a key that is not a str raises TypeError in encode_basestring_ascii
-        items = [
-            encode_basestring_ascii(k) + ": " + (emit(v) if (emit := text(type(v))) else _json_text(v, inner))
-            for k, v in value.items()
-        ]
-        return "{\n" + inner + separator.join(items) + "\n" + pad + "}"
+            append("{}")
+            return
+        opening = "{\n" + inner
+        for k, v in value.items():
+            # a key that is not a str raises TypeError in encode_basestring_ascii
+            append(opening + encode_basestring_ascii(k) + ": ")
+            opening = separator
+            kind = type(v)
+            if kind is float:
+                text = float.__repr__(v)
+                if "n" in text:
+                    _json_float(v)
+                append(text)
+            elif (emit := _SCALAR_TEXT.get(kind)) is not None:
+                append(emit(v))
+            else:
+                _append_json(v, inner, append)
+        append("\n" + pad + "}")
+        return
     for base in (str, int, float):
         if isinstance(value, base):
-            return _SCALAR_TEXT[base](value)
+            append(_SCALAR_TEXT[base](value))
+            return
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,7 @@ from .modes import (
     ProductSum,
     SampleGrid,
     _one_term_norm2,
+    _read_only,
     _real_or_complex,
 )
 from .tolerances import TAU_FD, TAU_QUAD
@@ -309,45 +310,97 @@ def _unit_reference(
 # Gaussian transverse beam
 
 
-def _unit_outer(grid: SampleGrid, factor_x: np.ndarray, factor_y: np.ndarray) -> ProductSum:
-    """``factor_x`` x ``factor_y`` scaled to unit norm under the grid quadrature.
+def _axis_dot(factor: np.ndarray, weights: np.ndarray) -> np.inexact:
+    """Sum of ``weights * |factor|^2``: one per-axis factor of a one-term norm.
+
+    Bitwise the axis's dot in :func:`~modal_qcrb.modes._one_term_norm2`
+    for a contiguous factor.
+    """
+    return (factor.conj() * weights) @ factor
+
+
+def _unit_outer(
+    factor_x: np.ndarray, dot_x: np.inexact, factor_y: np.ndarray, dot_y: np.inexact
+) -> ProductSum:
+    """``factor_x`` x ``factor_y`` scaled to unit norm, given each one's :func:`_axis_dot`.
 
     Keeps mode bases orthonormal at round-off even where the grid truncates
     a small tail of the continuum profile; the scale factor is invariant
     under the built-in parameters to well below the derivative tolerances.
     The squared norm is the product of the per-axis dots, bitwise
     :func:`~modal_qcrb.modes._one_term_norm2` of the outer product (the
-    factors are fresh, contiguous arrays), and the scale divides the x
-    factor.  An overflow leaves a non-finite norm, which the mode rejects;
-    numpy does not warn inside the family's evaluator.
+    factors are contiguous arrays), and the scale divides the x factor.
+    An overflow leaves a non-finite norm, which the mode rejects; numpy
+    does not warn inside the family's evaluator.
     """
-    wx, wy = grid.axis_weights
-    norm2 = 1.0 * ((factor_x.conj() * wx) @ factor_x) * ((factor_y.conj() * wy) @ factor_y)
-    norm = np.sqrt(float(norm2.real))
+    norm = np.sqrt(float((1.0 * dot_x * dot_y).real))
     if norm == 0.0:
         raise EvaluationError("mode profile vanishes on the grid")
     return ProductSum._unchecked(((factor_x / norm, factor_y),))
 
 
-def _beam_samples(
-    geometry: BeamGeometry, carrier: bool, grid: SampleGrid, spacing: tuple, theta: np.ndarray
-) -> ProductSum:
-    """Beam profile as the outer product of one complex factor per axis.
+def _values_and_bits(theta: np.ndarray) -> tuple[list, list]:
+    """``theta`` as Python floats, and each entry's bit pattern as an int.
+
+    Only +0.0, the reference value, has the pattern 0.  Parameters with
+    equal patterns form bitwise equal factors; 0.0 and -0.0, equal as
+    floats, may not, since a zero sample can take either sign.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return theta.tolist(), theta.view(np.int64).tolist()
+
+
+def _reference_pieces(pieces: tuple) -> tuple:
+    """The theta = 0 factors and dots of a family, its factors read-only.
+
+    Every evaluation that leaves an axis at the reference returns or
+    scales these arrays, so no caller may write into them.
+    """
+    factor_x, dot_x, factor_y, dot_y = pieces
+    return _read_only(factor_x), dot_x, _read_only(factor_y), dot_y
+
+
+def _beam_factors(
+    geometry: BeamGeometry,
+    carrier: bool,
+    grid: SampleGrid,
+    spacing: tuple,
+    theta: list,
+    bits: list,
+    reference: Callable[[], tuple] | None,
+) -> tuple:
+    """Beam profile as one complex factor per axis: (x factor, its dot, y factor, its dot).
+
+    The family's evaluator scales their outer product to unit norm with
+    :func:`_unit_outer`.
 
     Every parameter leaves the profile separable: each axis carries its
     Gaussian envelope, curvature phase and tilt phase, and the amplitude,
-    Gouy phase and carrier phase form one constant.  The scalars are
-    Python floats, which raise where numpy scalars would return inf.
-    ``spacing`` is the largest sample spacing per axis, formed once per
-    family: a tilt whose phase turns by more than pi across one is aliased.
+    Gouy phase and carrier phase form one constant, which scales the x
+    factor.  The scalars are Python floats, which raise where numpy
+    scalars would return inf.  ``spacing`` is the largest sample spacing
+    per axis, formed once per family: a tilt whose phase turns by more
+    than pi across one is aliased.
+
+    A factor depends only on (w0 shift, z0) and its own axis's (centre,
+    tilt).  An axis whose parameters ``theta`` leaves at the reference,
+    bit for bit (``bits``, see :func:`_values_and_bits`), takes its factor
+    and dot from ``reference()``, the pieces at theta = 0; on a square
+    grid, axis parameters with equal bits form one factor for both axes.
     """
-    x0, y0, z0, dw, tilt_x, tilt_y = theta.tolist()
+    x0, y0, z0, dw, tilt_x, tilt_y = theta
     waist = geometry.waist + dw
     if waist <= 0:
         raise EvaluationError("waist perturbation makes the beam collapse")
     k = geometry.wavenumber
     if abs(k * tilt_x) * spacing[0] > math.pi or abs(k * tilt_y) * spacing[1] > math.pi:
         raise EvaluationError("tilt_x or tilt_y turns the phase by more than pi per sample")
+    bits_x0, bits_y0, bits_z0, bits_dw, bits_tilt_x, bits_tilt_y = bits
+    same_width = reference is not None and bits_z0 == bits_dw == 0
+    keep_x = same_width and bits_x0 == bits_tilt_x == 0
+    keep_y = same_width and bits_y0 == bits_tilt_y == 0
+    if keep_x and keep_y:
+        return reference()
     try:
         zr = k * waist**2 / 2.0
         zeta = -z0  # observation plane sits at the origin; the waist moved to z0
@@ -356,24 +409,64 @@ def _beam_samples(
         exponent = -1.0 / w**2 + 0.5j * k * inv_radius
     except (OverflowError, ZeroDivisionError):
         raise EvaluationError("beam width, curvature or phase leaves double-precision range") from None
-    x, y = grid.axes
-    factor_x = np.exp(exponent * (x - x0) ** 2 + 1j * k * tilt_x * x)
-    factor_y = np.exp(exponent * (y - y0) ** 2 + 1j * k * tilt_y * y)
-    # numpy's arctan2 may round differently from math.atan2
-    phase = (k * zeta if carrier else 0.0) - np.arctan2(zeta, zr)
-    constant = math.sqrt(2.0 / math.pi) / w * np.exp(1j * phase)
-    return _unit_outer(grid, constant * factor_x, factor_y)
+    (x, y), (wx, wy) = grid.axes, grid.axis_weights
+    if keep_x:
+        scaled_x, dot_x, _, _ = reference()
+    else:
+        factor_x = np.exp(exponent * (x - x0) ** 2 + 1j * k * tilt_x * x)
+        # numpy's arctan2 may round differently from math.atan2
+        phase = (k * zeta if carrier else 0.0) - np.arctan2(zeta, zr)
+        constant = math.sqrt(2.0 / math.pi) / w * np.exp(1j * phase)
+        scaled_x = constant * factor_x
+        dot_x = _axis_dot(scaled_x, wx)
+    if keep_y:
+        _, _, factor_y, dot_y = reference()
+    else:
+        if not keep_x and y is x and (bits_y0, bits_tilt_y) == (bits_x0, bits_tilt_x):
+            factor_y = factor_x
+        else:
+            factor_y = np.exp(exponent * (y - y0) ** 2 + 1j * k * tilt_y * y)
+        dot_y = _axis_dot(factor_y, wy)
+    return scaled_x, dot_x, factor_y, dot_y
 
 
-def _gaussian_spot(
-    grid: SampleGrid, waist: float, x0: float = 0.0, y0: float = 0.0
-) -> ProductSum:
-    """Real Gaussian exp(-((x - x0)^2 + (y - y0)^2) / waist^2) as an outer product."""
+def _gaussian_spot(grid: SampleGrid, waist: float) -> ProductSum:
+    """Real Gaussian exp(-(x^2 + y^2) / waist^2) as an outer product."""
     x, y = grid.axes
     # one fresh 1-D factor per grid axis: valid as it stands
-    return ProductSum._unchecked(
-        ((np.exp(-((x - x0) ** 2) / waist**2), np.exp(-((y - y0) ** 2) / waist**2)),)
-    )
+    return ProductSum._unchecked(((np.exp(-(x**2) / waist**2), np.exp(-(y**2) / waist**2)),))
+
+
+def _spot_factors(
+    grid: SampleGrid, waist: float, theta: list, bits: list, reference: Callable[[], tuple] | None
+) -> tuple:
+    """Real Gaussian spot at (x0, y0) = theta: (x factor, its dot, y factor, its dot).
+
+    Each factor is exp(-(x - x0)^2 / waist^2) along its axis.  As in
+    :func:`_beam_factors`, an axis that ``theta`` leaves at 0.0, bit for
+    bit, takes its factor and dot from ``reference()``, and on a square
+    grid an equal shift forms one factor for both axes.
+    """
+    x0, y0 = theta
+    keep_x = reference is not None and bits[0] == 0
+    keep_y = reference is not None and bits[1] == 0
+    if keep_x and keep_y:
+        return reference()
+    (x, y), (wx, wy) = grid.axes, grid.axis_weights
+    if keep_x:
+        factor_x, dot_x, _, _ = reference()
+    else:
+        factor_x = np.exp(-((x - x0) ** 2) / waist**2)
+        dot_x = _axis_dot(factor_x, wx)
+    if keep_y:
+        _, _, factor_y, dot_y = reference()
+    else:
+        if not keep_x and y is x and bits[1] == bits[0]:
+            factor_y = factor_x
+        else:
+            factor_y = np.exp(-((y - y0) ** 2) / waist**2)
+        dot_y = _axis_dot(factor_y, wy)
+    return factor_x, dot_x, factor_y, dot_y
 
 
 def _beam_derivatives(
@@ -466,13 +559,29 @@ def gaussian_beam_family(
     spot = _gaussian_spot(grid, geometry.waist)
     base = _unit_reference(name, grid, spot, np.sqrt(2.0 / np.pi) / geometry.waist)
     spacing = tuple(float((axis[1:] - axis[:-1]).max()) for axis in grid.axes)
+    zero = [0.0] * len(_BEAM_PARAMETERS)
+
+    # theta = 0, formed on first use inside the rule, so that a failure
+    # names the evaluation that needed it
+    @cache
+    def reference() -> tuple:
+        return _reference_pieces(
+            _beam_factors(geometry, carrier_phase, grid, spacing, zero, [0] * len(zero), None)
+        )
+
+    def mode_fn(mode_index: int, theta: np.ndarray) -> ProductSum:
+        pieces = _beam_factors(
+            geometry, carrier_phase, grid, spacing, *_values_and_bits(theta), reference
+        )
+        return _unit_outer(*pieces)
+
     return ParameterFamily(
         name=name,
         parameters=_BEAM_PARAMETERS,
         units=("length", "length", "length", "length", "rad", "rad"),
         grid=grid,
         theta_scales=scales,
-        mode_fn=lambda k, theta: _beam_samples(geometry, carrier_phase, grid, spacing, theta),
+        mode_fn=mode_fn,
         derivative_fn=_beam_derivatives(geometry, carrier_phase, grid, base),
         oracle_fn=_beam_oracle(geometry, carrier_phase),
     )
@@ -577,8 +686,12 @@ def displaced_beam_family(
     spot = _gaussian_spot(grid, waist)
     base = _unit_reference("displaced-beam", grid, spot, np.sqrt(2.0 / np.pi) / waist)
 
+    @cache
+    def reference() -> tuple:
+        return _reference_pieces(_spot_factors(grid, waist, [0.0, 0.0], [0, 0], None))
+
     def mode_fn(mode_index: int, theta: np.ndarray) -> ProductSum:
-        return _unit_outer(grid, *_gaussian_spot(grid, waist, theta[0], theta[1]).terms[0])
+        return _unit_outer(*_spot_factors(grid, waist, *_values_and_bits(theta), reference))
 
     def derivative(mode_index: int, parameter: int) -> ProductSum:
         return base.along(parameter, 2.0 * grid.axes[parameter] / waist**2)

@@ -443,9 +443,10 @@ class OverlapTable:
     rows), ``matrix[r, s] = (row_r | row_s)``, for the parameters named in
     ``labels``.  Everything a run reports about the modes is a slice of it;
     the properties name the slices.  The slices that are transformed are
-    formed once, on first read, so every run on the family reads the same
-    arrays: the generator ``matrices``, and the read-only ``weights``,
-    ``total_weights()``, ``vacuum_block`` and ``commutator_kernel``.
+    formed once, on first read, and read-only, so every run on the family
+    reads the same arrays: the generator ``matrices`` and their
+    ``hermiticity_residuals``, ``weights``, ``total_weights()``,
+    ``vacuum_block`` and ``commutator_kernel``.
     """
 
     matrix: np.ndarray
@@ -541,16 +542,20 @@ class OverlapTable:
 
     @functools.cached_property
     def hermiticity_residuals(self) -> np.ndarray:
-        """``[a]`` = max |G^a - (G^a)^dagger| of the generator G^a_jk = i (f_j | d_a f_k)."""
+        """``[a]`` = max |G^a - (G^a)^dagger| of the generator G^a_jk = i (f_j | d_a f_k).
+
+        Formed once and read-only.
+        """
         g = 1j * self.generator_overlaps
-        return np.abs(g - g.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        return _read_only(np.abs(g - g.conj().transpose(0, 2, 1)).max(axis=(1, 2)))
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
         """Hermitian generator matrices (G^a + (G^a)^dagger) / 2, shape (P, M, M).
 
-        The first read raises unless the populated modes are orthonormal,
-        and warns once if a Hermiticity residual exceeds ``TAU_HERM``.
+        Formed once and read-only.  The first read raises unless the
+        populated modes are orthonormal, and warns once if a Hermiticity
+        residual exceeds ``TAU_HERM``.
         """
         self.validate()
         residuals = self.hermiticity_residuals
@@ -563,7 +568,7 @@ class OverlapTable:
                 stacklevel=_caller_stacklevel(),
             )
         g = 1j * self.generator_overlaps
-        return (g + g.conj().transpose(0, 2, 1)) / 2.0
+        return _read_only((g + g.conj().transpose(0, 2, 1)) / 2.0)
 
     def validate(self) -> None:
         """Raise unless the populated modes are orthonormal."""

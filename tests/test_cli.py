@@ -1,6 +1,7 @@
 import enum
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modal_qcrb import EvaluationError, cli
@@ -698,6 +699,9 @@ SCALARS = st.one_of(
     st.none(),
     SUBCLASSES,
 )
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf]).flatmap(
+    lambda v: st.sampled_from([v, np.float64(v)])
+)
 DOCUMENTS = st.recursive(
     SCALARS,
     lambda children: st.one_of(
@@ -709,6 +713,12 @@ DOCUMENTS = st.recursive(
         ),
         st.lists(SUBCLASSES, max_size=6),
         st.dictionaries(KEYS, children, max_size=4),
+        # rows of one set of keys with scalar values, as attainability.pairs
+        st.lists(KEYS, unique=True, max_size=6).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, SCALARS)), max_size=4)
+        ),
+        # an object holding a non-finite float, which no JSON text can
+        st.dictionaries(KEYS, st.one_of(children, NON_FINITE), min_size=1, max_size=4),
     ),
     max_leaves=40,
 )
@@ -717,15 +727,32 @@ DOCUMENTS = st.recursive(
 class TestJsonText:
     """The report emitter writes what ``json.dumps(indent=2)`` writes."""
 
+    @settings(max_examples=200)
     @given(DOCUMENTS)
     def test_matches_the_standard_library(self, doc):
-        assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+        # a document holding a non-finite float is refused by both
+        try:
+            expected = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                _json_text(doc)
+        else:
+            assert _json_text(doc) == expected
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "wrap",
-        [lambda v: v, lambda v: [1.0, v], lambda v: {"a": [True, v]}, lambda v: (v,), lambda v: [np.float64(v)]],
-        ids=["scalar", "float-row", "nested", "tuple", "numpy-row"],
+        [
+            lambda v: v,
+            lambda v: [1.0, v],
+            lambda v: {"a": [True, v]},
+            lambda v: (v,),
+            lambda v: [np.float64(v)],
+            lambda v: {"a": {"b": 1.0, "c": v}},
+            lambda v: {"a": np.float64(v)},
+            lambda v: [{"a": 1.0, "b": True}, {"a": v, "b": False}],
+        ],
+        ids=["scalar", "float-row", "nested", "tuple", "numpy-row", "object-value", "numpy-value", "rows"],
     )
     def test_non_finite_float_raises_value_error(self, value, wrap):
         with pytest.raises(ValueError, match="not JSON compliant"):

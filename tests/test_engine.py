@@ -828,6 +828,17 @@ class TestTableSlices:
             assert not first.flags.writeable, name
             assert first.tobytes() == formed.tobytes(), name
 
+    @pytest.mark.parametrize("name", ["matrices", "hermiticity_residuals"])
+    def test_generator_arrays_refuse_writes(self, case, name):
+        # a write would change every later qfim_unitary and attainability on the family
+        _, family = case
+        array = getattr(build_generators(family), name)
+        before = array.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        assert getattr(build_generators(family), name) is array
+        assert array.tobytes() == before
+
     def test_mode_split_vacuum_term_bitwise(self, case):
         state, family = case
         table = build_generators(family)

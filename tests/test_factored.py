@@ -6,7 +6,9 @@ their table is formed from 1-D Gram matrices; ``weighted_gram`` over the
 expanded rows stays the reference it must match.
 """
 
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -481,13 +483,15 @@ class TestReferenceStencil:
     @pytest.mark.parametrize("name, points", CASES)
     def test_one_pass_norm_is_the_one_term_norm(self, monkeypatch, name, points):
         # the x factor over the square root of the product of the per-axis
-        # dots, as the general one-term norm and the scalar division form it
+        # dots, as the general one-term norm and the scalar division form
+        # it; a dot may be kept from theta = 0, so each evaluation's
+        # factors are recorded and their norm formed afresh here
         family = build(name, 1.0, 10.0, points=points)
         seen = []
         unit_outer = families._unit_outer
 
-        def recording(grid, factor_x, factor_y):
-            unit = unit_outer(grid, factor_x, factor_y)
+        def recording(factor_x, dot_x, factor_y, dot_y):
+            unit = unit_outer(factor_x, dot_x, factor_y, dot_y)
             seen.append((ProductSum.outer(factor_x, factor_y), unit))
             return unit
 
@@ -504,3 +508,183 @@ class TestReferenceStencil:
             ((ex, ey),) = expected.terms
             assert x.dtype == ex.dtype and x.tobytes() == ex.tobytes()
             assert y is ey
+
+
+def former_beam_samples(geometry, carrier, grid, spacing, theta):
+    """The beam evaluation that forms both factors and both dots on every call."""
+    x0, y0, z0, dw, tilt_x, tilt_y = theta.tolist()
+    waist = geometry.waist + dw
+    if waist <= 0:
+        raise EvaluationError("waist perturbation makes the beam collapse")
+    k = geometry.wavenumber
+    if abs(k * tilt_x) * spacing[0] > math.pi or abs(k * tilt_y) * spacing[1] > math.pi:
+        raise EvaluationError("tilt_x or tilt_y turns the phase by more than pi per sample")
+    try:
+        zr = k * waist**2 / 2.0
+        zeta = -z0
+        w = waist * math.sqrt(1.0 + (zeta / zr) ** 2)
+        inv_radius = zeta / (zeta**2 + zr**2)
+        exponent = -1.0 / w**2 + 0.5j * k * inv_radius
+    except (OverflowError, ZeroDivisionError):
+        raise EvaluationError("beam width, curvature or phase leaves double-precision range") from None
+    x, y = grid.axes
+    factor_x = np.exp(exponent * (x - x0) ** 2 + 1j * k * tilt_x * x)
+    factor_y = np.exp(exponent * (y - y0) ** 2 + 1j * k * tilt_y * y)
+    phase = (k * zeta if carrier else 0.0) - np.arctan2(zeta, zr)
+    constant = math.sqrt(2.0 / math.pi) / w * np.exp(1j * phase)
+    return former_unit_outer(grid, constant * factor_x, factor_y)
+
+
+def former_spot_samples(grid, waist, theta):
+    """The displaced spot that forms both factors and both dots on every call."""
+    x, y = grid.axes
+    factor_x = np.exp(-((x - theta[0]) ** 2) / waist**2)
+    factor_y = np.exp(-((y - theta[1]) ** 2) / waist**2)
+    return former_unit_outer(grid, factor_x, factor_y)
+
+
+def former_unit_outer(grid, factor_x, factor_y):
+    wx, wy = grid.axis_weights
+    norm2 = 1.0 * ((factor_x.conj() * wx) @ factor_x) * ((factor_y.conj() * wy) @ factor_y)
+    norm = np.sqrt(float(norm2.real))
+    if norm == 0.0:
+        raise EvaluationError("mode profile vanishes on the grid")
+    return ProductSum._unchecked(((factor_x / norm, factor_y),))
+
+
+def former_family(family, name, w0, k):
+    """``family`` with the evaluation that reuses no factor."""
+    grid = family.grid
+    if name == "displaced-beam":
+        return replace(family, mode_fn=lambda _, theta: former_spot_samples(grid, w0, theta))
+    geometry = BeamGeometry(w0, k)
+    carrier = name == "gaussian-beam-carrier"
+    spacing = tuple(float((axis[1:] - axis[:-1]).max()) for axis in grid.axes)
+    return replace(
+        family,
+        mode_fn=lambda _, theta: former_beam_samples(geometry, carrier, grid, spacing, theta),
+    )
+
+
+class TestAxisFactorReuse:
+    """A shifted beam keeps every axis factor its shift leaves at theta = 0.
+
+    The factors, dots and errors are those of the evaluation that forms
+    both factors afresh on every call, bit for bit.
+    """
+
+    W0, K = 1.3, 17.0
+    # the default square grid, and a custom grid with unequal axes
+    GRIDS = {
+        "64x64": {"points": 64},
+        "72x56": {
+            "grid": SampleGrid.uniform(
+                np.linspace(-4.0 * W0, 4.0 * W0, 72), np.linspace(-4.5 * W0, 3.5 * W0, 56)
+            )
+        },
+    }
+
+    def thetas(self, family):
+        n = family.n_parameters
+        rng = np.random.default_rng(5)
+        # a shift comes first, so the theta = 0 pieces are formed inside a shifted call
+        thetas = []
+        for a, scale in enumerate(family.theta_scales):
+            h = abs(float(scale)) * 1e-4
+            for step in (h, -h, h / 2.0, -h / 2.0, -0.0):
+                theta = np.zeros(n)
+                theta[a] = step
+                thetas.append(theta)
+        thetas += [np.zeros(n), np.full(n, -0.0), 1e-3 * rng.normal(size=n) * family.theta_scales]
+        if n == 6:
+            # equal shifts on both axes, equal -0.0 entries at a shifted waist,
+            # then axes that differ in one entry only, at a shifted z0 or w0
+            thetas.append(np.array([0.01, 0.01, 0.0, 0.0, 1e-3, 1e-3]))
+            thetas.append(np.array([-0.0, -0.0, 0.0, 0.01, -0.0, -0.0]))
+            thetas.append(np.array([0.0, -0.0, 0.02, 0.0, 0.0, 0.0]))
+            thetas.append(np.array([0.0, 0.0, 0.02, 0.0, 1e-3, 0.0]))
+            thetas.append(np.array([0.01, 0.0, 0.0, 0.01, 0.0, 0.0]))
+            thetas.append(np.array([0.0, 0.0, 0.0, 0.01, -0.0, 0.0]))
+        else:
+            thetas += [np.array([0.01, 0.01]), np.array([-0.0, -0.0]), np.array([0.0, -0.0])]
+        return thetas
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("name", BEAMS)
+    def test_factors_bitwise_equal_to_the_former_evaluation(self, name, grid):
+        family = build(name, self.W0, self.K, **self.GRIDS[grid])
+        former = former_family(family, name, self.W0, self.K)
+        for theta in self.thetas(family):
+            ((x, y),) = family.mode_fn(0, theta.copy()).terms
+            ((ex, ey),) = former.mode_fn(0, theta.copy()).terms
+            for got, want in ((x, ex), (y, ey)):
+                assert got.dtype == want.dtype, theta
+                assert got.tobytes() == want.tobytes(), theta
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("name", BEAMS)
+    def test_same_errors_as_the_former_evaluation(self, name, grid):
+        family = build(name, self.W0, self.K, **self.GRIDS[grid])
+        former = former_family(family, name, self.W0, self.K)
+        n = family.n_parameters
+        # a vanishing profile along x or y, then a non-finite one
+        shifts = [(0, 100.0), (1, -100.0), (0, np.nan), (1, np.inf)]
+        if n == 6:
+            # a collapsed waist, a z0 out of range and an aliased tilt
+            shifts += [(3, -2.0 * self.W0), (2, 1e300), (4, 1e6)]
+        for a, value in shifts:
+            theta = np.zeros(n)
+            theta[a] = value
+            with pytest.raises(EvaluationError) as want:
+                former.evaluate_mode(0, theta)
+            with pytest.raises(EvaluationError) as got:
+                family.evaluate_mode(0, theta)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(f"mode 0 at parameters {theta.tolist()}: ")
+
+    @pytest.mark.parametrize("name", BEAMS)
+    def test_a_one_axis_shift_returns_the_other_axis_factor_itself(self, name):
+        family = build(name, self.W0, self.K, points=64)
+        ((x_ref, y_ref),) = family.mode_fn(0, np.zeros(family.n_parameters)).terms
+        assert not y_ref.flags.writeable
+        # x0, and tilt_x for the beams
+        for a in (0, 4) if family.n_parameters == 6 else (0,):
+            theta = np.zeros(family.n_parameters)
+            theta[a] = 1e-3
+            ((x, y),) = family.mode_fn(0, theta).terms
+            assert y is y_ref and x is not x_ref
+
+    @pytest.mark.parametrize(
+        "name, grid, expected",
+        # square grids: the theta = 0 pair and each of the 24 shifts form one
+        # factor; on unequal axes theta = 0 and the z0 and w0 shifts form two
+        [
+            ("gaussian-beam", "64x64", 25),
+            ("gaussian-beam-carrier", "64x64", 25),
+            ("gaussian-beam-carrier", "72x56", 34),
+            ("displaced-beam", "64x64", 9),
+            ("displaced-beam", "72x56", 10),
+        ],
+    )
+    def test_finite_difference_table_forms_each_distinct_factor_once(
+        self, monkeypatch, name, grid, expected
+    ):
+        family = build(name, self.W0, self.K, **self.GRIDS[grid])
+        fd = finite_difference_family(family)
+        sizes = set(family.grid.shape)
+        formed = []
+        exp = np.exp
+
+        def counting(x, *args, **kwargs):
+            result = exp(x, *args, **kwargs)
+            if np.ndim(result) == 1 and len(result) in sizes:
+                formed.append(result)
+            return result
+
+        monkeypatch.setattr(np, "exp", counting)
+        fd.overlap_table
+        assert len(formed) == expected
+        formed.clear()
+        # the analytic twin shares the theta = 0 pieces already formed
+        family.overlap_table
+        assert formed == []
