@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -24,8 +24,8 @@ from .modes import (
     OverlapTable,
     ProductSum,
     SampleGrid,
+    _factored_gram,
     _one_term_norm2,
-    _read_only,
     _real_or_complex,
 )
 from .tolerances import TAU_FD, TAU_QUAD
@@ -160,7 +160,7 @@ class ParameterFamily:
         )
 
     def _evaluated(self, rule: Callable, mode_index: int, arg, what: Callable[[], str]) -> Mode:
-        """``Mode(grid, rule(mode_index, arg))``: the one call of the family's rules.
+        """``Mode(grid, rule(mode_index, arg))``: the rules called one row at a time.
 
         numpy does not warn while the rule runs, since an overflow leaves a
         non-finite or vanishing profile; an :class:`EvaluationError` of the
@@ -181,9 +181,15 @@ class ParameterFamily:
     def derivative_modes(self) -> tuple[tuple[Mode, ...], ...]:
         """``[a][k]`` is d_a f_k at theta = 0, each evaluated once and kept.
 
-        The overlap table is built from these modes, and the detection
-        modes are formed from them.
+        The detection modes are formed from them, and the overlap table
+        unless it is stacked; stacked finite differences are read off it.
         """
+        if self._stacked is not None and self._stacked[2]:  # 4 terms per row after theta = 0
+            x, y = self._stacked[0]
+            return tuple(
+                (Mode(self.grid, ProductSum._unchecked(tuple(zip(x[t : t + 4], y[t : t + 4])))),)
+                for t in range(1, len(x), 4)
+            )
         return tuple(
             tuple(derivative_mode(self, k, a) for k in range(self.n_modes))
             for a in range(self.n_parameters)
@@ -193,12 +199,40 @@ class ParameterFamily:
     def overlap_table(self) -> OverlapTable:
         """Overlaps of the modes at theta = 0 and their derivative modes.
 
-        Built on first use from one evaluation of the family and its
-        ``derivative_modes``, with the family's parameter names; every
+        Built on first use, with the family's parameter names; every
         engine quantity about the modes, the generator ``matrices``
-        included, is a slice of it.
+        included, is a slice of it.  A separable family's table is formed
+        from its stacks (:attr:`_stacked`); any other from one evaluation
+        of the family and its ``derivative_modes``.
         """
-        return OverlapTable.from_modes(self.evaluate(), self.derivative_modes, self.parameters)
+        if self._stacked is None:
+            return OverlapTable.from_modes(self.evaluate(), self.derivative_modes, self.parameters)
+        matrix = _factored_gram(*self._stacked[:2], self.grid.axis_weights)
+        return OverlapTable(matrix, self.parameters, 1)
+
+    @cached_property
+    def _stacked(self) -> tuple[list[np.ndarray], list[int], bool] | None:
+        """:meth:`_Separable.table_stacks` and whether by finite differences, or None.
+
+        None unless the family keeps a separable declaration's grid, one
+        ``mode`` and its ``derivative`` or that mode's finite difference,
+        and where that fails or leaves a non-finite factor, which the rows
+        formed one at a time then name.
+        """
+        separable, rule = getattr(self.mode_fn, "__self__", None), self.derivative_fn
+        own = isinstance(separable, _Separable) and self.n_modes == 1
+        if not (own and self.mode_fn == separable.mode and self.grid is separable.grid):
+            return None
+        fd = getattr(rule, "func", None) is _finite_difference and rule.args[0] == separable.mode
+        if not (fd or rule == separable.derivative):
+            return None
+        steps = rule.args[1] if fd else None
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                stacks, counts = separable.table_stacks(self.n_parameters, steps)
+        except EvaluationError:
+            return None
+        return (stacks, counts, fd) if all(np.isfinite(s).all() for s in stacks) else None
 
     def oracle_qfim(self, mean_photons: float, info: float) -> np.ndarray | None:
         if self.oracle_fn is None:
@@ -261,22 +295,27 @@ def finite_difference_family(
                 f"{floor:.3g}, eps / TAU_FD times its scale {abs(float(scale)):.3g}"
             )
 
-    def derivative(mode_index: int, parameter: int) -> np.ndarray | ProductSum:
-        def shifted(h: float) -> np.ndarray | ProductSum:
-            theta = np.zeros(family.n_parameters)
-            theta[parameter] = h
-            samples = family.mode_fn(mode_index, theta)
-            return samples if isinstance(samples, ProductSum) else _real_or_complex(samples)
+    return replace(family, derivative_fn=partial(_finite_difference, family.mode_fn, tuple(steps)))
 
-        def central(h: float) -> np.ndarray | ProductSum:
-            return (shifted(h) - shifted(-h)) / (2.0 * h)
 
-        h = steps[parameter]
-        coarse = central(h)
-        fine = central(h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
+def _finite_difference(
+    mode_fn: Callable, steps: tuple[float, ...], mode_index: int, parameter: int
+) -> np.ndarray | ProductSum:
+    """The rule of :func:`finite_difference_family`, bound to ``mode_fn`` and ``steps``."""
 
-    return replace(family, derivative_fn=derivative)
+    def shifted(h: float) -> np.ndarray | ProductSum:
+        theta = np.zeros(len(steps))
+        theta[parameter] = h
+        samples = mode_fn(mode_index, theta)
+        return samples if isinstance(samples, ProductSum) else _real_or_complex(samples)
+
+    def central(h: float) -> np.ndarray | ProductSum:
+        return (shifted(h) - shifted(-h)) / (2.0 * h)
+
+    h = steps[parameter]
+    coarse = central(h)
+    fine = central(h / 2.0)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _norm2(grid: SampleGrid, samples: np.ndarray | ProductSum) -> float:
@@ -307,201 +346,179 @@ def _unit_reference(
 
 
 # ---------------------------------------------------------------------------
+# Separable families: one 1-D factor per axis, declared as data
+
+
+@dataclass(frozen=True, eq=False)
+class _Separable:
+    """A family whose mode is a constant times one 1-D factor per axis, as data.
+
+    ``reads[i]`` lists the parameters the factor along axis i reads;
+    ``scalars(theta)`` checks one parameter row (floats) and returns the
+    axis-free constant that scales the x factor (or None) and each axis
+    factor's arguments; ``factor(points, rows)`` forms an axis factor for
+    a stack of argument rows; ``profiles[a]`` gives derivative a as
+    (axis, profile) terms of the unit spot ``base``.  The bound methods
+    ``mode`` and ``derivative`` are the family's ``mode_fn`` and
+    closed-form ``derivative_fn``.
+    """
+
+    grid: SampleGrid
+    reads: tuple[tuple[int, ...], ...]
+    scalars: Callable[[list], tuple]
+    factor: Callable[[np.ndarray, list], np.ndarray]
+    profiles: tuple[tuple[tuple[int, np.ndarray], ...], ...]
+    base: ProductSum
+
+    def unit_factors(self, thetas: np.ndarray) -> list[np.ndarray]:
+        """The modes at the rows of ``thetas``: one (rows, points) factor stack per axis.
+
+        Each distinct factor is formed once, keyed by the bits of the
+        parameters it reads (0.0 and -0.0 may form different zeros) and
+        shared across the axes of a square grid (``y is x``).  Unit norm
+        keeps mode bases orthonormal at round-off where the grid truncates
+        the profile: the x factor over the root of the product of the
+        per-axis dots, bitwise :func:`~modal_qcrb.modes._one_term_norm2`.
+        A failed check or a vanishing norm raises :class:`EvaluationError`;
+        an overflow leaves non-finite factors for the caller to check.
+        """
+        values, bits = thetas.tolist(), thetas.view(np.int64).tolist()
+        constants, arguments = zip(*map(self.scalars, values))
+        axes = self.grid.axes
+        shared = len(axes) == 2 and axes[1] is axes[0]
+        # per group of axes with one points array: key -> (row, arguments)
+        formed, picks = {}, []
+        for axis, reads in enumerate(self.reads):
+            slots = formed.setdefault(0 if shared else axis, {})
+            keys = [tuple(row[i] for i in reads) for row in bits]
+            picks.append(
+                [slots.setdefault(key, (len(slots), a[axis]))[0] for key, a in zip(keys, arguments)]
+            )
+        factors = {g: self.factor(axes[g], [a for _, a in s.values()]) for g, s in formed.items()}
+        stacks = [factors[0 if shared else axis][pick] for axis, pick in enumerate(picks)]
+        if constants[0] is not None:
+            stacks[0] = np.array(constants)[:, None] * stacks[0]
+        # one BLAS dot per row, as for a single contiguous factor
+        dots = [
+            np.matmul((f.conj() * w)[:, None], f[:, :, None])[:, 0, 0]
+            for f, w in zip(stacks, self.grid.axis_weights)
+        ]
+        norms = np.sqrt([float(math.prod(row, start=1.0).real) for row in zip(*dots)])
+        if (norms == 0.0).any():
+            raise EvaluationError("mode profile vanishes on the grid")
+        stacks[0] = stacks[0] / norms[:, None]
+        return stacks
+
+    def mode(self, mode_index: int, theta: np.ndarray) -> ProductSum:
+        (term,) = zip(*self.unit_factors(np.array(theta, dtype=float, ndmin=2)))
+        return ProductSum._unchecked((term,))
+
+    def derivative(self, mode_index: int, parameter: int) -> ProductSum:
+        # one term per profile: the unit spot times the profile along its axis
+        terms = [self.base.along(axis, p).terms[0] for axis, p in self.profiles[parameter]]
+        return ProductSum._unchecked(tuple(terms))
+
+    def table_stacks(self, n_parameters: int, steps: tuple | None) -> tuple[list, list[int]]:
+        """The overlap table's rows as one factor stack per axis, and each row's term count.
+
+        The mode at theta = 0, then each parameter's derivative: closed-form
+        without ``steps``, else by :func:`_finite_difference`, its 4 P
+        shifted modes formed in one pass with theta = 0.  Bitwise the rows
+        the rules form one at a time.
+        """
+        if steps is None:
+            rows = [self.mode(0, np.zeros(n_parameters))]
+            rows += [self.derivative(0, a) for a in range(n_parameters)]
+            terms = [term for row in rows for term in row.terms]
+            return [np.array(f) for f in zip(*terms)], [len(row.terms) for row in rows]
+        # rows 1 + 4a .. 4 + 4a shift parameter a by h, -h, h/2, -h/2
+        thetas = np.zeros((1 + 4 * n_parameters, n_parameters))
+        for a, h in enumerate(steps):
+            thetas[1 + 4 * a : 5 + 4 * a, a] = (h, -h, h / 2.0, -(h / 2.0))
+        x, y = self.unit_factors(thetas)
+
+        def central(step: np.ndarray, plus: int) -> tuple:
+            # (xp yp - xm ym) / 2h, telescoped one axis at a time
+            xp, xm, yp, ym = x[plus::4], x[plus + 1 :: 4], y[plus::4], y[plus + 1 :: 4]
+            return ((xp - xm) / (2.0 * step), yp), (xm / (2.0 * step), yp - ym)
+
+        h = np.array(steps)[:, None]
+        stack_x, stack_y = np.empty_like(x), np.empty_like(y)
+        stack_x[0], stack_y[0] = x[0], y[0]
+        # (4 fine - coarse) / 3, telescoped term by term
+        for t, ((fx, fy), (cx, cy)) in enumerate(zip(central(h / 2.0, 3), central(h, 1))):
+            stack_x[1 + 2 * t :: 4] = (4.0 * fx - cx) / 3.0
+            stack_y[1 + 2 * t :: 4] = fy
+            stack_x[2 + 2 * t :: 4] = cx / 3.0
+            stack_y[2 + 2 * t :: 4] = fy - cy
+        return [stack_x, stack_y], [1] + [4] * n_parameters
+
+
+def _unit_spot(name: str, grid: SampleGrid, waist: float) -> ProductSum:
+    """Real Gaussian exp(-(x^2 + y^2) / waist^2) at unit norm, one factor if ``y is x``."""
+    x, y = grid.axes
+    factor_x = np.exp(-(x**2) / waist**2)
+    # fresh 1-D factors of the grid's axes: valid as they stand
+    spot = ProductSum._unchecked(((factor_x, factor_x if y is x else np.exp(-(y**2) / waist**2)),))
+    return _unit_reference(name, grid, spot, np.sqrt(2.0 / np.pi) / waist)
+
+
+# ---------------------------------------------------------------------------
 # Gaussian transverse beam
 
 
-def _axis_dot(factor: np.ndarray, weights: np.ndarray) -> np.inexact:
-    """Sum of ``weights * |factor|^2``: one per-axis factor of a one-term norm.
+def _beam_separable(name: str, geo: BeamGeometry, carrier: bool, grid: SampleGrid) -> _Separable:
+    """The beam as a separable declaration, its derivatives on the unit spot.
 
-    Bitwise the axis's dot in :func:`~modal_qcrb.modes._one_term_norm2`
-    for a contiguous factor.
+    Each axis factor carries its Gaussian envelope, curvature phase and
+    tilt phase, and reads (w0 shift, z0) and its axis's (centre, tilt);
+    the amplitude, Gouy phase and carrier phase form the constant.  The
+    scalars are Python floats, which raise where numpy's return inf.  A
+    tilt whose phase turns by more than pi per sample is aliased.  A
+    derivative profile in r^2 = x^2 + y^2 times the spot splits into one
+    term per axis; the carrier's constant joins x.
     """
-    return (factor.conj() * weights) @ factor
+    w0, k, zr0 = geo.waist, geo.wavenumber, geo.rayleigh_range
+    spacing = tuple(float((axis[1:] - axis[:-1]).max()) for axis in grid.axes)
+    x, y = grid.axes
 
-
-def _unit_outer(
-    factor_x: np.ndarray, dot_x: np.inexact, factor_y: np.ndarray, dot_y: np.inexact
-) -> ProductSum:
-    """``factor_x`` x ``factor_y`` scaled to unit norm, given each one's :func:`_axis_dot`.
-
-    Keeps mode bases orthonormal at round-off even where the grid truncates
-    a small tail of the continuum profile; the scale factor is invariant
-    under the built-in parameters to well below the derivative tolerances.
-    The squared norm is the product of the per-axis dots, bitwise
-    :func:`~modal_qcrb.modes._one_term_norm2` of the outer product (the
-    factors are contiguous arrays), and the scale divides the x factor.
-    An overflow leaves a non-finite norm, which the mode rejects; numpy
-    does not warn inside the family's evaluator.
-    """
-    norm = np.sqrt(float((1.0 * dot_x * dot_y).real))
-    if norm == 0.0:
-        raise EvaluationError("mode profile vanishes on the grid")
-    return ProductSum._unchecked(((factor_x / norm, factor_y),))
-
-
-def _values_and_bits(theta: np.ndarray) -> tuple[list, list]:
-    """``theta`` as Python floats, and each entry's bit pattern as an int.
-
-    Only +0.0, the reference value, has the pattern 0.  Parameters with
-    equal patterns form bitwise equal factors; 0.0 and -0.0, equal as
-    floats, may not, since a zero sample can take either sign.
-    """
-    theta = np.asarray(theta, dtype=float)
-    return theta.tolist(), theta.view(np.int64).tolist()
-
-
-def _reference_pieces(pieces: tuple) -> tuple:
-    """The theta = 0 factors and dots of a family, its factors read-only.
-
-    Every evaluation that leaves an axis at the reference returns or
-    scales these arrays, so no caller may write into them.
-    """
-    factor_x, dot_x, factor_y, dot_y = pieces
-    return _read_only(factor_x), dot_x, _read_only(factor_y), dot_y
-
-
-def _beam_factors(
-    geometry: BeamGeometry,
-    carrier: bool,
-    grid: SampleGrid,
-    spacing: tuple,
-    theta: list,
-    bits: list,
-    reference: Callable[[], tuple] | None,
-) -> tuple:
-    """Beam profile as one complex factor per axis: (x factor, its dot, y factor, its dot).
-
-    The family's evaluator scales their outer product to unit norm with
-    :func:`_unit_outer`.
-
-    Every parameter leaves the profile separable: each axis carries its
-    Gaussian envelope, curvature phase and tilt phase, and the amplitude,
-    Gouy phase and carrier phase form one constant, which scales the x
-    factor.  The scalars are Python floats, which raise where numpy
-    scalars would return inf.  ``spacing`` is the largest sample spacing
-    per axis, formed once per family: a tilt whose phase turns by more
-    than pi across one is aliased.
-
-    A factor depends only on (w0 shift, z0) and its own axis's (centre,
-    tilt).  An axis whose parameters ``theta`` leaves at the reference,
-    bit for bit (``bits``, see :func:`_values_and_bits`), takes its factor
-    and dot from ``reference()``, the pieces at theta = 0; on a square
-    grid, axis parameters with equal bits form one factor for both axes.
-    """
-    x0, y0, z0, dw, tilt_x, tilt_y = theta
-    waist = geometry.waist + dw
-    if waist <= 0:
-        raise EvaluationError("waist perturbation makes the beam collapse")
-    k = geometry.wavenumber
-    if abs(k * tilt_x) * spacing[0] > math.pi or abs(k * tilt_y) * spacing[1] > math.pi:
-        raise EvaluationError("tilt_x or tilt_y turns the phase by more than pi per sample")
-    bits_x0, bits_y0, bits_z0, bits_dw, bits_tilt_x, bits_tilt_y = bits
-    same_width = reference is not None and bits_z0 == bits_dw == 0
-    keep_x = same_width and bits_x0 == bits_tilt_x == 0
-    keep_y = same_width and bits_y0 == bits_tilt_y == 0
-    if keep_x and keep_y:
-        return reference()
-    try:
-        zr = k * waist**2 / 2.0
-        zeta = -z0  # observation plane sits at the origin; the waist moved to z0
-        w = waist * math.sqrt(1.0 + (zeta / zr) ** 2)
-        inv_radius = zeta / (zeta**2 + zr**2)
-        exponent = -1.0 / w**2 + 0.5j * k * inv_radius
-    except (OverflowError, ZeroDivisionError):
-        raise EvaluationError("beam width, curvature or phase leaves double-precision range") from None
-    (x, y), (wx, wy) = grid.axes, grid.axis_weights
-    if keep_x:
-        scaled_x, dot_x, _, _ = reference()
-    else:
-        factor_x = np.exp(exponent * (x - x0) ** 2 + 1j * k * tilt_x * x)
+    def scalars(theta: list) -> tuple:
+        x0, y0, z0, dw, tilt_x, tilt_y = theta
+        waist = w0 + dw
+        if waist <= 0:
+            raise EvaluationError("waist perturbation makes the beam collapse")
+        if abs(k * tilt_x) * spacing[0] > math.pi or abs(k * tilt_y) * spacing[1] > math.pi:
+            raise EvaluationError("tilt_x or tilt_y turns the phase by more than pi per sample")
+        try:
+            zr = k * waist**2 / 2.0
+            zeta = -z0  # observation plane sits at the origin; the waist moved to z0
+            w = waist * math.sqrt(1.0 + (zeta / zr) ** 2)
+            inv_radius = zeta / (zeta**2 + zr**2)
+            exponent = -1.0 / w**2 + 0.5j * k * inv_radius
+        except (OverflowError, ZeroDivisionError):
+            raise EvaluationError("beam width, curvature or phase leaves double-precision range") from None
         # numpy's arctan2 may round differently from math.atan2
         phase = (k * zeta if carrier else 0.0) - np.arctan2(zeta, zr)
         constant = math.sqrt(2.0 / math.pi) / w * np.exp(1j * phase)
-        scaled_x = constant * factor_x
-        dot_x = _axis_dot(scaled_x, wx)
-    if keep_y:
-        _, _, factor_y, dot_y = reference()
-    else:
-        if not keep_x and y is x and (bits_y0, bits_tilt_y) == (bits_x0, bits_tilt_x):
-            factor_y = factor_x
-        else:
-            factor_y = np.exp(exponent * (y - y0) ** 2 + 1j * k * tilt_y * y)
-        dot_y = _axis_dot(factor_y, wy)
-    return scaled_x, dot_x, factor_y, dot_y
+        return constant, ((exponent, x0, 1j * k * tilt_x), (exponent, y0, 1j * k * tilt_y))
 
+    def factor(points: np.ndarray, rows: list) -> np.ndarray:
+        exponent, centre, tilt = (np.array(column)[:, None] for column in zip(*rows))
+        return np.exp(exponent * (points - centre) ** 2 + tilt * points)
 
-def _gaussian_spot(grid: SampleGrid, waist: float) -> ProductSum:
-    """Real Gaussian exp(-(x^2 + y^2) / waist^2) as an outer product."""
-    x, y = grid.axes
-    # one fresh 1-D factor per grid axis: valid as it stands
-    return ProductSum._unchecked(((np.exp(-(x**2) / waist**2), np.exp(-(y**2) / waist**2)),))
-
-
-def _spot_factors(
-    grid: SampleGrid, waist: float, theta: list, bits: list, reference: Callable[[], tuple] | None
-) -> tuple:
-    """Real Gaussian spot at (x0, y0) = theta: (x factor, its dot, y factor, its dot).
-
-    Each factor is exp(-(x - x0)^2 / waist^2) along its axis.  As in
-    :func:`_beam_factors`, an axis that ``theta`` leaves at 0.0, bit for
-    bit, takes its factor and dot from ``reference()``, and on a square
-    grid an equal shift forms one factor for both axes.
-    """
-    x0, y0 = theta
-    keep_x = reference is not None and bits[0] == 0
-    keep_y = reference is not None and bits[1] == 0
-    if keep_x and keep_y:
-        return reference()
-    (x, y), (wx, wy) = grid.axes, grid.axis_weights
-    if keep_x:
-        factor_x, dot_x, _, _ = reference()
-    else:
-        factor_x = np.exp(-((x - x0) ** 2) / waist**2)
-        dot_x = _axis_dot(factor_x, wx)
-    if keep_y:
-        _, _, factor_y, dot_y = reference()
-    else:
-        if not keep_x and y is x and bits[1] == bits[0]:
-            factor_y = factor_x
-        else:
-            factor_y = np.exp(-((y - y0) ** 2) / waist**2)
-        dot_y = _axis_dot(factor_y, wy)
-    return factor_x, dot_x, factor_y, dot_y
-
-
-def _beam_derivatives(
-    geometry: BeamGeometry, carrier: bool, grid: SampleGrid, base: ProductSum
-) -> Callable[[int, int], ProductSum]:
-    """Closed-form derivatives, each at most two outer products.
-
-    ``base`` is the family's Gaussian spot at unit norm on the grid.  A
-    profile in r^2 = x^2 + y^2 times the spot splits into one term per
-    axis; the carrier's constant joins the x term.
-    """
-    w0 = geometry.waist
-    k = geometry.wavenumber
-    zr = geometry.rayleigh_range
-    x, y = grid.axes
-
-    def derivative(mode_index: int, parameter: int) -> ProductSum:
-        if parameter == 0:
-            return base.along(0, 2.0 * x / w0**2)
-        if parameter == 1:
-            return base.along(1, 2.0 * y / w0**2)
-        if parameter == 2:
-            axial = (1j / zr) * (1.0 - x**2 / w0**2)
-            if carrier:
-                axial = axial - 1j * k
-            return base.along(0, axial) + base.along(1, (-1j / zr) * y**2 / w0**2)
-        if parameter == 3:
-            return base.along(0, (2.0 * x**2 / w0**2 - 1.0) / w0) + base.along(
-                1, 2.0 * y**2 / w0**3
-            )
-        if parameter == 4:
-            return base.along(0, 1j * k * x)
-        return base.along(1, 1j * k * y)
-
-    return derivative
+    axial = (1j / zr0) * (1.0 - x**2 / w0**2)
+    if carrier:
+        axial = axial - 1j * k
+    profiles = (
+        ((0, 2.0 * x / w0**2),),
+        ((1, 2.0 * y / w0**2),),
+        ((0, axial), (1, (-1j / zr0) * y**2 / w0**2)),
+        ((0, (2.0 * x**2 / w0**2 - 1.0) / w0), (1, 2.0 * y**2 / w0**3)),
+        ((0, 1j * k * x),),
+        ((1, 1j * k * y),),
+    )
+    base = _unit_spot(name, grid, w0)
+    return _Separable(grid, ((0, 2, 3, 4), (1, 2, 3, 5)), scalars, factor, profiles, base)
 
 
 def _beam_oracle(geometry: BeamGeometry, carrier: bool) -> Callable[[float, float], np.ndarray]:
@@ -556,33 +573,15 @@ def gaussian_beam_family(
             1.0 / (geometry.wavenumber * geometry.waist),
         ]
     )
-    spot = _gaussian_spot(grid, geometry.waist)
-    base = _unit_reference(name, grid, spot, np.sqrt(2.0 / np.pi) / geometry.waist)
-    spacing = tuple(float((axis[1:] - axis[:-1]).max()) for axis in grid.axes)
-    zero = [0.0] * len(_BEAM_PARAMETERS)
-
-    # theta = 0, formed on first use inside the rule, so that a failure
-    # names the evaluation that needed it
-    @cache
-    def reference() -> tuple:
-        return _reference_pieces(
-            _beam_factors(geometry, carrier_phase, grid, spacing, zero, [0] * len(zero), None)
-        )
-
-    def mode_fn(mode_index: int, theta: np.ndarray) -> ProductSum:
-        pieces = _beam_factors(
-            geometry, carrier_phase, grid, spacing, *_values_and_bits(theta), reference
-        )
-        return _unit_outer(*pieces)
-
+    separable = _beam_separable(name, geometry, carrier_phase, grid)
     return ParameterFamily(
         name=name,
         parameters=_BEAM_PARAMETERS,
         units=("length", "length", "length", "length", "rad", "rad"),
         grid=grid,
         theta_scales=scales,
-        mode_fn=mode_fn,
-        derivative_fn=_beam_derivatives(geometry, carrier_phase, grid, base),
+        mode_fn=separable.mode,
+        derivative_fn=separable.derivative,
         oracle_fn=_beam_oracle(geometry, carrier_phase),
     )
 
@@ -683,18 +682,17 @@ def displaced_beam_family(
         raise StructuralError("waist must be positive")
     if grid is None:
         grid = transverse_grid(waist, points)
-    spot = _gaussian_spot(grid, waist)
-    base = _unit_reference("displaced-beam", grid, spot, np.sqrt(2.0 / np.pi) / waist)
+    base = _unit_spot("displaced-beam", grid, waist)
 
-    @cache
-    def reference() -> tuple:
-        return _reference_pieces(_spot_factors(grid, waist, [0.0, 0.0], [0, 0], None))
+    def scalars(theta: list) -> tuple:
+        return None, tuple((centre,) for centre in theta)
 
-    def mode_fn(mode_index: int, theta: np.ndarray) -> ProductSum:
-        return _unit_outer(*_spot_factors(grid, waist, *_values_and_bits(theta), reference))
+    def factor(points: np.ndarray, rows: list) -> np.ndarray:
+        centre = np.array(rows)
+        return np.exp(-((points - centre) ** 2) / waist**2)
 
-    def derivative(mode_index: int, parameter: int) -> ProductSum:
-        return base.along(parameter, 2.0 * grid.axes[parameter] / waist**2)
+    profiles = tuple(((a, 2.0 * axis / waist**2),) for a, axis in enumerate(grid.axes))
+    separable = _Separable(grid, ((0,), (1,)), scalars, factor, profiles, base)
 
     def oracle(mean_photons: float, info: float) -> np.ndarray:
         entry = 4.0 * mean_photons / waist**2
@@ -706,8 +704,8 @@ def displaced_beam_family(
         units=("length", "length"),
         grid=grid,
         theta_scales=np.array([waist, waist]),
-        mode_fn=mode_fn,
-        derivative_fn=derivative,
+        mode_fn=separable.mode,
+        derivative_fn=separable.derivative,
         oracle_fn=oracle,
     )
 

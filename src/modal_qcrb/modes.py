@@ -367,22 +367,21 @@ def _hermitian(g: np.ndarray) -> np.ndarray:
     return upper + upper.conj().T + np.diag(g.diagonal().real)
 
 
-def _factored_gram(rows: Sequence[ProductSum], axis_weights: Sequence[np.ndarray]) -> np.ndarray:
+def _factored_gram(stacks: Sequence, counts: Sequence[int], axis_weights: Sequence) -> np.ndarray:
     """Gram matrix of product-sum rows from one 1-D Gram matrix per axis.
 
-    With the weights a product w(x) w(y) too, the overlap of two terms is
-    the product of their per-axis overlaps; a row's entry sums those of
-    its terms.
+    ``stacks[i]`` holds every term's factor along axis i, one term per
+    row, and ``counts`` each row's number of terms.  With the weights a
+    product w(x) w(y) too, the overlap of two terms is the product of
+    their per-axis overlaps; a row's entry sums those of its terms.
     """
-    terms = [term for row in rows for term in row.terms]
     g = 1.0
     # an overflow leaves non-finite entries; the callers check the result
     with np.errstate(over="ignore", invalid="ignore"):
-        for axis, w in enumerate(axis_weights):
-            f = np.array([term[axis] for term in terms])
+        for f, w in zip(stacks, axis_weights):
             g = g * ((f.conj() * w) @ f.T)
-        if len(terms) > len(rows):  # some row sums several terms
-            starts = np.cumsum([0] + [len(row.terms) for row in rows[:-1]])
+        if len(g) > len(counts):  # some row sums several terms
+            starts = np.cumsum([0, *counts[:-1]])
             g = np.add.reduceat(np.add.reduceat(g, starts, axis=0), starts, axis=1)
     return _hermitian(g)
 
@@ -412,7 +411,8 @@ def grid_gram(grid: SampleGrid, rows: Sequence[np.ndarray | ProductSum]) -> np.n
     is Hermitian bitwise.
     """
     if all(isinstance(r, ProductSum) for r in rows):
-        return _factored_gram(rows, grid.axis_weights)
+        stacks = [np.array(f) for f in zip(*(term for row in rows for term in row.terms))]
+        return _factored_gram(stacks, [len(row.terms) for row in rows], grid.axis_weights)
     return weighted_gram(
         [r.expand() if isinstance(r, ProductSum) else r for r in rows], grid.weights
     )

@@ -156,9 +156,8 @@ def _coefficient_matrices(space: FockSpace, coefficients) -> np.ndarray:
     return coefficients
 
 
-# Columns of the flattened (D, r) blocks per product in :func:`_raise_sum`:
-# the product of one column block stays small next to the hop table.
-RAISE_BLOCK = 2048
+# _raise_sum's column blocks are multiples of this: BLAS rounds other widths differently
+RAISE_BLOCK = 64
 
 
 def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) -> np.ndarray:
@@ -170,14 +169,15 @@ def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) 
     (P, M^2) x (M^2, D r) product forms every sum_{jk} C_{jk} T[j, k]: M
     shifts and one product whatever P, and each result block is written
     once.  The product overwrites the first P blocks of the table's buffer,
-    ``RAISE_BLOCK`` columns at a time, and the result is a view of them.
+    D r / P columns at a time, rounded down to a multiple of ``RAISE_BLOCK``
+    (at least one), and the result is a view of them.
 
     The buffer holds max(M^2, P) (D, r) blocks.  Beside it the pass holds
     one block of weights during each shift (:func:`_ladder`), P rows of
-    one column block during the product, and one block while
-    :func:`~modal_qcrb.engine.qfim_unitary` subtracts V E_a, one of them
-    at a time.  At D = 1331 and r = 8 the rows are under two blocks for P
-    up to 10, so the pass peaks below max(M^2, P) + 2 blocks.
+    one column block, at most one block once D r >= ``RAISE_BLOCK`` P,
+    during the product, and one block while
+    :func:`~modal_qcrb.engine.qfim_unitary` subtracts V E_a, one at a time:
+    it peaks below max(M^2, P) + 2 blocks.
     """
     m = space.n_modes
     stack = coefficients.reshape(-1, m * m)
@@ -187,8 +187,9 @@ def _raise_sum(space: FockSpace, coefficients: np.ndarray, lowered: np.ndarray) 
     for j in range(m):
         _ladder(space, lowered, j, table[j], raising=True)
     flat = hops.reshape(hops.shape[0], -1)
-    for start in range(0, flat.shape[1], RAISE_BLOCK):
-        columns = flat[:, start : start + RAISE_BLOCK]
+    width = max(RAISE_BLOCK, flat.shape[1] // n_p // RAISE_BLOCK * RAISE_BLOCK)
+    for start in range(0, flat.shape[1], width):
+        columns = flat[:, start : start + width]
         columns[:n_p] = stack @ columns[: m * m]
     return hops[:n_p].reshape(coefficients.shape[:-2] + lowered.shape[1:])
 

@@ -594,7 +594,7 @@ class TestStateTableAgainstDenseOperators:
         assert_close_to_largest(qfim_unitary(state, matrices), expected)
 
     def test_qfim_unitary_in_small_column_blocks(self, case, monkeypatch):
-        # seven columns per product: several blocks, and no case's D r is a
+        # a multiple of seven columns per product: no case's D r is a
         # multiple of seven, so the last block is ragged
         state, _ = case
         assert state.space.dimension * state.kept()[0].size % 7
@@ -675,6 +675,15 @@ def test_one_parameter_pass_holds_the_stated_blocks():
     # max(M^2, P) + 2 (D, r) blocks; the hop table is paid whatever P
     peak, block = _peak_of_stacked_pass(3, 10, 1)
     assert peak <= (9 + 2) * block
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(3, 10), (2, 35)])
+def test_many_parameter_pass_holds_the_stated_blocks(n_modes, cutoff):
+    # P = 12 > M^2, D = 1331 or 1296, r = 8: the bound of the _raise_sum
+    # docstring, max(M^2, P) + 2 (D, r) blocks, holds for P rows of one
+    # column block too, since they fill at most one block
+    peak, block = _peak_of_stacked_pass(n_modes, cutoff, 12)
+    assert peak <= (max(n_modes**2, 12) + 2) * block
 
 
 @pytest.mark.parametrize("raising", [False, True], ids=["lowering", "raising"])

@@ -6,6 +6,7 @@ their table is formed from 1-D Gram matrices; ``weighted_gram`` over the
 expanded rows stays the reference it must match.
 """
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -31,8 +32,7 @@ from modal_qcrb import (
     transverse_grid,
     weighted_gram,
 )
-from modal_qcrb import families
-from modal_qcrb.modes import ProductSum, _factored_gram, _hermitian, _one_term_norm2, grid_gram
+from modal_qcrb.modes import ProductSum, _hermitian, _one_term_norm2, grid_gram
 from modal_qcrb.tolerances import TAU_QUAD
 from conftest import export_detection_modes, inner_product
 
@@ -328,7 +328,7 @@ class TestOneTermNorm:
         if real:
             row = ProductSum(tuple(tuple(f.real for f in term) for term in row.terms))
         got = _one_term_norm2(row, grid.axis_weights)
-        factored = _factored_gram([row], grid.axis_weights)[0, 0].real
+        factored = grid_gram(grid, [row])[0, 0].real
         assert type(got) is float
         assert np.float64(got).tobytes() == factored.tobytes()
         expanded = weighted_gram([row.expand()], grid.weights)[0, 0].real
@@ -470,44 +470,41 @@ class TestReferenceStencil:
 
     @pytest.mark.parametrize("name, points", CASES)
     def test_rows_bitwise_equal_to_the_written_out_stencil(self, name, points):
+        # the rule one row at a time, and the rows read off the table's stacks
         family = build(name, 1.0, 10.0, points=points)
         fd = finite_difference_family(family)
+        assert fd._stacked is not None
         for a in range(family.n_parameters):
-            row = fd.derivative_fn(0, a).terms
             expected = self.written_out(family, a)
-            assert len(row) == len(expected) == 4
-            for got, want in zip(row, expected):
-                for f, g in zip(got, want):
-                    assert f.dtype == g.dtype and f.tobytes() == g.tobytes(), (a, name)
+            for row in (fd.derivative_fn(0, a).terms, fd.derivative_modes[a][0].data.terms):
+                assert len(row) == len(expected) == 4
+                for got, want in zip(row, expected):
+                    for f, g in zip(got, want):
+                        assert f.dtype == g.dtype and f.tobytes() == g.tobytes(), (a, name)
 
     @pytest.mark.parametrize("name, points", CASES)
-    def test_one_pass_norm_is_the_one_term_norm(self, monkeypatch, name, points):
+    def test_one_pass_norm_is_the_one_term_norm(self, name, points):
         # the x factor over the square root of the product of the per-axis
         # dots, as the general one-term norm and the scalar division form
-        # it; a dot may be kept from theta = 0, so each evaluation's
-        # factors are recorded and their norm formed afresh here
+        # it: every row of one stacked evaluation, against the raw factors
+        # of its row formed by the declaration's rules and normalized here
         family = build(name, 1.0, 10.0, points=points)
-        seen = []
-        unit_outer = families._unit_outer
-
-        def recording(factor_x, dot_x, factor_y, dot_y):
-            unit = unit_outer(factor_x, dot_x, factor_y, dot_y)
-            seen.append((ProductSum.outer(factor_x, factor_y), unit))
-            return unit
-
-        monkeypatch.setattr(families, "_unit_outer", recording)
+        separable = family.mode_fn.__self__
+        n = family.n_parameters
         rng = np.random.default_rng(11)
-        thetas = [np.zeros(family.n_parameters), 1e-3 * rng.normal(size=family.n_parameters)]
-        thetas += list(1e-5 * np.eye(family.n_parameters))
-        for theta in thetas:
-            family.mode_fn(0, theta)
-        assert len(seen) == len(thetas)
-        for raw, unit in seen:
+        thetas = np.array([np.zeros(n), 1e-3 * rng.normal(size=n), *(1e-5 * np.eye(n))])
+        x, y = separable.unit_factors(thetas)
+        for row, theta in enumerate(thetas):
+            constant, arguments = separable.scalars(theta.tolist())
+            raw_x, raw_y = (
+                separable.factor(points, [args])[0]
+                for points, args in zip(family.grid.axes, arguments)
+            )
+            raw = ProductSum.outer(raw_x if constant is None else constant * raw_x, raw_y)
             expected = raw / np.sqrt(_one_term_norm2(raw, family.grid.axis_weights))
-            ((x, y),) = unit.terms
             ((ex, ey),) = expected.terms
-            assert x.dtype == ex.dtype and x.tobytes() == ex.tobytes()
-            assert y is ey
+            for got, want in ((x[row], ex), (y[row], ey)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def former_beam_samples(geometry, carrier, grid, spacing, theta):
@@ -552,25 +549,75 @@ def former_unit_outer(grid, factor_x, factor_y):
     return ProductSum._unchecked(((factor_x / norm, factor_y),))
 
 
+def former_beam_derivative(geometry, carrier, grid, base, parameter):
+    """A closed-form beam derivative as product-sum operations on the unit spot."""
+    w0, k, zr = geometry.waist, geometry.wavenumber, geometry.rayleigh_range
+    x, y = grid.axes
+    if parameter == 0:
+        return base.along(0, 2.0 * x / w0**2)
+    if parameter == 1:
+        return base.along(1, 2.0 * y / w0**2)
+    if parameter == 2:
+        axial = (1j / zr) * (1.0 - x**2 / w0**2)
+        if carrier:
+            axial = axial - 1j * k
+        return base.along(0, axial) + base.along(1, (-1j / zr) * y**2 / w0**2)
+    if parameter == 3:
+        return base.along(0, (2.0 * x**2 / w0**2 - 1.0) / w0) + base.along(1, 2.0 * y**2 / w0**3)
+    if parameter == 4:
+        return base.along(0, 1j * k * x)
+    return base.along(1, 1j * k * y)
+
+
 def former_family(family, name, w0, k):
-    """``family`` with the evaluation that reuses no factor."""
+    """``family`` with the evaluation that reuses no factor, and product-sum derivatives.
+
+    Its rules are not a separable declaration's, so its table is formed
+    row by row, from ``Mode`` rows: the oracle of the stacked table.
+    """
     grid = family.grid
+    x, y = grid.axes
+    spot = ProductSum.outer(np.exp(-(x**2) / w0**2), np.exp(-(y**2) / w0**2))
+    base = spot / np.sqrt(_one_term_norm2(spot, grid.axis_weights))
     if name == "displaced-beam":
-        return replace(family, mode_fn=lambda _, theta: former_spot_samples(grid, w0, theta))
+        return replace(
+            family,
+            mode_fn=lambda _, theta: former_spot_samples(grid, w0, theta),
+            derivative_fn=lambda _, a: base.along(a, 2.0 * grid.axes[a] / w0**2),
+        )
     geometry = BeamGeometry(w0, k)
     carrier = name == "gaussian-beam-carrier"
     spacing = tuple(float((axis[1:] - axis[:-1]).max()) for axis in grid.axes)
     return replace(
         family,
         mode_fn=lambda _, theta: former_beam_samples(geometry, carrier, grid, spacing, theta),
+        derivative_fn=lambda _, a: former_beam_derivative(geometry, carrier, grid, base, a),
     )
 
 
-class TestAxisFactorReuse:
-    """A shifted beam keeps every axis factor its shift leaves at theta = 0.
+def count_exponential_rows(monkeypatch, family):
+    """Rows of the 1-D factors each later ``np.exp`` call forms on the family's grid, per call."""
+    sizes = set(family.grid.shape)
+    formed = []
+    exp = np.exp
 
-    The factors, dots and errors are those of the evaluation that forms
-    both factors afresh on every call, bit for bit.
+    def counting(x, *args, **kwargs):
+        result = exp(x, *args, **kwargs)
+        if np.ndim(result) in (1, 2) and np.shape(result)[-1] in sizes:
+            formed.append(len(np.atleast_2d(result)))
+        return result
+
+    monkeypatch.setattr(np, "exp", counting)
+    return formed
+
+
+class TestAxisFactorReuse:
+    """One stacked evaluation forms each distinct axis factor once.
+
+    A shift shares every axis factor it leaves at theta = 0, and on a
+    square grid equal parameters share one factor across the axes.  The
+    factors and errors are those of the evaluation that forms both factors
+    afresh for each parameter row, bit for bit.
     """
 
     W0, K = 1.3, 17.0
@@ -612,12 +659,15 @@ class TestAxisFactorReuse:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize("name", BEAMS)
     def test_factors_bitwise_equal_to_the_former_evaluation(self, name, grid):
+        # each row alone, and every row in one stacked evaluation
         family = build(name, self.W0, self.K, **self.GRIDS[grid])
         former = former_family(family, name, self.W0, self.K)
-        for theta in self.thetas(family):
+        thetas = self.thetas(family)
+        stacked = family.mode_fn.__self__.unit_factors(np.array(thetas))
+        for row, theta in enumerate(thetas):
             ((x, y),) = family.mode_fn(0, theta.copy()).terms
             ((ex, ey),) = former.mode_fn(0, theta.copy()).terms
-            for got, want in ((x, ex), (y, ey)):
+            for got, want in ((x, ex), (y, ey), (stacked[0][row], ex), (stacked[1][row], ey)):
                 assert got.dtype == want.dtype, theta
                 assert got.tobytes() == want.tobytes(), theta
 
@@ -643,48 +693,113 @@ class TestAxisFactorReuse:
             assert str(got.value).startswith(f"mode 0 at parameters {theta.tolist()}: ")
 
     @pytest.mark.parametrize("name", BEAMS)
-    def test_a_one_axis_shift_returns_the_other_axis_factor_itself(self, name):
+    def test_a_one_axis_shift_forms_only_its_own_axis_factor(self, monkeypatch, name):
+        # theta = 0 forms one factor for both axes of the square grid, and a
+        # shift of x0 (or of tilt_x for the beams) its x factor only
         family = build(name, self.W0, self.K, points=64)
-        ((x_ref, y_ref),) = family.mode_fn(0, np.zeros(family.n_parameters)).terms
-        assert not y_ref.flags.writeable
-        # x0, and tilt_x for the beams
-        for a in (0, 4) if family.n_parameters == 6 else (0,):
-            theta = np.zeros(family.n_parameters)
-            theta[a] = 1e-3
-            ((x, y),) = family.mode_fn(0, theta).terms
-            assert y is y_ref and x is not x_ref
+        n = family.n_parameters
+        thetas = np.zeros((3, n))
+        thetas[1, 0] = thetas[2, n - 2] = 1e-3
+        formed = count_exponential_rows(monkeypatch, family)
+        x, y = family.mode_fn.__self__.unit_factors(thetas)
+        assert formed == [3 if n == 6 else 2]
+        assert y[1].tobytes() == y[0].tobytes() == y[2].tobytes()
+        assert x[1].tobytes() != x[0].tobytes() != x[2].tobytes()
 
     @pytest.mark.parametrize(
-        "name, grid, expected",
-        # square grids: the theta = 0 pair and each of the 24 shifts form one
-        # factor; on unequal axes theta = 0 and the z0 and w0 shifts form two
+        "name, grid, fd_rows, analytic_rows",
+        # one np.exp call per distinct axis: on a square grid theta = 0 and
+        # the z0 and w0 shifts form one factor for both axes, and an x0 shift
+        # the same factor as the equal y0 shift (tilt_x as tilt_y); on
+        # unequal axes each axis forms theta = 0 and its own four shifts of
+        # each parameter it reads
         [
-            ("gaussian-beam", "64x64", 25),
-            ("gaussian-beam-carrier", "64x64", 25),
-            ("gaussian-beam-carrier", "72x56", 34),
-            ("displaced-beam", "64x64", 9),
-            ("displaced-beam", "72x56", 10),
+            ("gaussian-beam", "64x64", [17], [1]),
+            ("gaussian-beam-carrier", "64x64", [17], [1]),
+            ("gaussian-beam-carrier", "72x56", [17, 17], [1, 1]),
+            ("displaced-beam", "64x64", [5], [1]),
+            ("displaced-beam", "72x56", [5, 5], [1, 1]),
         ],
     )
     def test_finite_difference_table_forms_each_distinct_factor_once(
-        self, monkeypatch, name, grid, expected
+        self, monkeypatch, name, grid, fd_rows, analytic_rows
     ):
         family = build(name, self.W0, self.K, **self.GRIDS[grid])
         fd = finite_difference_family(family)
-        sizes = set(family.grid.shape)
-        formed = []
-        exp = np.exp
-
-        def counting(x, *args, **kwargs):
-            result = exp(x, *args, **kwargs)
-            if np.ndim(result) == 1 and len(result) in sizes:
-                formed.append(result)
-            return result
-
-        monkeypatch.setattr(np, "exp", counting)
+        formed = count_exponential_rows(monkeypatch, family)
         fd.overlap_table
-        assert len(formed) == expected
+        assert formed == fd_rows
         formed.clear()
-        # the analytic twin shares the theta = 0 pieces already formed
         family.overlap_table
-        assert formed == []
+        assert formed == analytic_rows
+
+
+class TestStackedTable:
+    """The table of a separable family, formed from one factor stack per axis.
+
+    The oracle is the route row by row: ``OverlapTable.from_modes`` over
+    the ``Mode`` rows of the former evaluation (one row per ``mode_fn``
+    call, derivatives as product-sum operations).
+    """
+
+    W0, K = TestAxisFactorReuse.W0, TestAxisFactorReuse.K
+    GRIDS = {**TestAxisFactorReuse.GRIDS, "256x256": {"points": 256}}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("derivatives", ["analytic", "fd"])
+    @pytest.mark.parametrize("name", BEAMS)
+    def test_bitwise_equal_to_the_table_of_the_former_rows(self, name, derivatives, grid):
+        family = build(name, self.W0, self.K, **self.GRIDS[grid])
+        former = former_family(family, name, self.W0, self.K)
+        if derivatives == "fd":
+            family, former = finite_difference_family(family), finite_difference_family(former)
+        assert family._stacked is not None and former._stacked is None
+        expected = OverlapTable.from_modes(
+            former.evaluate(), former.derivative_modes, former.parameters
+        ).matrix
+        got = family.overlap_table.matrix
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    # (parameter scales to set, global step, the parameter a failure names)
+    FAILURES = {
+        "collapsed-waist": ({}, 2.0 * W0, "w0"),
+        "aliased-tilt": ({4: 1e5}, None, "tilt_x"),
+        "z0-out-of-range": ({2: 1e304}, None, "z0"),
+        "huge-step": ({}, 1e300, "x0"),
+    }
+
+    @pytest.mark.parametrize(
+        "name, case",
+        [*itertools.product(BEAMS[:2], sorted(FAILURES)), ("displaced-beam", "huge-step")],
+    )
+    def test_finite_difference_failures_as_the_former_evaluation(self, name, case):
+        scales, step, label = self.FAILURES[case]
+        family = build(name, self.W0, self.K, points=64)
+        theta_scales = family.theta_scales.copy()
+        theta_scales[list(scales)] = list(scales.values())
+        family = replace(family, theta_scales=theta_scales)
+        former = former_family(family, name, self.W0, self.K)
+        with pytest.raises(EvaluationError) as want:
+            finite_difference_family(former, step).overlap_table
+        with pytest.raises(EvaluationError) as got:
+            finite_difference_family(family, step).overlap_table
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"derivative of mode 0 with respect to parameter '{label}': ")
+
+    @pytest.mark.parametrize("name", BEAMS)
+    def test_swapped_rules_take_the_route_row_by_row(self, name):
+        family = build(name, self.W0, self.K, points=64)
+        fd = finite_difference_family(family)
+        mode_fn, derivative_fn = family.mode_fn, family.derivative_fn
+        swapped_mode = replace(family, mode_fn=lambda k, theta: mode_fn(k, theta))
+        cases = [
+            (swapped_mode, family),
+            (replace(family, derivative_fn=lambda k, a: derivative_fn(k, a)), family),
+            (finite_difference_family(swapped_mode), fd),
+            (replace(fd, derivative_fn=lambda k, a: fd.derivative_fn(k, a)), fd),
+        ]
+        for swapped, stacked in cases:
+            assert swapped._stacked is None and stacked._stacked is not None
+            # the same rules underneath: the same table, bit for bit
+            got, want = swapped.overlap_table.matrix, stacked.overlap_table.matrix
+            assert got.tobytes() == want.tobytes()

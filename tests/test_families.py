@@ -294,6 +294,21 @@ class TestRegistry:
         build_family(name, geometry, points=256 if name == "gaussian-pulse" else 64)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["gaussian-beam", "displaced-beam"])
+    def test_square_grid_spot_forms_one_real_factor(self, monkeypatch, name):
+        # both axes of the square grid share the spot's one real exponential
+        formed = []
+        exp = np.exp
+
+        def counting(x, *args, **kwargs):
+            result = exp(x, *args, **kwargs)
+            formed.append((np.shape(result), np.asarray(result).dtype))
+            return result
+
+        monkeypatch.setattr(np, "exp", counting)
+        build_family(name, {"w0": W0, "k": K}, points=384)
+        assert [f for f in formed if f[0] == (384,)] == [((384,), np.dtype(float))]
+
     def test_custom_grid_where_the_spot_vanishes_is_too_coarse(self):
         # every sample lies a thousand waists off the spot: the reference
         # norm is 0, which the resolution check names before normalizing

@@ -171,9 +171,33 @@ def test_gram_block_boundaries_do_not_matter(monkeypatch):
 
 
 class TestEvaluateOnce:
+    """A CLI run evaluates its family once.
+
+    A built-in beam's table is one stacked evaluation of the family's
+    declaration (``_Separable.unit_factors``): theta = 0 and, by finite
+    differences, the 24 shifted modes in the same pass.  A family whose
+    ``mode_fn`` is swapped takes the route row by row, one ``mode_fn``
+    call per mode, each a stacked evaluation of one row.
+    """
+
+    # (evaluate, evaluate_mode, derivative_mode, mode_fn, rows per stacked evaluation)
+    EXPECTED = {
+        ("analytic", "stacked"): (0, 0, 0, 0, [1]),
+        ("finite-difference", "stacked"): (0, 0, 0, 0, [1 + 4 * 6]),
+        ("analytic", "row-by-row"): (1, 1, 6, 1, [1]),
+        # four shifted mode_fn calls per derivative mode, plus the
+        # reference; the shifts bypass evaluate_mode, whose checks their
+        # difference repeats
+        ("finite-difference", "row-by-row"): (1, 1, 6, 1 + 4 * 6, [1] * (1 + 4 * 6)),
+    }
+
+    @pytest.fixture(params=["stacked", "row-by-row"])
+    def route(self, request):
+        return request.param
+
     @pytest.fixture
-    def counts(self, monkeypatch):
-        counts = {"evaluate": 0, "evaluate_mode": 0, "derivative_mode": 0, "mode_fn": 0}
+    def counts(self, monkeypatch, route):
+        counts = {"evaluate": 0, "evaluate_mode": 0, "derivative_mode": 0, "mode_fn": 0, "rows": []}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -190,48 +214,46 @@ class TestEvaluateOnce:
         for module in (modes, families, engine, cli):
             if hasattr(module, "derivative_mode"):
                 monkeypatch.setattr(module, "derivative_mode", wrapped)
+        unit_factors = families._Separable.unit_factors
+
+        def stacked(separable, thetas):
+            counts["rows"].append(len(thetas))
+            return unit_factors(separable, thetas)
+
+        monkeypatch.setattr(families._Separable, "unit_factors", stacked)
 
         def build_family(*args, **kwargs):
             family = families.build_family(*args, **kwargs)
             return dataclasses.replace(family, mode_fn=counting("mode_fn", family.mode_fn))
 
-        monkeypatch.setattr(cli, "build_family", build_family)
+        if route == "row-by-row":
+            monkeypatch.setattr(cli, "build_family", build_family)
         return counts
 
-    def config(self, tmp_path, **extra):
-        return cli.RunConfig(
+    def expected(self, method, route, **changes):
+        names = ("evaluate", "evaluate_mode", "derivative_mode", "mode_fn", "rows")
+        return {**dict(zip(names, self.EXPECTED[method, route])), **changes}
+
+    @pytest.mark.parametrize("method", ["analytic", "finite-difference"])
+    def test_run_evaluates_family_and_derivatives_once(self, counts, route, tmp_path, method):
+        config = cli.RunConfig(
             family="gaussian-beam",
             geometry={"w0": 1.0, "k": 10.0},
             state={"kind": "coherent", "nbar": 1.0},
             out=tmp_path,
-            **extra,
+            derivative_method=method,
         )
+        cli._assemble_report(config)
+        assert counts == self.expected(method, route)
 
-    def test_analytic_run_evaluates_family_and_derivatives_once(self, counts, tmp_path):
-        cli._assemble_report(self.config(tmp_path))
-        # P * M = 6 derivative modes of the one populated beam mode
-        assert counts == {"evaluate": 1, "evaluate_mode": 1, "derivative_mode": 6, "mode_fn": 1}
-
-    def test_finite_difference_run_evaluates_each_derivative_once(self, counts, tmp_path):
-        cli._assemble_report(self.config(tmp_path, derivative_method="finite-difference"))
-        # four shifted mode_fn calls per derivative mode, plus the reference;
-        # the shifts bypass evaluate_mode, whose checks their difference repeats
-        assert counts == {
-            "evaluate": 1,
-            "evaluate_mode": 1,
-            "derivative_mode": 6,
-            "mode_fn": 1 + 4 * 6,
-        }
-
-    @pytest.mark.parametrize(
-        "method, derivative_modes, mode_fn",
-        [("analytic", 6, 1), ("finite-difference", 6, 1 + 4 * 6)],
-    )
+    @pytest.mark.parametrize("method", ["analytic", "finite-difference"])
     def test_detection_mode_export_evaluates_each_derivative_once(
-        self, counts, tmp_path, method, derivative_modes, mode_fn
+        self, counts, route, tmp_path, method
     ):
         # the detection modes are formed from the derivative modes the
-        # table was built from, and the readout basis from the table
+        # table was built from, and the readout basis from the table: a
+        # stacked table's finite-difference modes are read off its stacks,
+        # and its closed-form modes formed once each, for the export
         config = cli.RunConfig(
             family="gaussian-beam",
             geometry={"w0": 1.0, "k": 10.0},
@@ -241,12 +263,10 @@ class TestEvaluateOnce:
             derivative_method=method,
         )
         cli._write_run(config.out, cli._COMMANDS["detection-modes"](config))
-        assert counts == {
-            "evaluate": 1,
-            "evaluate_mode": 1,
-            "derivative_mode": derivative_modes,
-            "mode_fn": mode_fn,
-        }
+        if (method, route) == ("analytic", "stacked"):
+            assert counts == self.expected(method, route, derivative_mode=6)
+        else:
+            assert counts == self.expected(method, route)
 
 
 class TestReadoutBasis:
