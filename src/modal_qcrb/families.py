@@ -122,7 +122,7 @@ class ParameterFamily:
     ``derivative_fn(k, a)`` returns the derivative samples at theta = 0,
     in closed form for the built-in families or by finite differences
     (:func:`finite_difference_family`).  Either may return a
-    :class:`~modal_qcrb.modes.ProductSum` instead of an array; the beam
+    :class:`~modal_qcrb.modes.ProductSum` instead of an array; the built-in
     families do, and their overlap table is then built from 1-D factors.
     ``oracle_fn(mean_photons, info)`` returns the closed-form information
     matrix given the probe's mean photon number and number-operator
@@ -152,19 +152,14 @@ class ParameterFamily:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_parameters,):
             raise StructuralError(f"theta must have {self.n_parameters} entries, got {theta.shape}")
-        return self._evaluated(
-            self.mode_fn,
-            mode_index,
-            theta,
-            lambda: f"mode {mode_index} at parameters {theta.tolist()}",
-        )
+        return self._evaluated(self.mode_fn, mode_index, theta)
 
-    def _evaluated(self, rule: Callable, mode_index: int, arg, what: Callable[[], str]) -> Mode:
+    def _evaluated(self, rule: Callable, mode_index: int, arg) -> Mode:
         """``Mode(grid, rule(mode_index, arg))``: the rules called one row at a time.
 
         numpy does not warn while the rule runs, since an overflow leaves a
         non-finite or vanishing profile; an :class:`EvaluationError` of the
-        rule or of the mode is raised again prefixed with ``what()``.
+        rule or of the mode is raised again naming the row (:meth:`_name`).
         """
         if not 0 <= mode_index < self.n_modes:
             raise StructuralError(f"mode index {mode_index} outside the family")
@@ -172,7 +167,12 @@ class ParameterFamily:
             with np.errstate(over="ignore", invalid="ignore"):
                 return Mode(self.grid, rule(mode_index, arg))
         except EvaluationError as exc:
-            raise EvaluationError(f"{what()}: {exc}") from None
+            raise EvaluationError(f"{self._name(mode_index, arg)}: {exc}") from None
+
+    def _name(self, mode_index: int, arg) -> str:
+        if isinstance(arg, np.ndarray):
+            return f"mode {mode_index} at parameters {arg.tolist()}"
+        return f"derivative of mode {mode_index} with respect to parameter '{self.parameters[arg]}'"
 
     def evaluate(self, theta: np.ndarray | None = None) -> tuple[Mode, ...]:
         return tuple(self.evaluate_mode(k, theta) for k in range(self.n_modes))
@@ -182,18 +182,17 @@ class ParameterFamily:
         """``[a][k]`` is d_a f_k at theta = 0, each evaluated once and kept.
 
         The detection modes are formed from them, and the overlap table
-        unless it is stacked; stacked finite differences are read off it.
+        unless it is stacked; a stacked table's rows are read off it.
         """
-        if self._stacked is not None and self._stacked[2]:  # 4 terms per row after theta = 0
-            x, y = self._stacked[0]
+        if self._stacked is None:
             return tuple(
-                (Mode(self.grid, ProductSum._unchecked(tuple(zip(x[t : t + 4], y[t : t + 4])))),)
-                for t in range(1, len(x), 4)
+                tuple(derivative_mode(self, k, a) for k in range(self.n_modes))
+                for a in range(self.n_parameters)
             )
-        return tuple(
-            tuple(derivative_mode(self, k, a) for k in range(self.n_modes))
-            for a in range(self.n_parameters)
-        )
+        stacks, counts = self._stacked
+        ends = np.cumsum(counts).tolist()
+        rows = (tuple(zip(*(f[t:end] for f in stacks))) for t, end in zip(ends, ends[1:]))
+        return tuple((Mode(self.grid, ProductSum._unchecked(row)),) for row in rows)
 
     @cached_property
     def overlap_table(self) -> OverlapTable:
@@ -207,17 +206,16 @@ class ParameterFamily:
         """
         if self._stacked is None:
             return OverlapTable.from_modes(self.evaluate(), self.derivative_modes, self.parameters)
-        matrix = _factored_gram(*self._stacked[:2], self.grid.axis_weights)
+        matrix = _factored_gram(*self._stacked, self.grid.axis_weights)
         return OverlapTable(matrix, self.parameters, 1)
 
     @cached_property
-    def _stacked(self) -> tuple[list[np.ndarray], list[int], bool] | None:
-        """:meth:`_Separable.table_stacks` and whether by finite differences, or None.
+    def _stacked(self) -> tuple[list, list[int]] | None:
+        """:meth:`_Separable.table_stacks` of the family's declaration, or None.
 
         None unless the family keeps a separable declaration's grid, one
-        ``mode`` and its ``derivative`` or that mode's finite difference,
-        and where that fails or leaves a non-finite factor, which the rows
-        formed one at a time then name.
+        ``mode`` and its ``derivative`` or that mode's finite difference;
+        a failing row raises as on the route row by row.
         """
         separable, rule = getattr(self.mode_fn, "__self__", None), self.derivative_fn
         own = isinstance(separable, _Separable) and self.n_modes == 1
@@ -226,13 +224,8 @@ class ParameterFamily:
         fd = getattr(rule, "func", None) is _finite_difference and rule.args[0] == separable.mode
         if not (fd or rule == separable.derivative):
             return None
-        steps = rule.args[1] if fd else None
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                stacks, counts = separable.table_stacks(self.n_parameters, steps)
-        except EvaluationError:
-            return None
-        return (stacks, counts, fd) if all(np.isfinite(s).all() for s in stacks) else None
+        with np.errstate(over="ignore", invalid="ignore"):  # checked there
+            return separable.table_stacks(rule.args[1] if fd else None, partial(self._name, 0))
 
     def oracle_qfim(self, mean_photons: float, info: float) -> np.ndarray | None:
         if self.oracle_fn is None:
@@ -255,13 +248,7 @@ def derivative_mode(family: ParameterFamily, mode_index: int, parameter: int) ->
         )
     if not 0 <= parameter < family.n_parameters:
         raise StructuralError(f"parameter index {parameter} outside the family")
-    label = family.parameters[parameter]
-    return family._evaluated(
-        family.derivative_fn,
-        mode_index,
-        parameter,
-        lambda: f"derivative of mode {mode_index} with respect to parameter '{label}'",
-    )
+    return family._evaluated(family.derivative_fn, mode_index, parameter)
 
 
 def finite_difference_family(
@@ -272,10 +259,11 @@ def finite_difference_family(
     A central difference with one Richardson refinement, step
     ``|theta_scale| * 1e-4`` unless given, so the step follows each
     parameter's own scale whether it is large or small.  Each derivative
-    mode costs four shifted evaluations of the family's ``mode_fn``; a
-    non-finite sample in any of them stays non-finite in their difference,
-    which :func:`derivative_mode` checks once, naming the parameter; it
-    names a failed shifted evaluation too.  A step below
+    mode costs four shifted evaluations of the family's ``mode_fn`` (a
+    built-in table forms all in one pass); a non-finite sample in any of
+    them stays non-finite in their difference, which
+    :func:`derivative_mode` checks once, naming the parameter; it names a
+    failed shifted evaluation too.  A step below
     ``eps / TAU_FD * |theta_scale|`` is rejected: there the shifted modes
     round to the reference and the difference to zero.  Modes given as
     :class:`ProductSum` are differenced per axis and stay product sums (at
@@ -302,41 +290,28 @@ def _finite_difference(
     mode_fn: Callable, steps: tuple[float, ...], mode_index: int, parameter: int
 ) -> np.ndarray | ProductSum:
     """The rule of :func:`finite_difference_family`, bound to ``mode_fn`` and ``steps``."""
-
-    def shifted(h: float) -> np.ndarray | ProductSum:
-        theta = np.zeros(len(steps))
-        theta[parameter] = h
-        samples = mode_fn(mode_index, theta)
-        return samples if isinstance(samples, ProductSum) else _real_or_complex(samples)
-
-    def central(h: float) -> np.ndarray | ProductSum:
-        return (shifted(h) - shifted(-h)) / (2.0 * h)
-
     h = steps[parameter]
-    coarse = central(h)
-    fine = central(h / 2.0)
+    thetas = np.zeros((4, len(steps)))
+    thetas[:, parameter] = h, -h, h / 2.0, -(h / 2.0)
+    shifted = [mode_fn(mode_index, theta) for theta in thetas]
+    shifted = [f if isinstance(f, ProductSum) else _real_or_complex(f) for f in shifted]
+    return _richardson(h, *shifted)
+
+
+def _richardson(h, plus, minus, half_plus, half_minus):
+    """(4 D(h/2) - D(h)) / 3, D(s) = (f(s) - f(-s)) / 2s, of f at h, -h, h/2, -h/2."""
+    coarse = (plus - minus) / (2.0 * h)
+    fine = (half_plus - half_minus) / (2.0 * (h / 2.0))
     return (4.0 * fine - coarse) / 3.0
 
 
-def _norm2(grid: SampleGrid, samples: np.ndarray | ProductSum) -> float:
-    """Squared quadrature norm of an array or a one-term product sum.
-
-    The product sum multiplies its per-axis dots.
-    """
-    if isinstance(samples, ProductSum):
-        return _one_term_norm2(samples, grid.axis_weights)
-    return float(np.sum(grid.weights * np.abs(samples) ** 2).real)
-
-
-def _unit_reference(
-    name: str, grid: SampleGrid, raw: np.ndarray | ProductSum, amplitude: float
-) -> np.ndarray | ProductSum:
+def _unit_reference(name: str, grid: SampleGrid, raw: ProductSum, amplitude: float) -> ProductSum:
     """``raw`` at unit grid norm, once ``amplitude * raw``, the closed form, integrates to 1.
 
     Renormalizing would mask a coarse grid, so one norm of ``raw`` serves
     the check first and then the scaling.
     """
-    norm2 = _norm2(grid, raw)
+    norm2 = _one_term_norm2(raw, grid.axis_weights)
     err = abs(amplitude**2 * norm2 - 1.0)
     if not err <= 10.0 * TAU_QUAD:  # a non-finite or zero norm fails too
         raise GridResolutionError(
@@ -358,7 +333,7 @@ class _Separable:
     axis-free constant that scales the x factor (or None) and each axis
     factor's arguments; ``factor(points, rows)`` forms an axis factor for
     a stack of argument rows; ``profiles[a]`` gives derivative a as
-    (axis, profile) terms of the unit spot ``base``.  The bound methods
+    (axis, profile) terms of the unit reference ``base``.  The bound methods
     ``mode`` and ``derivative`` are the family's ``mode_fn`` and
     closed-form ``derivative_fn``.
     """
@@ -370,7 +345,7 @@ class _Separable:
     profiles: tuple[tuple[tuple[int, np.ndarray], ...], ...]
     base: ProductSum
 
-    def unit_factors(self, thetas: np.ndarray) -> list[np.ndarray]:
+    def unit_factors(self, thetas: np.ndarray) -> tuple[list, EvaluationError | None]:
         """The modes at the rows of ``thetas``: one (rows, points) factor stack per axis.
 
         Each distinct factor is formed once, keyed by the bits of the
@@ -379,11 +354,20 @@ class _Separable:
         keeps mode bases orthonormal at round-off where the grid truncates
         the profile: the x factor over the root of the product of the
         per-axis dots, bitwise :func:`~modal_qcrb.modes._one_term_norm2`.
-        A failed check or a vanishing norm raises :class:`EvaluationError`;
-        an overflow leaves non-finite factors for the caller to check.
+        The stacks end before the first row whose check fails or norm
+        vanishes, with its :class:`EvaluationError` (else None); an
+        overflow leaves non-finite factors for the caller to check.
         """
         values, bits = thetas.tolist(), thetas.view(np.int64).tolist()
-        constants, arguments = zip(*map(self.scalars, values))
+        scalars, error = [], None
+        try:
+            for theta in values:
+                scalars.append(self.scalars(theta))
+        except EvaluationError as exc:
+            error = exc
+        if not scalars:
+            return [], error
+        constants, arguments = zip(*scalars)
         axes = self.grid.axes
         shared = len(axes) == 2 and axes[1] is axes[0]
         # per group of axes with one points array: key -> (row, arguments)
@@ -404,54 +388,62 @@ class _Separable:
             for f, w in zip(stacks, self.grid.axis_weights)
         ]
         norms = np.sqrt([float(math.prod(row, start=1.0).real) for row in zip(*dots)])
-        if (norms == 0.0).any():
-            raise EvaluationError("mode profile vanishes on the grid")
+        vanished = np.flatnonzero(norms == 0.0)
+        if vanished.size:
+            error = EvaluationError("mode profile vanishes on the grid")
+            stacks, norms = [f[: vanished[0]] for f in stacks], norms[: vanished[0]]
         stacks[0] = stacks[0] / norms[:, None]
-        return stacks
+        return stacks, error
+
+    def family(self, **fields) -> ParameterFamily:
+        return ParameterFamily(
+            grid=self.grid, mode_fn=self.mode, derivative_fn=self.derivative, **fields
+        )
 
     def mode(self, mode_index: int, theta: np.ndarray) -> ProductSum:
-        (term,) = zip(*self.unit_factors(np.array(theta, dtype=float, ndmin=2)))
-        return ProductSum._unchecked((term,))
+        stacks, error = self.unit_factors(np.array(theta, dtype=float, ndmin=2))
+        if error:
+            raise error
+        return ProductSum._unchecked((tuple(f[0] for f in stacks),))
 
     def derivative(self, mode_index: int, parameter: int) -> ProductSum:
-        # one term per profile: the unit spot times the profile along its axis
+        # one term per profile: ``base`` times the profile along its axis
         terms = [self.base.along(axis, p).terms[0] for axis, p in self.profiles[parameter]]
         return ProductSum._unchecked(tuple(terms))
 
-    def table_stacks(self, n_parameters: int, steps: tuple | None) -> tuple[list, list[int]]:
-        """The overlap table's rows as one factor stack per axis, and each row's term count.
+    def table_stacks(self, steps: tuple | None, name: Callable) -> tuple[list, list[int]]:
+        """The table's rows as one factor stack per axis, and each row's term count.
 
-        The mode at theta = 0, then each parameter's derivative: closed-form
-        without ``steps``, else by :func:`_finite_difference`, its 4 P
-        shifted modes formed in one pass with theta = 0.  Bitwise the rows
-        the rules form one at a time.
+        Theta = 0, then each derivative: closed-form without ``steps``, else
+        by :func:`_richardson` on (P, points) slices of the 4 P shifts formed
+        in one pass with theta = 0.  Bitwise the rules' rows one at a time;
+        the first to fail, in their order, raises named by ``name``.
         """
+        n = len(self.profiles)
+        thetas = np.zeros((1 + 4 * len(steps or ()), n))
+        for a, h in enumerate(steps or ()):
+            thetas[1 + 4 * a : 5 + 4 * a, a] = h, -h, h / 2.0, -(h / 2.0)
+        stacks, error = self.unit_factors(thetas)
+        if not (stacks and len(stacks[0])):
+            raise EvaluationError(f"{name(thetas[0])}: {error}") from None
         if steps is None:
-            rows = [self.mode(0, np.zeros(n_parameters))]
-            rows += [self.derivative(0, a) for a in range(n_parameters)]
-            terms = [term for row in rows for term in row.terms]
-            return [np.array(f) for f in zip(*terms)], [len(row.terms) for row in rows]
-        # rows 1 + 4a .. 4 + 4a shift parameter a by h, -h, h/2, -h/2
-        thetas = np.zeros((1 + 4 * n_parameters, n_parameters))
-        for a, h in enumerate(steps):
-            thetas[1 + 4 * a : 5 + 4 * a, a] = (h, -h, h / 2.0, -(h / 2.0))
-        x, y = self.unit_factors(thetas)
-
-        def central(step: np.ndarray, plus: int) -> tuple:
-            # (xp yp - xm ym) / 2h, telescoped one axis at a time
-            xp, xm, yp, ym = x[plus::4], x[plus + 1 :: 4], y[plus::4], y[plus + 1 :: 4]
-            return ((xp - xm) / (2.0 * step), yp), (xm / (2.0 * step), yp - ym)
-
-        h = np.array(steps)[:, None]
-        stack_x, stack_y = np.empty_like(x), np.empty_like(y)
-        stack_x[0], stack_y[0] = x[0], y[0]
-        # (4 fine - coarse) / 3, telescoped term by term
-        for t, ((fx, fy), (cx, cy)) in enumerate(zip(central(h / 2.0, 3), central(h, 1))):
-            stack_x[1 + 2 * t :: 4] = (4.0 * fx - cx) / 3.0
-            stack_y[1 + 2 * t :: 4] = fy
-            stack_x[2 + 2 * t :: 4] = cx / 3.0
-            stack_y[2 + 2 * t :: 4] = fy - cy
-        return [stack_x, stack_y], [1] + [4] * n_parameters
+            rows = [self.derivative(0, a).terms for a in range(n)]
+        else:
+            # the parameters with all four shifts formed
+            p = (len(stacks[0]) - 1) // 4
+            body = [f[1 : 1 + 4 * p] for f in stacks]
+            shifted = [ProductSum._unchecked((tuple(f[j::4] for f in body),)) for j in range(4)]
+            terms = _richardson(np.array(steps[:p]).reshape(p, 1), *shifted).terms
+            rows = [tuple(tuple(f[a] for f in term) for term in terms) for a in range(p)]
+        rows = [(tuple(f[0] for f in stacks),), *rows]
+        stacks = [np.array(f) for f in zip(*(term for row in rows for term in row))]
+        if error is None and all(np.isfinite(f).all() for f in stacks):
+            return stacks, [len(row) for row in rows]
+        # a non-finite row comes before the row whose rule failed, if any
+        row = ([ProductSum._unchecked(terms).finite() for terms in rows] + [False]).index(False)
+        if row < len(rows):
+            error = EvaluationError("mode samples contain non-finite values")
+        raise EvaluationError(f"{name(row - 1 if row else thetas[0])}: {error}") from None
 
 
 def _unit_spot(name: str, grid: SampleGrid, waist: float) -> ProductSum:
@@ -563,25 +555,13 @@ def gaussian_beam_family(
     axial_scale = geometry.rayleigh_range
     if carrier_phase:
         axial_scale = min(axial_scale, 1.0 / geometry.wavenumber)
-    scales = np.array(
-        [
-            geometry.waist,
-            geometry.waist,
-            axial_scale,
-            geometry.waist,
-            1.0 / (geometry.wavenumber * geometry.waist),
-            1.0 / (geometry.wavenumber * geometry.waist),
-        ]
-    )
-    separable = _beam_separable(name, geometry, carrier_phase, grid)
-    return ParameterFamily(
+    w0, tilt = geometry.waist, 1.0 / (geometry.wavenumber * geometry.waist)
+    scales = np.array([w0, w0, axial_scale, w0, tilt, tilt])
+    return _beam_separable(name, geometry, carrier_phase, grid).family(
         name=name,
         parameters=_BEAM_PARAMETERS,
         units=("length", "length", "length", "length", "rad", "rad"),
-        grid=grid,
         theta_scales=scales,
-        mode_fn=separable.mode,
-        derivative_fn=separable.derivative,
         oracle_fn=_beam_oracle(geometry, carrier_phase),
     )
 
@@ -633,30 +613,24 @@ def gaussian_pulse_family(
     var = spectrum.variance
     scales = np.array([1.0 / w0, 1.0 / float(np.sqrt(var)), w0 / var])
     detuning = grid.axes[0] - w0
-    gaussian = np.exp(-(detuning**2) / (4.0 * var))
-    # the envelope does not depend on theta: normalized once for every call
-    envelope = _unit_reference("gaussian-pulse", grid, gaussian, (2.0 * np.pi * var) ** (-0.25))
+    chirp = detuning**2 / w0
+    raw = ProductSum.outer(np.exp(-(detuning**2) / (4.0 * var)))
+    envelope = _unit_reference("gaussian-pulse", grid, raw, (2.0 * np.pi * var) ** (-0.25))
 
-    def mode_fn(mode_index: int, theta: np.ndarray) -> np.ndarray:
+    def scalars(theta: list) -> tuple:
         t_phase, t_group, t_gvd = theta
-        phase = w0 * t_phase + detuning * t_group + detuning**2 / w0 * t_gvd
-        return envelope * np.exp(1j * phase)
+        return np.exp(1j * (w0 * t_phase)), ((t_group, t_gvd),)
 
-    def derivative(mode_index: int, parameter: int) -> np.ndarray:
-        if parameter == 0:
-            return 1j * w0 * envelope
-        if parameter == 1:
-            return 1j * detuning * envelope
-        return 1j * detuning**2 / w0 * envelope
+    def factor(points: np.ndarray, rows: list) -> np.ndarray:
+        t_group, t_gvd = np.array(rows).T[:, :, None]
+        return envelope.terms[0][0] * np.exp(1j * (detuning * t_group + chirp * t_gvd))
 
-    return ParameterFamily(
+    profiles = tuple(((0, 1j * p),) for p in (np.full_like(detuning, w0), detuning, chirp))
+    return _Separable(grid, ((1, 2),), scalars, factor, profiles, envelope).family(
         name="gaussian-pulse",
         parameters=_PULSE_PARAMETERS,
         units=("time", "time", "time"),
-        grid=grid,
         theta_scales=scales,
-        mode_fn=mode_fn,
-        derivative_fn=derivative,
         oracle_fn=_pulse_oracle(spectrum),
     )
 
@@ -691,21 +665,16 @@ def displaced_beam_family(
         centre = np.array(rows)
         return np.exp(-((points - centre) ** 2) / waist**2)
 
-    profiles = tuple(((a, 2.0 * axis / waist**2),) for a, axis in enumerate(grid.axes))
-    separable = _Separable(grid, ((0,), (1,)), scalars, factor, profiles, base)
-
     def oracle(mean_photons: float, info: float) -> np.ndarray:
         entry = 4.0 * mean_photons / waist**2
         return np.diag([entry, entry])
 
-    return ParameterFamily(
+    profiles = tuple(((a, 2.0 * axis / waist**2),) for a, axis in enumerate(grid.axes))
+    return _Separable(grid, ((0,), (1,)), scalars, factor, profiles, base).family(
         name="displaced-beam",
         parameters=_DISPLACEMENT_PARAMETERS,
         units=("length", "length"),
-        grid=grid,
         theta_scales=np.array([waist, waist]),
-        mode_fn=separable.mode,
-        derivative_fn=separable.derivative,
         oracle_fn=oracle,
     )
 

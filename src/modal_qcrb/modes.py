@@ -130,8 +130,9 @@ class SampleGrid:
         return all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))
 
 
-def _check_scalar(scalar) -> None:
-    if not isinstance(scalar, (int, float, complex, np.generic)) and np.ndim(scalar) != 0:
+def _check_scalar(scalar, factor: np.ndarray) -> None:
+    # private (rows, points) stacks scale by a (rows, 1) column
+    if np.ndim(scalar) and not (factor.ndim == 2 and np.shape(scalar) == (len(factor), 1)):
         raise StructuralError(
             "a product sum scales by a scalar only; a profile goes through along()"
         )
@@ -209,13 +210,13 @@ class ProductSum:
         )
 
     def __mul__(self, scalar) -> "ProductSum":
-        _check_scalar(scalar)
+        _check_scalar(scalar, self.terms[0][0])
         return ProductSum._unchecked(tuple([(scalar * t[0],) + t[1:] for t in self.terms]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "ProductSum":
-        _check_scalar(scalar)
+        _check_scalar(scalar, self.terms[0][0])
         return ProductSum._unchecked(tuple([(t[0] / scalar,) + t[1:] for t in self.terms]))
 
     def _same_shape(self, other: "ProductSum") -> None:

@@ -1,6 +1,6 @@
 """The overlap table of product-form families, built from 1-D factors.
 
-The beam families give their modes and derivative modes as sums of
+The built-in families give their modes and derivative modes as sums of
 per-axis outer products (``ProductSum``).  On a grid with per-axis weights
 their table is formed from 1-D Gram matrices; ``weighted_gram`` over the
 expanded rows stays the reference it must match.
@@ -23,15 +23,19 @@ from modal_qcrb import (
     Mode,
     OverlapTable,
     ParameterFamily,
+    PulseSpectrum,
     SampleGrid,
     StructuralError,
+    build_family,
     derivative_mode,
     displaced_beam_family,
     finite_difference_family,
     gaussian_beam_family,
+    gaussian_pulse_family,
     transverse_grid,
     weighted_gram,
 )
+from modal_qcrb import families
 from modal_qcrb.modes import ProductSum, _hermitian, _one_term_norm2, grid_gram
 from modal_qcrb.tolerances import TAU_QUAD
 from conftest import export_detection_modes, inner_product
@@ -360,7 +364,9 @@ class TestProductSumArithmetic:
         ids=["mul", "rmul", "div"],
     )
     @pytest.mark.parametrize(
-        "scalar", [np.ones(5), np.ones((5, 6)), np.ones(1)], ids=["5", "5x6", "1"]
+        "scalar",
+        [np.ones(5), np.ones((5, 6)), np.ones(1), np.ones((5, 1))],
+        ids=["5", "5x6", "1", "5x1"],
     )
     def test_array_scalars_rejected(self, scale, scalar):
         a, _ = self.operands()
@@ -493,7 +499,8 @@ class TestReferenceStencil:
         n = family.n_parameters
         rng = np.random.default_rng(11)
         thetas = np.array([np.zeros(n), 1e-3 * rng.normal(size=n), *(1e-5 * np.eye(n))])
-        x, y = separable.unit_factors(thetas)
+        (x, y), error = separable.unit_factors(thetas)
+        assert error is None
         for row, theta in enumerate(thetas):
             constant, arguments = separable.scalars(theta.tolist())
             raw_x, raw_y = (
@@ -595,6 +602,33 @@ def former_family(family, name, w0, k):
     )
 
 
+def former_pulse(family, w0, variance):
+    """``family`` with the pulse's former array rules, and its table row by row.
+
+    One envelope normalized once per build times the spectral phase of each
+    row; the derivatives are closed forms on that envelope, and the table
+    is reduced from the arrays by ``weighted_gram``.
+    """
+    grid = family.grid
+    detuning = grid.axes[0] - w0
+    gaussian = np.exp(-(detuning**2) / (4.0 * variance))
+    envelope = gaussian / np.sqrt(float(np.sum(grid.weights * np.abs(gaussian) ** 2).real))
+
+    def mode_fn(mode_index, theta):
+        t_phase, t_group, t_gvd = theta
+        phase = w0 * t_phase + detuning * t_group + detuning**2 / w0 * t_gvd
+        return envelope * np.exp(1j * phase)
+
+    def derivative(mode_index, parameter):
+        if parameter == 0:
+            return 1j * w0 * envelope
+        if parameter == 1:
+            return 1j * detuning * envelope
+        return 1j * detuning**2 / w0 * envelope
+
+    return replace(family, mode_fn=mode_fn, derivative_fn=derivative)
+
+
 def count_exponential_rows(monkeypatch, family):
     """Rows of the 1-D factors each later ``np.exp`` call forms on the family's grid, per call."""
     sizes = set(family.grid.shape)
@@ -663,7 +697,8 @@ class TestAxisFactorReuse:
         family = build(name, self.W0, self.K, **self.GRIDS[grid])
         former = former_family(family, name, self.W0, self.K)
         thetas = self.thetas(family)
-        stacked = family.mode_fn.__self__.unit_factors(np.array(thetas))
+        stacked, error = family.mode_fn.__self__.unit_factors(np.array(thetas))
+        assert error is None
         for row, theta in enumerate(thetas):
             ((x, y),) = family.mode_fn(0, theta.copy()).terms
             ((ex, ey),) = former.mode_fn(0, theta.copy()).terms
@@ -701,7 +736,8 @@ class TestAxisFactorReuse:
         thetas = np.zeros((3, n))
         thetas[1, 0] = thetas[2, n - 2] = 1e-3
         formed = count_exponential_rows(monkeypatch, family)
-        x, y = family.mode_fn.__self__.unit_factors(thetas)
+        (x, y), error = family.mode_fn.__self__.unit_factors(thetas)
+        assert error is None
         assert formed == [3 if n == 6 else 2]
         assert y[1].tobytes() == y[0].tobytes() == y[2].tobytes()
         assert x[1].tobytes() != x[0].tobytes() != x[2].tobytes()
@@ -786,9 +822,46 @@ class TestStackedTable:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"derivative of mode 0 with respect to parameter '{label}': ")
 
-    @pytest.mark.parametrize("name", BEAMS)
-    def test_swapped_rules_take_the_route_row_by_row(self, name):
+    @pytest.mark.parametrize(
+        "name, case",
+        [*itertools.product(BEAMS[:2], sorted(FAILURES)), ("displaced-beam", "huge-step")],
+    )
+    def test_a_failing_table_forms_no_row_alone(self, monkeypatch, name, case):
+        # the stacked pass names the failing row itself: no mode_fn call,
+        # finite difference or derivative mode follows it row by row
+        scales, step, _ = self.FAILURES[case]
         family = build(name, self.W0, self.K, points=64)
+        theta_scales = family.theta_scales.copy()
+        theta_scales[list(scales)] = list(scales.values())
+        former = former_family(replace(family, theta_scales=theta_scales), name, self.W0, self.K)
+        with pytest.raises(EvaluationError) as want:
+            finite_difference_family(former, step).overlap_table
+        calls = []
+
+        def counting(attribute, rule):
+            def counted(*args):
+                calls.append(attribute)
+                return rule(*args)
+
+            return counted
+
+        # set before the family is built, which binds mode and the difference
+        for owner, attribute in [
+            (families._Separable, "mode"),
+            (families, "_finite_difference"),
+            (families, "derivative_mode"),
+        ]:
+            monkeypatch.setattr(owner, attribute, counting(attribute, getattr(owner, attribute)))
+        family = replace(build(name, self.W0, self.K, points=64), theta_scales=theta_scales)
+        with pytest.raises(EvaluationError) as got:
+            finite_difference_family(family, step).overlap_table
+        assert str(got.value) == str(want.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", [*BEAMS, "gaussian-pulse"])
+    def test_swapped_rules_take_the_route_row_by_row(self, name):
+        geometry = {"w0": self.W0, "k": self.K, "omega0": 100.0, "variance": 25.0}
+        family = build_family(name, geometry, points=256 if name == "gaussian-pulse" else 64)
         fd = finite_difference_family(family)
         mode_fn, derivative_fn = family.mode_fn, family.derivative_fn
         swapped_mode = replace(family, mode_fn=lambda k, theta: mode_fn(k, theta))
@@ -803,3 +876,152 @@ class TestStackedTable:
             # the same rules underneath: the same table, bit for bit
             got, want = swapped.overlap_table.matrix, stacked.overlap_table.matrix
             assert got.tobytes() == want.tobytes()
+
+
+class TestFailureOrder:
+    """A stacked table names its failing row as the route row by row does.
+
+    A two-parameter declaration on one axis fails where it is told to: its
+    check raises at some rows, its factor is NaN or zero at others.  The
+    rules form the rows in the order theta = 0, then h, -h, h/2, -h/2 of
+    each parameter, and the first failure in that order, a non-finite row
+    included, is the error of both routes.
+    """
+
+    ROWS = {
+        "zero": (0.0, 0.0),
+        "a+h": (1.0, 0.0),
+        "a-h": (-1.0, 0.0),
+        "a-h/2": (-0.5, 0.0),
+        "b+h": (0.0, 1.0),
+        "b-h": (0.0, -1.0),
+        "b+h/2": (0.0, 0.5),
+        "b-h/2": (0.0, -0.5),
+    }
+
+    @classmethod
+    def family(cls, raises=(), nans=(), zeros=(), nan_profile=False):
+        raises, nans, zeros = ({cls.ROWS[r] for r in rows} for rows in (raises, nans, zeros))
+        grid = SampleGrid.uniform(np.linspace(-4.0, 4.0, 33))
+        (x,) = grid.axes
+
+        def scalars(theta):
+            if tuple(theta) in raises:
+                raise EvaluationError("check failed")
+            return None, (tuple(theta),)
+
+        def factor(points, rows):
+            stack = np.exp(-((points - np.array(rows).sum(axis=1)[:, None]) ** 2))
+            for r, row in enumerate(rows):
+                stack[r] = np.nan if row in nans else 0.0 if row in zeros else stack[r]
+            return stack
+
+        profile_b = np.full_like(x, np.nan) if nan_profile else 2.0 * x
+        separable = families._Separable(
+            grid,
+            ((0, 1),),
+            scalars,
+            factor,
+            (((0, 2.0 * x),), ((0, profile_b),)),
+            ProductSum.outer(np.exp(-(x**2))),
+        )
+        return ParameterFamily(
+            name="failing",
+            parameters=("a", "b"),
+            units=("1", "1"),
+            grid=grid,
+            theta_scales=np.ones(2),
+            mode_fn=separable.mode,
+            derivative_fn=separable.derivative,
+        )
+
+    CASES = {
+        "check-at-zero": ({"raises": ["zero"]}, "mode 0 at parameters [0.0, 0.0]"),
+        "nan-at-zero": ({"nans": ["zero"]}, "mode 0 at parameters [0.0, 0.0]"),
+        "zero-at-zero": ({"zeros": ["zero"]}, "mode 0 at parameters [0.0, 0.0]"),
+        "nan-at-zero-before-a-vanishing-shift": (
+            {"nans": ["zero"], "zeros": ["a+h"]},
+            "mode 0 at parameters [0.0, 0.0]",
+        ),
+        "check-after-a-nan-shift": ({"nans": ["a+h"], "raises": ["a-h"]}, "parameter 'a'"),
+        "nan-before-a-later-check": ({"nans": ["a-h/2"], "raises": ["b+h"]}, "parameter 'a'"),
+        "vanishing-before-a-check": ({"zeros": ["b+h/2"], "raises": ["b-h/2"]}, "parameter 'b'"),
+        "check-before-a-vanishing": ({"raises": ["b+h/2"], "zeros": ["b-h/2"]}, "parameter 'b'"),
+        "nan-in-both": ({"nans": ["a+h", "b+h"]}, "parameter 'a'"),
+        "nan-in-b": ({"nans": ["b-h"]}, "parameter 'b'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_finite_differences(self, case):
+        failures, named = self.CASES[case]
+        fd = finite_difference_family(self.family(**failures), 1.0)
+        row_by_row = replace(fd, derivative_fn=lambda k, a: fd.derivative_fn(k, a))
+        with pytest.raises(EvaluationError) as want:
+            row_by_row.overlap_table
+        with pytest.raises(EvaluationError) as got:
+            fd._stacked  # only the stacked route raises here
+        assert str(got.value) == str(want.value)
+        assert named in str(got.value)
+
+    @pytest.mark.parametrize(
+        "failures",
+        [{"raises": ["zero"]}, {"nans": ["zero"]}, {"zeros": ["zero"]}, {"nan_profile": True}],
+        ids=["check", "nan", "zero", "nan-profile"],
+    )
+    def test_closed_forms(self, failures):
+        family = self.family(**failures)
+        row_by_row = replace(family, derivative_fn=lambda k, a: family.derivative_fn(k, a))
+        with pytest.raises(EvaluationError) as want:
+            row_by_row.overlap_table
+        with pytest.raises(EvaluationError) as got:
+            family._stacked
+        assert str(got.value) == str(want.value)
+
+
+class TestStackedPulse:
+    """The pulse as a one-axis declaration on its normalized envelope.
+
+    t_phase forms the constant and (t_group, t_gvd) the spectral phase of
+    the factor; each row is normalized on its own, where the former array
+    route scaled one envelope normalized once per build.  The table moves
+    in its last bits, by at most 1e-15 of its largest entry.
+    """
+
+    SPECTRA = [(100.0, 25.0, 256), (100.0, 25.0, 2048), (30.0, 4.0, 512), (7.0, 0.5, 1024)]
+
+    @pytest.mark.parametrize("derivatives", ["analytic", "fd"])
+    @pytest.mark.parametrize("w0, variance, points", SPECTRA)
+    def test_within_1e_15_of_the_former_array_route(self, w0, variance, points, derivatives):
+        family = gaussian_pulse_family(PulseSpectrum(w0, variance), points=points)
+        former = former_pulse(family, w0, variance)
+        if derivatives == "fd":
+            family, former = finite_difference_family(family), finite_difference_family(former)
+        assert family._stacked is not None and former._stacked is None
+        got, want = family.overlap_table.matrix, former.overlap_table.matrix
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_one_pass_forms_each_distinct_factor_once(self, monkeypatch):
+        # the t_phase shifts scale the factor of theta = 0: 9 factors for 13 rows
+        family = gaussian_pulse_family(PulseSpectrum(100.0, 25.0), points=256)
+        fd = finite_difference_family(family)
+        formed = count_exponential_rows(monkeypatch, family)
+        fd.overlap_table
+        assert formed == [9]
+
+
+@pytest.mark.parametrize("derivatives", ["analytic", "fd"])
+@pytest.mark.parametrize("name", [*BEAMS, "gaussian-pulse"])
+def test_derivative_modes_are_the_rules_rows_read_off_the_stacks(name, derivatives):
+    geometry = {"w0": 1.0, "k": 10.0, "omega0": 100.0, "variance": 25.0}
+    family = build_family(name, geometry, points=256 if name == "gaussian-pulse" else 64)
+    if derivatives == "fd":
+        family = finite_difference_family(family)
+    assert family._stacked is not None
+    for a in range(family.n_parameters):
+        want = family.derivative_fn(0, a).terms
+        got = family.derivative_modes[a][0].data.terms
+        assert len(got) == len(want)
+        for term, expected in zip(got, want):
+            # a real closed-form factor joins its axis's complex stack exactly
+            for f, g in zip(term, expected):
+                assert f.tobytes() == g.astype(f.dtype).tobytes()

@@ -269,18 +269,19 @@ class TestRegistry:
     @staticmethod
     def count_norms(monkeypatch):
         calls = []
-        norm2 = families._norm2
+        norm2 = families._one_term_norm2
 
-        def counting(grid, samples):
+        def counting(samples, axis_weights):
             calls.append(1)
-            return norm2(grid, samples)
+            return norm2(samples, axis_weights)
 
-        monkeypatch.setattr(families, "_norm2", counting)
+        monkeypatch.setattr(families, "_one_term_norm2", counting)
         return calls
 
     def test_pulse_normalizes_its_envelope_once(self, monkeypatch):
-        # the envelope does not depend on theta: neither the reference mode
-        # nor the twelve shifted modes of the finite differences renormalize it
+        # the envelope, on which the closed forms stand, is normalized once
+        # per build; the reference mode and the twelve shifted modes of the
+        # finite differences take their own norms in the one stacked pass
         calls = self.count_norms(monkeypatch)
         spectrum = PulseSpectrum(OMEGA0, VARIANCE)
         finite_difference_family(gaussian_pulse_family(spectrum, points=256)).overlap_table

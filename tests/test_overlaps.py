@@ -173,22 +173,30 @@ def test_gram_block_boundaries_do_not_matter(monkeypatch):
 class TestEvaluateOnce:
     """A CLI run evaluates its family once.
 
-    A built-in beam's table is one stacked evaluation of the family's
+    A built-in family's table is one stacked evaluation of the family's
     declaration (``_Separable.unit_factors``): theta = 0 and, by finite
-    differences, the 24 shifted modes in the same pass.  A family whose
-    ``mode_fn`` is swapped takes the route row by row, one ``mode_fn``
-    call per mode, each a stacked evaluation of one row.
+    differences, the 4 P shifted modes in the same pass; the derivative
+    modes are read off its stacks.  A family whose ``mode_fn`` is swapped
+    takes the route row by row, one ``mode_fn`` call per mode, each a
+    stacked evaluation of one row.
     """
 
-    # (evaluate, evaluate_mode, derivative_mode, mode_fn, rows per stacked evaluation)
+    # (geometry, grid points of the export, parameters)
+    FAMILIES = {
+        "gaussian-beam": ({"w0": 1.0, "k": 10.0}, 32, 6),
+        "gaussian-pulse": ({"omega0": 100.0, "variance": 25.0}, 256, 3),
+    }
+
+    # (evaluate, evaluate_mode, derivative_mode, mode_fn, rows per stacked
+    # evaluation) for P parameters
     EXPECTED = {
-        ("analytic", "stacked"): (0, 0, 0, 0, [1]),
-        ("finite-difference", "stacked"): (0, 0, 0, 0, [1 + 4 * 6]),
-        ("analytic", "row-by-row"): (1, 1, 6, 1, [1]),
+        ("analytic", "stacked"): lambda p: (0, 0, 0, 0, [1]),
+        ("finite-difference", "stacked"): lambda p: (0, 0, 0, 0, [1 + 4 * p]),
+        ("analytic", "row-by-row"): lambda p: (1, 1, p, 1, [1]),
         # four shifted mode_fn calls per derivative mode, plus the
         # reference; the shifts bypass evaluate_mode, whose checks their
         # difference repeats
-        ("finite-difference", "row-by-row"): (1, 1, 6, 1 + 4 * 6, [1] * (1 + 4 * 6)),
+        ("finite-difference", "row-by-row"): lambda p: (1, 1, p, 1 + 4 * p, [1] * (1 + 4 * p)),
     }
 
     @pytest.fixture(params=["stacked", "row-by-row"])
@@ -230,43 +238,46 @@ class TestEvaluateOnce:
             monkeypatch.setattr(cli, "build_family", build_family)
         return counts
 
-    def expected(self, method, route, **changes):
+    def expected(self, method, route, n_parameters):
         names = ("evaluate", "evaluate_mode", "derivative_mode", "mode_fn", "rows")
-        return {**dict(zip(names, self.EXPECTED[method, route])), **changes}
+        return dict(zip(names, self.EXPECTED[method, route](n_parameters)))
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("method", ["analytic", "finite-difference"])
-    def test_run_evaluates_family_and_derivatives_once(self, counts, route, tmp_path, method):
+    def test_run_evaluates_family_and_derivatives_once(
+        self, counts, route, tmp_path, method, family
+    ):
+        geometry, _, n_parameters = self.FAMILIES[family]
         config = cli.RunConfig(
-            family="gaussian-beam",
-            geometry={"w0": 1.0, "k": 10.0},
+            family=family,
+            geometry=geometry,
             state={"kind": "coherent", "nbar": 1.0},
             out=tmp_path,
             derivative_method=method,
         )
         cli._assemble_report(config)
-        assert counts == self.expected(method, route)
+        assert counts == self.expected(method, route, n_parameters)
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("method", ["analytic", "finite-difference"])
     def test_detection_mode_export_evaluates_each_derivative_once(
-        self, counts, route, tmp_path, method
+        self, counts, route, tmp_path, method, family
     ):
         # the detection modes are formed from the derivative modes the
         # table was built from, and the readout basis from the table: a
-        # stacked table's finite-difference modes are read off its stacks,
-        # and its closed-form modes formed once each, for the export
+        # stacked table's modes, closed-form or finite-difference, are
+        # read off its stacks
+        geometry, points, n_parameters = self.FAMILIES[family]
         config = cli.RunConfig(
-            family="gaussian-beam",
-            geometry={"w0": 1.0, "k": 10.0},
+            family=family,
+            geometry=geometry,
             state=None,
             out=tmp_path,
-            grid_points=32,
+            grid_points=points,
             derivative_method=method,
         )
         cli._write_run(config.out, cli._COMMANDS["detection-modes"](config))
-        if (method, route) == ("analytic", "stacked"):
-            assert counts == self.expected(method, route, derivative_mode=6)
-        else:
-            assert counts == self.expected(method, route)
+        assert counts == self.expected(method, route, n_parameters)
 
 
 class TestReadoutBasis:
